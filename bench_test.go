@@ -442,30 +442,9 @@ func BenchmarkTopoSimDragonfly(b *testing.B) { benchTopoSim(b, "dragonfly") }
 // BenchmarkTopoSimTorus3D is the 3D torus through the simulator.
 func BenchmarkTopoSimTorus3D(b *testing.B) { benchTopoSim(b, "torus3d") }
 
-// BenchmarkMaxMin measures the fairness solver on a contended instance.
-func BenchmarkMaxMin(b *testing.B) {
-	const flows = 256
-	demands := make([]float64, flows)
-	paths := make([][]int, flows)
-	caps := map[int]float64{}
-	for l := 0; l < 64; l++ {
-		caps[l] = 100
-	}
-	for i := range demands {
-		demands[i] = float64(10 + i%50)
-		paths[i] = []int{i % 64, (i * 7) % 64, (i * 13) % 64}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := netsim.MaxMin(demands, paths, caps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMaxMinDense measures the same contended instance through a
-// reused dense Solver — the allocation-free path the simulator hot loop
-// takes.
+// BenchmarkMaxMinDense measures the fairness solver on a contended
+// instance through a reused dense Solver — the allocation-free path the
+// simulator hot loop takes.
 func BenchmarkMaxMinDense(b *testing.B) {
 	const flows = 256
 	demands := make([]float64, flows)
@@ -555,17 +534,6 @@ func BenchmarkRateLink(b *testing.B) {
 		savings = res.Savings
 	}
 	b.ReportMetric(savings*100, "savings-%")
-}
-
-// BenchmarkFig3Parallel measures the concurrent sweep driver (compare with
-// BenchmarkFig3).
-func BenchmarkFig3Parallel(b *testing.B) {
-	props := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Fig3Parallel(core.Baseline(), core.Table3Bandwidths(), props, core.AvgBudget, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBackbone simulates a day of §3.4 ISP link sleeping.

@@ -53,8 +53,12 @@ func main() {
 	}
 }
 
-// app carries the durable-job options shared by every scenario command.
+// app carries the engine and durable-job options shared by every scenario
+// command. models are the co-simulation hooks (nil: in-process); the
+// engine attaches them to every scenario simulation.
 type app struct {
+	eng      *engine.Engine
+	models   *netsim.Models
 	job      bool
 	jobdir   string
 	killrow  int
@@ -76,6 +80,7 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	a := &app{job: *job, jobdir: *jobdir, killrow: *killrow, loglevel: *loglevel}
 	cfg := cosim.Config{Command: *cosimCmd, Record: *cosimRecord, Replay: *cosimReplay, Timeout: *cosimTimeout}
 	if cfg.Enabled() {
 		binding, err := cosim.Open(cfg)
@@ -87,10 +92,9 @@ func run(args []string, w io.Writer) error {
 				fmt.Fprintf(os.Stderr, "netsim: cosim close: %v\n", err)
 			}
 		}()
-		engine.SetSimModels(binding.Models())
-		defer engine.SetSimModels(nil)
+		a.models = binding.Models()
 	}
-	a := &app{job: *job, jobdir: *jobdir, killrow: *killrow, loglevel: *loglevel}
+	a.eng = engine.New(engine.Options{Models: a.models})
 	args = fs.Args()
 	if *resume {
 		if len(args) != 0 {
@@ -125,7 +129,7 @@ func run(args []string, w io.Writer) error {
 	case "scheduler":
 		return a.cmdScheduler(args[1:], w)
 	case "fabric":
-		return cmdFabric(args[1:], w)
+		return a.cmdFabric(args[1:], w)
 	case "chiplet":
 		return a.cmdChiplet(args[1:], w)
 	case "backbone":
@@ -148,7 +152,7 @@ func (a *app) runScenario(w io.Writer, name, bw string, params map[string]float6
 	if a.job {
 		return a.runJob(w, req)
 	}
-	res, _, err := engine.Default().Do(context.Background(), req)
+	res, _, err := a.eng.Do(context.Background(), req)
 	if err != nil {
 		return err
 	}
@@ -169,7 +173,7 @@ func (a *app) openJobs() (*jobs.Manager, error) {
 	}
 	opts := jobs.Options{
 		Dir:    a.jobdir,
-		Exec:   engine.Default(),
+		Exec:   a.eng,
 		Logf:   func(format string, args ...any) { fmt.Fprintf(os.Stderr, "netsim: "+format+"\n", args...) },
 		Logger: obs.New(os.Stderr, level).With("component", "jobs"),
 	}
@@ -571,7 +575,7 @@ func (a *app) cmdScheduler(args []string, w io.Writer) error {
 	return a.runScenario(w, "scheduler", "", map[string]float64{"radix": float64(*radix)})
 }
 
-func cmdFabric(args []string, w io.Writer) error {
+func (a *app) cmdFabric(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fabric", flag.ContinueOnError)
 	radix := fs.Int("radix", 4, "fat-tree radix k")
 	tiers := fs.Int("tiers", 3, "2 or 3 tiers")
@@ -599,8 +603,8 @@ func cmdFabric(args []string, w io.Writer) error {
 		return err
 	}
 	s := netsim.New(top)
-	s.Models = engine.SimModels()
-	res, err := s.RunParallel(flows, 0)
+	s.Models = a.models
+	res, err := s.Run(flows)
 	if err != nil {
 		return err
 	}

@@ -33,10 +33,10 @@ import (
 	"netpowerprop/internal/workload"
 )
 
-// query routes a request through the shared engine, so this CLI and
-// cmd/serve are guaranteed to produce identical numbers.
+// query routes a request through the engine, so this CLI and cmd/serve
+// are guaranteed to produce identical numbers.
 func query(req engine.Request) (*engine.Result, error) {
-	res, _, err := engine.Default().Do(context.Background(), req)
+	res, _, err := engine.New(engine.Options{}).Do(context.Background(), req)
 	return res, err
 }
 
@@ -121,7 +121,7 @@ func cmdReport(args []string, w io.Writer) error {
 	fmt.Fprintln(w)
 
 	// Fig. 3 crossovers.
-	curves, err := core.Fig3Parallel(core.Baseline(), core.Table3Bandwidths(), core.FigProportionalities(), core.AvgBudget, 0)
+	curves, err := core.Fig3(core.Baseline(), core.Table3Bandwidths(), core.FigProportionalities(), core.AvgBudget)
 	if err != nil {
 		return err
 	}
@@ -147,7 +147,7 @@ func cmdReport(args []string, w io.Writer) error {
 	fmt.Fprintln(w)
 
 	// Fig. 4 headline points.
-	f4, err := core.Fig4Parallel(core.Baseline(), core.Table3Bandwidths(), []float64{0.25, 0.5, 0.75, 1}, 0.10, core.AvgBudget, 0)
+	f4, err := core.Fig4(core.Baseline(), core.Table3Bandwidths(), []float64{0.25, 0.5, 0.75, 1}, 0.10, core.AvgBudget)
 	if err != nil {
 		return err
 	}

@@ -73,6 +73,7 @@ import (
 	"netpowerprop/internal/cosim"
 	"netpowerprop/internal/engine"
 	"netpowerprop/internal/jobs"
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/obs"
 )
 
@@ -122,23 +123,24 @@ func main() {
 		logger.Warn("chaos failpoints ARMED — this process will inject faults", "plan", plan.String())
 	}
 
-	// Co-simulation: one configuration per process, installed before any
+	// Co-simulation: one configuration per engine, attached before any
 	// request computes so cached and fresh rows agree on the model.
 	cosimCfg := cosim.Config{Command: *cosimCmd, Record: *cosimRecord, Replay: *cosimReplay, Timeout: *cosimTimeout}
 	var cosimBinding *cosim.Binding
+	var models *netsim.Models
 	if cosimCfg.Enabled() {
 		cosimBinding, err = cosim.Open(cosimCfg)
 		if err != nil {
 			log.Fatalf("serve: cosim: %v", err)
 		}
 		cosimBinding.Instrument(reg)
-		engine.SetSimModels(cosimBinding.Models())
+		models = cosimBinding.Models()
 		logger.Info("co-simulation enabled", "model", cosimBinding.Model(),
 			"record", *cosimRecord, "replay", *cosimReplay)
 	}
 
 	eng := engine.New(engine.Options{CacheSize: *cacheSize, CacheShards: *shards,
-		Workers: *workers, MaxQueue: *queue,
+		Workers: *workers, MaxQueue: *queue, Models: models,
 		Logger: logger.With("component", "engine"), Registry: reg})
 
 	// Cluster mode: shard requests across replicas by canonical key,

@@ -188,7 +188,9 @@ func (s *server) serveStream(w http.ResponseWriter, r *http.Request, req engine.
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	wrote := false
-	res, err := s.eng.Stream(ctx, req, func(i int, data json.RawMessage) error {
+	rows := 0
+	_, err = s.eng.Stream(ctx, req, func(i int, data json.RawMessage) error {
+		rows = i + 1
 		if !wrote {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
@@ -220,26 +222,10 @@ func (s *server) serveStream(w http.ResponseWriter, r *http.Request, req engine.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 	}
-	_ = enc.Encode(streamEndFrame{End: true, Rows: streamRows(res)})
+	_ = enc.Encode(streamEndFrame{End: true, Rows: rows})
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// streamRows is the emitted-row count of a completed streamed result,
-// recomputed from the result shape (the plan is not in scope here).
-func streamRows(res *engine.Result) int {
-	switch {
-	case res == nil:
-		return 0
-	case res.Sweep != nil:
-		return len(res.Sweep)
-	case res.Grid != nil:
-		return len(res.Grid.Bandwidths)
-	case res.Table != nil:
-		return len(res.Table.Rows)
-	}
-	return 1
 }
 
 // handleJobStream streams a durable job's rows as NDJSON, live: rows

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"netpowerprop/internal/admit"
+	"netpowerprop/internal/core"
 	"netpowerprop/internal/engine"
 	"netpowerprop/internal/jobs"
 	"netpowerprop/internal/obs"
@@ -191,17 +192,32 @@ func TestStreamByteIdentity(t *testing.T) {
 	}
 }
 
-// A chaos scenario streams one frame per table row.
+// A stream sends one frame per plan row, and its end frame counts them:
+// chaos has one row per table row, gating computes its table as one row,
+// and Fig. 3 has one row per bandwidth.
 func TestStreamScenarioRows(t *testing.T) {
 	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/v1/scenarios/chaos?rows=3&stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	frames := ndjsonFrames(t, resp.Body)
-	if len(frames) != 4 {
-		t.Fatalf("got %d frames, want 3 rows + end", len(frames))
+	for path, rows := range map[string]int{
+		"/v1/scenarios/chaos?rows=3&stream=1": 3,
+		"/v1/scenarios/gating?stream=1":       1,
+		"/v1/fig3?stream=1":                   len(core.Table3Bandwidths()),
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := ndjsonFrames(t, resp.Body)
+		resp.Body.Close()
+		if len(frames) != rows+1 {
+			t.Fatalf("%s: got %d frames, want %d rows + end", path, len(frames), rows)
+		}
+		var end struct {
+			End  bool `json:"end"`
+			Rows int  `json:"rows"`
+		}
+		if err := json.Unmarshal(frames[rows], &end); err != nil || !end.End || end.Rows != rows {
+			t.Errorf("%s: end frame %s, want rows=%d", path, frames[rows], rows)
+		}
 	}
 }
 

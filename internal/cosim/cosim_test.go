@@ -292,11 +292,12 @@ func TestOpenConfigValidation(t *testing.T) {
 	}
 }
 
-// scenarioBytes runs one scenario through a fresh engine and returns the
-// rendered table bytes.
-func scenarioBytes(t *testing.T, scenario string, params map[string]float64) []byte {
+// scenarioBytes runs one scenario through a fresh engine attached to the
+// given co-sim models (nil: in-process) and returns the rendered table
+// bytes.
+func scenarioBytes(t *testing.T, models *netsim.Models, scenario string, params map[string]float64) []byte {
 	t.Helper()
-	eng := engine.New(engine.Options{})
+	eng := engine.New(engine.Options{Models: models})
 	res, _, err := eng.Do(context.Background(), engine.Request{
 		Op: engine.OpScenario, Scenario: scenario, Params: params,
 	})
@@ -325,8 +326,8 @@ func liveBinding(t *testing.T, cassette string, perturb float64) *Binding {
 // scenarios, output under a live echo model is byte-identical to the
 // in-process models, and a cassette replay of the recorded run is
 // byte-identical again — with zero fallbacks and no subprocess. Run
-// under -race in CI, this also exercises the locked client under
-// parallelRows fan-out.
+// under -race in CI, this also exercises the locked client under the
+// engine's concurrent rows.
 func TestRecordReplayByteStability(t *testing.T) {
 	cases := []struct {
 		scenario string
@@ -337,13 +338,11 @@ func TestRecordReplayByteStability(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			plain := scenarioBytes(t, tc.scenario, tc.params)
+			plain := scenarioBytes(t, nil, tc.scenario, tc.params)
 
 			cassette := filepath.Join(t.TempDir(), "run.jsonl")
 			live := liveBinding(t, cassette, 0)
-			engine.SetSimModels(live.Models())
-			liveOut := scenarioBytes(t, tc.scenario, tc.params)
-			engine.SetSimModels(nil)
+			liveOut := scenarioBytes(t, live.Models(), tc.scenario, tc.params)
 			if err := live.Close(); err != nil {
 				t.Fatalf("close recorder: %v", err)
 			}
@@ -359,9 +358,7 @@ func TestRecordReplayByteStability(t *testing.T) {
 				t.Fatal(err)
 			}
 			replay := Bind(rp)
-			engine.SetSimModels(replay.Models())
-			replayOut := scenarioBytes(t, tc.scenario, tc.params)
-			engine.SetSimModels(nil)
+			replayOut := scenarioBytes(t, replay.Models(), tc.scenario, tc.params)
 			if !bytes.Equal(plain, replayOut) {
 				t.Fatalf("cassette replay output differs from recorded run")
 			}
@@ -377,13 +374,11 @@ func TestRecordReplayByteStability(t *testing.T) {
 // recorded model was the pure echo, the output is still byte-identical.
 func TestTornCassetteFailsClosed(t *testing.T) {
 	params := map[string]float64{"hosts": 12, "iters": 1, "seed": 5}
-	plain := scenarioBytes(t, "topologies", params)
+	plain := scenarioBytes(t, nil, "topologies", params)
 
 	cassette := filepath.Join(t.TempDir(), "run.jsonl")
 	live := liveBinding(t, cassette, 0)
-	engine.SetSimModels(live.Models())
-	scenarioBytes(t, "topologies", params)
-	engine.SetSimModels(nil)
+	scenarioBytes(t, live.Models(), "topologies", params)
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +400,7 @@ func TestTornCassetteFailsClosed(t *testing.T) {
 		t.Fatal("truncated cassette not reported torn")
 	}
 	replay := Bind(rp)
-	engine.SetSimModels(replay.Models())
-	tornOut := scenarioBytes(t, "topologies", params)
-	engine.SetSimModels(nil)
+	tornOut := scenarioBytes(t, replay.Models(), "topologies", params)
 	if !bytes.Equal(plain, tornOut) {
 		t.Fatal("torn-cassette run not byte-identical to in-process models")
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"netpowerprop/internal/obs"
 )
 
 // This file is the engine's batched execution surface. DoBatch answers
@@ -114,12 +112,8 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 	admitted := make([]string, 0, len(order))
 	for _, key := range order {
 		g := groups[key]
-		if p := e.pending.Add(1); e.maxQueue >= 0 && p > int64(e.workers+e.maxQueue) {
-			e.pending.Add(-1)
-			e.sheds.Add(1)
+		if !e.admit(ctx, "batch row", g.req.Op) {
 			g.shed = true
-			e.log.Warn("batch row shed", "trace", obs.TraceID(ctx), "op", string(g.req.Op),
-				"pending", p-1, "workers", e.workers, "maxqueue", e.maxQueue)
 			continue
 		}
 		admitted = append(admitted, key)
@@ -127,7 +121,7 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 
 	// Pass 3: dispatch admitted unique keys through the shared
 	// singleflight group. Worker-pool width still bounds concurrent
-	// computation (runCompute acquires a slot); the goroutines here only
+	// computation (every row acquires a slot); the goroutines here only
 	// hold queue positions already reserved in pending.
 	var wg sync.WaitGroup
 	for _, key := range admitted {
@@ -137,7 +131,7 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 			defer wg.Done()
 			defer e.pending.Add(-1)
 			g.res, g.shared, g.err = e.flight.do(ctx, key, func() (*Result, error) {
-				return e.runCompute(ctx, key, g.req)
+				return e.compute(ctx, key, g.req)
 			})
 		}(key, g)
 	}

@@ -10,12 +10,15 @@ package engine
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/obs"
 )
 
@@ -26,8 +29,9 @@ type Options struct {
 	CacheSize int
 	// CacheShards is the number of LRU shards (default 16).
 	CacheShards int
-	// Workers bounds concurrently computing requests (default GOMAXPROCS).
-	// Queued requests honor their context while waiting for a slot.
+	// Workers bounds concurrently computing rows (default GOMAXPROCS):
+	// every row of every request, batch, stream, and job takes one slot.
+	// Queued rows honor their context while waiting for a slot.
 	Workers int
 	// MaxQueue bounds requests waiting for a worker slot: once
 	// Workers+MaxQueue requests are pending, further misses are shed with
@@ -42,6 +46,11 @@ type Options struct {
 	// netpowerprop_engine_* namespace, including per-op latency
 	// histograms. Register at most one engine per registry.
 	Registry *obs.Registry
+	// Models, when non-nil, are the co-simulation hooks every scenario
+	// simulation attaches (see internal/cosim). Request keys do not encode
+	// them, so one engine's cache must only ever hold results of one model
+	// configuration.
+	Models *netsim.Models
 }
 
 // Engine answers what-if requests, memoizing results by canonical key.
@@ -51,6 +60,7 @@ type Engine struct {
 	sem      chan struct{}
 	workers  int
 	maxQueue int // negative: unbounded
+	models   *netsim.Models
 
 	hits         atomic.Uint64
 	misses       atomic.Uint64
@@ -127,6 +137,7 @@ func New(opts Options) *Engine {
 		sem:      make(chan struct{}, opts.Workers),
 		workers:  opts.Workers,
 		maxQueue: opts.MaxQueue,
+		models:   opts.Models,
 		opStats:  stats,
 	}
 	e.instrument(opts.Logger, opts.Registry)
@@ -152,19 +163,9 @@ func (e *Engine) Capacity() int {
 // without snapshotting the full Metrics struct.
 func (e *Engine) Pending() int64 { return e.pending.Load() }
 
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the process-wide engine the CLIs share.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(Options{}) })
-	return defaultEngine
-}
-
 // Do answers a request: normalize, consult the cache, collapse concurrent
-// identical queries, and compute at most Workers requests at once. cached
+// identical queries, then plan the request and run its rows through the
+// worker pool (at most Workers rows compute at once, engine-wide). cached
 // reports whether the result was served from the cache without waiting on
 // any computation.
 func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool, err error) {
@@ -195,35 +196,20 @@ func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool,
 		e.shared.Add(1)
 	}
 	if err != nil {
-		e.errors.Add(1)
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			e.deadlines.Add(1)
-			e.log.Warn("deadline exceeded", "trace", obs.TraceID(ctx), "op", string(norm.Op))
-		case errors.Is(err, context.Canceled):
-			// A client that disconnected (or otherwise canceled) is not a
-			// deadline: count it separately so overload diagnosis does not
-			// conflate the two.
-			e.canceled.Add(1)
-			e.log.Debug("request canceled", "trace", obs.TraceID(ctx), "op", string(norm.Op))
-		}
+		e.failed(ctx, "request", norm.Op, err)
 		return nil, false, err
 	}
 	return res, false, nil
 }
 
-// computeAndCache runs one computation under the worker pool. The caller's
-// context is honored both while queued and while computing; a computation
-// that outlives its requester still completes and populates the cache, so
-// the work is not wasted. Admission is bounded: when Workers+MaxQueue
+// computeAndCache runs one computation through the worker pool. The
+// caller's context is honored while queued and before every row: a caller
+// whose context ends returns at once, and the computation stops once its
+// running rows finish. Admission is bounded: when Workers+MaxQueue
 // computations are already pending, the request is shed immediately with
 // ErrOverloaded rather than queued without limit.
 func (e *Engine) computeAndCache(ctx context.Context, key string, req Request) (*Result, error) {
-	if p := e.pending.Add(1); e.maxQueue >= 0 && p > int64(e.workers+e.maxQueue) {
-		e.pending.Add(-1)
-		e.sheds.Add(1)
-		e.log.Warn("request shed", "trace", obs.TraceID(ctx), "op", string(req.Op),
-			"pending", p-1, "workers", e.workers, "maxqueue", e.maxQueue)
+	if !e.admit(ctx, "request", req.Op) {
 		return nil, ErrOverloaded
 	}
 	type outcome struct {
@@ -233,7 +219,7 @@ func (e *Engine) computeAndCache(ctx context.Context, key string, req Request) (
 	ch := make(chan outcome, 1)
 	go func() {
 		defer e.pending.Add(-1)
-		res, err := e.runCompute(ctx, key, req)
+		res, err := e.compute(ctx, key, req)
 		ch <- outcome{res, err}
 	}()
 	select {
@@ -244,34 +230,137 @@ func (e *Engine) computeAndCache(ctx context.Context, key string, req Request) (
 	}
 }
 
-// runCompute acquires a worker slot, runs one computation with panic
-// containment, updates the compute counters, and populates the cache on
-// success. Admission (pending accounting and shedding) is the caller's
+// compute plans a normalized request, runs its rows through the worker
+// pool, updates the compute counters, and populates the cache on success.
+// Admission (pending accounting and shedding) is the caller's
 // responsibility: the interactive path admits per request, the batch path
-// admits per row.
-func (e *Engine) runCompute(ctx context.Context, key string, req Request) (*Result, error) {
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// per unique miss.
+func (e *Engine) compute(ctx context.Context, key string, req Request) (*Result, error) {
+	plan, err := planRows(req, e.models)
+	if err != nil {
+		return nil, err
 	}
-	defer func() { <-e.sem }()
-	e.inFlight.Add(1)
-	start := time.Now()
-	res, err := e.safeCompute(ctx, req)
-	elapsed := int64(time.Since(start))
-	e.computeNanos.Add(elapsed)
+	res, busy, err := e.runPlan(ctx, plan)
+	e.computeNanos.Add(int64(busy))
 	if st := e.opStats[req.Op]; st != nil {
 		st.count.Add(1)
-		st.nanos.Add(elapsed)
-		st.hist.ObserveDuration(time.Duration(elapsed))
+		st.nanos.Add(int64(busy))
+		st.hist.ObserveDuration(busy)
 	}
-	e.inFlight.Add(-1)
 	e.computations.Add(1)
 	if err == nil {
 		e.cache.Add(key, res)
 	}
 	return res, err
+}
+
+// runPlan computes every row of a plan and assembles the typed values.
+// Up to Workers rows run at once, each in its own pool slot, so a
+// many-row request spreads across idle workers while a busy pool
+// interleaves it row by row with other requests. Rows are handed out in
+// index order and the first failure stops further hand-outs, so the error
+// returned is the lowest-index one, as a serial loop would report. busy
+// is the summed time rows held a slot.
+func (e *Engine) runPlan(ctx context.Context, p *RowPlan) (res *Result, busy time.Duration, err error) {
+	r := &planRun{e: e, ctx: ctx, p: p, vals: make([]any, p.n), errs: make([]error, p.n)}
+	var wg sync.WaitGroup
+	for w := 1; w < min(p.n, e.workers); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work()
+		}()
+	}
+	r.work()
+	wg.Wait()
+	busy = time.Duration(r.nanos.Load())
+	for _, err := range r.errs {
+		if err != nil {
+			return nil, busy, err
+		}
+	}
+	res, err = p.assemble(r.vals)
+	return res, busy, err
+}
+
+// planRun is one runPlan call's shared state: its workers claim row
+// indices from next and write only their own rows' vals and errs.
+type planRun struct {
+	e      *Engine
+	ctx    context.Context
+	p      *RowPlan
+	vals   []any
+	errs   []error
+	next   atomic.Int64
+	nanos  atomic.Int64
+	failed atomic.Bool
+}
+
+func (r *planRun) work() {
+	for !r.failed.Load() {
+		i := int(r.next.Add(1) - 1)
+		if i >= r.p.n {
+			return
+		}
+		v, d, err := r.e.execRow(r.ctx, r.p, i)
+		r.nanos.Add(int64(d))
+		r.vals[i], r.errs[i] = v, err
+		if err != nil {
+			r.failed.Store(true)
+		}
+	}
+}
+
+// execRow computes row i of a plan in a worker slot with panic
+// containment, returning the row's value and how long it held the slot.
+// A panicking row becomes a *PanicError and bumps the panic counters
+// instead of killing the process.
+func (e *Engine) execRow(ctx context.Context, p *RowPlan, i int) (v any, elapsed time.Duration, err error) {
+	select {
+	case e.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
+	}
+	e.inFlight.Add(1)
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			pe := &PanicError{Val: r, Stack: debug.Stack()}
+			v, err = nil, pe
+			e.panics.Add(1)
+			e.lastPanic.Store(time.Now().UnixNano())
+			e.log.Error("panic recovered in computation",
+				"trace", obs.TraceID(ctx), "op", string(p.req.Op), "row", i, "panic", pe.Val)
+		}
+		elapsed = time.Since(start)
+		e.inFlight.Add(-1)
+		<-e.sem
+	}()
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	v, err = p.row(ctx, i)
+	return v, 0, err
+}
+
+// ExecRow computes one row of a plan through the same bounded worker pool
+// interactive requests use, with panic containment, and returns the row's
+// canonical JSON payload: background jobs and streams share compute
+// capacity fairly with the serving path instead of bypassing it.
+func (e *Engine) ExecRow(ctx context.Context, p *RowPlan, i int) (json.RawMessage, error) {
+	if i < 0 || i >= p.n {
+		return nil, fmt.Errorf("engine: row %d outside plan of %d rows", i, p.n)
+	}
+	v, elapsed, err := e.execRow(ctx, p, i)
+	if elapsed > 0 || err == nil { // a row canceled while queued never ran
+		e.rowNanos.Add(int64(elapsed))
+		e.rowsExecuted.Add(1)
+		e.rowHist.ObserveDuration(elapsed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
 }
 
 // Prime inserts an already computed result into the cache under its
@@ -300,7 +389,7 @@ type Metrics struct {
 	Errors uint64
 	// Evictions counts cache entries displaced by LRU pressure.
 	Evictions uint64
-	// InFlight is the number of computations running right now.
+	// InFlight is the number of rows computing in a worker slot right now.
 	InFlight int64
 	// Pending counts admitted computations, queued or running.
 	Pending int64
@@ -328,7 +417,9 @@ type Metrics struct {
 	RemoteHits uint64
 	// CacheEntries is the current cache population.
 	CacheEntries int
-	// ComputeSeconds is the cumulative computation time.
+	// ComputeSeconds is the cumulative worker time of computations: the
+	// time their rows held a slot, so a request whose rows ran side by
+	// side counts each row.
 	ComputeSeconds float64
 	// PerOp breaks Computations and ComputeSeconds down by operation.
 	// Every registered op has an entry, even if never exercised.

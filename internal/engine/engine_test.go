@@ -9,6 +9,9 @@ import (
 	"netpowerprop/internal/core"
 )
 
+// ptr returns a pointer to v, for filling optional Request fields.
+func ptr(v float64) *float64 { return &v }
+
 func do(t *testing.T, e *Engine, req Request) *Result {
 	t.Helper()
 	res, _, err := e.Do(context.Background(), req)

@@ -31,7 +31,7 @@ var faultGatingLevels = []float64{0.25, 0.5}
 // re-simulates the fully-powered fabric itself, so rows share no state
 // and a single cell can be retried or replayed from a journal while
 // producing exactly the bytes of a serial sweep.
-func faultsRows(req Request) (*scenarioRows, error) {
+func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 	radix := int(req.Params["radix"])
 	iters := int(req.Params["iters"])
 	seed := uint64(req.Params["seed"])
@@ -88,11 +88,13 @@ func faultsRows(req Request) (*scenarioRows, error) {
 		recovery units.Seconds
 		rep      *netsim.FaultReport
 	}
-	simulate := func(tr *fault.Trace) (outcome, error) {
-		s := netsim.New(top)
+	// simulate runs flows on s under trace tr. A row runs its full and
+	// gated fabrics on one Sim, so the second run reuses the first's path
+	// cache and scratch; cached paths are revalidated against each run's
+	// faults, so the result is the same as on a fresh Sim.
+	simulate := func(s *netsim.Sim, tr *fault.Trace) (outcome, error) {
 		s.Faults = tr
-		s.Models = SimModels()
-		res, err := s.RunParallel(flows, 0)
+		res, err := s.Run(flows)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -137,7 +139,9 @@ func faultsRows(req Request) (*scenarioRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, err := simulate(base)
+		s := netsim.New(top)
+		s.Models = models
+		full, err := simulate(s, base)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +169,7 @@ func faultsRows(req Request) (*scenarioRows, error) {
 			}
 			gated.SwitchUp(at+reconfig.Sample(rng).Delay, core[i])
 		}
-		g, err := simulate(gated)
+		g, err := simulate(s, gated)
 		if err != nil {
 			return nil, err
 		}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/obs"
 )
 
@@ -29,34 +29,33 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("engine: computation panicked: %v", p.Val)
 }
 
-// safeCompute runs compute with panic containment: a panic on the compute
-// goroutine (or one surfaced as a PanicError by a row worker) becomes an
-// error and bumps the panic counters.
-func (e *Engine) safeCompute(ctx context.Context, req Request) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &PanicError{Val: r, Stack: debug.Stack()}
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			e.panics.Add(1)
-			e.lastPanic.Store(time.Now().UnixNano())
-			e.log.Error("panic recovered in computation",
-				"trace", obs.TraceID(ctx), "op", string(req.Op), "panic", pe.Val)
-		}
-	}()
-	return compute(ctx, req)
+// admit reserves a pending slot for one computation, or sheds it when
+// Workers+MaxQueue computations are already pending. what names the
+// surface in the log line.
+func (e *Engine) admit(ctx context.Context, what string, op Op) bool {
+	if p := e.pending.Add(1); e.maxQueue >= 0 && p > int64(e.workers+e.maxQueue) {
+		e.pending.Add(-1)
+		e.sheds.Add(1)
+		e.log.Warn(what+" shed", "trace", obs.TraceID(ctx), "op", string(op),
+			"pending", p-1, "workers", e.workers, "maxqueue", e.maxQueue)
+		return false
+	}
+	return true
 }
 
-// safeRow contains a panic from one table-row computation, so scenario
-// fan-out workers cannot crash the process either.
-func safeRow(row func(i int) ([]string, error), i int) (r []string, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, &PanicError{Val: v, Stack: debug.Stack()}
-		}
-	}()
-	return row(i)
+// failed counts one failed request. A client that disconnected (or
+// otherwise canceled) is not a deadline: the two are counted apart so
+// overload diagnosis does not conflate them.
+func (e *Engine) failed(ctx context.Context, what string, op Op, err error) {
+	e.errors.Add(1)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		e.deadlines.Add(1)
+		e.log.Warn(what+" deadline exceeded", "trace", obs.TraceID(ctx), "op", string(op))
+	case errors.Is(err, context.Canceled):
+		e.canceled.Add(1)
+		e.log.Debug(what+" canceled", "trace", obs.TraceID(ctx), "op", string(op))
+	}
 }
 
 // Health is a point-in-time serving-fitness classification.
@@ -114,7 +113,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 // turn it into an n-row job whose designated row deterministically fails
 // or panics on every attempt, which is how the jobs subsystem's retry
 // exhaustion and graceful degradation are tested end to end.
-func chaosRows(req Request) (*scenarioRows, error) {
+func chaosRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 	n := int(req.Params["rows"])
 	if n < 1 {
 		return nil, fmt.Errorf("rows %d must be positive", n)

@@ -45,17 +45,17 @@ func TestPanicRecovered(t *testing.T) {
 	}
 }
 
-// A panic inside a parallel row worker is contained the same way.
+// A panic in one row of a request fanned out across the pool is contained
+// the same way.
 func TestPanicInRowWorker(t *testing.T) {
-	_, err := parallelRows(8, func(i int) ([]string, error) {
-		if i == 3 {
-			panic("row worker boom")
-		}
-		return []string{"ok"}, nil
-	})
+	e := New(Options{Workers: 4})
+	_, _, err := e.Do(context.Background(), chaosReq(map[string]float64{"rows": 8, "panicrow": 3}))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if m := e.Metrics(); m.Panics != 1 {
+		t.Errorf("panics = %d, want 1", m.Panics)
 	}
 }
 

@@ -24,7 +24,7 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 		st := e.opStats[op]
 		if reg != nil {
 			st.hist = reg.Histogram("netpowerprop_engine_compute_duration_seconds",
-				"Latency of one engine computation, by operation.",
+				"Worker time of one engine computation, summed over its rows, by operation.",
 				obs.DefLatencyBuckets, "op", string(op))
 		} else {
 			st.hist = obs.NewHistogram(obs.DefLatencyBuckets)
@@ -83,7 +83,7 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 		"Cumulative compute time spent in job rows.",
 		func() float64 { return float64(e.rowNanos.Load()) / 1e9 })
 	reg.GaugeFunc("netpowerprop_engine_inflight",
-		"Computations running right now.",
+		"Rows computing in a worker slot right now.",
 		func() float64 { return float64(e.inFlight.Load()) })
 	reg.GaugeFunc("netpowerprop_engine_pending",
 		"Admitted computations, queued or running.",

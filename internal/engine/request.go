@@ -71,9 +71,6 @@ type Request struct {
 	Params   map[string]float64 `json:"params,omitempty"`
 }
 
-// ptr returns a pointer to v, for filling optional Request fields.
-func ptr(v float64) *float64 { return &v }
-
 // orDefault resolves an optional float field.
 func orDefault(p *float64, def float64) float64 {
 	if p == nil {

@@ -104,31 +104,6 @@ type GridCell struct {
 	SavedPower   Quantity `json:"saved_power"`
 }
 
-func gridOf(g core.SavingsGrid, interp string) *Grid {
-	out := &Grid{
-		RefProportionality: g.RefProportionality,
-		Interp:             interp,
-		Proportionalities:  g.Proportionalities,
-		Cells:              make([][]GridCell, len(g.Bandwidths)),
-	}
-	for _, bw := range g.Bandwidths {
-		out.Bandwidths = append(out.Bandwidths, bandwidthQ(bw))
-	}
-	for i := range g.Bandwidths {
-		row := make([]GridCell, len(g.Proportionalities))
-		for j := range g.Proportionalities {
-			c := g.Cell(i, j)
-			row[j] = GridCell{
-				Savings:      c.Savings,
-				AveragePower: powerQ(c.AveragePower),
-				SavedPower:   powerQ(c.SavedPower),
-			}
-		}
-		out.Cells[i] = row
-	}
-	return out
-}
-
 // Curve is one Fig. 3/4 line: a bandwidth swept across proportionality.
 type Curve struct {
 	Bandwidth Quantity     `json:"bandwidth"`

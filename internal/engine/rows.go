@@ -3,24 +3,21 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime/debug"
-	"time"
 
 	"netpowerprop/internal/core"
-	"netpowerprop/internal/obs"
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/units"
 )
 
-// This file is the engine's row-level execution surface: a RowPlan splits
-// a normalized request into independently computable rows whose payloads
-// can be checkpointed (journaled) one at a time and reassembled into the
-// exact Result an uninterrupted computation would have produced. The jobs
-// subsystem (internal/jobs) is the primary consumer: it executes rows
-// through ExecRow — the same bounded worker pool interactive requests use
-// — journals each completed row, and resumes interrupted work without
-// recomputing any finished row.
+// This file is the engine's single execution model: every request is
+// planned into a RowPlan of independently computable rows, the rows run
+// through the bounded worker pool, and the plan assembles them into the
+// Result. Do and DoBatch run a plan's rows concurrently and assemble the
+// typed row values directly; Stream and the jobs subsystem (internal/jobs)
+// run rows one at a time through ExecRow, which hands back each row's
+// canonical JSON payload so it can be streamed or journaled, and Assemble
+// rebuilds the identical Result from those payloads.
 
 // RowError is the typed per-row failure marker a degraded job carries in
 // place of the row's payload: the row index, the final error text after
@@ -39,26 +36,81 @@ func (e RowError) Error() string {
 	return fmt.Sprintf("row %d failed: %s", e.Row, e.Err)
 }
 
-// RowPlan is one request split into independent rows. Row payloads are
-// self-contained JSON so they can be journaled and replayed: Assemble
-// rebuilds the Result from any mix of freshly computed and replayed
-// payloads, and the bytes are identical either way.
+// RowPlan is one request split into independent rows. Each row computes a
+// typed value whose JSON encoding is self-contained, so it can be
+// journaled and replayed: Assemble rebuilds the Result from any mix of
+// freshly computed and replayed payloads, and the bytes are identical to
+// the Result Do assembles from the typed values.
 type RowPlan struct {
 	req Request
-	key string
 	n   int
-	row func(ctx context.Context, i int) (json.RawMessage, error)
-	// assemble receives one payload per row (nil where the row failed)
-	// plus the typed markers for the failed rows, in row order.
-	assemble func(rows []json.RawMessage, failed []RowError) (*Result, error)
+	// row computes one row's value; decode turns its JSON payload back
+	// into the same value.
+	row    func(ctx context.Context, i int) (any, error)
+	decode func(raw json.RawMessage) (any, error)
+	// assemble receives one value per row, nil where the row failed.
+	assemble func(rows []any) (*Result, error)
 }
 
-// NewRowPlan builds a custom plan; the engine's own planners cover every
-// registered op, so this exists for tests and alternative executors.
+// planOf builds a plan whose rows compute values of type T; assemble
+// receives them in row order, nil where a row failed.
+func planOf[T any](norm Request, n int, row func(ctx context.Context, i int) (T, error),
+	assemble func(rows []*T) (*Result, error)) *RowPlan {
+	return &RowPlan{
+		req: norm,
+		n:   n,
+		row: func(ctx context.Context, i int) (any, error) {
+			v, err := row(ctx, i)
+			if err != nil {
+				return nil, err
+			}
+			return &v, nil
+		},
+		decode: func(raw json.RawMessage) (any, error) {
+			v := new(T)
+			if err := json.Unmarshal(raw, v); err != nil {
+				return nil, fmt.Errorf("engine: replay %s row: %w", norm.Op, err)
+			}
+			return v, nil
+		},
+		assemble: func(rows []any) (*Result, error) {
+			typed := make([]*T, len(rows))
+			for i, v := range rows {
+				if v != nil {
+					typed[i] = v.(*T)
+				}
+			}
+			return assemble(typed)
+		},
+	}
+}
+
+// present returns the values of the rows that did not fail, in row order.
+func present[T any](rows []*T) []T {
+	var out []T
+	for _, v := range rows {
+		if v != nil {
+			out = append(out, *v)
+		}
+	}
+	return out
+}
+
+// NewRowPlan builds a plan over raw JSON rows, for executors other than
+// the engine: row computes a payload, assemble receives one payload per
+// row (nil where the row failed).
 func NewRowPlan(req Request, n int,
 	row func(ctx context.Context, i int) (json.RawMessage, error),
-	assemble func(rows []json.RawMessage, failed []RowError) (*Result, error)) *RowPlan {
-	return &RowPlan{req: req, key: req.Key(), n: n, row: row, assemble: assemble}
+	assemble func(rows []json.RawMessage) (*Result, error)) *RowPlan {
+	return planOf(req, n, row, func(rows []*json.RawMessage) (*Result, error) {
+		raw := make([]json.RawMessage, len(rows))
+		for i, r := range rows {
+			if r != nil {
+				raw[i] = *r
+			}
+		}
+		return assemble(raw)
+	})
 }
 
 // Rows is the number of independent rows.
@@ -66,7 +118,7 @@ func (p *RowPlan) Rows() int { return p.n }
 
 // Key is the canonical key of the normalized request — the jobs
 // subsystem's idempotency token.
-func (p *RowPlan) Key() string { return p.key }
+func (p *RowPlan) Key() string { return p.req.Key() }
 
 // Request returns the normalized request the plan computes.
 func (p *RowPlan) Request() Request { return p.req }
@@ -74,13 +126,24 @@ func (p *RowPlan) Request() Request { return p.req }
 // Assemble rebuilds the Result from the row payloads. rows must have
 // exactly Rows() entries; a nil entry must have a matching RowError in
 // failed. When failed is empty the assembled Result is byte-identical
-// (as JSON) to the one an uninterrupted computation would return;
-// otherwise the Result carries the successful rows plus the markers.
+// (as JSON) to the one Do returns; otherwise the Result carries the
+// successful rows plus the markers.
 func (p *RowPlan) Assemble(rows []json.RawMessage, failed []RowError) (*Result, error) {
 	if len(rows) != p.n {
 		return nil, fmt.Errorf("engine: assemble got %d rows, plan has %d", len(rows), p.n)
 	}
-	res, err := p.assemble(rows, failed)
+	vals := make([]any, p.n)
+	for i, raw := range rows {
+		if raw == nil {
+			continue
+		}
+		v, err := p.decode(raw)
+		if err != nil {
+			return nil, err
+		}
+		vals[i] = v
+	}
+	res, err := p.assemble(vals)
 	if err != nil {
 		return nil, err
 	}
@@ -90,69 +153,72 @@ func (p *RowPlan) Assemble(rows []json.RawMessage, failed []RowError) (*Result, 
 	return res, nil
 }
 
-// runRow computes one row with panic containment, mirroring safeCompute:
-// a panicking row yields a *PanicError instead of killing the process.
-func (p *RowPlan) runRow(ctx context.Context, i int) (data json.RawMessage, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			data, err = nil, &PanicError{Val: v, Stack: debug.Stack()}
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return p.row(ctx, i)
-}
-
 // Plan normalizes a request and splits it into independent rows: sweeps
-// split per point, Table 3 per bandwidth row, row-structured scenarios per
-// table row, and everything else into a single row holding the whole
-// computation. The split is chosen so rows share no mutable state and the
-// assembled result is byte-identical to an uninterrupted computation.
+// split per point, Table 3 and Figs. 3/4 per bandwidth, row-structured
+// scenarios per table row, and everything else into a single row. The
+// split is chosen so rows share no mutable state, which is what lets them
+// run concurrently, retry, and replay without changing a byte.
 func (e *Engine) Plan(req Request) (*RowPlan, error) {
 	norm, err := req.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	return planRows(norm)
+	return planRows(norm, e.models)
 }
 
-// planRows builds the per-op plan for a normalized request.
-func planRows(norm Request) (*RowPlan, error) {
+// planRows builds the per-op plan for a normalized request. models are
+// the co-simulation hooks scenario simulations attach (nil: in-process).
+func planRows(norm Request, models *netsim.Models) (*RowPlan, error) {
 	switch norm.Op {
+	case OpWhatIf:
+		return planWhatIf(norm), nil
+	case OpTable3:
+		return planTable3(norm)
+	case OpFig3, OpFig4:
+		return planFig(norm)
 	case OpSweep:
 		return planSweep(norm), nil
-	case OpTable3:
-		return planTable3(norm), nil
+	case OpCost:
+		return planCost(norm), nil
 	case OpScenario:
-		if spec := scenarios[norm.Scenario]; spec.rows != nil {
-			return planScenario(norm, spec)
-		}
+		return scenarios[norm.Scenario].plan(norm, models)
 	}
-	return planWhole(norm), nil
+	return nil, fmt.Errorf("engine: unknown op %q", norm.Op)
 }
 
-// planWhole is the fallback: one row carrying the entire Result, so any
-// request — even ops with no natural row structure — can run as a job.
-func planWhole(norm Request) *RowPlan {
-	return NewRowPlan(norm, 1,
-		func(ctx context.Context, _ int) (json.RawMessage, error) {
-			res, err := compute(ctx, norm)
-			if err != nil {
-				return nil, err
+// wholeRow plans a request computed in one piece as a single row whose
+// payload is the whole Result (an empty one if the row failed).
+func wholeRow(norm Request, compute func(res *Result) error) *RowPlan {
+	return planOf(norm, 1,
+		func(context.Context, int) (Result, error) {
+			res := Result{Op: norm.Op, Request: norm}
+			if err := compute(&res); err != nil {
+				return Result{}, err
 			}
-			return json.Marshal(res)
+			return res, nil
 		},
-		func(rows []json.RawMessage, failed []RowError) (*Result, error) {
-			if len(failed) > 0 {
+		func(rows []*Result) (*Result, error) {
+			if rows[0] == nil {
 				return &Result{Op: norm.Op, Request: norm}, nil
 			}
-			var res Result
-			if err := json.Unmarshal(rows[0], &res); err != nil {
-				return nil, fmt.Errorf("engine: replay result: %w", err)
-			}
-			return &res, nil
+			return rows[0], nil
 		})
+}
+
+// planWhatIf sizes one cluster scenario as a single row.
+func planWhatIf(norm Request) *RowPlan {
+	return wholeRow(norm, func(res *Result) error {
+		cfg, err := norm.config()
+		if err != nil {
+			return err
+		}
+		cl, err := core.New(cfg)
+		if err != nil {
+			return err
+		}
+		res.Cluster = summarize(cl)
+		return nil
+	})
 }
 
 // planSweep splits a proportionality sweep into one row per point. Each
@@ -160,31 +226,46 @@ func planWhole(norm Request) *RowPlan {
 // analytic and cheap) so rows stay independent; the reference is
 // deterministic, so every row prices savings against identical bytes.
 func planSweep(norm Request) *RowPlan {
-	return NewRowPlan(norm, norm.Steps+1,
-		func(ctx context.Context, i int) (json.RawMessage, error) {
-			pt, err := sweepRow(norm, i)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(pt)
-		},
-		func(rows []json.RawMessage, _ []RowError) (*Result, error) {
-			res := &Result{Op: norm.Op, Request: norm}
-			for _, raw := range rows {
-				if raw == nil {
-					continue
-				}
-				var pt SweepPoint
-				if err := json.Unmarshal(raw, &pt); err != nil {
-					return nil, fmt.Errorf("engine: replay sweep point: %w", err)
-				}
-				res.Sweep = append(res.Sweep, pt)
-			}
-			return res, nil
+	return planOf(norm, norm.Steps+1,
+		func(_ context.Context, i int) (SweepPoint, error) { return sweepRow(norm, i) },
+		func(rows []*SweepPoint) (*Result, error) {
+			return &Result{Op: norm.Op, Request: norm, Sweep: present(rows)}, nil
 		})
 }
 
-// table3Row is the journaled payload of one Table 3 bandwidth row.
+// sweepRow computes sweep point i of steps+1 from proportionality 0 to 1,
+// with savings relative to the proportionality-0 point.
+func sweepRow(req Request, i int) (SweepPoint, error) {
+	cfg, err := req.config()
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	refCfg := cfg
+	refCfg.NetworkProportionality = 0
+	refCl, err := core.New(refCfg)
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	refPower := refCl.AveragePower()
+	p := float64(i) / float64(req.Steps)
+	c := cfg
+	c.NetworkProportionality = p
+	cl, err := core.New(c)
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	avg := cl.AveragePower()
+	return SweepPoint{
+		Proportionality:   p,
+		AveragePower:      powerQ(avg),
+		PeakPower:         powerQ(cl.PeakPower()),
+		NetworkShare:      cl.NetworkShare(),
+		NetworkEfficiency: cl.NetworkEfficiency(),
+		Savings:           float64(refPower-avg) / float64(refPower),
+	}, nil
+}
+
+// table3Row is the payload of one Table 3 bandwidth row.
 type table3Row struct {
 	Bandwidth Quantity   `json:"bandwidth"`
 	Cells     []GridCell `json:"cells"`
@@ -192,18 +273,18 @@ type table3Row struct {
 
 // planTable3 splits the savings grid by bandwidth row: the grid's
 // reference power is per bandwidth, so rows are naturally independent.
-func planTable3(norm Request) *RowPlan {
+func planTable3(norm Request) (*RowPlan, error) {
+	cfg, err := norm.config()
+	if err != nil {
+		return nil, err
+	}
 	bws := core.Table3Bandwidths()
-	return NewRowPlan(norm, len(bws),
-		func(ctx context.Context, i int) (json.RawMessage, error) {
-			cfg, err := norm.config()
-			if err != nil {
-				return nil, err
-			}
-			grid, err := core.ComputeSavingsGrid(cfg, []units.Bandwidth{bws[i]},
+	return planOf(norm, len(bws),
+		func(_ context.Context, i int) (table3Row, error) {
+			grid, err := core.ComputeSavingsGrid(cfg, bws[i:i+1],
 				core.Table3Proportionalities(), cfg.NetworkProportionality)
 			if err != nil {
-				return nil, err
+				return table3Row{}, err
 			}
 			row := table3Row{Bandwidth: bandwidthQ(bws[i])}
 			for j := range grid.Proportionalities {
@@ -214,85 +295,93 @@ func planTable3(norm Request) *RowPlan {
 					SavedPower:   powerQ(c.SavedPower),
 				})
 			}
-			return json.Marshal(row)
+			return row, nil
 		},
-		func(rows []json.RawMessage, _ []RowError) (*Result, error) {
+		func(rows []*table3Row) (*Result, error) {
 			g := &Grid{
 				RefProportionality: *norm.NetworkProportionality,
 				Interp:             norm.Interp,
 				Proportionalities:  core.Table3Proportionalities(),
 			}
-			for _, raw := range rows {
-				if raw == nil {
-					continue
-				}
-				var row table3Row
-				if err := json.Unmarshal(raw, &row); err != nil {
-					return nil, fmt.Errorf("engine: replay grid row: %w", err)
-				}
+			for _, row := range present(rows) {
 				g.Bandwidths = append(g.Bandwidths, row.Bandwidth)
 				g.Cells = append(g.Cells, row.Cells)
 			}
 			return &Result{Op: norm.Op, Request: norm, Grid: g}, nil
-		})
-}
-
-// planScenario splits a row-structured §4 scenario into its table rows.
-func planScenario(norm Request, spec scenarioSpec) (*RowPlan, error) {
-	sr, err := spec.rows(norm)
-	if err != nil {
-		return nil, err
-	}
-	return NewRowPlan(norm, sr.n,
-		func(ctx context.Context, i int) (json.RawMessage, error) {
-			cells, err := sr.row(ctx, i)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(cells)
-		},
-		func(rows []json.RawMessage, _ []RowError) (*Result, error) {
-			t := *sr.table
-			t.Rows = nil
-			for _, raw := range rows {
-				if raw == nil {
-					continue
-				}
-				var cells []string
-				if err := json.Unmarshal(raw, &cells); err != nil {
-					return nil, fmt.Errorf("engine: replay table row: %w", err)
-				}
-				t.Rows = append(t.Rows, cells)
-			}
-			return &Result{Op: norm.Op, Request: norm, Table: &t}, nil
 		}), nil
 }
 
-// ExecRow computes one row of a plan under the same bounded worker pool
-// interactive requests use, with panic containment: background jobs share
-// compute capacity fairly with the serving path instead of bypassing it.
-func (e *Engine) ExecRow(ctx context.Context, p *RowPlan, i int) (json.RawMessage, error) {
-	if i < 0 || i >= p.n {
-		return nil, fmt.Errorf("engine: row %d outside plan of %d rows", i, p.n)
+// planFig splits the Fig. 3/4 speedup curves by bandwidth: every curve
+// optimizes against the baseline's power budget, and Fig. 4's reference
+// is per bandwidth, so each curve is an independent row. Fig. 3's
+// crossovers compare all curves and are derived at assembly.
+func planFig(norm Request) (*RowPlan, error) {
+	cfg, err := norm.config()
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	kind, err := core.ParseBudgetKind(norm.Budget)
+	if err != nil {
+		return nil, err
 	}
-	defer func() { <-e.sem }()
-	start := time.Now()
-	data, err := p.runRow(ctx, i)
-	elapsed := time.Since(start)
-	e.rowNanos.Add(int64(elapsed))
-	e.rowsExecuted.Add(1)
-	e.rowHist.ObserveDuration(elapsed)
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		e.panics.Add(1)
-		e.lastPanic.Store(time.Now().UnixNano())
-		e.log.Error("panic recovered in row",
-			"trace", obs.TraceID(ctx), "op", string(p.req.Op), "row", i, "panic", pe.Val)
-	}
-	return data, err
+	bws := core.Table3Bandwidths()
+	return planOf(norm, len(bws),
+		func(_ context.Context, i int) (core.SpeedupCurve, error) {
+			var curves []core.SpeedupCurve
+			var err error
+			if norm.Op == OpFig3 {
+				curves, err = core.Fig3(cfg, bws[i:i+1], norm.Proportionalities, kind)
+			} else {
+				curves, err = core.Fig4(cfg, bws[i:i+1], norm.Proportionalities, norm.FixedCommRatio, kind)
+			}
+			if err != nil {
+				return core.SpeedupCurve{}, err
+			}
+			return curves[0], nil
+		},
+		func(rows []*core.SpeedupCurve) (*Result, error) {
+			curves := present(rows)
+			res := &Result{Op: norm.Op, Request: norm, Curves: curvesOf(curves)}
+			if norm.Op == OpFig3 && len(curves) == len(rows) {
+				cross, err := core.BestBandwidth(curves)
+				if err != nil {
+					return nil, err
+				}
+				res.Crossovers = crossoversOf(cross)
+			}
+			return res, nil
+		}), nil
+}
+
+// planCost reproduces §3.2 as a single row: the power saved by lifting
+// the scenario's network proportionality from the 10% baseline to the
+// requested value, annualized with the given cost model.
+func planCost(norm Request) *RowPlan {
+	const refProp = 0.10
+	return wholeRow(norm, func(res *Result) error {
+		cfg, err := norm.config()
+		if err != nil {
+			return err
+		}
+		prop := *norm.NetworkProportionality
+		grid, err := core.ComputeSavingsGrid(cfg, []units.Bandwidth{cfg.Bandwidth}, []float64{prop}, refProp)
+		if err != nil {
+			return err
+		}
+		saved := grid.Cell(0, 0).SavedPower
+		model := core.CostModel{PricePerKWh: *norm.Price, CoolingOverhead: *norm.Cooling}
+		s, err := model.Annualize(saved)
+		if err != nil {
+			return err
+		}
+		res.Cost = &CostResult{
+			Proportionality:    prop,
+			RefProportionality: refProp,
+			SavedPower:         powerQ(saved),
+			ElectricityPerYear: s.ElectricityPerYear,
+			CoolingPerYear:     s.CoolingPerYear,
+			TotalPerYear:       s.Total(),
+		}
+		return nil
+	})
 }

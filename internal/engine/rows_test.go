@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"netpowerprop/internal/core"
 )
 
 // planParityRequests spans every planner: the per-point sweep split, the
-// per-bandwidth Table 3 split, the whole-result fallback, and (added in
-// TestRowPlanParityScenarios) every row-structured scenario.
+// per-bandwidth Table 3 and Fig. 3/4 splits, the single-row whatif and
+// cost plans, and (in TestRowPlanParityScenarios) every scenario.
 func planParityRequests() []Request {
 	return []Request{
 		{Op: OpSweep, Steps: 6},
@@ -39,9 +41,10 @@ func execPlan(t *testing.T, e *Engine, p *RowPlan) *Result {
 	return res
 }
 
-// TestRowPlanParity: executing a request row by row — through the journal
-// payload round trip — must produce exactly the bytes the synchronous
-// path produces. This is the property that makes checkpoint/resume safe.
+// TestRowPlanParity: executing a request row by row through ExecRow — the
+// journal payload round trip — must produce exactly the bytes Do
+// assembles from the typed rows. This is the property that makes
+// streaming and checkpoint/resume safe.
 func TestRowPlanParity(t *testing.T) {
 	for _, req := range planParityRequests() {
 		req := req
@@ -65,8 +68,8 @@ func TestRowPlanParity(t *testing.T) {
 	}
 }
 
-// TestRowPlanParityScenarios: every registered scenario, row-structured or
-// not, assembles to the synchronous bytes.
+// TestRowPlanParityScenarios: every registered scenario, per-row or
+// whole-table, assembles to the synchronous bytes.
 func TestRowPlanParityScenarios(t *testing.T) {
 	for name := range scenarios {
 		name := name
@@ -92,7 +95,7 @@ func TestRowPlanParityScenarios(t *testing.T) {
 	}
 }
 
-// TestRowPlanRowStructure: the splits are real (not single-row fallbacks)
+// TestRowPlanRowStructure: the splits are real (not single-row plans)
 // where the op has row structure.
 func TestRowPlanRowStructure(t *testing.T) {
 	e := New(Options{})
@@ -101,7 +104,9 @@ func TestRowPlanRowStructure(t *testing.T) {
 		rows int
 	}{
 		{Request{Op: OpSweep, Steps: 6}, 7},
+		{Request{Op: OpFig3}, len(core.Table3Bandwidths())},
 		{Request{Op: OpWhatIf}, 1},
+		{Request{Op: OpScenario, Scenario: "gating"}, 1},
 		{Request{Op: OpScenario, Scenario: "chaos", Params: map[string]float64{"rows": 5}}, 5},
 	}
 	for _, c := range cases {

@@ -3,13 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"netpowerprop/internal/asic"
 	"netpowerprop/internal/chiplet"
 	"netpowerprop/internal/core"
 	"netpowerprop/internal/eee"
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/ocs"
 	"netpowerprop/internal/parking"
 	"netpowerprop/internal/powergate"
@@ -22,86 +21,88 @@ import (
 
 // scenarioSpec describes one named §4 mechanism simulation: its default
 // numeric parameters (the cmd/netsim flag defaults), an optional default
-// bandwidth for scenarios parameterized by a link speed, and the
-// simulation itself. Tables carry the exact strings the CLI prints.
-//
-// Scenarios whose table rows are independent computations set rows
-// instead of run: the synchronous path fans the rows out exactly as
-// before, and the jobs subsystem can additionally checkpoint, retry, and
-// resume them row by row (see rows.go).
+// bandwidth for scenarios parameterized by a link speed, and its planner.
+// Tables carry the exact strings the CLI prints.
 type scenarioSpec struct {
 	defaults  map[string]float64
 	bandwidth string
-	run       func(ctx context.Context, req Request) (*Table, error)
-	rows      func(req Request) (*scenarioRows, error)
+	plan      func(norm Request, models *netsim.Models) (*RowPlan, error)
 }
 
 // scenarioRows is a row-structured scenario: the table frame (title,
 // headers, static notes) plus n independent row computations. The row
 // function must be safe to call concurrently and deterministically
 // produce the same cells for the same (req, i) — that contract is what
-// makes journaled replay byte-identical.
+// makes concurrent rows and journaled replay byte-identical.
 type scenarioRows struct {
 	table *Table
 	n     int
 	row   func(ctx context.Context, i int) ([]string, error)
 }
 
-// execute runs the scenario: row-structured specs fan their rows out
-// through parallelRows (byte-identical to a serial loop), the rest run
-// their bespoke simulation.
-func (s scenarioSpec) execute(ctx context.Context, req Request) (*Table, error) {
-	if s.rows == nil {
-		return s.run(ctx, req)
+// tableRows plans a scenario whose table rows are independent
+// computations: one plan row per table row.
+func tableRows(build func(req Request, models *netsim.Models) (*scenarioRows, error)) func(Request, *netsim.Models) (*RowPlan, error) {
+	return func(norm Request, models *netsim.Models) (*RowPlan, error) {
+		sr, err := build(norm, models)
+		if err != nil {
+			return nil, err
+		}
+		return planOf(norm, sr.n, sr.row, func(rows []*[]string) (*Result, error) {
+			t := *sr.table
+			t.Rows = present(rows)
+			return &Result{Op: norm.Op, Request: norm, Table: &t}, nil
+		}), nil
 	}
-	sr, err := s.rows(req)
-	if err != nil {
-		return nil, err
+}
+
+// wholeTable plans a scenario whose table is computed in one piece as a
+// single row.
+func wholeTable(run func(req Request) (*Table, error)) func(Request, *netsim.Models) (*RowPlan, error) {
+	return func(norm Request, _ *netsim.Models) (*RowPlan, error) {
+		return wholeRow(norm, func(res *Result) error {
+			t, err := run(norm)
+			res.Table = t
+			return err
+		}), nil
 	}
-	rows, err := parallelRows(sr.n, func(i int) ([]string, error) { return sr.row(ctx, i) })
-	if err != nil {
-		return nil, err
-	}
-	t := *sr.table
-	t.Rows = rows
-	return &t, nil
 }
 
 // scenarios is the registry behind OpScenario and /v1/scenarios/<name>.
 var scenarios = map[string]scenarioSpec{
 	"gating": {
 		defaults: map[string]float64{"ports": 64, "l3": 0, "fib": 0.25, "wake": 1.0},
-		run:      runGating,
+		plan:     wholeTable(runGating),
 	},
 	"rateadapt": {
 		defaults: map[string]float64{"busy": 1, "ratio": 0.2, "level": 0.8, "samples": 400},
-		rows:     rateAdaptRows,
+		plan:     tableRows(rateAdaptRows),
 	},
 	"parking": {
 		defaults: map[string]float64{"ratio": 0.2, "level": 0.5, "period": 2, "samples": 800},
-		rows:     parkingRows,
+		plan:     tableRows(parkingRows),
 	},
 	"eee": {
 		defaults:  map[string]float64{"active": 10, "horizon": 0.01, "seed": 1},
 		bandwidth: "10G",
-		rows:      eeeRows,
+		plan:      tableRows(eeeRows),
 	},
 	"ratelink": {
 		defaults:  map[string]float64{"active": 10, "horizon": 0.01, "seed": 1},
 		bandwidth: "10G",
-		rows:      rateLinkRows,
+		plan:      tableRows(rateLinkRows),
 	},
 	"chiplet": {
 		defaults: map[string]float64{"ratio": 0.1, "level": 0.8},
-		run:      runChiplet,
+		plan:     wholeTable(runChiplet),
 	},
 	"scheduler": {
 		defaults: map[string]float64{"radix": 8},
-		run:      runScheduler,
+		plan:     wholeTable(runScheduler),
 	},
 	"summary": {
 		defaults: map[string]float64{"ratio": 0.1},
-		run:      runSummary,
+		plan:     wholeTable(runSummary),
 	},
 	"faults": {
 		defaults: map[string]float64{
@@ -109,7 +110,7 @@ var scenarios = map[string]scenarioSpec{
 			"flaps": 6, "mttr": 0.3, "stuckprob": 0.25, "stuckextra": 0.5,
 			"reconfig": 0.2, "slowprob": 0.25, "failprob": 0.1,
 		},
-		rows: faultsRows,
+		plan: tableRows(faultsRows),
 	},
 	"topologies": {
 		defaults: map[string]float64{
@@ -118,53 +119,13 @@ var scenarios = map[string]scenarioSpec{
 			"lowload": 0.1, "level": 0.9,
 		},
 		bandwidth: "100G",
-		rows:      topologiesRows,
+		plan:      tableRows(topologiesRows),
 	},
 	"chaos": {
 		defaults: map[string]float64{"panic": 0, "sleep": 0, "fail": 0,
 			"rows": 1, "failrow": -1, "panicrow": -1},
-		rows: chaosRows,
+		plan: tableRows(chaosRows),
 	},
-}
-
-// parallelRows computes n independent table rows concurrently, bounded by
-// GOMAXPROCS, and returns them in index order: the assembled table is
-// byte-identical to a serial loop, errors surface lowest-index first. The
-// row function must not share mutable state across indices.
-func parallelRows(n int, row func(i int) ([]string, error)) ([][]string, error) {
-	rows := make([][]string, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			r, err := safeRow(row, i)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = r
-		}
-		return rows, nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				rows[i], errs[i] = safeRow(row, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }
 
 // mlTrace samples an ML periodic load profile every `step` seconds.
@@ -199,7 +160,7 @@ func mkPredictive() rateadapt.Controller {
 }
 
 // runGating evaluates the §4.1 power-gating modes for a deployment.
-func runGating(ctx context.Context, req Request) (*Table, error) {
+func runGating(req Request) (*Table, error) {
 	usedPorts := int(req.Params["ports"])
 	l3 := req.Params["l3"] != 0
 	fib := req.Params["fib"]
@@ -242,7 +203,7 @@ func runGating(ctx context.Context, req Request) (*Table, error) {
 
 // rateAdaptRows compares the §4.3 rate-adaptation variants on a periodic
 // ML load, one variant per row.
-func rateAdaptRows(req Request) (*scenarioRows, error) {
+func rateAdaptRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 	busy := int(req.Params["busy"])
 	ratio := req.Params["ratio"]
 	level := req.Params["level"]
@@ -308,7 +269,7 @@ func rateAdaptRows(req Request) (*scenarioRows, error) {
 // Policies are constructed fresh per row: a Policy carries mutable
 // controller state, so sharing instances across retried rows would break
 // replay determinism.
-func parkingRows(req Request) (*scenarioRows, error) {
+func parkingRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 	ratio := req.Params["ratio"]
 	level := req.Params["level"]
 	period := req.Params["period"]
@@ -361,7 +322,7 @@ var eeeUtilizations = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 // Each row draws its arrivals from a fresh rng seeded by the request seed
 // (eee.PoissonPackets), so a retried or replayed row reproduces the
 // identical packet sequence.
-func eeeRows(req Request) (*scenarioRows, error) {
+func eeeRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 	cap, err := units.ParseBandwidth(req.Bandwidth)
 	if err != nil {
 		return nil, err
@@ -396,7 +357,7 @@ func eeeRows(req Request) (*scenarioRows, error) {
 
 // rateLinkRows compares NSDI'08 link sleeping against rate adaptation,
 // one utilization per row.
-func rateLinkRows(req Request) (*scenarioRows, error) {
+func rateLinkRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 	cap, err := units.ParseBandwidth(req.Bandwidth)
 	if err != nil {
 		return nil, err
@@ -435,7 +396,7 @@ func rateLinkRows(req Request) (*scenarioRows, error) {
 }
 
 // runChiplet sweeps the §4.5 ASIC redesign space on ML traffic.
-func runChiplet(ctx context.Context, req Request) (*Table, error) {
+func runChiplet(req Request) (*Table, error) {
 	ratio := req.Params["ratio"]
 	level := req.Params["level"]
 	times, loads, err := mlTrace(ratio, 10, level, 400, 0.5)
@@ -468,7 +429,7 @@ func runChiplet(ctx context.Context, req Request) (*Table, error) {
 
 // runScheduler compares spread vs. concentrate placement on a k-ary
 // fabric (§4.2).
-func runScheduler(ctx context.Context, req Request) (*Table, error) {
+func runScheduler(req Request) (*Table, error) {
 	radix := int(req.Params["radix"])
 	f, err := ocs.ThreeTierFabric(radix, 400*units.Gbps)
 	if err != nil {
@@ -503,7 +464,7 @@ func runScheduler(ctx context.Context, req Request) (*Table, error) {
 // proportionality (the p that a two-state switch on the same duty cycle
 // would need to match the mechanism's energy), which the §3 cluster model
 // then prices at baseline-cluster scale.
-func runSummary(ctx context.Context, req Request) (*Table, error) {
+func runSummary(req Request) (*Table, error) {
 	ratio := req.Params["ratio"]
 	if ratio <= 0 || ratio >= 1 {
 		return nil, fmt.Errorf("ratio %v outside (0,1)", ratio)

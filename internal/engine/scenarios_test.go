@@ -5,30 +5,81 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"netpowerprop/internal/topo"
 )
 
-// TestParallelRowsMatchesSerial: the concurrent row builder must assemble
-// exactly the table a serial loop would, for row counts below, at, and
-// above the worker count.
-func TestParallelRowsMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 17, 64} {
-		row := func(i int) ([]string, error) {
+// cellPlan is a plan of n rows whose row i is the cells ("row-i", "i²"),
+// failing where fail says so.
+func cellPlan(n int, fail func(i int) error) *RowPlan {
+	norm, _ := Request{Op: OpScenario, Scenario: "chaos"}.Normalize()
+	return planOf(norm, n,
+		func(_ context.Context, i int) ([]string, error) {
+			if err := fail(i); err != nil {
+				return nil, err
+			}
 			return []string{fmt.Sprintf("row-%d", i), fmt.Sprintf("%d", i*i)}, nil
+		},
+		func(rows []*[]string) (*Result, error) {
+			return &Result{Table: &Table{Rows: present(rows)}}, nil
+		})
+}
+
+// TestParallelRowsMatchesSerial: a plan's rows fanned out across the
+// worker pool must assemble exactly the table a serial loop would, for row
+// counts below, at, and above the worker count.
+func TestParallelRowsMatchesSerial(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		e := New(Options{Workers: workers})
+		for _, n := range []int{0, 1, 3, 17, 64} {
+			var want [][]string
+			for i := 0; i < n; i++ {
+				want = append(want, []string{fmt.Sprintf("row-%d", i), fmt.Sprintf("%d", i*i)})
+			}
+			res, _, err := e.runPlan(context.Background(), cellPlan(n, func(int) error { return nil }))
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			if !reflect.DeepEqual(res.Table.Rows, want) {
+				t.Errorf("workers=%d n=%d: pooled rows differ from serial:\ngot  %v\nwant %v",
+					workers, n, res.Table.Rows, want)
+			}
 		}
-		want := make([][]string, n)
-		for i := 0; i < n; i++ {
-			want[i], _ = row(i)
+	}
+}
+
+// TestRowsShareWorkerSlots: every row takes its own pool slot, so two
+// concurrent many-row requests never run more than Workers rows at once
+// between them, and a lone request still fans out across the pool.
+func TestRowsShareWorkerSlots(t *testing.T) {
+	const workers = 2
+	e := New(Options{Workers: workers})
+	var running, peak atomic.Int64
+	slow := cellPlan(6, func(int) error {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 		}
-		got, err := parallelRows(n, row)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: parallel rows differ from serial:\ngot  %v\nwant %v", n, got, want)
-		}
+		time.Sleep(5 * time.Millisecond)
+		running.Add(-1)
+		return nil
+	})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := e.runPlan(context.Background(), slow); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := peak.Load(); got != workers {
+		t.Errorf("peak concurrent rows = %d, want %d (the pool width)", got, workers)
 	}
 }
 
@@ -37,42 +88,34 @@ func TestParallelRowsMatchesSerial(t *testing.T) {
 func TestParallelRowsErrorOrder(t *testing.T) {
 	errLow := errors.New("row 2 failed")
 	errHigh := errors.New("row 9 failed")
-	_, err := parallelRows(12, func(i int) ([]string, error) {
+	e := New(Options{Workers: 4})
+	_, _, err := e.runPlan(context.Background(), cellPlan(12, func(i int) error {
 		switch i {
 		case 2:
-			return nil, errLow
+			return errLow
 		case 9:
-			return nil, errHigh
+			return errHigh
 		}
-		return []string{"ok"}, nil
-	})
+		return nil
+	}))
 	if !errors.Is(err, errLow) {
 		t.Errorf("error = %v, want lowest-index error %v", err, errLow)
 	}
 }
 
 // TestScenariosParallelDeterministic: every registered scenario must
-// produce identical tables across repeated runs — the parallel row fan-out
-// may not perturb row order or contents.
+// produce identical tables whether its rows run one at a time or fan out
+// across the pool — concurrency may not perturb row order or contents.
 func TestScenariosParallelDeterministic(t *testing.T) {
 	for name := range scenarios {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			req, err := Request{Op: OpScenario, Scenario: name}.Normalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			first, err := compute(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := compute(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(first, second) {
-				t.Errorf("scenario %q is not deterministic across runs", name)
+			req := Request{Op: OpScenario, Scenario: name}
+			serial := do(t, New(Options{Workers: 1}), req)
+			pooled := do(t, New(Options{Workers: 4}), req)
+			if !reflect.DeepEqual(serial, pooled) {
+				t.Errorf("scenario %q differs between serial and pooled rows", name)
 			}
 		})
 	}
@@ -81,17 +124,10 @@ func TestScenariosParallelDeterministic(t *testing.T) {
 // TestTopologiesScenario: the zoo comparison has one row per registered
 // generator, in name order, with every cell populated.
 func TestTopologiesScenario(t *testing.T) {
-	req, err := Request{
+	res := do(t, New(Options{}), Request{
 		Op: OpScenario, Scenario: "topologies",
 		Params: map[string]float64{"hosts": 12, "iters": 1},
-	}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := compute(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	tbl := res.Table
 	if tbl == nil {
 		t.Fatal("no table")
@@ -124,11 +160,8 @@ func TestTopologiesRejects(t *testing.T) {
 		{"iters": 0},                 // nothing to simulate
 		{"hosts": 4, "lowload": 0.9}, // low-load phase leaves no idle hosts
 	} {
-		req, err := Request{Op: OpScenario, Scenario: "topologies", Params: params}.Normalize()
-		if err != nil {
-			continue // rejected at normalization is fine too
-		}
-		if _, err := compute(context.Background(), req); err == nil {
+		req := Request{Op: OpScenario, Scenario: "topologies", Params: params}
+		if _, _, err := New(Options{}).Do(context.Background(), req); err == nil {
 			t.Errorf("params %v accepted", params)
 		}
 	}

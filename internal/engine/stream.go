@@ -3,9 +3,6 @@ package engine
 import (
 	"context"
 	"encoding/json"
-	"errors"
-
-	"netpowerprop/internal/obs"
 )
 
 // This file is the engine's streaming execution surface. Stream executes
@@ -36,30 +33,16 @@ func (e *Engine) Stream(ctx context.Context, req Request, emit func(i int, data 
 	// One pending slot covers the whole stream: rows run sequentially, so
 	// the stream occupies at most one worker at a time, and Drain waits
 	// for in-progress streams like any other admitted computation.
-	if p := e.pending.Add(1); e.maxQueue >= 0 && p > int64(e.workers+e.maxQueue) {
-		e.pending.Add(-1)
-		e.sheds.Add(1)
+	if !e.admit(ctx, "stream", plan.req.Op) {
 		e.errors.Add(1)
-		e.log.Warn("stream shed", "trace", obs.TraceID(ctx), "op", string(plan.req.Op),
-			"pending", p-1, "workers", e.workers, "maxqueue", e.maxQueue)
 		return nil, ErrOverloaded
 	}
+	// A disconnected streaming client never blocks Drain: ExecRow holds a
+	// worker slot only per row, and pending is released on return.
 	defer e.pending.Add(-1)
 
 	fail := func(err error) (*Result, error) {
-		e.errors.Add(1)
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			e.deadlines.Add(1)
-			e.log.Warn("stream deadline exceeded", "trace", obs.TraceID(ctx), "op", string(plan.req.Op))
-		case errors.Is(err, context.Canceled):
-			// A disconnected streaming client is a cancellation, not a
-			// deadline: the worker slot is already released (ExecRow holds
-			// it only per row) and pending is released on return, so an
-			// abandoned stream never blocks Drain.
-			e.canceled.Add(1)
-			e.log.Debug("stream canceled", "trace", obs.TraceID(ctx), "op", string(plan.req.Op))
-		}
+		e.failed(ctx, "stream", plan.req.Op, err)
 		return nil, err
 	}
 

@@ -28,7 +28,7 @@ import (
 // host fraction. A topology whose idle switches the routing can drain
 // scores near 1.0 when devices gate; one that keeps every switch busy even
 // at low load (a torus) cannot exploit device gating at the fabric level.
-func topologiesRows(req Request) (*scenarioRows, error) {
+func topologiesRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 	hosts := int(req.Params["hosts"])
 	iters := int(req.Params["iters"])
 	seed := uint64(req.Params["seed"])
@@ -85,7 +85,7 @@ func topologiesRows(req Request) (*scenarioRows, error) {
 		}
 		s := netsim.New(top)
 		s.Routing = netsim.ConcentrateRouting
-		s.Models = SimModels()
+		s.Models = models
 		hs := top.Hosts()
 
 		runPhase := func(active []int, tr *fault.Trace) (*netsim.Result, float64, float64, error) {
@@ -103,7 +103,7 @@ func topologiesRows(req Request) (*scenarioRows, error) {
 				offered += float64(f.Demand) * float64(f.Duration())
 			}
 			s.Faults = tr
-			res, err := s.RunParallel(flows, 0)
+			res, err := s.Run(flows)
 			if err != nil {
 				return nil, 0, 0, err
 			}

@@ -347,7 +347,7 @@ func (s *scriptExec) Plan(req engine.Request) (*engine.RowPlan, error) {
 		func(ctx context.Context, i int) (json.RawMessage, error) {
 			return json.Marshal(fmt.Sprintf("row-%d", i))
 		},
-		func(rows []json.RawMessage, failed []engine.RowError) (*engine.Result, error) {
+		func(rows []json.RawMessage) (*engine.Result, error) {
 			t := &engine.Table{Title: "script"}
 			for _, raw := range rows {
 				if raw == nil {

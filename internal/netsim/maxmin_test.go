@@ -1,10 +1,157 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// MaxMin computes the demand-bounded max-min fair allocation of a
+// map-keyed instance through the dense Solver: link IDs get dense indices
+// in first-seen order over the flows' paths, and capacity entries no flow
+// crosses are ignored, exactly as in maxMinReference.
+//
+// demands[i] is flow i's offered rate; paths[i] lists the link IDs flow i
+// traverses; capacity maps link ID to its capacity. The returned rates
+// satisfy: no link exceeds its capacity, no flow exceeds its demand, and
+// no flow's rate can be increased without decreasing a flow of equal or
+// smaller rate (progressive filling).
+func MaxMin(demands []float64, paths [][]int, capacity map[int]float64) ([]float64, error) {
+	if len(paths) != len(demands) {
+		return nil, fmt.Errorf("netsim: %d demands but %d paths", len(demands), len(paths))
+	}
+	idx := make(map[int]int, len(capacity))
+	var caps []float64
+	dense := make([][]int, len(paths))
+	for i, path := range paths {
+		for _, l := range path {
+			d, ok := idx[l]
+			if !ok {
+				c, known := capacity[l]
+				if !known {
+					return nil, fmt.Errorf("netsim: flow %d crosses unknown link %d", i, l)
+				}
+				d = len(caps)
+				idx[l] = d
+				caps = append(caps, c)
+			}
+			dense[i] = append(dense[i], d)
+		}
+	}
+	var s Solver
+	rates, err := s.Solve(demands, dense, caps)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), rates...), nil
+}
+
+// maxMinReference is the original map-based progressive-filling solver,
+// kept verbatim as the oracle the differential tests compare the dense
+// Solver against.
+func maxMinReference(demands []float64, paths [][]int, capacity map[int]float64) ([]float64, error) {
+	n := len(demands)
+	if len(paths) != n {
+		return nil, fmt.Errorf("netsim: %d demands but %d paths", n, len(paths))
+	}
+	rates := make([]float64, n)
+	frozen := make([]bool, n)
+	remaining := make(map[int]float64, len(capacity))
+	count := make(map[int]int)
+	for i := 0; i < n; i++ {
+		if demands[i] < 0 {
+			return nil, fmt.Errorf("netsim: flow %d negative demand %v", i, demands[i])
+		}
+		if len(paths[i]) == 0 {
+			return nil, fmt.Errorf("netsim: flow %d has empty path", i)
+		}
+		for _, l := range paths[i] {
+			c, ok := capacity[l]
+			if !ok {
+				return nil, fmt.Errorf("netsim: flow %d crosses unknown link %d", i, l)
+			}
+			if c < 0 {
+				return nil, fmt.Errorf("netsim: link %d negative capacity %v", l, c)
+			}
+			if _, seen := remaining[l]; !seen {
+				remaining[l] = c
+			}
+			count[l]++
+		}
+	}
+
+	unfrozen := n
+	for unfrozen > 0 {
+		// Minimum fair share across links still carrying unfrozen flows.
+		share := math.Inf(1)
+		for l, c := range count {
+			if c == 0 {
+				continue
+			}
+			if s := remaining[l] / float64(c); s < share {
+				share = s
+			}
+		}
+		if math.IsInf(share, 1) {
+			// No link constrains the remaining flows (cannot happen with
+			// non-empty paths, but guard anyway): give them their demand.
+			for i := 0; i < n; i++ {
+				if !frozen[i] {
+					freezeRef(i, demands[i], rates, frozen, paths, remaining, count)
+					unfrozen--
+				}
+			}
+			break
+		}
+		// Freeze demand-limited flows first: any unfrozen flow whose demand
+		// is at or below the current share can take exactly its demand.
+		progressed := false
+		for i := 0; i < n; i++ {
+			if !frozen[i] && demands[i] <= share+1e-12 {
+				freezeRef(i, demands[i], rates, frozen, paths, remaining, count)
+				unfrozen--
+				progressed = true
+			}
+		}
+		if progressed {
+			continue
+		}
+		// Otherwise freeze the flows crossing a bottleneck link at the share.
+		for l, c := range count {
+			if c == 0 {
+				continue
+			}
+			if remaining[l]/float64(c) <= share+1e-12 {
+				for i := 0; i < n; i++ {
+					if frozen[i] {
+						continue
+					}
+					for _, pl := range paths[i] {
+						if pl == l {
+							freezeRef(i, share, rates, frozen, paths, remaining, count)
+							unfrozen--
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	return rates, nil
+}
+
+func freezeRef(i int, rate float64, rates []float64, frozen []bool, paths [][]int, remaining map[int]float64, count map[int]int) {
+	rates[i] = rate
+	frozen[i] = true
+	for _, l := range paths[i] {
+		remaining[l] -= rate
+		if remaining[l] < 0 {
+			remaining[l] = 0 // numerical guard
+		}
+		count[l]--
+	}
+}
 
 func TestMaxMinSingleLink(t *testing.T) {
 	// Three flows share a 90-unit link; equal split.

@@ -1,3 +1,8 @@
+// Package netsim is a flow-level network simulator on explicit fat-tree
+// topologies: flows pick ECMP paths, link rates follow demand-bounded
+// max-min fairness, and the simulator emits per-link and per-switch
+// utilization traces that the §4 mechanism models (EEE, rate adaptation,
+// pipeline parking, OCS) consume, plus baseline energy accounting.
 package netsim
 
 import (

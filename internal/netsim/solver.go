@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Solver computes demand-bounded max-min fair allocations over dense
@@ -26,14 +25,6 @@ type Solver struct {
 	csrOff   []int
 	csrFlows []int
 	cursor   []int
-
-	// Map-keyed inputs (the MaxMin compatibility path) are densified into
-	// these buffers: link IDs are assigned dense indices in first-seen
-	// order over the flows' paths, which keeps the solve deterministic.
-	idx        map[int]int
-	denseCap   []float64
-	densePaths [][]int
-	pathArena  []int
 }
 
 // Solve computes the max-min fair rates for the flows. demands[i] is flow
@@ -182,59 +173,6 @@ func (s *Solver) freeze(i int, rate float64, paths [][]int) {
 		s.count[l]--
 	}
 }
-
-// SolveMap answers a map-keyed instance (arbitrary link IDs) by assigning
-// dense indices in first-seen order over the flows' paths, then running
-// the dense solve. Capacity entries no flow crosses are ignored, exactly
-// as in the reference solver. The returned slice is owned by the solver.
-func (s *Solver) SolveMap(demands []float64, paths [][]int, capacity map[int]float64) ([]float64, error) {
-	n := len(demands)
-	if len(paths) != n {
-		return nil, fmt.Errorf("netsim: %d demands but %d paths", n, len(paths))
-	}
-	if s.idx == nil {
-		s.idx = make(map[int]int, len(capacity))
-	} else {
-		clear(s.idx)
-	}
-	s.denseCap = s.denseCap[:0]
-	s.pathArena = s.pathArena[:0]
-	for i := 0; i < n; i++ {
-		if demands[i] < 0 {
-			return nil, fmt.Errorf("netsim: flow %d negative demand %v", i, demands[i])
-		}
-		if len(paths[i]) == 0 {
-			return nil, fmt.Errorf("netsim: flow %d has empty path", i)
-		}
-		for _, l := range paths[i] {
-			d, ok := s.idx[l]
-			if !ok {
-				c, known := capacity[l]
-				if !known {
-					return nil, fmt.Errorf("netsim: flow %d crosses unknown link %d", i, l)
-				}
-				if c < 0 {
-					return nil, fmt.Errorf("netsim: link %d negative capacity %v", l, c)
-				}
-				d = len(s.denseCap)
-				s.idx[l] = d
-				s.denseCap = append(s.denseCap, c)
-			}
-			s.pathArena = append(s.pathArena, d)
-		}
-	}
-	// Subslice the arena only after it stopped growing (appends above may
-	// have reallocated it).
-	s.densePaths = s.densePaths[:0]
-	off := 0
-	for i := 0; i < n; i++ {
-		s.densePaths = append(s.densePaths, s.pathArena[off:off+len(paths[i])])
-		off += len(paths[i])
-	}
-	return s.Solve(demands, s.densePaths, s.denseCap)
-}
-
-var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {

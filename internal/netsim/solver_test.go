@@ -116,7 +116,7 @@ func TestSolverErrors(t *testing.T) {
 	if _, err := s.Solve([]float64{1}, [][]int{{0}}, []float64{-5}); err == nil {
 		t.Error("negative capacity should fail")
 	}
-	if _, err := s.SolveMap([]float64{1}, [][]int{{7}}, map[int]float64{1: 10}); err == nil {
+	if _, err := MaxMin([]float64{1}, [][]int{{7}}, map[int]float64{1: 10}); err == nil {
 		t.Error("unknown map link should fail")
 	}
 }

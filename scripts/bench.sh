@@ -20,7 +20,7 @@ trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
 echo "running root benchmarks..." >&2
 go test -run=NONE -benchmem \
-	-bench 'BenchmarkFabricSim$|BenchmarkRunParallel$|BenchmarkMaxMin$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim' \
+	-bench 'BenchmarkFabricSim$|BenchmarkRunParallel$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim' \
 	. >>"$tmp"
 echo "running event-queue benchmark..." >&2
 go test -run=NONE -benchmem -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
@@ -59,7 +59,6 @@ awk -v out="$out" -v capfile="$tmpdir/capacity.json" '
 }
 END {
 	base["BenchmarkFabricSim"] = "{\"ns_per_op\": 577161, \"bytes_per_op\": 385824, \"allocs_per_op\": 3824}"
-	base["BenchmarkMaxMin"] = "{\"ns_per_op\": 62429, \"bytes_per_op\": 9104, \"allocs_per_op\": 14}"
 	base["BenchmarkTopoPathsDragonfly"] = "{\"ns_per_op\": 1520248, \"bytes_per_op\": 862656, \"allocs_per_op\": 7624}"
 	base["BenchmarkTopoPathsTorus3D"] = "{\"ns_per_op\": 2036794, \"bytes_per_op\": 895616, \"allocs_per_op\": 8336}"
 	printf "{\n  \"benchmarks\": {\n" > out

@@ -162,7 +162,7 @@ step_bench_guard() {
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
 	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMin$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim' \
+		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim' \
 		. >"$tmp/bench.out"
 	go test -run=NONE -benchmem -benchtime=100x \
 		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
