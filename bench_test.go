@@ -15,6 +15,7 @@ import (
 	"netpowerprop/internal/eee"
 	"netpowerprop/internal/engine"
 	"netpowerprop/internal/fattree"
+	"netpowerprop/internal/fault"
 	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/ocs"
 	"netpowerprop/internal/parking"
@@ -441,6 +442,71 @@ func BenchmarkTopoSimDragonfly(b *testing.B) { benchTopoSim(b, "dragonfly") }
 
 // BenchmarkTopoSimTorus3D is the 3D torus through the simulator.
 func BenchmarkTopoSimTorus3D(b *testing.B) { benchTopoSim(b, "torus3d") }
+
+// BenchmarkFaultSim reproduces one row of the faults scenario at its 4×
+// failure rate: a k=4 three-tier fat tree running all-to-all ×32 under a
+// generated fault trace, simulated fully powered and then with half the
+// core gated (woken one switch per primary failure), both on one Sim. It
+// is the shape of the fault-long workload: long horizons, many fault
+// epochs, and flows that each overlap only one or two of them.
+func BenchmarkFaultSim(b *testing.B) {
+	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := traffic.Job{ID: 1, Hosts: top.Hosts(), Period: 1, CommRatio: 0.5,
+		Rate: 10 * units.Gbps, Pattern: traffic.AllToAll}
+	const iters, mult = 32, 4
+	flows, err := job.Flows(iters)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var optical, core []int
+	for _, l := range top.Links {
+		if l.Optical {
+			optical = append(optical, l.ID)
+		}
+	}
+	for _, sw := range top.SwitchIDs() {
+		if top.Nodes[sw].Kind == fattree.KindCore {
+			core = append(core, sw)
+		}
+	}
+	full, err := fault.Generate(fault.GenConfig{
+		Horizon: iters * job.Period, Links: optical,
+		Flaps: 6 * mult, MTTR: 0.3, PermanentFailures: mult,
+		WakeStuckProb: 0.25, WakeStuckExtra: 0.5,
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gated := full.Clone()
+	gatedCount := len(core) / 2
+	for _, sw := range core[:gatedCount] {
+		gated.SwitchDown(0, sw)
+	}
+	woken := 0
+	for _, e := range full.Events() {
+		if e.Kind == fault.KindLinkDown && e.At > 0 && woken < gatedCount {
+			gated.SwitchUp(e.At+0.2, core[woken])
+			woken++
+		}
+	}
+	var reroutes int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := netsim.New(top)
+		for _, tr := range []*fault.Trace{full, gated} {
+			s.Faults = tr
+			res, err := s.Run(flows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reroutes = res.Faults.Reroutes
+		}
+	}
+	b.ReportMetric(float64(reroutes), "gated-reroutes")
+}
 
 // BenchmarkMaxMinDense measures the fairness solver on a contended
 // instance through a reused dense Solver — the allocation-free path the

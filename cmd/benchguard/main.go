@@ -13,10 +13,13 @@
 // checked; zero overlap is itself an error (it means the guard is wired to
 // the wrong input). ns/op is compared against baseline*tolerance — the
 // default factor of 5 absorbs machine-class and -benchtime noise while
-// still catching order-of-magnitude blowups. allocs/op is compared against
-// baseline*1.25+2: allocation counts are nearly deterministic, so a tight
-// bound catches a hot loop that starts allocating. The BENCH_TOLERANCE
-// environment variable overrides -tolerance for slow CI runners.
+// still catching order-of-magnitude blowups. allocs/op and B/op are
+// compared against baseline*1.25 plus a small constant (2 allocs, 512 B):
+// both are nearly deterministic, so a tight bound catches a hot loop that
+// starts allocating more often or in bigger pieces — an arena that grows
+// back to a dense size keeps its allocation count but not its bytes. The
+// BENCH_TOLERANCE environment variable overrides -tolerance for slow CI
+// runners.
 package main
 
 import (
@@ -113,7 +116,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	if len(violations) > 0 {
 		return fmt.Errorf("%d of %d benchmarks regressed past tolerance", len(violations), checked)
 	}
-	fmt.Fprintf(w, "benchguard OK: %d benchmarks within tolerance (ns/op x%g, allocs x1.25+2)\n", checked, *tolerance)
+	fmt.Fprintf(w, "benchguard OK: %d benchmarks within tolerance (ns/op x%g, allocs x1.25+%d, B/op x1.25+%d)\n",
+		checked, *tolerance, allocSlack, byteSlack)
 	return nil
 }
 
@@ -170,6 +174,13 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 	return out, nil
 }
 
+// allocSlack and byteSlack are the constants added to 1.25× the baseline
+// allocs/op and B/op, so near-zero baselines tolerate one-off noise.
+const (
+	allocSlack = 2
+	byteSlack  = 512
+)
+
 // check compares every observed benchmark that has a baseline and returns
 // the number checked plus human-readable violation descriptions.
 func check(baseline, observed map[string]metrics, tolerance float64) (int, []string) {
@@ -186,10 +197,15 @@ func check(baseline, observed map[string]metrics, tolerance float64) (int, []str
 				"%s: %.0f ns/op exceeds baseline %.0f ns/op x%g = %.0f",
 				name, obs.NsPerOp, base.NsPerOp, tolerance, limit))
 		}
-		if limit := base.AllocsPerOp*1.25 + 2; obs.AllocsPerOp > limit {
+		if limit := base.AllocsPerOp*1.25 + allocSlack; obs.AllocsPerOp > limit {
 			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f allocs/op exceeds baseline %.0f allocs/op x1.25+2 = %.1f",
-				name, obs.AllocsPerOp, base.AllocsPerOp, limit))
+				"%s: %.0f allocs/op exceeds baseline %.0f allocs/op x1.25+%d = %.1f",
+				name, obs.AllocsPerOp, base.AllocsPerOp, allocSlack, limit))
+		}
+		if limit := base.BytesPerOp*1.25 + byteSlack; obs.BytesPerOp > limit {
+			violations = append(violations, fmt.Sprintf(
+				"%s: %.0f B/op exceeds baseline %.0f B/op x1.25+%d = %.1f",
+				name, obs.BytesPerOp, base.BytesPerOp, byteSlack, limit))
 		}
 	}
 	sort.Strings(violations) // map iteration order must not leak into CI logs

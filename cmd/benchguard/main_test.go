@@ -56,7 +56,7 @@ func TestParseBenchRepeatedKeepsBest(t *testing.T) {
 
 func TestCheck(t *testing.T) {
 	baseline := map[string]metrics{
-		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10},
+		"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 4000},
 		"BenchmarkB": {NsPerOp: 500, AllocsPerOp: 0},
 	}
 	for _, tc := range []struct {
@@ -66,8 +66,8 @@ func TestCheck(t *testing.T) {
 		violations int
 	}{
 		{"within tolerance", map[string]metrics{
-			"BenchmarkA": {NsPerOp: 4000, AllocsPerOp: 12},
-			"BenchmarkB": {NsPerOp: 600, AllocsPerOp: 1},
+			"BenchmarkA": {NsPerOp: 4000, AllocsPerOp: 12, BytesPerOp: 5512},
+			"BenchmarkB": {NsPerOp: 600, AllocsPerOp: 1, BytesPerOp: 512},
 		}, 2, 0},
 		{"ns regression", map[string]metrics{
 			"BenchmarkA": {NsPerOp: 5001, AllocsPerOp: 10},
@@ -75,9 +75,16 @@ func TestCheck(t *testing.T) {
 		{"allocs regression", map[string]metrics{
 			"BenchmarkB": {NsPerOp: 500, AllocsPerOp: 3},
 		}, 1, 1},
-		{"both regress", map[string]metrics{
-			"BenchmarkA": {NsPerOp: 99999, AllocsPerOp: 99},
-		}, 1, 2},
+		// 4000 B x1.25 + 512 = 5512: same allocation count, bigger pieces.
+		{"bytes regression", map[string]metrics{
+			"BenchmarkA": {NsPerOp: 1000, AllocsPerOp: 10, BytesPerOp: 5513},
+		}, 1, 1},
+		{"bytes regression from zero", map[string]metrics{
+			"BenchmarkB": {NsPerOp: 500, AllocsPerOp: 0, BytesPerOp: 513},
+		}, 1, 1},
+		{"all regress", map[string]metrics{
+			"BenchmarkA": {NsPerOp: 99999, AllocsPerOp: 99, BytesPerOp: 1e6},
+		}, 1, 3},
 		{"unknown benchmarks skipped", map[string]metrics{
 			"BenchmarkZ": {NsPerOp: 1e9, AllocsPerOp: 1e6},
 		}, 0, 0},
@@ -133,6 +140,24 @@ func TestRunFailsOnRegression(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "REGRESSION: BenchmarkFabricSim") {
 		t.Errorf("missing violation line: %s", sb.String())
+	}
+}
+
+// A benchmark whose allocation count holds but whose bytes grow — a dense
+// arena coming back — must fail the guard.
+func TestRunFailsOnBytesRegression(t *testing.T) {
+	base := writeBaseline(t, sampleBaseline)
+	fat := "BenchmarkFabricSim-8 10 206334 ns/op 1730504 B/op 1132 allocs/op\n"
+	var sb strings.Builder
+	err := run([]string{"-baseline", base}, strings.NewReader(fat), &sb)
+	if err == nil {
+		t.Fatalf("byte-regressed input accepted:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "REGRESSION: BenchmarkFabricSim: 1730504 B/op exceeds baseline 216313 B/op") {
+		t.Errorf("missing B/op violation line: %s", sb.String())
+	}
+	if strings.Contains(sb.String(), "allocs/op exceeds") {
+		t.Errorf("unchanged allocation count flagged: %s", sb.String())
 	}
 }
 

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netpowerprop/internal/sim"
@@ -263,5 +265,67 @@ func TestStormReplayAndCancel(t *testing.T) {
 	}
 	if got[0].Kind != KindLinkDown || got[1].Kind != KindLinkUp {
 		t.Fatalf("events out of order: %v", got)
+	}
+}
+
+// Span must select exactly the epochs the overlap predicate
+// !(end <= et0 || start >= et1) selects, for random timelines (with
+// duplicate, zero-width epoch starts) and random windows whose ends land
+// on epoch starts, on the horizon, or in between.
+func TestSpanMatchesOverlapPredicate(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		horizon := units.Seconds(1 + r.IntN(8))
+		// Starts[0] is 0 as Compile emits it; later starts are drawn on a
+		// coarse grid so duplicates (zero-width epochs) are common, and may
+		// sit on the horizon itself.
+		starts := []units.Seconds{0}
+		for n := r.IntN(6); n > 0; n-- {
+			starts = append(starts, units.Seconds(r.IntN(int(horizon)*2+1))/2)
+		}
+		slices.Sort(starts)
+		tl := &Timeline{Starts: starts}
+		// Window endpoints: an epoch start, the horizon, or a point between.
+		point := func() units.Seconds {
+			switch r.IntN(3) {
+			case 0:
+				return starts[r.IntN(len(starts))]
+			case 1:
+				return horizon
+			default:
+				return units.Seconds(r.Float64()) * horizon
+			}
+		}
+		for w := 0; w < 20; w++ {
+			start, end := point(), point()
+			if start > end {
+				start, end = end, start
+			}
+			if start == end || start >= horizon {
+				continue
+			}
+			var want []int
+			for e := range starts {
+				et0, et1 := starts[e], horizon
+				if e+1 < len(starts) {
+					et1 = starts[e+1]
+				}
+				if !(end <= et0 || start >= et1) {
+					want = append(want, e)
+				}
+			}
+			first, last := tl.Span(start, end)
+			var got []int
+			for e := first; e <= last; e++ {
+				got = append(got, e)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("starts %v horizon %v window [%v,%v): Span = [%d,%d] selects %v, predicate selects %v",
+					starts, horizon, start, end, first, last, got, want)
+			}
+			if len(want) > 0 && first != tl.EpochAt(start) {
+				t.Fatalf("starts %v window [%v,%v): first %d != EpochAt %d", starts, start, end, first, tl.EpochAt(start))
+			}
+		}
 	}
 }

@@ -39,6 +39,17 @@ func (tl *Timeline) EpochAt(x units.Seconds) int {
 	return i - 1
 }
 
+// Span returns the epochs [first, last] that the window [start, end)
+// overlaps: those with Starts[e] < end and start < the epoch's end (the
+// last epoch ends at the horizon, which must exceed start). first is
+// EpochAt(start); last < first only when the window ends at or before
+// Starts[0]. Zero-width epochs strictly inside the window count as
+// overlapped, exactly like their neighbours.
+func (tl *Timeline) Span(start, end units.Seconds) (first, last int) {
+	last = sort.Search(len(tl.Starts), func(i int) bool { return tl.Starts[i] >= end }) - 1
+	return tl.EpochAt(start), last
+}
+
 // Compile flattens a trace into a timeline over [0, horizon). numLinks
 // sizes the dead-link sets; incident maps a switch node ID to its link IDs
 // (required only when the trace contains switch events). Events at or

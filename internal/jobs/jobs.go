@@ -183,24 +183,27 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	state     State
-	rows      []json.RawMessage
-	rowErrs   []*engine.RowError
-	attempts  []int
-	done      int // rows checkpointed (payload or exhausted marker)
-	retries   int
-	created   time.Time
-	finished  time.Time
-	result    *engine.Result
-	jl        *journal
-	canceled  bool
-	doneCh    chan struct{}
-	startOnce sync.Once
+	mu       sync.Mutex
+	state    State
+	rows     []json.RawMessage
+	rowErrs  []*engine.RowError
+	attempts []int
+	done     int // rows checkpointed (payload or exhausted marker)
+	retries  int
+	created  time.Time
+	finished time.Time
+	result   *engine.Result
+	jl       *journal
+	canceled bool
+	doneCh   chan struct{}
 	// updated is the row-progress broadcast: closed and replaced under mu
 	// whenever a row settles or the state changes, waking StreamRows
 	// waiters. Waiters re-check under mu, so a spurious wake is harmless.
 	updated chan struct{}
+
+	// started is set (under mu) while a runner goroutine owns the job;
+	// markInterrupted clears it so a later resume can start a fresh one.
+	started bool
 }
 
 // bump wakes every StreamRows waiter. Callers hold j.mu.
@@ -658,25 +661,31 @@ func (m *Manager) ResumeAll() int {
 	return len(interrupted)
 }
 
-// start launches the runner goroutine for a queued job.
+// start launches the runner goroutine for a queued job, unless one
+// already owns it.
 func (m *Manager) start(j *job) {
-	j.startOnce.Do(func() {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			select {
-			case m.slots <- struct{}{}:
-			case <-m.drain:
-				m.markInterrupted(j)
-				return
-			case <-j.ctx.Done():
-				m.finishCanceled(j)
-				return
-			}
-			defer func() { <-m.slots }()
-			m.runJob(j)
-		}()
-	})
+	j.mu.Lock()
+	if j.started {
+		j.mu.Unlock()
+		return
+	}
+	j.started = true
+	j.mu.Unlock()
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		select {
+		case m.slots <- struct{}{}:
+		case <-m.drain:
+			m.markInterrupted(j)
+			return
+		case <-j.ctx.Done():
+			m.finishCanceled(j)
+			return
+		}
+		defer func() { <-m.slots }()
+		m.runJob(j)
+	}()
 }
 
 // runJob executes the job's missing rows in order, checkpointing each to
@@ -906,7 +915,7 @@ func (m *Manager) markInterrupted(j *job) {
 		"rows_done", j.done, "rows", len(j.rows), "trace", j.trace)
 	// Re-arm so a later resume can start a fresh runner.
 	j.cancel()
-	j.startOnce = sync.Once{}
+	j.started = false
 	j.ctx, j.cancel = context.WithCancel(obs.WithTraceID(m.hardCtx, j.trace))
 	j.bump()
 }

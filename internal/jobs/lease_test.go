@@ -234,11 +234,13 @@ func TestExpiredLeaseIsAdopted(t *testing.T) {
 }
 
 // gatedExec blocks configured rows until the test opens their gate, so
-// a drain can be interleaved at an exact row boundary.
+// a drain can be interleaved at an exact row boundary. Each gated row
+// sends its index on entered (if set) once it is waiting at its gate.
 type gatedExec struct {
 	*scriptExec
-	mu    sync.Mutex
-	gates map[int]chan struct{}
+	mu      sync.Mutex
+	gates   map[int]chan struct{}
+	entered chan int
 }
 
 func (g *gatedExec) ExecRow(ctx context.Context, p *engine.RowPlan, i int) (json.RawMessage, error) {
@@ -246,6 +248,13 @@ func (g *gatedExec) ExecRow(ctx context.Context, p *engine.RowPlan, i int) (json
 	ch := g.gates[i]
 	g.mu.Unlock()
 	if ch != nil {
+		if g.entered != nil {
+			select {
+			case g.entered <- i:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -266,6 +275,7 @@ func TestDrainHandoffReleasesLease(t *testing.T) {
 	exec := &gatedExec{
 		scriptExec: newScriptExec(3, nil),
 		gates:      map[int]chan struct{}{1: gate1},
+		entered:    make(chan int, 1),
 	}
 	var once sync.Once
 	a, err := Open(Options{
@@ -284,7 +294,13 @@ func TestDrainHandoffReleasesLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	<-row0 // row 0 durable; runner is now blocked on row 1's gate
+	<-row0 // row 0 durable
+	// Drain only once the runner is inside row 1: a drain signalled
+	// before it passes the row-1 boundary would stop it there instead,
+	// leaving row 1 for the survivor.
+	if row := <-exec.entered; row != 1 {
+		t.Fatalf("runner entered gate of row %d, want 1", row)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- a.Close(context.Background()) }()
 	// Wait for the drain signal to be visible, then let row 1 finish:

@@ -84,8 +84,7 @@ type Sim struct {
 	// filtered path list.
 	runGen uint64
 
-	// Scratch reused by the serial run path so repeated Runs on one Sim
-	// allocate nothing in the solve loop.
+	// Per-run arenas and the serial solve state, reused across runs.
 	scratch runScratch
 }
 
@@ -103,8 +102,25 @@ type pathSet struct {
 	aliveEpoch int
 }
 
-// runScratch is the per-worker solve state.
+// runScratch is one Sim's per-run arenas, reused across Run calls.
+// Nothing in a Result aliases it.
 type runScratch struct {
+	solve     solveScratch // the serial path's solve state
+	states    []flowState
+	routes    []route // every flow's epoch window, back to back
+	epochOff  []int   // per-epoch bucket bounds into buckets
+	buckets   []int   // flow indices per epoch, in input order
+	times     []units.Seconds
+	byStart   []int
+	intervals []interval
+	activeIdx []int
+	cur       []int
+	epochOf   []int
+	rates     []float64
+}
+
+// solveScratch is the per-worker solve state.
+type solveScratch struct {
 	solver  Solver
 	demands []float64
 	paths   [][]int
@@ -214,10 +230,14 @@ func (s *Sim) aliveFor(ps *pathSet, epoch int, dead []bool) []int {
 	return ps.alive
 }
 
-// route is one flow's routing decision within one fault epoch.
+// cleanTimeline is the single fault-free epoch a run without faults uses.
+var cleanTimeline = &fault.Timeline{Starts: []units.Seconds{0}, Dead: [][]bool{nil}, DeadCount: []int{0}}
+
+// route is one flow's routing decision within one fault epoch: an index
+// into the flow's pathSet. It holds no pointers, so the route arena costs
+// the garbage collector nothing to scan.
 type route struct {
-	path     []int
-	switches []int
+	path int32 // index into pathSet.paths and pathSet.switches
 	// stalled marks an epoch where every ECMP path crossed a dead link.
 	stalled bool
 	// rerouted marks an epoch where the flow routed while at least one of
@@ -225,17 +245,13 @@ type route struct {
 	rerouted bool
 }
 
-// routeFor picks one path (and its switch sequence) per the routing policy,
-// restricted to paths avoiding the epoch's dead links. With no dead links
-// the choice is identical to the fault-free policy.
-func (s *Sim) routeFor(f traffic.Flow, epoch int, dead []bool) (route, error) {
-	ps, err := s.pathsFor(f.Src, f.Dst)
-	if err != nil {
-		return route{}, err
-	}
+// routeFor picks one of ps's paths per the routing policy, restricted to
+// paths avoiding the epoch's dead links. With no dead links the choice is
+// identical to the fault-free policy.
+func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, epoch int, dead []bool) route {
 	alive := s.aliveFor(ps, epoch, dead)
 	if len(alive) == 0 {
-		return route{stalled: true}, nil
+		return route{stalled: true}
 	}
 	rerouted := len(alive) < len(ps.paths)
 	if s.Routing == ConcentrateRouting {
@@ -254,7 +270,7 @@ func (s *Sim) routeFor(f traffic.Flow, epoch int, dead []bool) (route, error) {
 		for _, sw := range ps.switches[best] {
 			s.usedSwitches[sw] = true
 		}
-		return route{path: ps.paths[best], switches: ps.switches[best], rerouted: rerouted}, nil
+		return route{path: int32(best), rerouted: rerouted}
 	}
 	// Inline FNV-1a over (src, dst, seed) in little-endian order — the
 	// same bytes the hash.Hash64 version fed, without its allocation. The
@@ -268,7 +284,7 @@ func (s *Sim) routeFor(f traffic.Flow, epoch int, dead []bool) (route, error) {
 		}
 	}
 	i := alive[h%uint64(len(alive))]
-	return route{path: ps.paths[i], switches: ps.switches[i], rerouted: rerouted}, nil
+	return route{path: int32(i), rerouted: rerouted}
 }
 
 // capacityOf resolves a link's effective capacity.
@@ -284,8 +300,13 @@ func (s *Sim) capacityOf(l fattree.Link) units.Bandwidth {
 // flowState is one flow's per-epoch routing decisions and running account.
 type flowState struct {
 	spec traffic.Flow
-	// routes[e] is the decision for fault epoch e; only epochs overlapping
-	// the flow's window are populated. Fault-free runs have one epoch.
+	// e0 and e1 are the first and last fault epochs the flow's window
+	// overlaps; routes[e-e0] is the decision for epoch e, so routes[0] is
+	// the start epoch's. Fault-free runs have one epoch.
+	e0, e1 int
+	// ps is the flow's cached ECMP path set, resolved on its first routed
+	// epoch; every route indexes into it.
+	ps        *pathSet
 	routes    []route
 	delivered float64
 	downtime  units.Seconds
@@ -322,9 +343,12 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("netsim: no flows")
 	}
-	s.usedSwitches = make(map[int]bool)
+	if s.usedSwitches == nil {
+		s.usedSwitches = make(map[int]bool)
+	}
+	clear(s.usedSwitches)
 	s.runGen++
-	states := make([]flowState, len(flows))
+	sc := &s.scratch
 	var horizon units.Seconds
 	for i, f := range flows {
 		if f.End <= f.Start {
@@ -333,16 +357,19 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		if f.Demand <= 0 {
 			return nil, fmt.Errorf("netsim: flow %d non-positive demand %v", i, f.Demand)
 		}
-		states[i] = flowState{spec: f}
+		if f.End <= 0 {
+			// It would overlap no epoch and so never be routed.
+			return nil, fmt.Errorf("netsim: flow %d ends at %v, before time 0", i, f.End)
+		}
 		if f.End > horizon {
 			horizon = f.End
 		}
 	}
 
-	// Compile the fault trace into epochs of constant dead-link sets. A
-	// nil timeline (no faults) leaves a single clean epoch spanning the
-	// whole horizon, so the fault-free path is untouched.
-	var tl *fault.Timeline
+	// Compile the fault trace into epochs of constant dead-link sets. No
+	// faults leaves the single clean epoch spanning the whole horizon, so
+	// the fault-free path is untouched.
+	tl := cleanTimeline
 	if s.Faults != nil && s.Faults.Len() > 0 {
 		var err error
 		tl, err = fault.Compile(s.Faults, horizon, len(s.Top.Links), s.Top.LinksOf)
@@ -350,65 +377,93 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			return nil, fmt.Errorf("netsim: %w", err)
 		}
 	}
-	numEpochs := 1
-	if tl != nil {
-		numEpochs = tl.NumEpochs()
+	numEpochs := tl.NumEpochs()
+
+	// Each flow keeps routes only for the epochs its window overlaps,
+	// [e0, e1], carved from one arena sized to the total overlap. A
+	// counting sort buckets flow indices per epoch in input order:
+	// epochOff[e+1] first counts epoch e's flows, the prefix sum turns
+	// epochOff[e] into bucket e's start, and the fill advances it to the
+	// bucket's end.
+	states := resize(sc.states, len(flows))
+	sc.states = states
+	epochOff := resize(sc.epochOff, numEpochs+1)
+	sc.epochOff = epochOff
+	overlap := 0
+	for i, f := range flows {
+		e0, e1 := tl.Span(f.Start, f.End)
+		states[i] = flowState{spec: f, e0: e0, e1: e1}
+		for e := e0; e <= e1; e++ {
+			epochOff[e+1]++
+		}
+		overlap += e1 - e0 + 1
+	}
+	for e := 1; e <= numEpochs; e++ {
+		epochOff[e] += epochOff[e-1]
+	}
+	routeArena := resize(sc.routes, overlap)
+	sc.routes = routeArena
+	buckets := resize(sc.buckets, overlap)
+	sc.buckets = buckets
+	off := 0
+	for i := range states {
+		st := &states[i]
+		n := st.e1 - st.e0 + 1
+		st.routes = routeArena[off : off+n : off+n]
+		off += n
+		for e := st.e0; e <= st.e1; e++ {
+			buckets[epochOff[e]] = i
+			epochOff[e]++
+		}
 	}
 
 	// Route every flow for every epoch overlapping its window. Epochs run
-	// outer and flows inner in input order, so ConcentrateRouting stays
-	// deterministic and each pathSet's alive filter is computed once per
-	// epoch. With one epoch this is exactly the fault-free routing pass.
-	routeArena := make([]route, len(states)*numEpochs)
-	for i := range states {
-		states[i].routes = routeArena[i*numEpochs : (i+1)*numEpochs]
-	}
+	// outer and each bucket's flows inner in input order, so
+	// ConcentrateRouting stays deterministic and each pathSet's alive
+	// filter is computed once per epoch. With one epoch this is exactly the
+	// fault-free routing pass.
 	reroutes := 0
+	lo := 0
 	for e := 0; e < numEpochs; e++ {
 		var dead []bool
-		et0, et1 := units.Seconds(0), horizon
-		if tl != nil {
-			if tl.DeadCount[e] > 0 {
-				dead = tl.Dead[e]
-			}
-			et0 = tl.Starts[e]
-			if e+1 < numEpochs {
-				et1 = tl.Starts[e+1]
-			}
+		if tl.DeadCount[e] > 0 {
+			dead = tl.Dead[e]
 		}
-		for i := range states {
-			f := states[i].spec
-			if f.End <= et0 || f.Start >= et1 {
-				continue
+		for _, i := range buckets[lo:epochOff[e]] {
+			st := &states[i]
+			if st.ps == nil {
+				ps, err := s.pathsFor(st.spec.Src, st.spec.Dst)
+				if err != nil {
+					return nil, fmt.Errorf("netsim: flow %d: %w", i, err)
+				}
+				st.ps = ps
 			}
-			rt, err := s.routeFor(f, e, dead)
-			if err != nil {
-				return nil, fmt.Errorf("netsim: flow %d: %w", i, err)
-			}
+			rt := s.routeFor(st.spec, st.ps, e, dead)
 			if rt.rerouted && !rt.stalled {
 				reroutes++
 			}
-			states[i].routes[e] = rt
+			st.routes[e-st.e0] = rt
 		}
+		lo = epochOff[e]
 	}
 
 	// Event times: every flow boundary and epoch start plus 0 and horizon,
 	// sorted unique, so each interval lies within exactly one epoch.
-	times := make([]units.Seconds, 0, 2*len(states)+numEpochs+1)
+	times := slices.Grow(sc.times[:0], 2*len(states)+numEpochs+1)
 	times = append(times, 0, horizon)
 	for i := range states {
 		times = append(times, states[i].spec.Start, states[i].spec.End)
 	}
-	if tl != nil {
-		times = append(times, tl.Starts[1:]...)
-	}
+	times = append(times, tl.Starts[1:]...)
 	slices.Sort(times)
 	times = slices.Compact(times)
+	sc.times = times
 
 	// Sweep the sorted start/end events once to snapshot each interval's
 	// active flows, replacing the O(intervals × flows) rescan. Flow order
 	// within an interval is (start, input index) — deterministic.
-	byStart := make([]int, len(states))
+	byStart := resize(sc.byStart, len(states))
+	sc.byStart = byStart
 	for i := range byStart {
 		byStart[i] = i
 	}
@@ -423,9 +478,9 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			return 0
 		}
 	})
-	intervals := make([]interval, 0, len(times)-1)
-	var activeIdx []int // arena: every interval's active-flow snapshot
-	cur := make([]int, 0, len(states))
+	intervals := slices.Grow(sc.intervals[:0], len(times)-1)
+	activeIdx := sc.activeIdx[:0] // arena: every interval's active-flow snapshot
+	cur := slices.Grow(sc.cur[:0], len(states))
 	next := 0
 	for ti := 0; ti+1 < len(times); ti++ {
 		t0, t1 := times[ti], times[ti+1]
@@ -444,18 +499,18 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		intervals = append(intervals, interval{t0: t0, t1: t1, off: len(activeIdx), n: len(cur)})
 		activeIdx = append(activeIdx, cur...)
 	}
+	sc.intervals, sc.activeIdx, sc.cur = intervals, activeIdx, cur
 
 	// Epoch starts are event times, so each interval sits inside exactly
 	// one epoch; a single forward walk labels them all.
-	epochOf := make([]int, len(intervals))
-	if tl != nil {
-		e := 0
-		for k := range intervals {
-			for e+1 < numEpochs && tl.Starts[e+1] <= intervals[k].t0 {
-				e++
-			}
-			epochOf[k] = e
+	epochOf := resize(sc.epochOf, len(intervals))
+	sc.epochOf = epochOf
+	ep := 0
+	for k := range intervals {
+		for ep+1 < numEpochs && tl.Starts[ep+1] <= intervals[k].t0 {
+			ep++
 		}
+		epochOf[k] = ep
 	}
 
 	caps := make([]float64, len(s.Top.Links))
@@ -464,69 +519,68 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	}
 	// Per-epoch capacities: dead links drop to zero so the max-min solver
 	// cannot place traffic on them. Clean epochs share the base slice.
-	epochCaps := [][]float64{caps}
-	if tl != nil {
-		epochCaps = make([][]float64, numEpochs)
-		for e := range epochCaps {
-			if tl.DeadCount[e] == 0 {
-				epochCaps[e] = caps
-				continue
-			}
-			ec := make([]float64, len(caps))
-			copy(ec, caps)
-			for l, d := range tl.Dead[e] {
-				if d {
-					ec[l] = 0
-				}
-			}
-			epochCaps[e] = ec
+	epochCaps := make([][]float64, numEpochs)
+	for e := range epochCaps {
+		if tl.DeadCount[e] == 0 {
+			epochCaps[e] = caps
+			continue
 		}
+		ec := make([]float64, len(caps))
+		copy(ec, caps)
+		for l, d := range tl.Dead[e] {
+			if d {
+				ec[l] = 0
+			}
+		}
+		epochCaps[e] = ec
 	}
 
 	// Solve every interval's fairness problem. rateArena mirrors activeIdx:
 	// the rate of activeIdx[i]'s flow during its interval lands in
 	// rateArena[i], so workers write disjoint ranges. Stalled flows are
 	// excluded from the solve and keep the arena's zero rate.
-	rateArena := make([]float64, len(activeIdx))
-	solve := func(sc *runScratch, k int) error {
+	rateArena := resize(sc.rates, len(activeIdx))
+	sc.rates = rateArena
+	solve := func(ss *solveScratch, k int) error {
 		iv := intervals[k]
 		if iv.n == 0 {
 			return nil
 		}
 		epoch := epochOf[k]
 		idxs := activeIdx[iv.off : iv.off+iv.n]
-		if cap(sc.demands) < iv.n {
-			sc.demands = make([]float64, 0, iv.n)
-			sc.paths = make([][]int, 0, iv.n)
-			sc.slots = make([]int, 0, iv.n)
+		if cap(ss.demands) < iv.n {
+			ss.demands = make([]float64, 0, iv.n)
+			ss.paths = make([][]int, 0, iv.n)
+			ss.slots = make([]int, 0, iv.n)
 		}
-		sc.demands = sc.demands[:0]
-		sc.paths = sc.paths[:0]
-		sc.slots = sc.slots[:0]
+		ss.demands = ss.demands[:0]
+		ss.paths = ss.paths[:0]
+		ss.slots = ss.slots[:0]
 		for j, fi := range idxs {
-			rt := &states[fi].routes[epoch]
+			st := &states[fi]
+			rt := st.routes[epoch-st.e0]
 			if rt.stalled {
 				continue
 			}
-			sc.demands = append(sc.demands, float64(states[fi].spec.Demand))
-			sc.paths = append(sc.paths, rt.path)
-			sc.slots = append(sc.slots, j)
+			ss.demands = append(ss.demands, float64(st.spec.Demand))
+			ss.paths = append(ss.paths, st.ps.paths[rt.path])
+			ss.slots = append(ss.slots, j)
 		}
-		if len(sc.demands) == 0 {
+		if len(ss.demands) == 0 {
 			return nil
 		}
-		rates, err := sc.solver.Solve(sc.demands, sc.paths, epochCaps[epoch])
+		rates, err := ss.solver.Solve(ss.demands, ss.paths, epochCaps[epoch])
 		if err != nil {
 			return err
 		}
-		for r, j := range sc.slots {
+		for r, j := range ss.slots {
 			rateArena[iv.off+j] = rates[r]
 		}
 		return nil
 	}
 	if workers <= 1 || len(intervals) <= 1 {
 		for k := range intervals {
-			if err := solve(&s.scratch, k); err != nil {
+			if err := solve(&sc.solve, k); err != nil {
 				return nil, err
 			}
 		}
@@ -540,9 +594,9 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var sc runScratch
+				var ss solveScratch
 				for k := w; k < len(intervals); k += workers {
-					if err := solve(&sc, k); err != nil {
+					if err := solve(&ss, k); err != nil {
 						errs[w] = err
 						return
 					}
@@ -586,17 +640,17 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		for j := 0; j < iv.n; j++ {
 			fi := activeIdx[iv.off+j]
 			st := &states[fi]
-			rt := &st.routes[epoch]
+			rt := st.routes[epoch-st.e0]
 			if rt.stalled {
 				st.downtime += iv.t1 - iv.t0
 				continue
 			}
 			rate := rateArena[iv.off+j]
 			st.delivered += rate * dt
-			for _, l := range rt.path {
+			for _, l := range st.ps.paths[rt.path] {
 				linkRate[l] += rate
 			}
-			for _, sw := range rt.switches {
+			for _, sw := range st.ps.switches[rt.path] {
 				switchRate[sw] += rate
 			}
 		}
@@ -611,12 +665,13 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	res.Flows = make([]FlowStat, len(states))
 	for i := range states {
 		st := &states[i]
-		startEpoch := 0
-		if tl != nil {
-			startEpoch = tl.EpochAt(st.spec.Start)
-		}
 		life := float64(st.spec.End - st.spec.Start)
-		path := st.routes[startEpoch].path
+		// routes[0] is the start epoch's decision; its path points into the
+		// pathSet cache, never into the scratch arena.
+		var path []int
+		if rt := st.routes[0]; !rt.stalled {
+			path = st.ps.paths[rt.path]
+		}
 		// Bottleneck over base capacities of the start-epoch path; a
 		// disabled (zero-capacity) link zeroes the bottleneck and
 		// TransferLatency charges hop delay only.
@@ -642,7 +697,7 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			TransferLatency: lat,
 		}
 	}
-	if tl != nil {
+	if tl != cleanTimeline {
 		rep := &FaultReport{
 			Events:      tl.Events,
 			Epochs:      numEpochs,

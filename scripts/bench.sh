@@ -20,12 +20,14 @@ trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
 echo "running root benchmarks..." >&2
 go test -run=NONE -benchmem \
-	-bench 'BenchmarkFabricSim$|BenchmarkRunParallel$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim' \
+	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkRunParallel$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$' \
 	. >>"$tmp"
 echo "running event-queue benchmark..." >&2
 go test -run=NONE -benchmem -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
 echo "running serve-path benchmarks..." >&2
 go test -run=NONE -benchmem -bench 'BenchmarkServeBatch$|BenchmarkServeStream$' ./cmd/serve >>"$tmp"
+echo "running disarmed-failpoint benchmark..." >&2
+go test -run=NONE -benchmem -bench 'BenchmarkChaosDisarmed$' ./internal/chaos >>"$tmp"
 
 echo "running serve-capacity comparison (singles vs /v1/batch)..." >&2
 go build -o "$tmpdir/serve" ./cmd/serve
@@ -61,6 +63,7 @@ END {
 	base["BenchmarkFabricSim"] = "{\"ns_per_op\": 577161, \"bytes_per_op\": 385824, \"allocs_per_op\": 3824}"
 	base["BenchmarkTopoPathsDragonfly"] = "{\"ns_per_op\": 1520248, \"bytes_per_op\": 862656, \"allocs_per_op\": 7624}"
 	base["BenchmarkTopoPathsTorus3D"] = "{\"ns_per_op\": 2036794, \"bytes_per_op\": 895616, \"allocs_per_op\": 8336}"
+	base["BenchmarkFaultSim"] = "{\"ns_per_op\": 33617561, \"bytes_per_op\": 48634728, \"allocs_per_op\": 7387}"
 	printf "{\n  \"benchmarks\": {\n" > out
 	for (i = 1; i <= n; i++) {
 		name = order[i]
@@ -82,7 +85,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths); current = dense Solver + path cache + event free list + pooled path-enumeration scratch. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"

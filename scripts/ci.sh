@@ -157,12 +157,13 @@ step_bench_smoke() {
 # Bench guard: a short measured run of the hot-path benchmarks compared
 # against the frozen BENCH_netsim.json. The default x5 ns/op tolerance
 # absorbs runner noise; override with BENCH_TOLERANCE for slower machines.
+# allocs/op and B/op are held to x1.25 plus a small constant.
 step_bench_guard() {
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
 	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim' \
+		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$' \
 		. >"$tmp/bench.out"
 	go test -run=NONE -benchmem -benchtime=100x \
 		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
