@@ -443,6 +443,56 @@ func BenchmarkTopoSimDragonfly(b *testing.B) { benchTopoSim(b, "dragonfly") }
 // BenchmarkTopoSimTorus3D is the 3D torus through the simulator.
 func BenchmarkTopoSimTorus3D(b *testing.B) { benchTopoSim(b, "torus3d") }
 
+// BenchmarkZooRow runs one cold row of the topologies scenario on its
+// slowest member: a fresh 32-host torus3d build and a fresh Sim with
+// ConcentrateRouting, through the scenario's low-load (4 active hosts),
+// full-load and faulted all-to-all phases at the scenario defaults. Unlike
+// BenchmarkTopoSim*, nothing is warm, so every path set is enumerated and
+// every switch list built inside the timed loop — the path the zoo-sim
+// workload takes per request.
+func BenchmarkZooRow(b *testing.B) {
+	const hosts, iters, level = 32, 2, 0.9
+	speed := 100 * units.Gbps
+	phase := func(s *netsim.Sim, active []int, tr *fault.Trace) {
+		job := traffic.Job{ID: 1, Hosts: active, Period: 1, CommRatio: 0.5,
+			Rate:    units.Bandwidth(level * float64(speed) / float64(len(active)-1)),
+			Pattern: traffic.AllToAll}
+		flows, err := job.Flows(iters)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Faults = tr
+		if _, err := s.Run(flows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		top, _, err := topo.Build("torus3d", topo.Spec{Hosts: hosts, LinkSpeed: speed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := netsim.New(top)
+		s.Routing = netsim.ConcentrateRouting
+		hs := top.Hosts()
+		phase(s, hs[:4], nil)
+		phase(s, hs, nil)
+		var optical []int
+		for _, l := range top.Links {
+			if l.Optical {
+				optical = append(optical, l.ID)
+			}
+		}
+		tr, err := fault.Generate(fault.GenConfig{
+			Horizon: iters, Links: optical, Flaps: 4, MTTR: 0.3,
+			PermanentFailures: 1, WakeStuckProb: 0.25, WakeStuckExtra: 0.3,
+		}, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phase(s, hs, tr)
+	}
+}
+
 // BenchmarkFaultSim reproduces one row of the faults scenario at its 4×
 // failure rate: a k=4 three-tier fat tree running all-to-all ×32 under a
 // generated fault trace, simulated fully powered and then with half the

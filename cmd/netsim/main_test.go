@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,30 @@ func runErr(t *testing.T, args ...string) {
 	var sb strings.Builder
 	if err := run(args, &sb); err == nil {
 		t.Fatalf("run(%v) expected error, got:\n%s", args, sb.String())
+	}
+}
+
+// TestScenarioGolden pins the topologies and faults tables against
+// checked-in snapshots, so a routing or simulator change that moves any
+// byte of either scenario shows up as a reviewable diff. Regenerate with:
+//
+//	go run ./cmd/netsim topologies -hosts 16 -seed 7 > cmd/netsim/testdata/topologies-h16-s7.golden
+//	go run ./cmd/netsim faults -seed 7 > cmd/netsim/testdata/faults-s7.golden
+func TestScenarioGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"topologies-h16-s7.golden", []string{"topologies", "-hosts", "16", "-seed", "7"}},
+		{"faults-s7.golden", []string{"faults", "-seed", "7"}},
+	} {
+		want, err := os.ReadFile("testdata/" + tc.golden)
+		if err != nil {
+			t.Fatalf("read golden: %v", err)
+		}
+		if got := runOK(t, tc.args...); got != string(want) {
+			t.Errorf("%v output drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, tc.golden, got, want)
+		}
 	}
 }
 

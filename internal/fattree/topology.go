@@ -77,7 +77,7 @@ type Topology struct {
 	Links  []Link
 
 	hosts    []int          // node IDs of hosts in order
-	adjacent map[int][]int  // node ID -> link IDs
+	adjacent [][]int        // node ID -> link IDs
 	linkAt   map[[2]int]int // (min,max) node pair -> link ID
 
 	// pathFn, when set, replaces the built-in Clos path enumeration for
@@ -102,7 +102,12 @@ func (t *Topology) SwitchIDs() []int {
 }
 
 // LinksOf returns the link IDs incident to a node.
-func (t *Topology) LinksOf(node int) []int { return t.adjacent[node] }
+func (t *Topology) LinksOf(node int) []int {
+	if node < 0 || node >= len(t.adjacent) {
+		return nil
+	}
+	return t.adjacent[node]
+}
 
 // LinkBetween returns the link joining two nodes, if any.
 func (t *Topology) LinkBetween(a, b int) (Link, bool) {
@@ -118,7 +123,7 @@ func (t *Topology) LinkBetween(a, b int) (Link, bool) {
 
 // Peer returns the node at the other end of a link.
 func (t *Topology) Peer(linkID, node int) int {
-	l := t.Links[linkID]
+	l := &t.Links[linkID]
 	if l.A == node {
 		return l.B
 	}
@@ -247,6 +252,7 @@ type builder struct {
 func (b *builder) addNode(kind NodeKind, pod, index int) int {
 	id := len(b.t.Nodes)
 	b.t.Nodes = append(b.t.Nodes, Node{ID: id, Kind: kind, Pod: pod, Index: index})
+	b.t.adjacent = append(b.t.adjacent, nil)
 	if kind == KindHost {
 		b.t.hosts = append(b.t.hosts, id)
 	}
@@ -266,10 +272,9 @@ func (b *builder) addLink(a, bID int, speed units.Bandwidth, optical bool) {
 
 func newBuilder(ports, stages int) *builder {
 	return &builder{t: Topology{
-		Ports:    ports,
-		Stages:   stages,
-		adjacent: make(map[int][]int),
-		linkAt:   make(map[[2]int]int),
+		Ports:  ports,
+		Stages: stages,
+		linkAt: make(map[[2]int]int),
 	}}
 }
 

@@ -68,9 +68,9 @@ type Sim struct {
 	// in-process formulas and adds nothing to the hot path.
 	Models *Models
 
-	// usedSwitches tracks switches already chosen by ConcentrateRouting
-	// within one Run.
-	usedSwitches map[int]bool
+	// usedSwitches marks, by node ID, the switches already chosen by
+	// ConcentrateRouting within one Run.
+	usedSwitches []bool
 
 	// pathCache memoizes the ECMP path enumeration (and the switches each
 	// path visits) per (src,dst) pair: the enumeration depends only on the
@@ -78,6 +78,10 @@ type Sim struct {
 	// survives across Run calls. Fault-filtered views of each entry are
 	// cached on the pathSet itself and invalidated per (run, epoch).
 	pathCache map[[2]int]*pathSet
+
+	// indices[:n] is [0, n): the alive set of an n-path set in any epoch
+	// with no dead links, shared by every cached path set.
+	indices []int
 
 	// runGen counts runs; it stamps the per-pathSet alive caches so a new
 	// run (possibly with a different fault trace) never reuses a stale
@@ -90,8 +94,10 @@ type Sim struct {
 
 // pathSet is one (src,dst) pair's cached ECMP choices.
 type pathSet struct {
-	paths    [][]int
-	switches [][]int // switches visited by paths[i], in path order
+	paths [][]int
+	// switches[i] lists the switches paths[i] visits, in path order. All
+	// lists share one arena, each cut with cap == len.
+	switches [][]int
 
 	// alive caches the indices of paths surviving the current fault
 	// epoch's dead-link set. Stamped with (run generation, epoch): a link
@@ -193,9 +199,28 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A path of n links visits n-1 switches: every node after the source
+	// host is a switch except the destination host. The arena is sized to
+	// that total, so it is exact and never grows.
+	total := 0
+	for _, p := range paths {
+		total += len(p) - 1
+	}
+	arena := make([]int, 0, total)
 	ps := &pathSet{paths: paths, switches: make([][]int, len(paths))}
 	for i, p := range paths {
-		ps.switches[i] = s.switchesOn(p, src)
+		start := len(arena)
+		at := src
+		for _, lid := range p {
+			at = s.Top.Peer(lid, at)
+			if s.Top.Nodes[at].IsSwitch() {
+				arena = append(arena, at)
+			}
+		}
+		ps.switches[i] = arena[start:len(arena):len(arena)]
+	}
+	for len(s.indices) < len(paths) {
+		s.indices = append(s.indices, len(s.indices))
 	}
 	if s.pathCache == nil {
 		s.pathCache = make(map[[2]int]*pathSet)
@@ -204,22 +229,25 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 	return ps, nil
 }
 
-// aliveFor returns the indices of ps.paths that avoid every dead link,
-// refreshing the pathSet's cached filter when it is stale for this
+// aliveFor returns the indices of ps.paths that avoid every dead link. An
+// epoch with no dead links (nil dead) keeps every path; otherwise the
+// pathSet's cached filter is refreshed when it is stale for this
 // (run, epoch) — the invalidation step after a link fails or recovers.
 func (s *Sim) aliveFor(ps *pathSet, epoch int, dead []bool) []int {
+	if dead == nil {
+		n := len(ps.paths)
+		return s.indices[:n:n]
+	}
 	if ps.aliveRun == s.runGen && ps.aliveEpoch == epoch {
 		return ps.alive
 	}
-	ps.alive = ps.alive[:0]
+	ps.alive = slices.Grow(ps.alive[:0], len(ps.paths))
 	for i, p := range ps.paths {
 		ok := true
-		if dead != nil {
-			for _, l := range p {
-				if dead[l] {
-					ok = false
-					break
-				}
+		for _, l := range p {
+			if dead[l] {
+				ok = false
+				break
 			}
 		}
 		if ok {
@@ -255,16 +283,24 @@ func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, epoch int, dead []bool) rout
 	}
 	rerouted := len(alive) < len(ps.paths)
 	if s.Routing == ConcentrateRouting {
+		// The first path with the fewest new switches wins, so scoring a
+		// path stops once it cannot beat the best so far, and the scan
+		// stops at a path that adds none.
 		best, bestNew := alive[0], len(s.Top.Nodes)+1
 		for _, i := range alive {
 			newSwitches := 0
 			for _, sw := range ps.switches[i] {
 				if !s.usedSwitches[sw] {
-					newSwitches++
+					if newSwitches++; newSwitches >= bestNew {
+						break
+					}
 				}
 			}
 			if newSwitches < bestNew {
 				best, bestNew = i, newSwitches
+				if bestNew == 0 {
+					break
+				}
 			}
 		}
 		for _, sw := range ps.switches[best] {
@@ -343,10 +379,7 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("netsim: no flows")
 	}
-	if s.usedSwitches == nil {
-		s.usedSwitches = make(map[int]bool)
-	}
-	clear(s.usedSwitches)
+	s.usedSwitches = resize(s.usedSwitches, len(s.Top.Nodes))
 	s.runGen++
 	sc := &s.scratch
 	var horizon units.Seconds
@@ -713,20 +746,6 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		res.Faults = rep
 	}
 	return res, nil
-}
-
-// switchesOn lists the switch nodes a path visits, walking the link
-// sequence from the source host.
-func (s *Sim) switchesOn(path []int, src int) []int {
-	var out []int
-	at := src
-	for _, lid := range path {
-		at = s.Top.Peer(lid, at)
-		if s.Top.Nodes[at].IsSwitch() {
-			out = append(out, at)
-		}
-	}
-	return out
 }
 
 // EnergyReport is the baseline network energy of a simulation under a

@@ -2,7 +2,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"netpowerprop/internal/fattree"
@@ -27,23 +27,30 @@ func InstallPaths(t *fattree.Topology, slack int) {
 }
 
 // scratch holds the per-enumeration working buffers — the BFS distance
-// field and queue, the DFS on-path marker, and the current-path stack.
+// field and queue, the DFS on-path marker, the current-path stack, and the
+// collected paths (back to back in arena, each ending at its ends entry).
 // They are reused across host pairs through scratchPool: path enumeration
-// runs for every ordered pair of a topology (and concurrently from
-// RunParallel workers), so per-call allocation of these O(nodes) slices
-// dominated the profile. Only the returned paths (and their shared arena)
-// are allocated per call, because they escape to the caller.
+// runs for every ordered pair of a topology, so per-call allocation of
+// these slices dominated the profile. Only the exact-size copy of the
+// result is allocated per call, because it escapes to the caller.
 type scratch struct {
 	dist   []int
 	queue  []int
 	onPath []bool
 	cur    []int
+	arena  []int
+	ends   []int
+
+	// The current pair's walk parameters, read by dfs.
+	t      *fattree.Topology
+	dst    int
+	budget int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // reset sizes the buffers for an n-node graph and restores their
-// invariants: dist all -1, onPath all false, queue and cur empty.
+// invariants: dist all -1, onPath all false, every stack empty.
 func (s *scratch) reset(n int) {
 	if cap(s.dist) < n {
 		s.dist = make([]int, n)
@@ -54,11 +61,11 @@ func (s *scratch) reset(n int) {
 	for i := range s.dist {
 		s.dist[i] = -1
 	}
-	for i := range s.onPath {
-		s.onPath[i] = false
-	}
+	clear(s.onPath)
 	s.queue = s.queue[:0]
 	s.cur = s.cur[:0]
+	s.arena = s.arena[:0]
+	s.ends = s.ends[:0]
 }
 
 // enumerate runs the bounded DFS over the distance field from dst.
@@ -86,56 +93,60 @@ func enumerate(t *fattree.Topology, src, dst, slack int) ([][]int, error) {
 	if dist[src] < 0 {
 		return nil, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
 	}
-	budget := dist[src] + slack
 
-	// DFS from src in link-ID order, pruned by the distance field: a step
-	// onto p is viable only if the spent length plus p's remaining
-	// distance fits the budget. onPath keeps paths simple. Every returned
-	// path is a sub-slice of one shared arena, so the whole result set
-	// costs two allocations instead of one per path.
-	paths := make([][]int, 0, maxPaths)
-	arena := make([]int, 0, maxPaths*budget)
-	onPath := s.onPath
-	onPath[src] = true
-	cur := s.cur
-	var dfs func(v, spent int)
-	dfs = func(v, spent int) {
-		if len(paths) >= maxPaths {
-			return
-		}
-		for _, lid := range t.LinksOf(v) {
-			p := t.Peer(lid, v)
-			if onPath[p] || dist[p] < 0 || spent+1+dist[p] > budget {
-				continue
-			}
-			// Other hosts are dead ends; only dst terminates a path.
-			if t.Nodes[p].Kind == fattree.KindHost && p != dst {
-				continue
-			}
-			cur = append(cur, lid)
-			if p == dst {
-				start := len(arena)
-				arena = append(arena, cur...)
-				paths = append(paths, arena[start:len(arena):len(arena)])
-			} else {
-				onPath[p] = true
-				dfs(p, spent+1)
-				onPath[p] = false
-			}
-			cur = cur[:len(cur)-1]
-			if len(paths) >= maxPaths {
-				return
-			}
-		}
-	}
-	dfs(src, 0)
-	onPath[src] = false
-	s.cur = cur[:0]
-	if len(paths) == 0 {
+	s.t, s.dst, s.budget = t, dst, dist[src]+slack
+	s.onPath[src] = true
+	s.dfs(src, 0)
+	s.onPath[src] = false
+	s.t = nil // the pool must not pin the topology
+	if len(s.ends) == 0 {
 		return nil, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
+	}
+
+	// Copy the collected paths out of the scratch into one exact-size
+	// arena, each path cut with cap == len so an append by the caller
+	// reallocates instead of overwriting its neighbour.
+	arena := make([]int, len(s.arena))
+	copy(arena, s.arena)
+	paths := make([][]int, len(s.ends))
+	start := 0
+	for i, end := range s.ends {
+		paths[i] = arena[start:end:end]
+		start = end
 	}
 	// Shortest first (stable on discovery order), so ECMP hashing favors
 	// minimal routes and detours serve as fault spares.
-	sort.SliceStable(paths, func(i, j int) bool { return len(paths[i]) < len(paths[j]) })
+	slices.SortStableFunc(paths, func(a, b []int) int { return len(a) - len(b) })
 	return paths, nil
+}
+
+// dfs extends the current path from v in link-ID order, pruned by the
+// distance field: a step onto p is viable only if the spent length plus
+// p's remaining distance fits the budget. onPath keeps paths simple. Each
+// path reaching dst is appended to the scratch arena, up to maxPaths.
+func (s *scratch) dfs(v, spent int) {
+	t := s.t
+	for _, lid := range t.LinksOf(v) {
+		p := t.Peer(lid, v)
+		if s.onPath[p] || s.dist[p] < 0 || spent+1+s.dist[p] > s.budget {
+			continue
+		}
+		// Other hosts are dead ends; only dst terminates a path.
+		if t.Nodes[p].Kind == fattree.KindHost && p != s.dst {
+			continue
+		}
+		s.cur = append(s.cur, lid)
+		if p == s.dst {
+			s.arena = append(s.arena, s.cur...)
+			s.ends = append(s.ends, len(s.arena))
+		} else {
+			s.onPath[p] = true
+			s.dfs(p, spent+1)
+			s.onPath[p] = false
+		}
+		s.cur = s.cur[:len(s.cur)-1]
+		if len(s.ends) >= maxPaths {
+			return
+		}
+	}
 }

@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,10 +107,37 @@ func checkWalk(topo *fattree.Topology, src, dst int, path []int) error {
 	return nil
 }
 
+// checkPathArena verifies a path set's shape: shortest first, and every
+// path cut from its shared arena with cap == len, so appending to one path
+// leaves every other path of the set unchanged.
+func checkPathArena(paths [][]int) error {
+	want := make([][]int, len(paths))
+	for i, p := range paths {
+		if cap(p) != len(p) {
+			return fmt.Errorf("path %d has cap %d != len %d", i, cap(p), len(p))
+		}
+		if i > 0 && len(p) < len(paths[i-1]) {
+			return fmt.Errorf("path %d shorter than path %d", i, i-1)
+		}
+		want[i] = slices.Clone(p)
+	}
+	for i := range paths {
+		grown := append(paths[i], -1)
+		grown[len(grown)-1] = -2
+	}
+	for i := range paths {
+		if !slices.Equal(paths[i], want[i]) {
+			return fmt.Errorf("path %d changed by an append to a neighbour: %v, want %v", i, paths[i], want[i])
+		}
+	}
+	return nil
+}
+
 // TestZooPaths checks every host pair of every generator has at least one
-// valid loop-free path, in both directions.
+// valid loop-free path, in both directions, and that each path set comes
+// back shortest first from an exact arena whose paths do not alias.
 func TestZooPaths(t *testing.T) {
-	for _, hosts := range []int{5, 24} {
+	for _, hosts := range []int{5, 16, 24} {
 		for name, topo := range buildAll(t, hosts) {
 			hs := topo.Hosts()
 			for i := 0; i < len(hs); i++ {
@@ -128,6 +156,9 @@ func TestZooPaths(t *testing.T) {
 						if err := checkWalk(topo, hs[i], hs[j], p); err != nil {
 							t.Fatalf("%s/%d: path %v between %d and %d: %v", name, hosts, p, hs[i], hs[j], err)
 						}
+					}
+					if err := checkPathArena(paths); err != nil {
+						t.Fatalf("%s/%d: paths between %d and %d: %v", name, hosts, hs[i], hs[j], err)
 					}
 				}
 			}

@@ -44,13 +44,17 @@ step_jobs_race() {
 	go test -race -count=2 ./internal/jobs/
 }
 
-# Fault determinism: the same seed must print the same failure-rate table.
+# Fault determinism: the same seed must print the same failure-rate table,
+# and that table must match the checked-in golden file byte for byte, so a
+# simulator change that moves the output fails here as well as in the
+# cmd/netsim golden test.
 step_fault_determinism() {
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go run ./cmd/netsim faults -seed 7 >"$tmp/faults1.txt"
 	go run ./cmd/netsim faults -seed 7 >"$tmp/faults2.txt"
 	cmp "$tmp/faults1.txt" "$tmp/faults2.txt"
+	cmp "$tmp/faults1.txt" cmd/netsim/testdata/faults-s7.golden
 }
 
 # Kill-and-resume smoke: run a journaled job, kill the process dead (exit 3,
@@ -113,13 +117,15 @@ step_metrics_smoke() {
 # Topologies determinism: the cross-topology zoo comparison must print the
 # same table twice — same seed, same fault trace, byte for byte — even
 # though rows are built by a parallel fan-out and several generators route
-# through the installed path enumerator.
+# through the installed path enumerator. The table must also match the
+# checked-in golden file, so a routing change that moves any byte fails.
 step_topologies_determinism() {
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go run ./cmd/netsim topologies -hosts 16 -seed 7 >"$tmp/zoo1.txt"
 	go run ./cmd/netsim topologies -hosts 16 -seed 7 >"$tmp/zoo2.txt"
 	cmp "$tmp/zoo1.txt" "$tmp/zoo2.txt"
+	cmp "$tmp/zoo1.txt" cmd/netsim/testdata/topologies-h16-s7.golden
 }
 
 # Co-simulation determinism: the same seeded topologies run three ways —
@@ -163,7 +169,7 @@ step_bench_guard() {
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
 	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$' \
+		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkZooRow$' \
 		. >"$tmp/bench.out"
 	go test -run=NONE -benchmem -benchtime=100x \
 		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
