@@ -302,7 +302,10 @@ func BenchmarkScheduler(b *testing.B) {
 }
 
 // BenchmarkFabricSim runs the flow-level simulator on a k=8 fat tree with
-// a full ring job — the substrate every §4 experiment builds on.
+// a full ring job — the substrate every §4 experiment builds on. The Sim
+// is warmed first, like BenchmarkTopoSim*'s, so allocs/op counts a warm
+// run at any -benchtime instead of amortizing the cold run's scratch
+// arenas over b.N.
 func BenchmarkFabricSim(b *testing.B) {
 	top, err := fattree.BuildThreeTier(8, 100*units.Gbps)
 	if err != nil {
@@ -315,6 +318,9 @@ func BenchmarkFabricSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := netsim.New(top)
+	if _, err := s.Run(flows); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Run(flows); err != nil {
@@ -341,6 +347,9 @@ func BenchmarkFabricSimCosimOff(b *testing.B) {
 	}
 	s := netsim.New(top)
 	s.Models = nil
+	if _, err := s.Run(flows); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := s.Run(flows)
@@ -354,7 +363,7 @@ func BenchmarkFabricSimCosimOff(b *testing.B) {
 }
 
 // BenchmarkRunParallel is BenchmarkFabricSim's workload through the
-// parallel interval fan-out at GOMAXPROCS workers.
+// parallel interval fan-out at GOMAXPROCS workers, on a warmed Sim.
 func BenchmarkRunParallel(b *testing.B) {
 	top, err := fattree.BuildThreeTier(8, 100*units.Gbps)
 	if err != nil {
@@ -367,6 +376,9 @@ func BenchmarkRunParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := netsim.New(top)
+	if _, err := s.RunParallel(flows, 0); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunParallel(flows, 0); err != nil {

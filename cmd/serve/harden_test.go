@@ -84,6 +84,40 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
+// A non-finite query number (strconv.ParseFloat accepts NaN and Inf) is a
+// bad request: 400 with a JSON error, and no panic anywhere on the way.
+func TestNonFiniteQueryReturns400(t *testing.T) {
+	srv := newTestServer(t)
+	for _, path := range []string{
+		"/v1/whatif?ratio=NaN",
+		"/v1/sweep?ratio=nan",
+		"/v1/whatif?netprop=NaN",
+		"/v1/cost?price=Inf",
+		"/v1/fig3?props=0.5,NaN",
+		"/v1/scenarios/topologies?level=NaN",
+		"/v1/scenarios/faults?mttr=%2BInf",
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(body.Error, "not a finite number") {
+			t.Errorf("GET %s: status %d, error %q (decode %v); want 400 naming the non-finite number", path, resp.StatusCode, body.Error, err)
+		}
+	}
+	metrics := getText(t, srv.URL+"/metrics")
+	for _, want := range []string{"netpowerprop_http_panics_total 0", "netpowerprop_engine_panics_total 0"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %s", want)
+		}
+	}
+}
+
 // A request outlasting its deadline answers 504 and counts on /metrics.
 func TestDeadlineReturns504(t *testing.T) {
 	s, _ := newWiredServer(engine.Options{}, 30*time.Millisecond)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,42 @@ func TestNormalizeErrors(t *testing.T) {
 		if _, err := req.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v): expected error", req)
 		}
+	}
+}
+
+// Every non-finite number a request can carry is a validation error from
+// Normalize, not a panic when Do encodes the canonical key.
+func TestNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"whatif ratio NaN", Request{Op: OpWhatIf, CommRatio: nan}, "ratio"},
+		{"sweep ratio NaN", Request{Op: OpSweep, CommRatio: nan}, "ratio"},
+		{"network proportionality NaN", Request{Op: OpWhatIf, NetworkProportionality: ptr(nan)}, "network proportionality"},
+		{"compute proportionality -Inf", Request{Op: OpTable3, ComputeProportionality: ptr(-inf)}, "compute proportionality"},
+		{"overlap NaN", Request{Op: OpWhatIf, Overlap: nan}, "overlap"},
+		{"proportionalities NaN", Request{Op: OpFig3, Proportionalities: []float64{0.5, nan}}, "proportionality"},
+		{"fixed comm ratio NaN", Request{Op: OpFig4, FixedCommRatio: nan}, "fixed comm ratio"},
+		{"price +Inf", Request{Op: OpCost, Price: ptr(inf)}, "electricity price"},
+		{"cooling NaN", Request{Op: OpCost, Cooling: ptr(nan)}, "cooling overhead"},
+		{"scenario param +Inf", Request{Op: OpScenario, Scenario: "topologies", Params: map[string]float64{"level": inf}}, `"level"`},
+		{"scenario params name the first key", Request{Op: OpScenario, Scenario: "faults",
+			Params: map[string]float64{"seed": nan, "iters": inf, "mttr": nan}}, `"iters"`},
+	}
+	e := New(Options{})
+	for _, c := range cases {
+		if _, err := c.req.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("%s: Normalize err = %v, want a non-finite %s error", c.name, err, c.want)
+		}
+		if _, _, err := e.Do(context.Background(), c.req); err == nil {
+			t.Errorf("%s: Do succeeded, want an error", c.name)
+		}
+	}
+	if m := e.Metrics(); m.Errors != uint64(len(cases)) {
+		t.Errorf("errors = %d, want %d", m.Errors, len(cases))
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"netpowerprop/internal/core"
@@ -91,6 +92,9 @@ func (r Request) Normalize() (Request, error) {
 		return Request{}, fmt.Errorf("engine: unknown op %q", r.Op)
 	}
 
+	if err := r.checkFinite(); err != nil {
+		return Request{}, err
+	}
 	if r.Op == OpScenario {
 		return r.normalizeScenario()
 	}
@@ -196,6 +200,53 @@ func (r Request) Normalize() (Request, error) {
 	}
 	return n, nil
 }
+
+// checkFinite rejects a request carrying a NaN or infinite number in any
+// float field or scenario parameter: no range check catches NaN, and the
+// canonical key cannot encode either. Parameters are checked in key order,
+// so the error names the same one every time.
+func (r Request) checkFinite() error {
+	bad, badV := "", 0.0
+	note := func(name string, v float64) {
+		if bad == "" && !finite(v) {
+			bad, badV = name, v
+		}
+	}
+	note("ratio", r.CommRatio)
+	for _, f := range []struct {
+		name string
+		p    *float64
+	}{
+		{"network proportionality", r.NetworkProportionality},
+		{"compute proportionality", r.ComputeProportionality},
+		{"electricity price", r.Price},
+		{"cooling overhead", r.Cooling},
+	} {
+		if f.p != nil {
+			note(f.name, *f.p)
+		}
+	}
+	note("overlap", r.Overlap)
+	for _, p := range r.Proportionalities {
+		note("proportionality", p)
+	}
+	note("fixed comm ratio", r.FixedCommRatio)
+	if bad != "" {
+		return fmt.Errorf("engine: %s %v is not a finite number", bad, badV)
+	}
+	for k, v := range r.Params {
+		if !finite(v) && (bad == "" || k < bad) {
+			bad, badV = k, v
+		}
+	}
+	if bad != "" {
+		return fmt.Errorf("engine: scenario parameter %q %v is not a finite number", bad, badV)
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // normalizeScenario resolves a scenario request against the scenario
 // registry: the scenario must exist, unknown parameters are rejected, and

@@ -7,6 +7,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -73,11 +74,12 @@ type Sim struct {
 	usedSwitches []bool
 
 	// pathCache memoizes the ECMP path enumeration (and the switches each
-	// path visits) per (src,dst) pair: the enumeration depends only on the
-	// topology, never on seed, routing mode, or capacity overrides, so it
-	// survives across Run calls. Fault-filtered views of each entry are
-	// cached on the pathSet itself and invalidated per (run, epoch).
-	pathCache map[[2]int]*pathSet
+	// path visits) per (src,dst) pair, keyed src<<32|dst: the enumeration
+	// depends only on the topology, never on seed, routing mode, or
+	// capacity overrides, so it survives across Run calls. Fault-filtered
+	// views of each entry are cached on the pathSet itself and invalidated
+	// per (run, epoch).
+	pathCache map[uint64]*pathSet
 
 	// indices[:n] is [0, n): the alive set of an n-path set in any epoch
 	// with no dead links, shared by every cached path set.
@@ -99,6 +101,10 @@ type pathSet struct {
 	// lists share one arena, each cut with cap == len.
 	switches [][]int
 
+	// hash is the FNV-1a state after folding in (src, dst); HashECMP
+	// folds in only the seed per route.
+	hash uint64
+
 	// alive caches the indices of paths surviving the current fault
 	// epoch's dead-link set. Stamped with (run generation, epoch): a link
 	// failing or recovering starts a new epoch, which invalidates the
@@ -111,7 +117,8 @@ type pathSet struct {
 // runScratch is one Sim's per-run arenas, reused across Run calls.
 // Nothing in a Result aliases it.
 type runScratch struct {
-	solve     solveScratch // the serial path's solve state
+	solve     solveScratch   // the serial path's solve state
+	workers   []solveScratch // RunParallel's per-worker solve states
 	states    []flowState
 	routes    []route // every flow's epoch window, back to back
 	epochOff  []int   // per-epoch bucket bounds into buckets
@@ -123,6 +130,36 @@ type runScratch struct {
 	cur       []int
 	epochOf   []int
 	rates     []float64
+	// caps holds the base link capacities followed by one copy per dead
+	// epoch; epochCaps[e] is epoch e's window into it.
+	caps      []float64
+	epochCaps [][]float64
+
+	// Trace emission state, indexed by device: link l is device l and
+	// node n is device len(Links)+n. devRate[d] is the current interval's
+	// rate sum, valid only while marked[d]; open[d] is the device's
+	// not-yet-emitted segment. touched and prev list the devices marked
+	// in the current and previous interval; emitted collects closed
+	// segments in time order; segOff is the counting sort's offsets.
+	devRate       []float64
+	marked        []bool
+	open          []openSegment
+	touched, prev []int
+	emitted       []deviceSegment
+	segOff        []int
+}
+
+// openSegment is a device's current constant-rate span, still open at its
+// end.
+type openSegment struct {
+	start units.Seconds
+	rate  units.Bandwidth
+}
+
+// deviceSegment is one closed segment of one device's trace.
+type deviceSegment struct {
+	dev int
+	seg Segment
 }
 
 // solveScratch is the per-worker solve state.
@@ -133,6 +170,44 @@ type solveScratch struct {
 	// slots maps each solver row back to its position in the interval's
 	// active-flow snapshot; stalled flows are excluded from the solve.
 	slots []int
+
+	// The last solve's inputs and rates. An interval whose capacity slice
+	// (by identity) and ordered (path identity, demand) rows equal them
+	// reuses lastRates instead of solving again: consecutive intervals of a
+	// periodic job often repeat a solve exactly. lastRates is the solver's
+	// own slice, valid until its next Solve.
+	memo        bool
+	lastCaps    []float64
+	lastDemands []float64
+	lastPaths   [][]int
+	lastRates   []float64
+}
+
+// rates returns the max-min fair rates for the rows in ss.demands and
+// ss.paths under capacity, reusing the previous solve when its inputs
+// repeat.
+func (ss *solveScratch) rates(capacity []float64) ([]float64, error) {
+	if ss.memo && sameSlice(capacity, ss.lastCaps) && slices.Equal(ss.demands, ss.lastDemands) &&
+		slices.EqualFunc(ss.paths, ss.lastPaths, sameSlice[int]) {
+		return ss.lastRates, nil
+	}
+	ss.memo = false // Solve overwrites lastRates, the solver's own slice
+	rates, err := ss.solver.Solve(ss.demands, ss.paths, capacity)
+	if err != nil {
+		return nil, err
+	}
+	// Keep this solve's rows as the memo; the old memo's buffers become the
+	// next interval's rows.
+	ss.demands, ss.lastDemands = ss.lastDemands, ss.demands
+	ss.paths, ss.lastPaths = ss.lastPaths, ss.paths
+	ss.memo, ss.lastCaps, ss.lastRates = true, capacity, rates
+	return rates, nil
+}
+
+// sameSlice reports whether a and b are the same slice: equal length and,
+// when non-empty, the same first element.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // New returns a simulator over a topology.
@@ -179,19 +254,25 @@ type FaultReport struct {
 }
 
 // Result is a completed simulation: utilization traces per link and per
-// switch, plus flow outcomes. Traces cover [0, Horizon].
+// switch, plus flow outcomes. Traces cover [0, Horizon] (from the earliest
+// flow start, if one starts before 0). Every trace is cut from one shared
+// segment arena with cap == len, so appending to one never writes into
+// another.
 type Result struct {
-	Horizon     units.Seconds
-	LinkTrace   map[int]Trace
-	SwitchTrace map[int]Trace
-	Flows       []FlowStat
+	Horizon units.Seconds
+	// LinkTrace[id] is link id's trace, for every link in the topology.
+	LinkTrace []Trace
+	// SwitchTrace[id] is node id's trace: one per switch, nil for hosts.
+	SwitchTrace []Trace
+	// Flows[i] reports the run's flows[i].
+	Flows []FlowStat
 	// Faults reports fault impact; nil when the run had no fault trace.
 	Faults *FaultReport
 }
 
 // pathsFor returns the cached path set for a pair, enumerating on first use.
 func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
-	key := [2]int{src, dst}
+	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	if ps, ok := s.pathCache[key]; ok {
 		return ps, nil
 	}
@@ -207,7 +288,8 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 		total += len(p) - 1
 	}
 	arena := make([]int, 0, total)
-	ps := &pathSet{paths: paths, switches: make([][]int, len(paths))}
+	ps := &pathSet{paths: paths, switches: make([][]int, len(paths)), hash: fnvFold(fnvOffset, uint64(src))}
+	ps.hash = fnvFold(ps.hash, uint64(dst))
 	for i, p := range paths {
 		start := len(arena)
 		at := src
@@ -223,7 +305,7 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 		s.indices = append(s.indices, len(s.indices))
 	}
 	if s.pathCache == nil {
-		s.pathCache = make(map[[2]int]*pathSet)
+		s.pathCache = make(map[uint64]*pathSet)
 	}
 	s.pathCache[key] = ps
 	return ps, nil
@@ -276,7 +358,7 @@ type route struct {
 // routeFor picks one of ps's paths per the routing policy, restricted to
 // paths avoiding the epoch's dead links. With no dead links the choice is
 // identical to the fault-free policy.
-func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, epoch int, dead []bool) route {
+func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 	alive := s.aliveFor(ps, epoch, dead)
 	if len(alive) == 0 {
 		return route{stalled: true}
@@ -308,19 +390,24 @@ func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, epoch int, dead []bool) rout
 		}
 		return route{path: int32(best), rerouted: rerouted}
 	}
-	// Inline FNV-1a over (src, dst, seed) in little-endian order — the
-	// same bytes the hash.Hash64 version fed, without its allocation. The
-	// hash picks among surviving paths, so the fault-free choice (all
-	// paths alive) is unchanged.
-	h := uint64(14695981039346656037)
-	for _, v := range [3]uint64{uint64(f.Src), uint64(f.Dst), s.ECMPSeed} {
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(v >> (8 * i)))
-			h *= 1099511628211
-		}
-	}
+	// FNV-1a over (src, dst, seed) in little-endian order, with the
+	// (src, dst) prefix folded once per pathSet. The hash picks among
+	// surviving paths, so the fault-free choice (all paths alive) is
+	// unchanged.
+	h := fnvFold(ps.hash, s.ECMPSeed)
 	i := alive[h%uint64(len(alive))]
 	return route{path: int32(i), rerouted: rerouted}
+}
+
+const fnvOffset = 14695981039346656037
+
+// fnvFold feeds v's 8 little-endian bytes into the FNV-1a state h.
+func fnvFold(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(v >> (8 * i)))
+		h *= 1099511628211
+	}
+	return h
 }
 
 // capacityOf resolves a link's effective capacity.
@@ -333,9 +420,9 @@ func (s *Sim) capacityOf(l fattree.Link) units.Bandwidth {
 	return l.Speed
 }
 
-// flowState is one flow's per-epoch routing decisions and running account.
+// flowState is one flow's per-epoch routing decisions and running
+// account; states[i] belongs to flows[i].
 type flowState struct {
-	spec traffic.Flow
 	// e0 and e1 are the first and last fault epochs the flow's window
 	// overlaps; routes[e-e0] is the decision for epoch e, so routes[0] is
 	// the start epoch's. Fault-free runs have one epoch.
@@ -382,8 +469,14 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	s.usedSwitches = resize(s.usedSwitches, len(s.Top.Nodes))
 	s.runGen++
 	sc := &s.scratch
+	// The caps arena outlives a run, so a remembered solve from an earlier
+	// run could match a reused capacity slice holding other values.
+	sc.solve.memo = false
 	var horizon units.Seconds
 	for i, f := range flows {
+		if !finite(float64(f.Start)) || !finite(float64(f.End)) || !finite(float64(f.Demand)) {
+			return nil, fmt.Errorf("netsim: flow %d non-finite start %v, end %v or demand %v", i, f.Start, f.End, f.Demand)
+		}
 		if f.End <= f.Start {
 			return nil, fmt.Errorf("netsim: flow %d empty window [%v,%v]", i, f.Start, f.End)
 		}
@@ -425,7 +518,7 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	overlap := 0
 	for i, f := range flows {
 		e0, e1 := tl.Span(f.Start, f.End)
-		states[i] = flowState{spec: f, e0: e0, e1: e1}
+		states[i] = flowState{e0: e0, e1: e1}
 		for e := e0; e <= e1; e++ {
 			epochOff[e+1]++
 		}
@@ -465,13 +558,13 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		for _, i := range buckets[lo:epochOff[e]] {
 			st := &states[i]
 			if st.ps == nil {
-				ps, err := s.pathsFor(st.spec.Src, st.spec.Dst)
+				ps, err := s.pathsFor(flows[i].Src, flows[i].Dst)
 				if err != nil {
 					return nil, fmt.Errorf("netsim: flow %d: %w", i, err)
 				}
 				st.ps = ps
 			}
-			rt := s.routeFor(st.spec, st.ps, e, dead)
+			rt := s.routeFor(st.ps, e, dead)
 			if rt.rerouted && !rt.stalled {
 				reroutes++
 			}
@@ -482,10 +575,10 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 
 	// Event times: every flow boundary and epoch start plus 0 and horizon,
 	// sorted unique, so each interval lies within exactly one epoch.
-	times := slices.Grow(sc.times[:0], 2*len(states)+numEpochs+1)
+	times := slices.Grow(sc.times[:0], 2*len(flows)+numEpochs+1)
 	times = append(times, 0, horizon)
-	for i := range states {
-		times = append(times, states[i].spec.Start, states[i].spec.End)
+	for _, f := range flows {
+		times = append(times, f.Start, f.End)
 	}
 	times = append(times, tl.Starts[1:]...)
 	slices.Sort(times)
@@ -495,13 +588,13 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	// Sweep the sorted start/end events once to snapshot each interval's
 	// active flows, replacing the O(intervals × flows) rescan. Flow order
 	// within an interval is (start, input index) — deterministic.
-	byStart := resize(sc.byStart, len(states))
+	byStart := resize(sc.byStart, len(flows))
 	sc.byStart = byStart
 	for i := range byStart {
 		byStart[i] = i
 	}
 	slices.SortStableFunc(byStart, func(a, b int) int {
-		sa, sb := states[a].spec.Start, states[b].spec.Start
+		sa, sb := flows[a].Start, flows[b].Start
 		switch {
 		case sa < sb:
 			return -1
@@ -513,17 +606,17 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	})
 	intervals := slices.Grow(sc.intervals[:0], len(times)-1)
 	activeIdx := sc.activeIdx[:0] // arena: every interval's active-flow snapshot
-	cur := slices.Grow(sc.cur[:0], len(states))
+	cur := slices.Grow(sc.cur[:0], len(flows))
 	next := 0
 	for ti := 0; ti+1 < len(times); ti++ {
 		t0, t1 := times[ti], times[ti+1]
-		for next < len(byStart) && states[byStart[next]].spec.Start <= t0 {
+		for next < len(byStart) && flows[byStart[next]].Start <= t0 {
 			cur = append(cur, byStart[next])
 			next++
 		}
 		k := 0
 		for _, fi := range cur {
-			if states[fi].spec.End > t0 {
+			if flows[fi].End > t0 {
 				cur[k] = fi
 				k++
 			}
@@ -546,19 +639,32 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		epochOf[k] = ep
 	}
 
-	caps := make([]float64, len(s.Top.Links))
+	// Per-epoch capacities, carved from one arena: dead links drop to zero
+	// so the max-min solver cannot place traffic on them. Clean epochs
+	// share the base window.
+	nl := len(s.Top.Links)
+	deadEpochs := 0
+	for e := 0; e < numEpochs; e++ {
+		if tl.DeadCount[e] > 0 {
+			deadEpochs++
+		}
+	}
+	capArena := resize(sc.caps, nl*(1+deadEpochs))
+	sc.caps = capArena
+	caps := capArena[:nl:nl]
 	for _, l := range s.Top.Links {
 		caps[l.ID] = float64(s.capacityOf(l))
 	}
-	// Per-epoch capacities: dead links drop to zero so the max-min solver
-	// cannot place traffic on them. Clean epochs share the base slice.
-	epochCaps := make([][]float64, numEpochs)
+	epochCaps := resize(sc.epochCaps, numEpochs)
+	sc.epochCaps = epochCaps
+	off = nl
 	for e := range epochCaps {
 		if tl.DeadCount[e] == 0 {
 			epochCaps[e] = caps
 			continue
 		}
-		ec := make([]float64, len(caps))
+		ec := capArena[off : off+nl : off+nl]
+		off += nl
 		copy(ec, caps)
 		for l, d := range tl.Dead[e] {
 			if d {
@@ -574,62 +680,29 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	// excluded from the solve and keep the arena's zero rate.
 	rateArena := resize(sc.rates, len(activeIdx))
 	sc.rates = rateArena
-	solve := func(ss *solveScratch, k int) error {
-		iv := intervals[k]
-		if iv.n == 0 {
-			return nil
-		}
-		epoch := epochOf[k]
-		idxs := activeIdx[iv.off : iv.off+iv.n]
-		if cap(ss.demands) < iv.n {
-			ss.demands = make([]float64, 0, iv.n)
-			ss.paths = make([][]int, 0, iv.n)
-			ss.slots = make([]int, 0, iv.n)
-		}
-		ss.demands = ss.demands[:0]
-		ss.paths = ss.paths[:0]
-		ss.slots = ss.slots[:0]
-		for j, fi := range idxs {
-			st := &states[fi]
-			rt := st.routes[epoch-st.e0]
-			if rt.stalled {
-				continue
-			}
-			ss.demands = append(ss.demands, float64(st.spec.Demand))
-			ss.paths = append(ss.paths, st.ps.paths[rt.path])
-			ss.slots = append(ss.slots, j)
-		}
-		if len(ss.demands) == 0 {
-			return nil
-		}
-		rates, err := ss.solver.Solve(ss.demands, ss.paths, epochCaps[epoch])
-		if err != nil {
-			return err
-		}
-		for r, j := range ss.slots {
-			rateArena[iv.off+j] = rates[r]
-		}
-		return nil
-	}
 	if workers <= 1 || len(intervals) <= 1 {
 		for k := range intervals {
-			if err := solve(&sc.solve, k); err != nil {
+			if err := sc.solveInterval(&sc.solve, flows, k); err != nil {
 				return nil, err
 			}
 		}
 	} else {
-		if workers > len(intervals) {
-			workers = len(intervals)
+		n := min(workers, len(intervals))
+		for len(sc.workers) < n {
+			sc.workers = append(sc.workers, solveScratch{})
 		}
-		errs := make([]error, workers)
+		errs := make([]error, n)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var ss solveScratch
-				for k := w; k < len(intervals); k += workers {
-					if err := solve(&ss, k); err != nil {
+				// Each worker remembers only its own last solve, and none
+				// from an earlier run.
+				ss := &sc.workers[w]
+				ss.memo = false
+				for k := w; k < len(sc.intervals); k += n {
+					if err := sc.solveInterval(ss, flows, k); err != nil {
 						errs[w] = err
 						return
 					}
@@ -644,30 +717,49 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		}
 	}
 
-	// Accumulate delivered bits, per-link and per-switch rate sums, and
-	// traces serially in time order: the summation order is identical for
-	// every worker count, keeping serial and parallel output byte-identical.
-	res := &Result{
-		Horizon:     horizon,
-		LinkTrace:   make(map[int]Trace, len(s.Top.Links)),
-		SwitchTrace: make(map[int]Trace),
+	// Accumulate delivered bits and per-device rate sums serially in time
+	// order, so every sum adds the same terms in the same order for every
+	// worker count. Only devices on an active flow's path are summed; a
+	// device's open segment is closed only when its rate changes, which can
+	// happen only to a device touched in this interval or the previous one
+	// (an untouched device carries zero).
+	nd := nl + len(s.Top.Nodes)
+	devRate := resize(sc.devRate, nd)
+	marked := resize(sc.marked, nd)
+	open := resize(sc.open, nd)
+	sc.devRate, sc.marked, sc.open = devRate, marked, open
+	for d := range open {
+		open[d].start = times[0]
 	}
-	switchIDs := s.Top.SwitchIDs()
-	for _, l := range s.Top.Links {
-		res.LinkTrace[l.ID] = nil
+	touched, prev := sc.touched[:0], sc.prev[:0]
+	emitted := sc.emitted[:0]
+	add := func(d int, rate float64) {
+		if !marked[d] {
+			marked[d] = true
+			devRate[d] = 0
+			touched = append(touched, d)
+		}
+		devRate[d] += rate
 	}
-	for _, sw := range switchIDs {
-		res.SwitchTrace[sw] = nil
+	closeAt := func(d int, t units.Seconds) {
+		o := open[d]
+		emitted = append(emitted, deviceSegment{dev: d, seg: Segment{Start: o.start, End: t, Rate: o.rate}})
 	}
-	linkRate := make([]float64, len(s.Top.Links))
-	switchRate := make([]float64, len(s.Top.Nodes))
+	// settle closes d's open segment at t if d's rate changes there; the
+	// first interval only sets the rate of the empty segment at times[0].
+	settle := func(d int, t units.Seconds) {
+		var rate units.Bandwidth
+		if marked[d] {
+			rate = units.Bandwidth(devRate[d])
+		}
+		if o := &open[d]; rate != o.rate {
+			if o.start < t {
+				closeAt(d, t)
+			}
+			o.start, o.rate = t, rate
+		}
+	}
 	for k, iv := range intervals {
-		for i := range linkRate {
-			linkRate[i] = 0
-		}
-		for i := range switchRate {
-			switchRate[i] = 0
-		}
 		epoch := epochOf[k]
 		dt := float64(iv.t1 - iv.t0)
 		for j := 0; j < iv.n; j++ {
@@ -681,24 +773,69 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			rate := rateArena[iv.off+j]
 			st.delivered += rate * dt
 			for _, l := range st.ps.paths[rt.path] {
-				linkRate[l] += rate
+				add(l, rate)
 			}
 			for _, sw := range st.ps.switches[rt.path] {
-				switchRate[sw] += rate
+				add(nl+sw, rate)
 			}
 		}
-		for _, l := range s.Top.Links {
-			res.LinkTrace[l.ID] = res.LinkTrace[l.ID].append(iv.t0, iv.t1, units.Bandwidth(linkRate[l.ID]))
+		for _, d := range prev {
+			settle(d, iv.t0)
 		}
-		for _, sw := range switchIDs {
-			res.SwitchTrace[sw] = res.SwitchTrace[sw].append(iv.t0, iv.t1, units.Bandwidth(switchRate[sw]))
+		for _, d := range touched {
+			settle(d, iv.t0)
+		}
+		for _, d := range touched {
+			marked[d] = false
+		}
+		prev, touched = touched, prev[:0]
+	}
+	sc.touched, sc.prev = touched, prev
+
+	// Close every link's and switch's open segment at the last event time,
+	// then counting-sort the segments by device into one exact arena. The
+	// sort is stable, so each device's segments stay in time order.
+	end := times[len(times)-1]
+	for d := 0; d < nl; d++ {
+		closeAt(d, end)
+	}
+	for _, n := range s.Top.Nodes {
+		if n.IsSwitch() {
+			closeAt(nl+n.ID, end)
 		}
 	}
+	sc.emitted = emitted
+	segOff := resize(sc.segOff, nd+1)
+	sc.segOff = segOff
+	for _, e := range emitted {
+		segOff[e.dev+1]++
+	}
+	for d := 1; d <= nd; d++ {
+		segOff[d] += segOff[d-1]
+	}
+	arena := make([]Segment, len(emitted))
+	for _, e := range emitted {
+		arena[segOff[e.dev]] = e.seg
+		segOff[e.dev]++
+	}
+	// After the fill, segOff[d] is device d's end and segOff[d-1] its start.
+	traces := make([]Trace, nd)
+	lo = 0
+	for d := range traces {
+		if hi := segOff[d]; hi > lo {
+			traces[d] = arena[lo:hi:hi]
+			lo = hi
+		}
+	}
+	res := &Result{
+		Horizon:     horizon,
+		LinkTrace:   traces[:nl:nl],
+		SwitchTrace: traces[nl:],
+		Flows:       make([]FlowStat, len(flows)),
+	}
 
-	res.Flows = make([]FlowStat, len(states))
 	for i := range states {
-		st := &states[i]
-		life := float64(st.spec.End - st.spec.Start)
+		st, f, fs := &states[i], &flows[i], &res.Flows[i]
 		// routes[0] is the start epoch's decision; its path points into the
 		// pathSet cache, never into the scratch arena.
 		var path []int
@@ -716,19 +853,17 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		}
 		lat := TransferLatency(len(path), st.delivered, bottleneck)
 		if s.Models != nil && s.Models.Latency != nil {
-			req := LatencyRequest{Src: st.spec.Src, Dst: st.spec.Dst, Hops: len(path), Bits: st.delivered, BottleneckBps: bottleneck}
+			req := LatencyRequest{Src: f.Src, Dst: f.Dst, Hops: len(path), Bits: st.delivered, BottleneckBps: bottleneck}
 			if v, err := s.Models.Latency(req); err == nil {
 				lat = v
 			}
 		}
-		res.Flows[i] = FlowStat{
-			Flow:            st.spec,
-			Path:            path,
-			DeliveredBits:   st.delivered,
-			MeanRate:        units.Bandwidth(st.delivered / life),
-			Downtime:        st.downtime,
-			TransferLatency: lat,
-		}
+		fs.Flow = *f
+		fs.Path = path
+		fs.DeliveredBits = st.delivered
+		fs.MeanRate = units.Bandwidth(st.delivered / float64(f.End-f.Start))
+		fs.Downtime = st.downtime
+		fs.TransferLatency = lat
 	}
 	if tl != cleanTimeline {
 		rep := &FaultReport{
@@ -747,6 +882,44 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	}
 	return res, nil
 }
+
+// solveInterval solves interval k's fairness problem on ss and writes each
+// active flow's rate into sc.rates. Workers solving different intervals
+// write disjoint ranges.
+func (sc *runScratch) solveInterval(ss *solveScratch, flows []traffic.Flow, k int) error {
+	iv := sc.intervals[k]
+	if iv.n == 0 {
+		return nil
+	}
+	epoch := sc.epochOf[k]
+	ss.demands = slices.Grow(ss.demands[:0], iv.n)
+	ss.paths = slices.Grow(ss.paths[:0], iv.n)
+	ss.slots = slices.Grow(ss.slots[:0], iv.n)
+	for j, fi := range sc.activeIdx[iv.off : iv.off+iv.n] {
+		st := &sc.states[fi]
+		rt := st.routes[epoch-st.e0]
+		if rt.stalled {
+			continue
+		}
+		ss.demands = append(ss.demands, float64(flows[fi].Demand))
+		ss.paths = append(ss.paths, st.ps.paths[rt.path])
+		ss.slots = append(ss.slots, j)
+	}
+	if len(ss.demands) == 0 {
+		return nil
+	}
+	rates, err := ss.rates(sc.epochCaps[epoch])
+	if err != nil {
+		return err
+	}
+	for r, j := range ss.slots {
+		sc.rates[iv.off+j] = rates[r]
+	}
+	return nil
+}
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // EnergyReport is the baseline network energy of a simulation under a
 // uniform device proportionality: switches as two-state devices, optical
@@ -768,6 +941,9 @@ func (r EnergyReport) Total() units.Energy { return r.SwitchEnergy + r.Transceiv
 // applies to every device; law selects the power-vs-load behavior.
 func (s *Sim) Energy(res *Result, proportionality float64, law PowerLaw) (EnergyReport, error) {
 	var rep EnergyReport
+	if err := s.checkResult(res); err != nil {
+		return rep, err
+	}
 	rep.Horizon = res.Horizon
 	switchModel, err := power.NewModel(device.SwitchMaxPower, proportionality)
 	if err != nil {
@@ -801,6 +977,19 @@ func (s *Sim) Energy(res *Result, proportionality float64, law PowerLaw) (Energy
 		rep.TransceiverEnergy += e
 	}
 	return rep, nil
+}
+
+// checkResult rejects a nil result or one whose traces do not index this
+// Sim's topology (a Result of a run on a different topology).
+func (s *Sim) checkResult(res *Result) error {
+	if res == nil {
+		return fmt.Errorf("netsim: nil result")
+	}
+	if len(res.LinkTrace) != len(s.Top.Links) || len(res.SwitchTrace) != len(s.Top.Nodes) {
+		return fmt.Errorf("netsim: result has %d link and %d node traces, topology has %d links and %d nodes",
+			len(res.LinkTrace), len(res.SwitchTrace), len(s.Top.Links), len(s.Top.Nodes))
+	}
+	return nil
 }
 
 // deviceEnergy integrates one device's trace, delegating to the co-sim

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"netpowerprop/internal/fattree"
@@ -177,6 +178,37 @@ func TestRunValidation(t *testing.T) {
 	bad := New(nil)
 	if _, err := bad.Run([]traffic.Flow{{Src: 0, Dst: 1, Demand: 1, Start: 0, End: 1}}); err == nil {
 		t.Error("nil topology should fail")
+	}
+}
+
+// A NaN passes every <= check, so non-finite flow fields are rejected
+// explicitly, naming the offending flow.
+func TestRunRejectsNonFiniteFlows(t *testing.T) {
+	top := smallTopo(t)
+	s := New(top)
+	hosts := top.Hosts()
+	good := traffic.Flow{Src: hosts[0], Dst: hosts[1], Demand: units.Gbps, Start: 0, End: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		bad  func(*traffic.Flow)
+	}{
+		{"NaN start", func(f *traffic.Flow) { f.Start = units.Seconds(nan) }},
+		{"-Inf start", func(f *traffic.Flow) { f.Start = units.Seconds(-inf) }},
+		{"NaN end", func(f *traffic.Flow) { f.End = units.Seconds(nan) }},
+		{"+Inf end", func(f *traffic.Flow) { f.End = units.Seconds(inf) }},
+		{"NaN demand", func(f *traffic.Flow) { f.Demand = units.Bandwidth(nan) }},
+		{"+Inf demand", func(f *traffic.Flow) { f.Demand = units.Bandwidth(inf) }},
+	} {
+		bad := good
+		tc.bad(&bad)
+		_, err := s.Run([]traffic.Flow{good, good, bad})
+		if err == nil || !strings.Contains(err.Error(), "flow 2 non-finite") {
+			t.Errorf("%s: err = %v, want a non-finite error naming flow 2", tc.name, err)
+		}
+	}
+	if _, err := s.Run([]traffic.Flow{good}); err != nil {
+		t.Errorf("finite flow after rejected runs: %v", err)
 	}
 }
 

@@ -16,14 +16,11 @@ import (
 // SwitchDemand) simulators consume. This is the bridge from the
 // flow-level fabric simulation to the per-chip mechanism studies.
 func (s *Sim) PipelineUtilization(res *Result, switchID int, cfg asic.Config, step units.Seconds) ([]units.Seconds, [][]float64, error) {
-	if res == nil {
-		return nil, nil, fmt.Errorf("netsim: nil result")
+	if err := s.checkSwitchResult(res, switchID); err != nil {
+		return nil, nil, err
 	}
 	if step <= 0 {
 		return nil, nil, fmt.Errorf("netsim: step %v must be positive", step)
-	}
-	if switchID < 0 || switchID >= len(s.Top.Nodes) || !s.Top.Nodes[switchID].IsSwitch() {
-		return nil, nil, fmt.Errorf("netsim: node %d is not a switch", switchID)
 	}
 	links := append([]int(nil), s.Top.LinksOf(switchID)...)
 	sort.Ints(links)
@@ -76,16 +73,13 @@ func (s *Sim) PipelineUtilization(res *Result, switchID int, cfg asic.Config, st
 // SwitchDemand samples one switch's aggregate offered utilization (of the
 // given capacity) — the input the §4.4 parking simulator consumes.
 func (s *Sim) SwitchDemand(res *Result, switchID int, capacity units.Bandwidth, step units.Seconds) ([]units.Seconds, []float64, error) {
-	if res == nil {
-		return nil, nil, fmt.Errorf("netsim: nil result")
+	if err := s.checkSwitchResult(res, switchID); err != nil {
+		return nil, nil, err
 	}
 	if step <= 0 || capacity <= 0 {
 		return nil, nil, fmt.Errorf("netsim: step %v and capacity %v must be positive", step, capacity)
 	}
-	tr, ok := res.SwitchTrace[switchID]
-	if !ok {
-		return nil, nil, fmt.Errorf("netsim: no trace for switch %d", switchID)
-	}
+	tr := res.SwitchTrace[switchID]
 	n := int(float64(res.Horizon)/float64(step)) + 1
 	if n < 2 {
 		n = 2
@@ -101,4 +95,16 @@ func (s *Sim) SwitchDemand(res *Result, switchID int, capacity units.Bandwidth, 
 		demand[i] = u
 	}
 	return times, demand, nil
+}
+
+// checkSwitchResult rejects a nil result, a result whose traces do not
+// index this Sim's topology, and a node ID that is not a switch.
+func (s *Sim) checkSwitchResult(res *Result, switchID int) error {
+	if err := s.checkResult(res); err != nil {
+		return err
+	}
+	if switchID < 0 || switchID >= len(s.Top.Nodes) || !s.Top.Nodes[switchID].IsSwitch() {
+		return fmt.Errorf("netsim: node %d is not a switch", switchID)
+	}
+	return nil
 }

@@ -168,4 +168,26 @@ func TestSwitchDemandErrors(t *testing.T) {
 	if _, _, err := s.SwitchDemand(res, 10_000, 400*units.Gbps, 0.1); err == nil {
 		t.Error("unknown switch accepted")
 	}
+	if _, _, err := s.SwitchDemand(res, -1, 400*units.Gbps, 0.1); err == nil {
+		t.Error("negative node accepted")
+	}
+	if _, _, err := s.SwitchDemand(res, top.Hosts()[0], 400*units.Gbps, 0.1); err == nil {
+		t.Error("host node accepted")
+	}
+	// A Result from a differently sized topology indexes other devices.
+	small, err := fattree.BuildTwoTier(4, 100*units.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := small.Hosts()
+	other, err := New(small).Run([]traffic.Flow{{Src: hs[0], Dst: hs[1], Demand: units.Gbps, Start: 0, End: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.SwitchDemand(other, sw, 400*units.Gbps, 0.1); err == nil {
+		t.Error("result from another topology accepted")
+	}
+	if _, err := s.Energy(other, 0.5, TwoState); err == nil {
+		t.Error("Energy accepted a result from another topology")
+	}
 }

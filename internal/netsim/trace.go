@@ -16,21 +16,9 @@ type Segment struct {
 // Duration returns the segment length.
 func (s Segment) Duration() units.Seconds { return s.End - s.Start }
 
-// Trace is a contiguous, time-ordered sequence of segments.
+// Trace is a contiguous, time-ordered sequence of segments. A simulated
+// trace never holds two adjacent segments at the same rate.
 type Trace []Segment
-
-// append adds a span, merging with the previous segment when the rate is
-// unchanged (keeps traces compact over long idle periods).
-func (t Trace) append(start, end units.Seconds, rate units.Bandwidth) Trace {
-	if end <= start {
-		return t
-	}
-	if n := len(t); n > 0 && t[n-1].End == start && t[n-1].Rate == rate {
-		t[n-1].End = end
-		return t
-	}
-	return append(t, Segment{Start: start, End: end, Rate: rate})
-}
 
 // At returns the rate at time x (0 outside the trace).
 func (t Trace) At(x units.Seconds) units.Bandwidth {

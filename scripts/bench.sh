@@ -86,7 +86,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set + change-only trace emission into one ID-indexed segment arena and reuse of a repeated interval solve. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"
