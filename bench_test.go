@@ -362,31 +362,6 @@ func BenchmarkFabricSimCosimOff(b *testing.B) {
 	}
 }
 
-// BenchmarkRunParallel is BenchmarkFabricSim's workload through the
-// parallel interval fan-out at GOMAXPROCS workers, on a warmed Sim.
-func BenchmarkRunParallel(b *testing.B) {
-	top, err := fattree.BuildThreeTier(8, 100*units.Gbps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	job := traffic.Job{ID: 1, Hosts: top.Hosts(), Period: 1, CommRatio: 0.1,
-		Rate: 50 * units.Gbps, Pattern: traffic.Ring}
-	flows, err := job.Flows(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := netsim.New(top)
-	if _, err := s.RunParallel(flows, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RunParallel(flows, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchTopoPaths measures one zoo topology's deterministic path
 // enumeration: every ordered pair among the first 16 hosts of a 48-host
 // build, enumerated fresh each time (no simulator cache in front).

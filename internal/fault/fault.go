@@ -4,10 +4,10 @@
 // reconfigurations. Faults are described as a Trace of timestamped events
 // — built explicitly or drawn from a seeded RNG (Generate) — and compiled
 // into a Timeline of epochs with constant dead-link sets, which
-// internal/netsim consumes to reroute flows and reduce solver capacities.
-// Everything in this package is deterministic for a fixed seed: the same
-// trace compiles to the same timeline on every run, which is what keeps
-// seeded fault scenarios bit-reproducible across Run/RunParallel.
+// internal/netsim consumes to reroute flows around dead links. Everything
+// in this package is deterministic for a fixed seed: the same trace
+// compiles to the same timeline on every run, which is what keeps seeded
+// fault scenarios bit-reproducible across runs.
 package fault
 
 import (

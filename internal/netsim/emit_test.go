@@ -27,19 +27,20 @@ func (t Trace) append(start, end units.Seconds, rate units.Bandwidth) Trace {
 }
 
 // referenceTraces recomputes a finished run's traces the way the simulator
-// did before change-only emission and solve reuse: every interval solves
-// its fairness problem from scratch on capacities rebuilt from the fault
-// trace, and appends one span to every link's and every switch's trace.
-// The rates must equal the ones the run used bit for bit. It reads the
-// run's intervals and routes from s.scratch, so call it right after the
-// run.
+// did before change-only emission and solve reuse: every interval
+// [times[ti], times[ti+1]) gathers its active flows by scanning every flow,
+// solves its fairness problem from scratch on capacities with the epoch's
+// dead links zeroed, and appends one span to every link's and every
+// switch's trace. It also checks every flow's delivered bits and downtime
+// bit for bit. It reads the run's event times, start order and routes from
+// s.scratch, so call it right after the run.
 func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (links, switches []Trace) {
 	t.Helper()
 	sc := &s.scratch
 	nl := len(s.Top.Links)
 	caps := make([]float64, nl)
 	for _, l := range s.Top.Links {
-		caps[l.ID] = float64(s.capacityOf(l))
+		caps[l.ID] = float64(l.Speed)
 	}
 	tl := cleanTimeline
 	if s.Faults != nil && s.Faults.Len() > 0 {
@@ -52,11 +53,17 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 	switches = make([]Trace, len(s.Top.Nodes))
 	linkRate := make([]float64, nl)
 	switchRate := make([]float64, len(s.Top.Nodes))
+	delivered := make([]float64, len(flows))
+	downtime := make([]units.Seconds, len(flows))
 	var solver Solver
-	for k, iv := range sc.intervals {
+	for ti := 0; ti+1 < len(sc.times); ti++ {
+		t0, t1 := sc.times[ti], sc.times[ti+1]
 		clear(linkRate)
 		clear(switchRate)
-		epoch := sc.epochOf[k]
+		epoch := 0
+		for epoch+1 < tl.NumEpochs() && tl.Starts[epoch+1] <= t0 {
+			epoch++
+		}
 		ec := append([]float64(nil), caps...)
 		for l, d := range tl.Dead[epoch] {
 			if d {
@@ -65,28 +72,32 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 		}
 		var demands []float64
 		var paths [][]int
-		var slots []int
-		for j, fi := range sc.activeIdx[iv.off : iv.off+iv.n] {
-			st := &sc.states[fi]
-			if rt := st.routes[epoch-st.e0]; !rt.stalled {
-				demands = append(demands, float64(flows[fi].Demand))
-				paths = append(paths, st.ps.paths[rt.path])
-				slots = append(slots, j)
+		var active []int
+		for _, fi := range sc.byStart {
+			f := flows[fi]
+			if f.Start > t0 || f.End <= t0 {
+				continue
 			}
+			st := &sc.states[fi]
+			rt := st.routes[epoch-st.e0]
+			if rt.stalled {
+				downtime[fi] += t1 - t0
+				continue
+			}
+			demands = append(demands, float64(f.Demand))
+			paths = append(paths, st.ps.paths[rt.path])
+			active = append(active, fi)
 		}
 		if len(demands) > 0 {
 			rates, err := solver.Solve(demands, paths, ec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r, j := range slots {
-				fi := sc.activeIdx[iv.off+j]
+			for r, fi := range active {
 				st := &sc.states[fi]
 				rt := st.routes[epoch-st.e0]
 				rate := rates[r]
-				if got := sc.rates[iv.off+j]; math.Float64bits(got) != math.Float64bits(rate) {
-					t.Fatalf("interval %d flow %d: run used rate %v, a fresh solve gives %v", k, fi, got, rate)
-				}
+				delivered[fi] += rate * float64(t1-t0)
 				for _, l := range st.ps.paths[rt.path] {
 					linkRate[l] += rate
 				}
@@ -96,12 +107,20 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 			}
 		}
 		for l := range links {
-			links[l] = links[l].append(iv.t0, iv.t1, units.Bandwidth(linkRate[l]))
+			links[l] = links[l].append(t0, t1, units.Bandwidth(linkRate[l]))
 		}
 		for _, n := range s.Top.Nodes {
 			if n.IsSwitch() {
-				switches[n.ID] = switches[n.ID].append(iv.t0, iv.t1, units.Bandwidth(switchRate[n.ID]))
+				switches[n.ID] = switches[n.ID].append(t0, t1, units.Bandwidth(switchRate[n.ID]))
 			}
+		}
+	}
+	for i, fs := range res.Flows {
+		if math.Float64bits(fs.DeliveredBits) != math.Float64bits(delivered[i]) {
+			t.Fatalf("flow %d: run delivered %v bits, fresh solves give %v", i, fs.DeliveredBits, delivered[i])
+		}
+		if math.Float64bits(float64(fs.Downtime)) != math.Float64bits(float64(downtime[i])) {
+			t.Fatalf("flow %d: run downtime %v, fresh sweep gives %v", i, fs.Downtime, downtime[i])
 		}
 	}
 	return links, switches
@@ -192,8 +211,7 @@ func emitTopologies(t *testing.T) map[string]*fattree.Topology {
 // Change-only emission into one arena must reproduce the per-interval
 // append loop bit for bit, and every rate a run reuses from an earlier
 // solve must equal a fresh solve's: across fabrics, traffic patterns,
-// routings, clean and faulted runs, fresh and reused Sims, and serial and
-// parallel runs.
+// routings, clean and faulted runs, and fresh and reused Sims.
 func TestTraceEmissionMatchesReference(t *testing.T) {
 	for name, top := range emitTopologies(t) {
 		hosts := top.Hosts()
@@ -230,37 +248,29 @@ func TestTraceEmissionMatchesReference(t *testing.T) {
 			}
 			for _, routing := range []Routing{HashECMP, ConcentrateRouting} {
 				for _, tr := range []*fault.Trace{nil, faulted} {
-					for _, workers := range []int{1, 3} {
-						for _, fresh := range []bool{true, false} {
-							label := fmt.Sprintf("%s/%v/%v/faulted=%v/workers=%d/fresh=%v",
-								name, pattern, routing, tr != nil, workers, fresh)
-							s := reused
-							if fresh {
-								s = New(top)
-							}
-							s.Routing, s.Faults = routing, tr
-							var res *Result
-							if workers == 1 {
-								res, err = s.Run(flows)
-							} else {
-								res, err = s.RunParallel(flows, workers)
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							links, switches := referenceTraces(t, s, res, flows)
-							for id := range links {
-								if !sameTrace(res.LinkTrace[id], links[id]) {
-									t.Fatalf("%s: link %d trace\n got %v\nwant %v", label, id, res.LinkTrace[id], links[id])
-								}
-							}
-							for id := range switches {
-								if !sameTrace(res.SwitchTrace[id], switches[id]) {
-									t.Fatalf("%s: node %d trace\n got %v\nwant %v", label, id, res.SwitchTrace[id], switches[id])
-								}
-							}
-							checkTraceLayout(t, label, top, res)
+					for _, fresh := range []bool{true, false} {
+						label := fmt.Sprintf("%s/%v/%v/faulted=%v/fresh=%v", name, pattern, routing, tr != nil, fresh)
+						s := reused
+						if fresh {
+							s = New(top)
 						}
+						s.Routing, s.Faults = routing, tr
+						res, err := s.Run(flows)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						links, switches := referenceTraces(t, s, res, flows)
+						for id := range links {
+							if !sameTrace(res.LinkTrace[id], links[id]) {
+								t.Fatalf("%s: link %d trace\n got %v\nwant %v", label, id, res.LinkTrace[id], links[id])
+							}
+						}
+						for id := range switches {
+							if !sameTrace(res.SwitchTrace[id], switches[id]) {
+								t.Fatalf("%s: node %d trace\n got %v\nwant %v", label, id, res.SwitchTrace[id], switches[id])
+							}
+						}
+						checkTraceLayout(t, label, top, res)
 					}
 				}
 			}
@@ -269,11 +279,11 @@ func TestTraceEmissionMatchesReference(t *testing.T) {
 }
 
 // A remembered solve is reused only when the capacity slice, the demands
-// and the path slices all repeat. Identical rows in two intervals with a
-// link on their paths dying in between must be solved again, and so must
-// rows whose demands or paths change.
+// and the path slices all repeat. Identical rows under another capacity
+// slice must be solved again, and so must rows whose demands or paths
+// change.
 func TestSolveReuseKeys(t *testing.T) {
-	// Two epochs' capacity windows of one arena; link 1 is dead in the
+	// Two capacity slices cut from one arena; link 1 has none in the
 	// second.
 	arena := []float64{100, 100, 100, 100, 0, 100}
 	clean, dead := arena[0:3:3], arena[3:6:6]
@@ -335,43 +345,45 @@ func TestRunResolvesChangedRows(t *testing.T) {
 		{Src: y, Dst: w, Demand: 100 * units.Gbps, Start: 2, End: 3},
 	}
 	want := []float64{50 * g, 50 * g, 20 * g, 80 * g, 20 * g, 100 * g}
-	for _, workers := range []int{1, 2} {
-		s := New(top)
-		res, err := s.RunParallel(flows, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, st := range res.Flows {
-			if math.Abs(st.DeliveredBits-want[i]) > 1e-6*g {
-				t.Errorf("workers=%d flow %d: delivered %v bits, want %v", workers, i, st.DeliveredBits, want[i])
-			}
+	res, err := New(top).Run(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range res.Flows {
+		if math.Abs(st.DeliveredBits-want[i]) > 1e-6*g {
+			t.Errorf("flow %d: delivered %v bits, want %v", i, st.DeliveredBits, want[i])
 		}
 	}
 }
 
-// The capacity arena is reused across runs, so a run must not reuse the
-// previous run's last solve even when its capacity slice, paths and
-// demands are the same slices: here a capacity override disables a link
-// on the flow's path between two runs on one Sim.
+// The capacity slice is reused across runs and Sim.Top is an exported
+// field, so a run must not reuse the previous run's last solve even when
+// its capacity slice, paths and demands are the same slices: here the
+// topology is swapped for one of the same shape with slower links between
+// two runs on one Sim.
 func TestSolveReuseClearedBetweenRuns(t *testing.T) {
+	slow, err := fattree.BuildThreeTier(4, 10*units.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	top := smallTopo(t)
 	hosts := top.Hosts()
-	flows := []traffic.Flow{{Src: hosts[0], Dst: hosts[1], Demand: 10 * units.Gbps, Start: 0, End: 1}}
+	flows := []traffic.Flow{{Src: hosts[0], Dst: hosts[1], Demand: 80 * units.Gbps, Start: 0, End: 1}}
 	s := New(top)
 	first, err := s.Run(flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Flows[0].DeliveredBits == 0 {
-		t.Fatal("an uncontended flow delivered nothing")
+	if first.Flows[0].DeliveredBits != 80e9 {
+		t.Fatalf("an uncontended flow delivered %v bits, want 80e9", first.Flows[0].DeliveredBits)
 	}
-	s.Capacity = map[int]units.Bandwidth{first.Flows[0].Path[0]: 0}
+	s.Top = slow
 	second, err := s.Run(flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Flows[0].DeliveredBits != 0 {
-		t.Errorf("delivered %v bits over a disabled link: the previous run's solve was reused", second.Flows[0].DeliveredBits)
+	if second.Flows[0].DeliveredBits != 10e9 {
+		t.Errorf("delivered %v bits over 10G links, want 10e9: the previous run's solve was reused", second.Flows[0].DeliveredBits)
 	}
 }
 

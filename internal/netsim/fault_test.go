@@ -151,8 +151,8 @@ func TestFaultSwitchFailure(t *testing.T) {
 }
 
 // Seeded fault scenarios must be bit-reproducible: the same generated trace
-// yields identical results across repeated runs and across Run/RunParallel.
-func TestFaultDeterminismSerialParallel(t *testing.T) {
+// yields identical results across repeated runs.
+func TestFaultDeterminismRepeatedRuns(t *testing.T) {
 	top := smallTopo(t)
 	flows := faultFlows(top, 30*units.Gbps)
 	var optical []int
@@ -165,7 +165,7 @@ func TestFaultDeterminismSerialParallel(t *testing.T) {
 		Horizon: 4, Links: optical, Flaps: 8, MTTR: 0.5,
 		PermanentFailures: 1, WakeStuckProb: 0.5, WakeStuckExtra: 0.4,
 	}
-	run := func(workers int) *Result {
+	run := func() *Result {
 		t.Helper()
 		trace, err := fault.Generate(cfg, 42)
 		if err != nil {
@@ -173,28 +173,18 @@ func TestFaultDeterminismSerialParallel(t *testing.T) {
 		}
 		s := New(top)
 		s.Faults = trace
-		var res *Result
-		if workers == 1 {
-			res, err = s.Run(flows)
-		} else {
-			res, err = s.RunParallel(flows, workers)
-		}
+		res, err := s.Run(flows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
-	if serial.Faults == nil || serial.Faults.Events == 0 {
-		t.Fatalf("generated trace produced no in-horizon events: %+v", serial.Faults)
+	first := run()
+	if first.Faults == nil || first.Faults.Events == 0 {
+		t.Fatalf("generated trace produced no in-horizon events: %+v", first.Faults)
 	}
-	if !reflect.DeepEqual(serial, run(1)) {
-		t.Error("repeated serial runs differ for the same seed")
-	}
-	for _, w := range []int{2, 4, 7} {
-		if !reflect.DeepEqual(serial, run(w)) {
-			t.Errorf("RunParallel(%d) differs from Run", w)
-		}
+	if !reflect.DeepEqual(first, run()) {
+		t.Error("repeated runs differ for the same seed")
 	}
 }
 

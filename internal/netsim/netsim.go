@@ -8,9 +8,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/fattree"
@@ -54,15 +52,11 @@ type Sim struct {
 	ECMPSeed uint64
 	// Routing selects the path-selection policy (default HashECMP).
 	Routing Routing
-	// Capacity overrides per-link capacity; absent links default to their
-	// topology speed. Used by parking/OCS studies to disable links (0).
-	Capacity map[int]units.Bandwidth
 	// Faults, when non-nil and non-empty, injects a deterministic link and
 	// switch fault timeline into the run: flows reroute around dead links
-	// at each fault epoch, flows with no surviving path stall (and
-	// accumulate downtime), and the fairness solver sees dead links at
-	// zero capacity. A nil or empty trace reproduces the fault-free
-	// behavior exactly.
+	// at each fault epoch and flows with no surviving path stall (and
+	// accumulate downtime), so no flow's rate crosses a dead link. A nil or
+	// empty trace reproduces the fault-free behavior exactly.
 	Faults *fault.Trace
 	// Models, when non-nil, delegates per-transfer latency and per-device
 	// power to external co-simulation hooks (see Models). Nil keeps the
@@ -75,10 +69,9 @@ type Sim struct {
 
 	// pathCache memoizes the ECMP path enumeration (and the switches each
 	// path visits) per (src,dst) pair, keyed src<<32|dst: the enumeration
-	// depends only on the topology, never on seed, routing mode, or
-	// capacity overrides, so it survives across Run calls. Fault-filtered
-	// views of each entry are cached on the pathSet itself and invalidated
-	// per (run, epoch).
+	// depends only on the topology, never on seed or routing mode, so it
+	// survives across Run calls. Fault-filtered views of each entry are
+	// cached on the pathSet itself and invalidated per (run, epoch).
 	pathCache map[uint64]*pathSet
 
 	// indices[:n] is [0, n): the alive set of an n-path set in any epoch
@@ -90,7 +83,7 @@ type Sim struct {
 	// filtered path list.
 	runGen uint64
 
-	// Per-run arenas and the serial solve state, reused across runs.
+	// Per-run arenas and the solve state, reused across runs.
 	scratch runScratch
 }
 
@@ -117,23 +110,15 @@ type pathSet struct {
 // runScratch is one Sim's per-run arenas, reused across Run calls.
 // Nothing in a Result aliases it.
 type runScratch struct {
-	solve     solveScratch   // the serial path's solve state
-	workers   []solveScratch // RunParallel's per-worker solve states
-	states    []flowState
-	routes    []route // every flow's epoch window, back to back
-	epochOff  []int   // per-epoch bucket bounds into buckets
-	buckets   []int   // flow indices per epoch, in input order
-	times     []units.Seconds
-	byStart   []int
-	intervals []interval
-	activeIdx []int
-	cur       []int
-	epochOf   []int
-	rates     []float64
-	// caps holds the base link capacities followed by one copy per dead
-	// epoch; epochCaps[e] is epoch e's window into it.
-	caps      []float64
-	epochCaps [][]float64
+	solve    solveScratch
+	states   []flowState
+	routes   []route // every flow's epoch window, back to back
+	epochOff []int   // per-epoch bucket bounds into buckets
+	buckets  []int   // flow indices per epoch, in input order
+	times    []units.Seconds
+	byStart  []int
+	cur      []int     // the current interval's active flows
+	caps     []float64 // link capacities by link ID
 
 	// Trace emission state, indexed by device: link l is device l and
 	// node n is device len(Links)+n. devRate[d] is the current interval's
@@ -162,14 +147,12 @@ type deviceSegment struct {
 	seg Segment
 }
 
-// solveScratch is the per-worker solve state.
+// solveScratch is the solve state: the current interval's rows, one per
+// unstalled active flow.
 type solveScratch struct {
 	solver  Solver
 	demands []float64
 	paths   [][]int
-	// slots maps each solver row back to its position in the interval's
-	// active-flow snapshot; stalled flows are excluded from the solve.
-	slots []int
 
 	// The last solve's inputs and rates. An interval whose capacity slice
 	// (by identity) and ordered (path identity, demand) rows equal them
@@ -410,16 +393,6 @@ func fnvFold(h, v uint64) uint64 {
 	return h
 }
 
-// capacityOf resolves a link's effective capacity.
-func (s *Sim) capacityOf(l fattree.Link) units.Bandwidth {
-	if s.Capacity != nil {
-		if c, ok := s.Capacity[l.ID]; ok {
-			return c
-		}
-	}
-	return l.Speed
-}
-
 // flowState is one flow's per-epoch routing decisions and running
 // account; states[i] belongs to flows[i].
 type flowState struct {
@@ -435,31 +408,14 @@ type flowState struct {
 	downtime  units.Seconds
 }
 
-// interval is one constant-rate span of the sweep: the flows active during
-// [t0,t1) live at activeIdx[off:off+n].
-type interval struct {
-	t0, t1 units.Seconds
-	off, n int
-}
+// RunParallel is Run; workers is ignored.
+//
+// Deprecated: call Run.
+func (s *Sim) RunParallel(flows []traffic.Flow, workers int) (*Result, error) { return s.Run(flows) }
 
 // Run simulates the flows and returns utilization traces. The horizon is
 // the latest flow end time (0 horizon is an error: nothing to simulate).
 func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
-	return s.run(flows, 1)
-}
-
-// RunParallel is Run with the per-interval fairness solves fanned across a
-// worker pool (workers <= 0 selects GOMAXPROCS). Interval solves are
-// independent; delivered bits, rate sums, and traces are still accumulated
-// serially in time order, so the output is byte-identical to Run.
-func (s *Sim) RunParallel(flows []traffic.Flow, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return s.run(flows, workers)
-}
-
-func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	if s.Top == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
 	}
@@ -469,8 +425,9 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	s.usedSwitches = resize(s.usedSwitches, len(s.Top.Nodes))
 	s.runGen++
 	sc := &s.scratch
-	// The caps arena outlives a run, so a remembered solve from an earlier
-	// run could match a reused capacity slice holding other values.
+	// The caps slice outlives a run and Sim.Top may change between runs, so
+	// a remembered solve from an earlier run could match a reused capacity
+	// slice holding other values.
 	sc.solve.memo = false
 	var horizon units.Seconds
 	for i, f := range flows {
@@ -585,9 +542,17 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	times = slices.Compact(times)
 	sc.times = times
 
-	// Sweep the sorted start/end events once to snapshot each interval's
-	// active flows, replacing the O(intervals × flows) rescan. Flow order
-	// within an interval is (start, input index) — deterministic.
+	// Link capacities by link ID, one slice for every epoch's solve.
+	nl := len(s.Top.Links)
+	caps := resize(sc.caps, nl)
+	sc.caps = caps
+	for _, l := range s.Top.Links {
+		caps[l.ID] = float64(l.Speed)
+	}
+
+	// Flows enter the sweep in (start, input index) order, so each
+	// interval's active set, and with it the solver's row order, is
+	// deterministic.
 	byStart := resize(sc.byStart, len(flows))
 	sc.byStart = byStart
 	for i := range byStart {
@@ -604,125 +569,14 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			return 0
 		}
 	})
-	intervals := slices.Grow(sc.intervals[:0], len(times)-1)
-	activeIdx := sc.activeIdx[:0] // arena: every interval's active-flow snapshot
-	cur := slices.Grow(sc.cur[:0], len(flows))
-	next := 0
-	for ti := 0; ti+1 < len(times); ti++ {
-		t0, t1 := times[ti], times[ti+1]
-		for next < len(byStart) && flows[byStart[next]].Start <= t0 {
-			cur = append(cur, byStart[next])
-			next++
-		}
-		k := 0
-		for _, fi := range cur {
-			if flows[fi].End > t0 {
-				cur[k] = fi
-				k++
-			}
-		}
-		cur = cur[:k]
-		intervals = append(intervals, interval{t0: t0, t1: t1, off: len(activeIdx), n: len(cur)})
-		activeIdx = append(activeIdx, cur...)
-	}
-	sc.intervals, sc.activeIdx, sc.cur = intervals, activeIdx, cur
 
-	// Epoch starts are event times, so each interval sits inside exactly
-	// one epoch; a single forward walk labels them all.
-	epochOf := resize(sc.epochOf, len(intervals))
-	sc.epochOf = epochOf
-	ep := 0
-	for k := range intervals {
-		for ep+1 < numEpochs && tl.Starts[ep+1] <= intervals[k].t0 {
-			ep++
-		}
-		epochOf[k] = ep
-	}
-
-	// Per-epoch capacities, carved from one arena: dead links drop to zero
-	// so the max-min solver cannot place traffic on them. Clean epochs
-	// share the base window.
-	nl := len(s.Top.Links)
-	deadEpochs := 0
-	for e := 0; e < numEpochs; e++ {
-		if tl.DeadCount[e] > 0 {
-			deadEpochs++
-		}
-	}
-	capArena := resize(sc.caps, nl*(1+deadEpochs))
-	sc.caps = capArena
-	caps := capArena[:nl:nl]
-	for _, l := range s.Top.Links {
-		caps[l.ID] = float64(s.capacityOf(l))
-	}
-	epochCaps := resize(sc.epochCaps, numEpochs)
-	sc.epochCaps = epochCaps
-	off = nl
-	for e := range epochCaps {
-		if tl.DeadCount[e] == 0 {
-			epochCaps[e] = caps
-			continue
-		}
-		ec := capArena[off : off+nl : off+nl]
-		off += nl
-		copy(ec, caps)
-		for l, d := range tl.Dead[e] {
-			if d {
-				ec[l] = 0
-			}
-		}
-		epochCaps[e] = ec
-	}
-
-	// Solve every interval's fairness problem. rateArena mirrors activeIdx:
-	// the rate of activeIdx[i]'s flow during its interval lands in
-	// rateArena[i], so workers write disjoint ranges. Stalled flows are
-	// excluded from the solve and keep the arena's zero rate.
-	rateArena := resize(sc.rates, len(activeIdx))
-	sc.rates = rateArena
-	if workers <= 1 || len(intervals) <= 1 {
-		for k := range intervals {
-			if err := sc.solveInterval(&sc.solve, flows, k); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		n := min(workers, len(intervals))
-		for len(sc.workers) < n {
-			sc.workers = append(sc.workers, solveScratch{})
-		}
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Each worker remembers only its own last solve, and none
-				// from an earlier run.
-				ss := &sc.workers[w]
-				ss.memo = false
-				for k := w; k < len(sc.intervals); k += n {
-					if err := sc.solveInterval(ss, flows, k); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Accumulate delivered bits and per-device rate sums serially in time
-	// order, so every sum adds the same terms in the same order for every
-	// worker count. Only devices on an active flow's path are summed; a
-	// device's open segment is closed only when its rate changes, which can
-	// happen only to a device touched in this interval or the previous one
-	// (an untouched device carries zero).
+	// One forward pass over the intervals [times[ti], times[ti+1]): update
+	// the active set and the epoch, solve the fairness problem, and add
+	// delivered bits and per-device rate sums in time order. Only devices
+	// on an active flow's path are summed; a device's open segment is closed
+	// only when its rate changes, which can happen only to a device touched
+	// in this interval or the previous one (an untouched device carries
+	// zero).
 	nd := nl + len(s.Top.Nodes)
 	devRate := resize(sc.devRate, nd)
 	marked := resize(sc.marked, nd)
@@ -759,18 +613,62 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			o.start, o.rate = t, rate
 		}
 	}
-	for k, iv := range intervals {
-		epoch := epochOf[k]
-		dt := float64(iv.t1 - iv.t0)
-		for j := 0; j < iv.n; j++ {
-			fi := activeIdx[iv.off+j]
+	ss := &sc.solve
+	cur := slices.Grow(sc.cur[:0], len(flows))
+	next, epoch := 0, 0
+	for ti := 0; ti+1 < len(times); ti++ {
+		t0, t1 := times[ti], times[ti+1]
+		for next < len(byStart) && flows[byStart[next]].Start <= t0 {
+			cur = append(cur, byStart[next])
+			next++
+		}
+		k := 0
+		for _, fi := range cur {
+			if flows[fi].End > t0 {
+				cur[k] = fi
+				k++
+			}
+		}
+		cur = cur[:k]
+		// Epoch starts are event times, so the interval lies inside exactly
+		// one epoch.
+		for epoch+1 < numEpochs && tl.Starts[epoch+1] <= t0 {
+			epoch++
+		}
+
+		// Solve the unstalled flows over the one capacity slice. No row
+		// crosses a dead link, because aliveFor keeps only paths that avoid
+		// every dead link and a flow with none stalls, so a dead link's
+		// capacity is never read and needs no zeroed per-epoch copy.
+		ss.demands = slices.Grow(ss.demands[:0], len(cur))
+		ss.paths = slices.Grow(ss.paths[:0], len(cur))
+		for _, fi := range cur {
+			st := &states[fi]
+			if rt := st.routes[epoch-st.e0]; !rt.stalled {
+				ss.demands = append(ss.demands, float64(flows[fi].Demand))
+				ss.paths = append(ss.paths, st.ps.paths[rt.path])
+			}
+		}
+		var rates []float64
+		if len(ss.demands) > 0 {
+			var err error
+			if rates, err = ss.rates(caps); err != nil {
+				return nil, err
+			}
+		}
+
+		// rates[r] belongs to the r-th unstalled flow of cur.
+		dt := float64(t1 - t0)
+		r := 0
+		for _, fi := range cur {
 			st := &states[fi]
 			rt := st.routes[epoch-st.e0]
 			if rt.stalled {
-				st.downtime += iv.t1 - iv.t0
+				st.downtime += t1 - t0
 				continue
 			}
-			rate := rateArena[iv.off+j]
+			rate := rates[r]
+			r++
 			st.delivered += rate * dt
 			for _, l := range st.ps.paths[rt.path] {
 				add(l, rate)
@@ -780,17 +678,17 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 			}
 		}
 		for _, d := range prev {
-			settle(d, iv.t0)
+			settle(d, t0)
 		}
 		for _, d := range touched {
-			settle(d, iv.t0)
+			settle(d, t0)
 		}
 		for _, d := range touched {
 			marked[d] = false
 		}
 		prev, touched = touched, prev[:0]
 	}
-	sc.touched, sc.prev = touched, prev
+	sc.cur, sc.touched, sc.prev = cur, touched, prev
 
 	// Close every link's and switch's open segment at the last event time,
 	// then counting-sort the segments by device into one exact arena. The
@@ -842,9 +740,7 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		if rt := st.routes[0]; !rt.stalled {
 			path = st.ps.paths[rt.path]
 		}
-		// Bottleneck over base capacities of the start-epoch path; a
-		// disabled (zero-capacity) link zeroes the bottleneck and
-		// TransferLatency charges hop delay only.
+		// Bottleneck over the start-epoch path's link capacities.
 		var bottleneck float64
 		for pi, l := range path {
 			if c := caps[l]; pi == 0 || c < bottleneck {
@@ -881,41 +777,6 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		res.Faults = rep
 	}
 	return res, nil
-}
-
-// solveInterval solves interval k's fairness problem on ss and writes each
-// active flow's rate into sc.rates. Workers solving different intervals
-// write disjoint ranges.
-func (sc *runScratch) solveInterval(ss *solveScratch, flows []traffic.Flow, k int) error {
-	iv := sc.intervals[k]
-	if iv.n == 0 {
-		return nil
-	}
-	epoch := sc.epochOf[k]
-	ss.demands = slices.Grow(ss.demands[:0], iv.n)
-	ss.paths = slices.Grow(ss.paths[:0], iv.n)
-	ss.slots = slices.Grow(ss.slots[:0], iv.n)
-	for j, fi := range sc.activeIdx[iv.off : iv.off+iv.n] {
-		st := &sc.states[fi]
-		rt := st.routes[epoch-st.e0]
-		if rt.stalled {
-			continue
-		}
-		ss.demands = append(ss.demands, float64(flows[fi].Demand))
-		ss.paths = append(ss.paths, st.ps.paths[rt.path])
-		ss.slots = append(ss.slots, j)
-	}
-	if len(ss.demands) == 0 {
-		return nil
-	}
-	rates, err := ss.rates(sc.epochCaps[epoch])
-	if err != nil {
-		return err
-	}
-	for r, j := range ss.slots {
-		sc.rates[iv.off+j] = rates[r]
-	}
-	return nil
 }
 
 // finite reports whether x is neither NaN nor infinite.
@@ -970,7 +831,7 @@ func (s *Sim) Energy(res *Result, proportionality float64, law PowerLaw) (Energy
 		if err != nil {
 			return rep, err
 		}
-		e, err := s.deviceEnergy("link", l.ID, m, s.capacityOf(l), law, res.LinkTrace[l.ID])
+		e, err := s.deviceEnergy("link", l.ID, m, l.Speed, law, res.LinkTrace[l.ID])
 		if err != nil {
 			return rep, fmt.Errorf("netsim: link %d: %w", l.ID, err)
 		}

@@ -253,26 +253,6 @@ func TestECMPDeterminismAndSpread(t *testing.T) {
 	}
 }
 
-func TestCapacityOverride(t *testing.T) {
-	top := smallTopo(t)
-	s := New(top)
-	hosts := top.Hosts()
-	fl := traffic.Flow{Src: hosts[0], Dst: hosts[len(hosts)-1], Demand: 80 * units.Gbps, Start: 0, End: 1}
-	res, err := s.Run([]traffic.Flow{fl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Throttle the first path link to 10G and re-run: flow capped at 10G.
-	s.Capacity = map[int]units.Bandwidth{res.Flows[0].Path[1]: 10 * units.Gbps}
-	res2, err := s.Run([]traffic.Flow{fl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res2.Flows[0].MeanRate; math.Abs(float64(got)-10e9) > 1 {
-		t.Errorf("throttled rate = %v, want 10G", got)
-	}
-}
-
 func TestEnergyReportTwoStateVsLinear(t *testing.T) {
 	top := smallTopo(t)
 	s := New(top)

@@ -77,41 +77,33 @@ func scratchSteps(t *testing.T, top *fattree.Topology) []scratchStep {
 func TestScratchReuseMatchesFreshSim(t *testing.T) {
 	top := smallTopo(t)
 	steps := scratchSteps(t, top)
-	run := func(s *Sim, flows []traffic.Flow, workers int) (*Result, error) {
-		if workers == 1 {
-			return s.Run(flows)
-		}
-		return s.RunParallel(flows, workers)
-	}
 	for _, routing := range []Routing{HashECMP, ConcentrateRouting} {
-		for _, workers := range []int{1, 3} {
-			reused := New(top)
-			reused.Routing = routing
-			var got, want []*Result
-			for _, st := range steps {
-				reused.Faults = st.faults
-				res, err := run(reused, st.flows, workers)
-				fresh := New(top)
-				fresh.Routing, fresh.Faults = routing, st.faults
-				ref, refErr := run(fresh, st.flows, workers)
-				if st.wantErr {
-					if err == nil || refErr == nil || err.Error() != refErr.Error() {
-						t.Fatalf("%v/%d %s: err = %v, fresh err = %v, want the same error", routing, workers, st.label, err, refErr)
-					}
-					continue
+		reused := New(top)
+		reused.Routing = routing
+		var got, want []*Result
+		for _, st := range steps {
+			reused.Faults = st.faults
+			res, err := reused.Run(st.flows)
+			fresh := New(top)
+			fresh.Routing, fresh.Faults = routing, st.faults
+			ref, refErr := fresh.Run(st.flows)
+			if st.wantErr {
+				if err == nil || refErr == nil || err.Error() != refErr.Error() {
+					t.Fatalf("%v %s: err = %v, fresh err = %v, want the same error", routing, st.label, err, refErr)
 				}
-				if err != nil || refErr != nil {
-					t.Fatalf("%v/%d %s: err = %v, fresh err = %v", routing, workers, st.label, err, refErr)
-				}
-				if !reflect.DeepEqual(res, ref) {
-					t.Fatalf("%v/%d %s: reused Sim differs from a fresh one", routing, workers, st.label)
-				}
-				got, want = append(got, res), append(want, ref)
+				continue
 			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%v/%d: result %d changed after later runs on the same Sim", routing, workers, i)
-				}
+			if err != nil || refErr != nil {
+				t.Fatalf("%v %s: err = %v, fresh err = %v", routing, st.label, err, refErr)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("%v %s: reused Sim differs from a fresh one", routing, st.label)
+			}
+			got, want = append(got, res), append(want, ref)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%v: result %d changed after later runs on the same Sim", routing, i)
 			}
 		}
 	}

@@ -161,38 +161,6 @@ func parallelFlows(t *testing.T, top *fattree.Topology) []traffic.Flow {
 	return flows
 }
 
-// TestRunParallelByteIdentical: RunParallel must reproduce Run bit-for-bit
-// at any worker count — same rates, delivered bits, and traces. JSON is
-// the byte-level comparator: identical bytes require identical float bits.
-func TestRunParallelByteIdentical(t *testing.T) {
-	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := parallelFlows(t, top)
-	serial, err := New(top).Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		par, err := New(top).RunParallel(flows, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got, err := json.Marshal(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d output differs from serial Run", workers)
-		}
-	}
-}
-
 // TestPathCacheReuse: repeated Runs on one Sim hit the path cache and the
 // outputs stay identical to a fresh Sim's.
 func TestPathCacheReuse(t *testing.T) {

@@ -11,11 +11,11 @@ import (
 	"netpowerprop/internal/units"
 )
 
-// TestZooRunParallelIdentical runs an all-to-all job on zoo topologies —
+// TestZooReusedSimIdentical runs an all-to-all job on zoo topologies —
 // which exercise the custom path enumerator instead of the native Clos
-// walk — and checks RunParallel output equals serial Run output, with and
-// without an injected fault trace.
-func TestZooRunParallelIdentical(t *testing.T) {
+// walk — clean, faulted and clean again on one Sim, and checks each run
+// equals the same run on a fresh Sim.
+func TestZooReusedSimIdentical(t *testing.T) {
 	for _, name := range []string{"dragonfly", "torus3d", "railopt"} {
 		top, _, err := topo.Build(name, topo.Spec{Hosts: 16, LinkSpeed: 100 * units.Gbps})
 		if err != nil {
@@ -43,29 +43,30 @@ func TestZooRunParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: fault.Generate: %v", name, err)
 		}
+		reused := netsim.New(top)
+		reused.Routing = netsim.ConcentrateRouting
 		for _, tc := range []struct {
 			label string
 			tr    *fault.Trace
 		}{
 			{"clean", nil},
 			{"faulted", trace},
+			{"clean again", nil},
 		} {
-			serial := netsim.New(top)
-			serial.Routing = netsim.ConcentrateRouting
-			serial.Faults = tc.tr
-			want, err := serial.Run(flows)
+			fresh := netsim.New(top)
+			fresh.Routing = netsim.ConcentrateRouting
+			fresh.Faults = tc.tr
+			want, err := fresh.Run(flows)
 			if err != nil {
-				t.Fatalf("%s/%s: Run: %v", name, tc.label, err)
+				t.Fatalf("%s/%s: fresh Run: %v", name, tc.label, err)
 			}
-			par := netsim.New(top)
-			par.Routing = netsim.ConcentrateRouting
-			par.Faults = tc.tr
-			got, err := par.RunParallel(flows, 4)
+			reused.Faults = tc.tr
+			got, err := reused.Run(flows)
 			if err != nil {
-				t.Fatalf("%s/%s: RunParallel: %v", name, tc.label, err)
+				t.Fatalf("%s/%s: reused Run: %v", name, tc.label, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s/%s: RunParallel result differs from Run", name, tc.label)
+				t.Fatalf("%s/%s: reused Sim result differs from a fresh Sim's", name, tc.label)
 			}
 			if tc.tr != nil && want.Faults == nil {
 				t.Fatalf("%s: faulted run reported no fault summary", name)

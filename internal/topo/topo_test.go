@@ -221,8 +221,8 @@ func TestZooDeterministic(t *testing.T) {
 }
 
 // TestZooPathsConcurrent enumerates concurrently against a shared topology
-// and checks results match the serial enumeration — the property netsim's
-// RunParallel leans on.
+// and checks results match the serial enumeration — the property
+// concurrent simulations over one shared topology lean on.
 func TestZooPathsConcurrent(t *testing.T) {
 	for name, topo := range buildAll(t, 24) {
 		hs := topo.Hosts()

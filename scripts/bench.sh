@@ -20,7 +20,7 @@ trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
 echo "running root benchmarks..." >&2
 go test -run=NONE -benchmem \
-	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkRunParallel$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkZooRow$' \
+	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkZooRow$' \
 	. >>"$tmp"
 echo "running event-queue benchmark..." >&2
 go test -run=NONE -benchmem -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
