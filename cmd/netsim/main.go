@@ -174,7 +174,6 @@ func (a *app) openJobs() (*jobs.Manager, error) {
 	opts := jobs.Options{
 		Dir:    a.jobdir,
 		Exec:   a.eng,
-		Logf:   func(format string, args ...any) { fmt.Fprintf(os.Stderr, "netsim: "+format+"\n", args...) },
 		Logger: obs.New(os.Stderr, level).With("component", "jobs"),
 	}
 	if a.killrow >= 0 {

@@ -4,24 +4,24 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"netpowerprop/internal/chaos"
+	"netpowerprop/internal/engine"
+	"netpowerprop/internal/obs"
 )
 
-// armChaos arms a failpoint plan for one test, disarming on cleanup.
-func armChaos(t *testing.T, spec string) {
+// mustPlan parses a failpoint plan for one test.
+func mustPlan(t *testing.T, spec string) *chaos.Plan {
 	t.Helper()
 	p, err := chaos.Parse(spec)
 	if err != nil {
 		t.Fatalf("chaos.Parse(%q): %v", spec, err)
 	}
-	chaos.Arm(p)
-	t.Cleanup(func() {
-		chaos.Disarm()
-		chaos.ResetCounts()
-	})
+	return p
 }
 
 // A journal fsync failure must flip the whole node into jobs-degraded
@@ -29,8 +29,8 @@ func armChaos(t *testing.T, spec string) {
 // after), /healthz reports degraded with the journal reason, and the
 // synchronous compute endpoints keep serving untouched.
 func TestJournalFaultDegradesJobsButServesCompute(t *testing.T) {
-	srv := newJobsTestServer(t)
-	armChaos(t, "seed=3;site=jobs.journal.fsync kind=fsyncfail count=1")
+	t.Parallel()
+	srv := newJobsTestServer(t, mustPlan(t, "seed=3;site=jobs.journal.fsync kind=fsyncfail count=1"))
 
 	if _, status := postJob(t, srv.URL, `{"op":"sweep","steps":4}`); status != http.StatusServiceUnavailable {
 		t.Fatalf("submit with failing fsync: status = %d, want 503", status)
@@ -61,8 +61,13 @@ func TestJournalFaultDegradesJobsButServesCompute(t *testing.T) {
 // A response-write fault (modeling a dead client socket) must fail only
 // the one response it hits; the server keeps serving afterwards.
 func TestResponseWriteFaultIsContainedToOneRequest(t *testing.T) {
-	srv := newTestServer(t)
-	armChaos(t, "seed=5;site=serve.response.write kind=error count=1")
+	t.Parallel()
+	plan := mustPlan(t, "seed=5;site=serve.response.write kind=error count=1")
+	eng := engine.New(engine.Options{})
+	s := newServer(eng, nil, time.Minute, obs.Nop(), nil)
+	s.chaos = plan
+	srv := httptest.NewServer(s)
+	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err == nil {
@@ -77,7 +82,7 @@ func TestResponseWriteFaultIsContainedToOneRequest(t *testing.T) {
 			t.Fatalf("response survived an injected write fault: %s", body)
 		}
 	}
-	if got := chaos.Injections(); got != 1 {
+	if got := plan.Injections(); got != 1 {
 		t.Fatalf("injections = %d, want 1", got)
 	}
 

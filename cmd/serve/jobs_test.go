@@ -9,22 +9,26 @@ import (
 	"testing"
 	"time"
 
+	"netpowerprop/internal/chaos"
 	"netpowerprop/internal/engine"
 	"netpowerprop/internal/jobs"
 	"netpowerprop/internal/obs"
 )
 
 // newJobsTestServer builds a server with durable jobs over a temp dir,
-// the engine, jobs, and HTTP layers sharing one registry.
-func newJobsTestServer(t *testing.T) *httptest.Server {
+// the engine, jobs, and HTTP layers sharing one registry and, like
+// cmd/serve's main, one failpoint plan (nil: disarmed).
+func newJobsTestServer(t *testing.T, plan *chaos.Plan) *httptest.Server {
 	t.Helper()
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Registry: reg})
-	jm, err := jobs.Open(jobs.Options{Dir: t.TempDir(), Exec: eng, Registry: reg})
+	jm, err := jobs.Open(jobs.Options{Dir: t.TempDir(), Exec: eng, Registry: reg, Chaos: plan})
 	if err != nil {
 		t.Fatalf("jobs.Open: %v", err)
 	}
-	srv := httptest.NewServer(newServer(eng, jm, time.Minute, obs.Nop(), reg))
+	s := newServer(eng, jm, time.Minute, obs.Nop(), reg)
+	s.chaos = plan
+	srv := httptest.NewServer(s)
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -52,7 +56,7 @@ func postJob(t *testing.T, url string, body string) (jobs.Snapshot, int) {
 }
 
 func TestJobsAPISubmitPollAndList(t *testing.T) {
-	srv := newJobsTestServer(t)
+	srv := newJobsTestServer(t, nil)
 
 	snap, status := postJob(t, srv.URL, `{"op":"sweep","steps":4}`)
 	if status != http.StatusAccepted {
@@ -115,7 +119,7 @@ func TestJobsAPISubmitPollAndList(t *testing.T) {
 }
 
 func TestJobsAPIHealthzDepthAndMetrics(t *testing.T) {
-	srv := newJobsTestServer(t)
+	srv := newJobsTestServer(t, nil)
 	if _, status := postJob(t, srv.URL, `{"op":"sweep","steps":3}`); status != http.StatusAccepted {
 		t.Fatalf("submit status = %d", status)
 	}
@@ -167,7 +171,7 @@ func TestJobsAPIHealthzDepthAndMetrics(t *testing.T) {
 }
 
 func TestJobsAPICancelAndUnknown(t *testing.T) {
-	srv := newJobsTestServer(t)
+	srv := newJobsTestServer(t, nil)
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/no-such-job", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

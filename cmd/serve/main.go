@@ -110,18 +110,20 @@ func main() {
 	}
 	logger := obs.New(os.Stderr, level)
 	reg := obs.NewRegistry()
-	// Chaos metrics are always registered so dashboards can assert the
-	// armed gauge is zero in production; the failpoints themselves stay
-	// disarmed (a single atomic load on every site) unless -chaos is set.
-	chaos.Instrument(reg)
+	// One failpoint plan, parsed once and handed to the jobs manager,
+	// the cluster node and the HTTP layer. Without -chaos it is nil and
+	// every site is disarmed (one nil check). Chaos metrics are always
+	// registered so dashboards can assert the armed gauge is zero in
+	// production.
+	var plan *chaos.Plan
 	if *chaosSpec != "" {
-		plan, err := chaos.Parse(*chaosSpec)
+		plan, err = chaos.Parse(*chaosSpec)
 		if err != nil {
 			log.Fatalf("serve: -chaos: %v", err)
 		}
-		chaos.Arm(plan)
 		logger.Warn("chaos failpoints ARMED — this process will inject faults", "plan", plan.String())
 	}
+	plan.Instrument(reg)
 
 	// Co-simulation: one configuration per engine, attached before any
 	// request computes so cached and fresh rows agree on the model.
@@ -167,6 +169,7 @@ func main() {
 			Uptime:         func() float64 { return time.Since(started).Seconds() },
 			Logger:         logger.With("component", "cluster"),
 			Registry:       reg,
+			Chaos:          plan,
 		})
 		eng.SetRemote(node.Dispatch)
 		go node.Run(clusterCtx)
@@ -179,9 +182,9 @@ func main() {
 
 	var jm *jobs.Manager
 	if *jobdir != "" {
-		jm, err = jobs.Open(jobs.Options{Dir: *jobdir, Exec: eng, Logf: log.Printf,
+		jm, err = jobs.Open(jobs.Options{Dir: *jobdir, Exec: eng,
 			Owner: ownerName, LeaseTTL: *leaseTTL,
-			Logger: logger.With("component", "jobs"), Registry: reg})
+			Logger: logger.With("component", "jobs"), Registry: reg, Chaos: plan})
 		if err != nil {
 			log.Fatalf("serve: open job store: %v", err)
 		}
@@ -213,6 +216,7 @@ func main() {
 	}
 	srv := newServer(eng, jm, *timeout, logger.With("component", "http"), reg)
 	srv.cluster = node
+	srv.chaos = plan
 	srv.admit = admit.New(admit.Options{
 		RatePerSec: *quota, Burst: *burst,
 		Capacity: eng.Capacity(), Pending: eng.Pending, Registry: reg,
@@ -298,6 +302,7 @@ type server struct {
 	jobs    *jobs.Manager // nil: /v1/jobs disabled
 	admit   *admit.Controller
 	cluster *cluster.Node // nil: single-node
+	chaos   *chaos.Plan   // failpoints for response writes; nil: disarmed
 	timeout time.Duration
 	started time.Time
 	mux     *http.ServeMux
@@ -364,9 +369,11 @@ func newServer(eng *engine.Engine, jm *jobs.Manager, timeout time.Duration,
 }
 
 // statusWriter records the response status and byte count for the
-// request log and the per-route metrics.
+// request log and the per-route metrics, and evaluates the server's
+// response-write failpoint.
 type statusWriter struct {
 	http.ResponseWriter
+	chaos  *chaos.Plan
 	status int
 	bytes  int
 }
@@ -384,8 +391,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	}
 	// Failpoint: response-write faults model a sick downstream socket —
 	// added latency (slow reader) or a hard write error (connection
-	// reset). Disarmed cost is one atomic load.
-	if f := chaos.Fire(chaos.SiteResponseWrite); f.Active() {
+	// reset). Disarmed (nil plan) cost is one nil check.
+	if f := w.chaos.Fire(chaos.SiteResponseWrite, ""); f.Active() {
 		if f.Kind == chaos.KindLatency {
 			time.Sleep(f.Delay)
 		} else if f.Err != nil {
@@ -449,7 +456,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Id", trace)
 	r = r.WithContext(obs.WithTraceID(r.Context(), trace))
 	route := s.route(r)
-	sw := &statusWriter{ResponseWriter: w}
+	sw := &statusWriter{ResponseWriter: w, chaos: s.chaos}
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)

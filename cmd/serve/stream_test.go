@@ -363,7 +363,7 @@ func TestJobStreamUnknownAndDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("jobs-disabled stream status = %d, want 503", resp.StatusCode)
 	}
-	jsrv := newJobsTestServer(t)
+	jsrv := newJobsTestServer(t, nil)
 	resp2, err := http.Get(jsrv.URL + "/v1/jobs/deadbeef/stream")
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,18 @@ package chaos
 import "testing"
 
 // The disarmed fast path must be allocation-free — exactly zero, not
-// "within tolerance": these evaluations sit on the serve hot path.
+// "within tolerance": these evaluations sit on the serve hot path. Not
+// parallel: AllocsPerRun counts every goroutine's allocations.
 func TestDisarmedFireAllocatesNothing(t *testing.T) {
-	Disarm()
+	var p *Plan
 	allocs := testing.AllocsPerRun(1000, func() {
-		if f := Fire(SiteResponseWrite); f.Active() {
+		if f := p.Fire(SiteResponseWrite, ""); f.Active() {
 			t.Fatal("disarmed site injected")
 		}
-		if err := Error(SiteJournalFsync); err != nil {
+		if err := p.Error(SiteJournalFsync, ""); err != nil {
 			t.Fatal("disarmed site errored")
 		}
-		if Drop(SiteGossipDeliver, "http://peer:1") {
+		if p.Drop(SiteGossipDeliver, "http://peer:1") {
 			t.Fatal("disarmed site dropped")
 		}
 	})
@@ -23,13 +24,13 @@ func TestDisarmedFireAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkChaosDisarmed guards the "disarmed failpoints add 0
-// allocs/op" claim: a site evaluation with no plan armed must be a
-// single atomic load, nothing more.
+// allocs/op" claim: a site evaluation on a nil plan must be a single
+// nil check, nothing more.
 func BenchmarkChaosDisarmed(b *testing.B) {
-	Disarm()
+	var p *Plan
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if f := Fire(SiteResponseWrite); f.Active() {
+		if f := p.Fire(SiteResponseWrite, ""); f.Active() {
 			b.Fatal("disarmed site injected")
 		}
 	}

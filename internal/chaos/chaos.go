@@ -1,14 +1,15 @@
 // Package chaos is a seeded, deterministic failpoint framework.
 //
 // Code under test declares named injection sites at its cross-boundary
-// I/O points (disk writes, inter-replica HTTP, gossip delivery). When
-// the package is disarmed — the default — every site evaluates to a
-// single atomic load and returns the zero Fault: no allocation, no
-// branch beyond the flag check. When armed with a Plan (parsed from a
-// compact spec string, see Parse), matching sites inject typed faults
-// — error returns, short writes, fsync failures, ENOSPC, added
-// latency, drops, one-way partitions — according to per-rule
-// probability, count caps, and epoch windows.
+// I/O points (disk writes, inter-replica HTTP, gossip delivery) and
+// evaluates them against the *Plan it was handed. A nil plan — the
+// default — is disarmed: every site is one nil check that returns the
+// zero Fault, with no allocation. A plan (parsed from a compact spec
+// string, see Parse) makes matching sites inject typed faults — error
+// returns, short writes, fsync failures, ENOSPC, added latency, drops,
+// one-way partitions — according to per-rule probability, count caps,
+// and epoch windows. The package holds no mutable state: two nodes in
+// one process can run different plans, or none.
 //
 // Every probabilistic decision is a pure hash of (plan seed, rule,
 // per-rule hit counter), so a fault schedule is fully reproducible
@@ -20,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -148,36 +148,20 @@ type armedRule struct {
 }
 
 // Plan is an armed set of rules plus the seed all probabilistic
-// decisions derive from.
+// decisions derive from. It also counts, per site, how often the site
+// was evaluated and how many faults it injected. A nil *Plan is
+// disarmed: every method is safe to call on it and injects nothing.
 type Plan struct {
-	Seed   uint64
-	rules  []*armedRule
-	bySite map[string][]*armedRule
+	Seed  uint64
+	rules []*armedRule
+	sites map[string]*site // every Registry site
 }
 
-// global armed state: the flag is the fast path, the pointer the slow.
-var (
-	armedFlag atomic.Bool
-	current   atomic.Pointer[Plan]
-)
-
-// Armed reports whether a plan is active.
-func Armed() bool { return armedFlag.Load() }
-
-// Arm activates p. Passing nil disarms.
-func Arm(p *Plan) {
-	if p == nil {
-		Disarm()
-		return
-	}
-	current.Store(p)
-	armedFlag.Store(true)
-}
-
-// Disarm deactivates fault injection; all sites return to no-ops.
-func Disarm() {
-	armedFlag.Store(false)
-	current.Store(nil)
+// site is one registered site's rules (in declaration order) and its
+// counters.
+type site struct {
+	rules             []*armedRule
+	evals, injections atomic.Uint64
 }
 
 // kind masks let each helper consume only rules it can honor, so a
@@ -214,11 +198,16 @@ func maskOf(k Kind) kindMask {
 	return 0
 }
 
-// eval walks p's rules for site in declaration order and injects the
-// first one that matches peer, the mask, its window, its count cap,
-// and its seeded coin flip.
-func (p *Plan) eval(site, peer string, mask kindMask) Fault {
-	for _, r := range p.bySite[site] {
+// eval counts one evaluation of site, then walks its rules in
+// declaration order and injects the first one that matches peer, the
+// mask, its window, its count cap, and its seeded coin flip.
+func (p *Plan) eval(name, peer string, mask kindMask) Fault {
+	if p == nil {
+		return Fault{}
+	}
+	s := p.sites[name]
+	s.evals.Add(1)
+	for _, r := range s.rules {
 		if maskOf(r.Kind)&mask == 0 {
 			continue
 		}
@@ -242,7 +231,7 @@ func (p *Plan) eval(site, peer string, mask kindMask) Fault {
 				break
 			}
 			if r.injected.CompareAndSwap(c, c+1) {
-				siteInjections(site).Add(1)
+				s.injections.Add(1)
 				return r.fault()
 			}
 		}
@@ -281,45 +270,25 @@ func unitHash(seed, rule, hit uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-func evalSite(site, peer string, mask kindMask) Fault {
-	if !armedFlag.Load() {
-		return Fault{}
-	}
-	p := current.Load()
-	if p == nil {
-		return Fault{}
-	}
-	siteEvals(site).Add(1)
-	return p.eval(site, peer, mask)
-}
-
 const maskAny = maskError | maskShortWrite | maskFsyncFail | maskENOSPC | maskLatency | maskDrop | maskPartition
 
-// Fire evaluates site against all fault kinds, with no peer context.
-func Fire(site string) Fault { return evalSite(site, "", maskAny) }
+// The site methods below take the peer the traffic goes to or comes
+// from; "" matches only rules without a peer= matcher.
 
-// FirePeer evaluates site for traffic to/from peer, all fault kinds.
-func FirePeer(site, peer string) Fault { return evalSite(site, peer, maskAny) }
+// Fire evaluates site against all fault kinds.
+func (p *Plan) Fire(site, peer string) Fault { return p.eval(site, peer, maskAny) }
 
 // Error evaluates site for error-returning faults (error, enospc,
 // fsyncfail) and returns the injected error, or nil.
-func Error(site string) error {
-	return evalSite(site, "", maskError|maskENOSPC|maskFsyncFail).Err
-}
-
-// ErrorPeer is Error with a peer matcher.
-func ErrorPeer(site, peer string) error {
-	return evalSite(site, peer, maskError|maskENOSPC|maskFsyncFail).Err
+func (p *Plan) Error(site, peer string) error {
+	return p.eval(site, peer, maskError|maskENOSPC|maskFsyncFail).Err
 }
 
 // Sleep evaluates site for latency faults and blocks for the
 // configured delay, honoring ctx. Returns ctx.Err() if the context
 // expires mid-delay.
-func Sleep(ctx context.Context, site string) error { return SleepPeer(ctx, site, "") }
-
-// SleepPeer is Sleep with a peer matcher.
-func SleepPeer(ctx context.Context, site, peer string) error {
-	f := evalSite(site, peer, maskLatency)
+func (p *Plan) Sleep(ctx context.Context, site, peer string) error {
+	f := p.eval(site, peer, maskLatency)
 	if !f.Active() || f.Delay <= 0 {
 		return nil
 	}
@@ -335,15 +304,15 @@ func SleepPeer(ctx context.Context, site, peer string) error {
 
 // Drop evaluates site for drop/partition faults on a message from/to
 // peer and reports whether the message should be lost.
-func Drop(site, peer string) bool {
-	return evalSite(site, peer, maskDrop|maskPartition).Active()
+func (p *Plan) Drop(site, peer string) bool {
+	return p.eval(site, peer, maskDrop|maskPartition).Active()
 }
 
 // FileWrite evaluates a file-write site about to persist n bytes.
 // It returns (n, nil) when no fault fires; on a short write it
 // returns how many bytes should reach the file before the failure.
-func FileWrite(site string, n int) (int, error) {
-	f := evalSite(site, "", maskError|maskENOSPC|maskShortWrite)
+func (p *Plan) FileWrite(site, peer string, n int) (int, error) {
+	f := p.eval(site, peer, maskError|maskENOSPC|maskShortWrite)
 	if !f.Active() {
 		return n, nil
 	}
@@ -368,7 +337,10 @@ func FileWrite(site string, n int) (int, error) {
 // Unknown sites, kinds a site does not honor, and malformed fields are
 // errors: a chaos spec that injects nothing should never pass silently.
 func Parse(spec string) (*Plan, error) {
-	p := &Plan{bySite: make(map[string][]*armedRule)}
+	p := &Plan{sites: make(map[string]*site, len(Registry))}
+	for _, si := range Registry {
+		p.sites[si.Name] = &site{}
+	}
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -388,7 +360,8 @@ func Parse(spec string) (*Plan, error) {
 		}
 		ar := &armedRule{Rule: r, idx: len(p.rules)}
 		p.rules = append(p.rules, ar)
-		p.bySite[r.Site] = append(p.bySite[r.Site], ar)
+		s := p.sites[r.Site]
+		s.rules = append(s.rules, ar)
 	}
 	if len(p.rules) == 0 {
 		return nil, errors.New("chaos: spec has no rules")
@@ -415,11 +388,11 @@ func parseRule(clause string) (Rule, error) {
 				err = errors.New("out of [0,1]")
 			}
 		case "count":
-			r.Count, err = strconv.Atoi(v)
+			r.Count, err = parseCount(v)
 		case "after":
-			r.After, err = strconv.Atoi(v)
+			r.After, err = parseCount(v)
 		case "until":
-			r.Until, err = strconv.Atoi(v)
+			r.Until, err = parseCount(v)
 		case "delay":
 			r.Delay, err = time.ParseDuration(v)
 		case "peer":
@@ -451,6 +424,17 @@ func parseRule(clause string) (Rule, error) {
 	return r, nil
 }
 
+// parseCount parses a hit count or window bound. Negative values are
+// errors: a negative after= would never inject, and a negative count=
+// or until= would silently mean "unlimited".
+func parseCount(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err == nil && n < 0 {
+		err = errors.New("negative")
+	}
+	return n, err
+}
+
 // String renders the plan back to a parseable spec.
 func (p *Plan) String() string {
 	var b strings.Builder
@@ -479,55 +463,14 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// --- counters ----------------------------------------------------------
-
-// Per-site counters live outside the plan so they survive re-arming
-// and can be registered as metrics once at startup.
-type siteCounters struct {
-	evals, injections atomic.Uint64
-}
-
-var counters = func() map[string]*siteCounters {
-	m := make(map[string]*siteCounters, len(Registry))
-	for _, s := range Registry {
-		m[s.Name] = &siteCounters{}
+// Injections sums injected faults across all sites; zero for a nil plan.
+func (p *Plan) Injections() uint64 {
+	if p == nil {
+		return 0
 	}
-	return m
-}()
-
-func siteEvals(site string) *atomic.Uint64      { return &counters[site].evals }
-func siteInjections(site string) *atomic.Uint64 { return &counters[site].injections }
-
-// SiteCount is a snapshot of one site's counters.
-type SiteCount struct {
-	Site       string `json:"site"`
-	Evals      uint64 `json:"evals"`
-	Injections uint64 `json:"injections"`
-}
-
-// Counts snapshots every site's counters, sorted by site name.
-func Counts() []SiteCount {
-	out := make([]SiteCount, 0, len(counters))
-	for name, c := range counters {
-		out = append(out, SiteCount{name, c.evals.Load(), c.injections.Load()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
-
-// ResetCounts zeroes every site counter (test hygiene).
-func ResetCounts() {
-	for _, c := range counters {
-		c.evals.Store(0)
-		c.injections.Store(0)
-	}
-}
-
-// Injections sums injected faults across all sites.
-func Injections() uint64 {
 	var n uint64
-	for _, c := range counters {
-		n += c.injections.Load()
+	for _, s := range p.sites {
+		n += s.injections.Load()
 	}
 	return n
 }

@@ -7,42 +7,44 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"netpowerprop/internal/obs"
 )
 
-func arm(t *testing.T, spec string) *Plan {
+func mustParse(t *testing.T, spec string) *Plan {
 	t.Helper()
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
-	Arm(p)
-	t.Cleanup(func() {
-		Disarm()
-		ResetCounts()
-	})
 	return p
 }
 
 func TestDisarmedIsNoop(t *testing.T) {
-	Disarm()
-	if Armed() {
-		t.Fatal("armed after Disarm")
-	}
-	if f := Fire(SiteJournalWrite); f.Active() {
+	t.Parallel()
+	var p *Plan
+	if f := p.Fire(SiteJournalWrite, ""); f.Active() {
 		t.Fatalf("disarmed Fire injected %+v", f)
 	}
-	if err := Error(SiteJournalFsync); err != nil {
+	if err := p.Error(SiteJournalFsync, ""); err != nil {
 		t.Fatalf("disarmed Error: %v", err)
 	}
-	if Drop(SiteGossipDeliver, "x") {
+	if err := p.Sleep(context.Background(), SiteForwardRTT, "x"); err != nil {
+		t.Fatalf("disarmed Sleep: %v", err)
+	}
+	if p.Drop(SiteGossipDeliver, "x") {
 		t.Fatal("disarmed Drop fired")
 	}
-	if n, err := FileWrite(SiteJournalWrite, 42); n != 42 || err != nil {
+	if n, err := p.FileWrite(SiteJournalWrite, "", 42); n != 42 || err != nil {
 		t.Fatalf("disarmed FileWrite = (%d, %v)", n, err)
+	}
+	if n := p.Injections(); n != 0 {
+		t.Fatalf("disarmed Injections = %d", n)
 	}
 }
 
 func TestParseRejectsBadSpecs(t *testing.T) {
+	t.Parallel()
 	for _, spec := range []string{
 		"",                                       // no rules
 		"seed=5",                                 // no rules
@@ -53,6 +55,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"site=jobs.journal.write kind=error prob=1.5",
 		"site=jobs.journal.write kind=error bogus=1",
 		"seed=abc;site=jobs.journal.write kind=error",
+		"site=jobs.journal.write kind=error count=-1", // negative would mean unlimited
+		"site=jobs.journal.write kind=error after=-1", // negative would never inject
+		"site=jobs.journal.write kind=error until=-3", // negative would mean no end
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", spec)
@@ -61,6 +66,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
+	t.Parallel()
 	spec := "seed=7;site=cluster.forward.rtt kind=latency prob=0.4 count=30 delay=120ms;site=jobs.journal.fsync kind=fsyncfail count=1 after=4"
 	p, err := Parse(spec)
 	if err != nil {
@@ -76,10 +82,11 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestCountAndAfterWindows(t *testing.T) {
-	arm(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=2 after=3")
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=2 after=3")
 	var got []int
 	for i := 0; i < 10; i++ {
-		if Error(SiteJournalFsync) != nil {
+		if p.Error(SiteJournalFsync, "") != nil {
 			got = append(got, i)
 		}
 	}
@@ -89,10 +96,11 @@ func TestCountAndAfterWindows(t *testing.T) {
 }
 
 func TestUntilWindow(t *testing.T) {
-	arm(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail after=2 until=4")
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail after=2 until=4")
 	var got []int
 	for i := 0; i < 8; i++ {
-		if Error(SiteJournalFsync) != nil {
+		if p.Error(SiteJournalFsync, "") != nil {
 			got = append(got, i)
 		}
 	}
@@ -102,19 +110,15 @@ func TestUntilWindow(t *testing.T) {
 }
 
 // Probabilistic decisions must be a pure function of (seed, rule, hit):
-// re-arming the same spec replays the identical injection sequence, and
+// re-parsing the same spec replays the identical injection sequence, and
 // a different seed picks a different one.
 func TestSeededDeterminism(t *testing.T) {
+	t.Parallel()
 	sequence := func(spec string) string {
-		p, err := Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Arm(p)
-		defer Disarm()
+		p := mustParse(t, spec)
 		var b strings.Builder
 		for i := 0; i < 200; i++ {
-			if Drop(SiteGossipDeliver, "peer") {
+			if p.Drop(SiteGossipDeliver, "peer") {
 				b.WriteByte('x')
 			} else {
 				b.WriteByte('.')
@@ -133,32 +137,33 @@ func TestSeededDeterminism(t *testing.T) {
 	if c := sequence("seed=43;site=cluster.gossip.deliver kind=drop prob=0.3"); c == a {
 		t.Fatal("different seed produced identical sequence")
 	}
-	ResetCounts()
 }
 
 func TestPeerMatcher(t *testing.T) {
-	arm(t, "seed=1;site=cluster.gossip.deliver kind=partition peer=http://a")
-	if !Drop(SiteGossipDeliver, "http://a") {
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=cluster.gossip.deliver kind=partition peer=http://a")
+	if !p.Drop(SiteGossipDeliver, "http://a") {
 		t.Fatal("matching peer not dropped")
 	}
-	if Drop(SiteGossipDeliver, "http://b") {
+	if p.Drop(SiteGossipDeliver, "http://b") {
 		t.Fatal("non-matching peer dropped")
 	}
 }
 
 func TestKindMaskDoesNotBurnForeignRules(t *testing.T) {
+	t.Parallel()
 	// A latency rule must not be consumed (or injected) by Error/Drop
 	// callers that cannot honor it.
-	arm(t, "seed=1;site=cluster.gossip.send kind=latency delay=1ms count=1")
-	if err := Error(SiteGossipSend); err != nil {
+	p := mustParse(t, "seed=1;site=cluster.gossip.send kind=latency delay=1ms count=1")
+	if err := p.Error(SiteGossipSend, ""); err != nil {
 		t.Fatalf("Error consumed a latency rule: %v", err)
 	}
-	if Drop(SiteGossipSend, "") {
+	if p.Drop(SiteGossipSend, "") {
 		t.Fatal("Drop consumed a latency rule")
 	}
 	ctx := context.Background()
 	start := time.Now()
-	if err := Sleep(ctx, SiteGossipSend); err != nil {
+	if err := p.Sleep(ctx, SiteGossipSend, ""); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < time.Millisecond {
@@ -167,11 +172,12 @@ func TestKindMaskDoesNotBurnForeignRules(t *testing.T) {
 }
 
 func TestSleepHonorsContext(t *testing.T) {
-	arm(t, "seed=1;site=cluster.forward.rtt kind=latency delay=10s")
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=cluster.forward.rtt kind=latency delay=10s")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := Sleep(ctx, SiteForwardRTT)
+	err := p.Sleep(ctx, SiteForwardRTT, "")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -181,39 +187,60 @@ func TestSleepHonorsContext(t *testing.T) {
 }
 
 func TestFileWriteKinds(t *testing.T) {
-	arm(t, "seed=1;site=jobs.journal.write kind=shortwrite count=1")
-	n, err := FileWrite(SiteJournalWrite, 100)
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=jobs.journal.write kind=shortwrite count=1")
+	n, err := p.FileWrite(SiteJournalWrite, "", 100)
 	if n != 50 || !errors.Is(err, ErrInjected) {
 		t.Fatalf("shortwrite = (%d, %v), want (50, ErrInjected)", n, err)
 	}
-	if n, err := FileWrite(SiteJournalWrite, 100); n != 100 || err != nil {
+	if n, err := p.FileWrite(SiteJournalWrite, "", 100); n != 100 || err != nil {
 		t.Fatalf("count=1 exhausted but FileWrite = (%d, %v)", n, err)
 	}
-	Disarm()
-	ResetCounts()
 
-	arm(t, "seed=1;site=jobs.journal.write kind=enospc count=1")
-	_, err = FileWrite(SiteJournalWrite, 100)
+	p = mustParse(t, "seed=1;site=jobs.journal.write kind=enospc count=1")
+	_, err = p.FileWrite(SiteJournalWrite, "", 100)
 	if !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("enospc fault = %v, want ENOSPC and ErrInjected", err)
 	}
 }
 
+// A plan's per-site counters surface through Instrument: evaluations
+// count every armed hit, injections only the faults that fired, and a
+// nil plan renders the same families as zeros.
 func TestCounts(t *testing.T) {
-	arm(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1")
-	Error(SiteJournalFsync)
-	Error(SiteJournalFsync)
-	for _, c := range Counts() {
-		if c.Site != SiteJournalFsync {
-			continue
-		}
-		if c.Evals != 2 || c.Injections != 1 {
-			t.Fatalf("counts = %+v, want evals=2 injections=1", c)
-		}
-		if Injections() == 0 {
-			t.Fatal("Injections() = 0")
-		}
-		return
+	t.Parallel()
+	p := mustParse(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1")
+	p.Error(SiteJournalFsync, "")
+	p.Error(SiteJournalFsync, "")
+	if got := p.Injections(); got != 1 {
+		t.Fatalf("Injections() = %d, want 1", got)
 	}
-	t.Fatal("site missing from Counts()")
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
+	var b strings.Builder
+	reg.Render(&b)
+	for _, want := range []string{
+		"netpowerprop_chaos_armed 1\n",
+		`netpowerprop_chaos_evaluations_total{site="jobs.journal.fsync"} 2` + "\n",
+		`netpowerprop_chaos_injected_total{site="jobs.journal.fsync"} 1` + "\n",
+		`netpowerprop_chaos_evaluations_total{site="jobs.journal.write"} 0` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("armed exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+
+	reg = obs.NewRegistry()
+	(*Plan)(nil).Instrument(reg)
+	b.Reset()
+	reg.Render(&b)
+	for _, want := range []string{
+		"netpowerprop_chaos_armed 0\n",
+		`netpowerprop_chaos_evaluations_total{site="jobs.journal.fsync"} 0` + "\n",
+		`netpowerprop_chaos_injected_total{site="serve.response.write"} 0` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("nil-plan exposition lacks %q:\n%s", want, b.String())
+		}
+	}
 }

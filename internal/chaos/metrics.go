@@ -2,32 +2,35 @@ package chaos
 
 import "netpowerprop/internal/obs"
 
-// Instrument registers the chaos counters on reg:
+// Instrument registers p's counters on reg:
 //
-//	netpowerprop_chaos_armed                     — 1 while a plan is active
+//	netpowerprop_chaos_armed                     — 1 when p is a plan, 0 when nil
 //	netpowerprop_chaos_evaluations_total{site=}  — armed site evaluations
 //	netpowerprop_chaos_injected_total{site=}     — faults actually injected
 //
-// Families render even when disarmed (all zeros) so dashboards and the
+// A nil plan renders every family as zeros, so dashboards and the
 // exposition validator see a stable metric set.
-func Instrument(reg *obs.Registry) {
+func (p *Plan) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("netpowerprop_chaos_armed",
 		"1 while a chaos fault plan is armed, 0 otherwise.",
 		func() float64 {
-			if Armed() {
+			if p != nil {
 				return 1
 			}
 			return 0
 		})
-	for _, s := range Registry {
-		c := counters[s.Name]
+	for _, si := range Registry {
+		s := &site{}
+		if p != nil {
+			s = p.sites[si.Name]
+		}
 		reg.CounterFunc("netpowerprop_chaos_evaluations_total",
 			"Armed failpoint evaluations by site.",
-			func() float64 { return float64(c.evals.Load()) },
-			"site", s.Name)
+			func() float64 { return float64(s.evals.Load()) },
+			"site", si.Name)
 		reg.CounterFunc("netpowerprop_chaos_injected_total",
 			"Faults injected by site.",
-			func() float64 { return float64(c.injections.Load()) },
-			"site", s.Name)
+			func() float64 { return float64(s.injections.Load()) },
+			"site", si.Name)
 	}
 }

@@ -16,19 +16,14 @@ import (
 	"netpowerprop/internal/obs"
 )
 
-// armChaos parses and arms a failpoint spec for one test, disarming and
-// zeroing hit counters on cleanup.
-func armChaos(t *testing.T, spec string) {
+// mustPlan parses a failpoint spec for one test.
+func mustPlan(t *testing.T, spec string) *chaos.Plan {
 	t.Helper()
 	p, err := chaos.Parse(spec)
 	if err != nil {
 		t.Fatalf("chaos.Parse(%q): %v", spec, err)
 	}
-	chaos.Arm(p)
-	t.Cleanup(func() {
-		chaos.Disarm()
-		chaos.ResetCounts()
-	})
+	return p
 }
 
 // Satellite regression: the losing side of a hedged forward must be
@@ -39,6 +34,7 @@ func armChaos(t *testing.T, spec string) {
 // the sleep — it may never reach the wire (where it would re-present
 // the already-charged X-Forwarded-Admit request).
 func TestHedgeLoserCanceledPromptlyNoDoubleCharge(t *testing.T) {
+	t.Parallel()
 	var ownerCalls, hedgeCalls, unadmitted atomic.Int64
 	slow := resultServer(t, func(*http.Request) { ownerCalls.Add(1) })
 	defer slow.Close()
@@ -53,12 +49,13 @@ func TestHedgeLoserCanceledPromptlyNoDoubleCharge(t *testing.T) {
 	// Hold the owner in an injected 200ms round-trip delay — far past
 	// the 5ms hedge trigger, but well inside the hop budget, so only a
 	// prompt cancel (not the deadline) can stop its request going out.
-	armChaos(t, fmt.Sprintf(
+	plan := mustPlan(t, fmt.Sprintf(
 		"seed=7;site=cluster.forward.rtt kind=latency delay=200ms peer=%s",
 		normalizeAddr(slow.URL)))
 
 	n := newTestNode(t, "http://self:1", []string{slow.URL, fast.URL}, func(o *Options) {
 		o.HedgeDelay = 5 * time.Millisecond
+		o.Chaos = plan
 	})
 	key := keyOwnedBy(t, n, slow.URL)
 	if succ := n.Ring().Successor(key, normalizeAddr(slow.URL), "http://self:1"); succ != normalizeAddr(fast.URL) {
@@ -103,13 +100,14 @@ func TestHedgeLoserCanceledPromptlyNoDoubleCharge(t *testing.T) {
 // oneWayMesh wires three gossipers with an in-memory exchange that
 // consults the cluster.gossip.deliver failpoint exactly the way a real
 // process does: at the receiving node, keyed by the traffic's origin.
-// Only the partition victim (b) consults the plan, mirroring per-process
-// chaos arming in the CI matrix.
-func oneWayMesh(addrs []string, seed int64, victim string) map[string]*Gossiper {
+// Only the partition victim consults a plan — *victimPlan, which the
+// test owns and heals by setting to nil — mirroring per-process chaos
+// arming in the CI matrix.
+func oneWayMesh(addrs []string, seed int64, victim string, victimPlan **chaos.Plan) map[string]*Gossiper {
 	gs := make(map[string]*Gossiper)
 	exchange := func(_ context.Context, peer string, d Digest) (Digest, error) {
 		// Request delivery at the receiver.
-		if peer == victim && chaos.Drop(chaos.SiteGossipDeliver, d.From) {
+		if peer == victim && (*victimPlan).Drop(chaos.SiteGossipDeliver, d.From) {
 			return Digest{}, errors.New("request dropped (one-way partition)")
 		}
 		g := gs[peer]
@@ -117,7 +115,7 @@ func oneWayMesh(addrs []string, seed int64, victim string) map[string]*Gossiper 
 		g.ObserveSuccess(d.From)
 		reply := g.Digest()
 		// Reply delivery back at the initiator.
-		if d.From == victim && chaos.Drop(chaos.SiteGossipDeliver, peer) {
+		if d.From == victim && (*victimPlan).Drop(chaos.SiteGossipDeliver, peer) {
 			return Digest{}, errors.New("reply dropped (one-way partition)")
 		}
 		return reply, nil
@@ -148,12 +146,14 @@ func oneWayMesh(addrs []string, seed int64, victim string) map[string]*Gossiper 
 // both the conviction round and the post-heal reconvergence round count
 // must be pinned by the seed.
 func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
+	t.Parallel()
 	addrs := []string{"http://a:1", "http://b:1", "http://c:1"}
 	a, b := addrs[0], addrs[1]
 
 	run := func() (deathRound, healRound int) {
 		t.Helper()
-		gs := oneWayMesh(addrs, 21, b)
+		var plan *chaos.Plan
+		gs := oneWayMesh(addrs, 21, b, &plan)
 		tick := func() {
 			var order []string
 			for addr := range gs {
@@ -181,7 +181,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 		}
 		inc0, _ := gs[a].State(a)
 
-		armChaos(t, "seed=21;site=cluster.gossip.deliver kind=partition peer="+a)
+		plan = mustPlan(t, "seed=21;site=cluster.gossip.deliver kind=partition peer="+a)
 		for round := 1; ; round++ {
 			if round > 12 {
 				t.Fatalf("b never convicted a within 12 rounds: %v", gs[b].Alive())
@@ -193,8 +193,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 			}
 		}
 
-		chaos.Disarm()
-		chaos.ResetCounts()
+		plan = nil // heal
 		for round := 1; ; round++ {
 			if round > 12 {
 				t.Fatalf("mesh never reconverged within 12 rounds of healing: a=%v b=%v c=%v",
@@ -238,6 +237,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 // future Allow rejected the peer permanently. Now the drain hands the
 // slot back (CancelProbe) and the next dispatch re-probes and re-closes.
 func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
+	t.Parallel()
 	clk := newFakeNow()
 	var ownerCalls atomic.Int64
 	slow := resultServer(t, func(*http.Request) { ownerCalls.Add(1) })
@@ -245,13 +245,19 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	fast := resultServer(t, nil)
 	defer fast.Close()
 
+	// Stall the probe in one injected 200ms round trip (count=1); the
+	// hedge to the healthy successor wins long before it resolves, and
+	// the spent count clears the fault for the post-heal dispatch.
+	owner := normalizeAddr(slow.URL)
+	plan := mustPlan(t, fmt.Sprintf(
+		"seed=7;site=cluster.forward.rtt kind=latency delay=200ms count=1 peer=%s", owner))
 	n := newTestNode(t, "http://self:1", []string{slow.URL, fast.URL}, func(o *Options) {
 		o.BreakerThreshold = 1
 		o.BreakerCooldown = time.Minute
 		o.Now = clk.Now
 		o.HedgeDelay = 5 * time.Millisecond
+		o.Chaos = plan
 	})
-	owner := normalizeAddr(slow.URL)
 	key := keyOwnedBy(t, n, slow.URL)
 
 	// Trip the owner's circuit and elapse the cooldown: the next
@@ -262,10 +268,6 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	}
 	clk.Advance(time.Minute)
 
-	// Stall the probe in an injected 200ms round trip; the hedge to the
-	// healthy successor wins long before it resolves.
-	armChaos(t, fmt.Sprintf(
-		"seed=7;site=cluster.forward.rtt kind=latency delay=200ms peer=%s", owner))
 	ctx, note := WithRouteNote(context.Background())
 	res, handled, err := n.Dispatch(ctx, key, engine.Request{Op: engine.OpWhatIf})
 	if err != nil || !handled || res == nil {
@@ -308,7 +310,6 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	// With the slot free and the fault cleared, the next dispatch
 	// re-probes the owner and the circuit re-closes: the chaos-matrix
 	// "every breaker re-closes once faults clear" invariant.
-	chaos.Disarm()
 	res2, handled2, err2 := n.Dispatch(context.Background(), key, engine.Request{Op: engine.OpWhatIf})
 	if err2 != nil || !handled2 || res2 == nil {
 		t.Fatalf("post-heal Dispatch = (%v, %v, %v), want forwarded success", res2, handled2, err2)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netpowerprop/internal/chaos"
 	"netpowerprop/internal/obs"
 )
 
@@ -211,37 +210,14 @@ func (g *Gossiper) Tick(ctx context.Context) {
 	g.rounds.Add(1)
 
 	for _, t := range targets {
-		// Failpoint: the outbound request is lost before the wire — the
-		// peer never sees it, and we observe a failed exchange.
-		if chaos.Drop(chaos.SiteGossipSend, t) {
-			g.ObserveFailure(t)
-			continue
-		}
-		if err := chaos.ErrorPeer(chaos.SiteGossipSend, t); err != nil {
-			g.ObserveFailure(t)
-			continue
-		}
-		if err := chaos.SleepPeer(ctx, chaos.SiteGossipSend, t); err != nil {
-			// Canceled mid-injected-delay (shutdown): that's a local
-			// verdict, not the peer's — end the round without charging
-			// ObserveFailure against anyone.
-			return
-		}
 		reply, err := g.exchange(ctx, t, digest)
 		if err != nil {
 			if ctx.Err() != nil {
-				// Same rule for a cancellation surfacing through the
-				// exchange itself: a dead local context must not pollute
-				// the peer's health.
+				// Canceled mid-exchange (shutdown): that's a local
+				// verdict, not the peer's — end the round without
+				// charging ObserveFailure against anyone.
 				return
 			}
-			g.ObserveFailure(t)
-			continue
-		}
-		// Failpoint: the reply is lost on its way back from t — under a
-		// one-way partition (peer=t) the exchange looks failed even
-		// though t processed our digest.
-		if chaos.Drop(chaos.SiteGossipDeliver, t) {
 			g.ObserveFailure(t)
 			continue
 		}

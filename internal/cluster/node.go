@@ -96,6 +96,10 @@ type Options struct {
 	// Registry receives netpowerprop_cluster_* and netpowerprop_breaker_*
 	// metrics. Nil skips.
 	Registry *obs.Registry
+	// Chaos is the failpoint plan the forward path, the HTTP gossip
+	// exchange and the gossip receive side consult (see internal/chaos).
+	// Nil — the default — injects nothing.
+	Chaos *chaos.Plan
 }
 
 // Node is one replica's view of the cluster: the gossiper, the ring
@@ -109,6 +113,7 @@ type Node struct {
 	interval   time.Duration
 	client     *http.Client
 	log        *obs.Logger
+	chaos      *chaos.Plan
 	gossip     *Gossiper
 	queueDepth func() int64
 	uptime     func() float64
@@ -183,6 +188,7 @@ func New(opts Options) *Node {
 		interval:   opts.GossipInterval,
 		client:     opts.Client,
 		log:        opts.Logger.With("peer", self),
+		chaos:      opts.Chaos,
 		queueDepth: opts.QueueDepth,
 		uptime:     opts.Uptime,
 		breaker: NewBreaker(BreakerOptions{
@@ -345,7 +351,7 @@ var ErrGossipDropped = errors.New("cluster: inbound gossip digest dropped (injec
 // HandleGossip is the receive side of an anti-entropy exchange: merge
 // the caller's digest, reply with ours. Wired to POST /v1/cluster/gossip.
 func (n *Node) HandleGossip(d Digest) (Digest, error) {
-	if d.From != "" && chaos.Drop(chaos.SiteGossipDeliver, d.From) {
+	if d.From != "" && n.chaos.Drop(chaos.SiteGossipDeliver, d.From) {
 		// Failpoint: traffic FROM d.From into this node is partitioned
 		// away — neither merged nor answered.
 		return Digest{}, ErrGossipDropped
@@ -360,8 +366,22 @@ func (n *Node) HandleGossip(d Digest) (Digest, error) {
 }
 
 // httpExchange is the production gossip transport: POST the digest to
-// the peer's gossip endpoint, merge its reply.
+// the peer's gossip endpoint, merge its reply. Every failpoint error
+// reaches Gossiper.Tick as a failed exchange, which charges
+// ObserveFailure against the peer — or, when ctx is done (canceled
+// mid-injected-delay at shutdown), ends the round charging no one.
 func (n *Node) httpExchange(ctx context.Context, peer string, d Digest) (Digest, error) {
+	// Failpoints: the outbound request is lost or refused before the
+	// wire — the peer never sees it — or delayed on its way out.
+	if n.chaos.Drop(chaos.SiteGossipSend, peer) {
+		return Digest{}, fmt.Errorf("gossip %s: request dropped: %w", peer, chaos.ErrInjected)
+	}
+	if err := n.chaos.Error(chaos.SiteGossipSend, peer); err != nil {
+		return Digest{}, err
+	}
+	if err := n.chaos.Sleep(ctx, chaos.SiteGossipSend, peer); err != nil {
+		return Digest{}, err
+	}
 	body, err := json.Marshal(d)
 	if err != nil {
 		return Digest{}, err
@@ -386,6 +406,12 @@ func (n *Node) httpExchange(ctx context.Context, peer string, d Digest) (Digest,
 	var reply Digest
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		return Digest{}, fmt.Errorf("gossip %s: decode reply: %w", peer, err)
+	}
+	// Failpoint: the reply is lost on its way back from peer — under a
+	// one-way partition (peer=<peer>) the exchange looks failed even
+	// though peer merged our digest.
+	if n.chaos.Drop(chaos.SiteGossipDeliver, peer) {
+		return Digest{}, fmt.Errorf("gossip %s: reply dropped: %w", peer, chaos.ErrInjected)
 	}
 	return reply, nil
 }
@@ -674,10 +700,10 @@ func (n *Node) forward(ctx context.Context, addr string, req engine.Request) (*e
 	// Failpoints: injected round-trip latency, then send faults — an
 	// error returns immediately, a drop black-holes the request until
 	// the hop deadline (the worst kind of sick peer).
-	if err := chaos.SleepPeer(ctx, chaos.SiteForwardRTT, addr); err != nil {
+	if err := n.chaos.Sleep(ctx, chaos.SiteForwardRTT, addr); err != nil {
 		return nil, err
 	}
-	if f := chaos.FirePeer(chaos.SiteForwardSend, addr); f.Active() {
+	if f := n.chaos.Fire(chaos.SiteForwardSend, addr); f.Active() {
 		if f.Kind == chaos.KindDrop || f.Kind == chaos.KindPartition {
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -743,8 +769,8 @@ type Status struct {
 	BreakerSkips    uint64          `json:"breaker_skips"`
 	RetryBudgets    []BudgetStatus  `json:"retry_budgets,omitempty"`
 	BudgetExhausted uint64          `json:"retry_budget_exhausted"`
-	// ChaosInjected sums faults injected in this process across all
-	// chaos sites (zero when disarmed).
+	// ChaosInjected sums the faults this replica's plan injected
+	// across all chaos sites (zero when disarmed).
 	ChaosInjected uint64 `json:"chaos_injected"`
 }
 
@@ -767,7 +793,7 @@ func (n *Node) Status() Status {
 		BreakerSkips:    n.breakerSkips.Load(),
 		RetryBudgets:    n.budget.Snapshot(),
 		BudgetExhausted: n.budget.Exhausted(),
-		ChaosInjected:   chaos.Injections(),
+		ChaosInjected:   n.chaos.Injections(),
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netpowerprop/internal/chaos"
 	"netpowerprop/internal/engine"
 	"netpowerprop/internal/obs"
 )
@@ -105,12 +106,14 @@ type Options struct {
 	// terminal record, exactly like a crash, so recovery paths can be
 	// exercised deterministically in tests.
 	OnRowCheckpoint func(id string, row int) error
-	// Logf receives recovery/skip diagnostics (default: discard).
-	Logf func(format string, args ...any)
 	// Logger receives structured lifecycle events — submit, resume,
 	// retry, checkpoint, drain, terminal — each carrying the job id, key,
-	// row, attempt, and the submitting request's trace ID. Nil discards.
+	// row, attempt, and the submitting request's trace ID, plus recovery
+	// and lease diagnostics carrying the journal path. Nil discards.
 	Logger *obs.Logger
+	// Chaos is the failpoint plan the journal and lease writes consult
+	// (see internal/chaos). Nil — the default — injects nothing.
+	Chaos *chaos.Plan
 	// Registry, when non-nil, receives every jobs metric under the
 	// netpowerprop_jobs_* namespace, including a row-latency histogram.
 	// Register at most one manager per registry.
@@ -135,8 +138,8 @@ type Manager struct {
 	clock    Clock
 	retry    RetryPolicy
 	hook     func(id string, row int) error
-	logf     func(format string, args ...any)
 	log      *obs.Logger
+	chaos    *chaos.Plan
 	rowHist  *obs.Histogram
 	owner    string
 	leaseTTL time.Duration
@@ -244,9 +247,6 @@ func Open(opts Options) (*Manager, error) {
 			opts.MaxConcurrent = n
 		}
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
 	}
@@ -260,8 +260,8 @@ func Open(opts Options) (*Manager, error) {
 		clock:    opts.Clock,
 		retry:    opts.Retry.withDefaults(),
 		hook:     opts.OnRowCheckpoint,
-		logf:     opts.Logf,
 		log:      opts.Logger,
+		chaos:    opts.Chaos,
 		owner:    opts.Owner,
 		leaseTTL: opts.LeaseTTL,
 		slots:    make(chan struct{}, opts.MaxConcurrent),
@@ -372,7 +372,7 @@ func (m *Manager) recover() error {
 		}
 		path := filepath.Join(m.dir, e.Name())
 		if _, err := m.adoptJournal(path); err != nil {
-			m.logf("jobs: skipping journal %s: %v", path, err)
+			m.log.Warn("journal skipped", "path", path, "error", err)
 		}
 	}
 	return nil
@@ -392,7 +392,7 @@ func (m *Manager) recoverFile(path string) (string, error) {
 		if err := os.Truncate(path, cleanOff); err != nil {
 			return "", fmt.Errorf("truncate torn tail: %w", err)
 		}
-		m.logf("jobs: journal %s had a torn tail; truncated to the %d-byte durable prefix", path, cleanOff)
+		m.log.Warn("journal torn tail truncated", "path", path, "durable_bytes", cleanOff)
 	}
 	if len(recs) == 0 || recs[0].T != recSubmit || recs[0].Req == nil {
 		return "", errors.New("no submit record")
@@ -585,7 +585,7 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 		}
 	}
 	j := m.newJob(id, plan, path, trace)
-	jl, err := createJournal(j.path)
+	jl, err := createJournal(j.path, m.chaos)
 	if err != nil {
 		m.mu.Unlock()
 		return nil, false, err
@@ -621,13 +621,13 @@ func (m *Manager) resume(j *job) {
 		// Another replica adopted the journal between our recovery and
 		// this resume; it owns the job now. Ours stays interrupted.
 		j.mu.Unlock()
-		m.logf("jobs: resume %s: lease held elsewhere", j.id)
+		m.log.Warn("resume skipped, lease held elsewhere", "job", j.id, "path", j.path)
 		return
 	}
-	jl, err := appendJournal(j.path)
+	jl, err := appendJournal(j.path, m.chaos)
 	if err != nil {
 		j.mu.Unlock()
-		m.logf("jobs: resume %s: %v", j.id, err)
+		m.log.Error("resume failed", "job", j.id, "path", j.path, "error", err)
 		return
 	}
 	j.jl = jl
@@ -738,7 +738,7 @@ func (m *Manager) runJob(j *job) {
 		j.mu.Unlock()
 		m.rowsDone.Add(1)
 		if err := jl.append(rec); err != nil {
-			m.logf("jobs: journal %s row %d: %v", j.id, i, err)
+			m.log.Error("journal row append failed", "job", j.id, "path", j.path, "row", i, "error", err)
 			m.noteJournalErr("row checkpoint", err)
 			m.markInterrupted(j)
 			return
@@ -831,7 +831,7 @@ func (m *Manager) finishJob(j *job) {
 		// was corrupted in flight; keep the job resumable rather than
 		// inventing a terminal state.
 		j.mu.Unlock()
-		m.logf("jobs: assemble %s: %v", j.id, err)
+		m.log.Error("job assemble failed", "job", j.id, "path", j.path, "error", err)
 		m.markInterrupted(j)
 		return
 	}
@@ -846,7 +846,7 @@ func (m *Manager) finishJob(j *job) {
 	j.bump()
 	j.mu.Unlock()
 	if err := jl.append(record{T: recDone, Status: string(state), At: m.clock.Now().UnixNano()}); err != nil {
-		m.logf("jobs: journal %s terminal: %v", j.id, err)
+		m.log.Error("journal terminal append failed", "job", j.id, "path", j.path, "error", err)
 		m.noteJournalErr("terminal record", err)
 	}
 	jl.close()
@@ -881,7 +881,7 @@ func (m *Manager) finishCanceled(j *job) {
 	j.mu.Unlock()
 	if jl != nil {
 		if err := jl.append(record{T: recDone, Status: string(StateCanceled), At: m.clock.Now().UnixNano()}); err != nil {
-			m.logf("jobs: journal %s cancel: %v", j.id, err)
+			m.log.Error("journal cancel append failed", "job", j.id, "path", j.path, "error", err)
 			m.noteJournalErr("cancel record", err)
 		}
 		jl.close()
@@ -948,7 +948,7 @@ func (m *Manager) Cancel(id string) (*Snapshot, error) {
 	case StateInterrupted:
 		// No runner to observe the cancel; settle it here with an
 		// append-mode journal for the terminal record.
-		if jl, err := appendJournal(j.path); err == nil {
+		if jl, err := appendJournal(j.path, m.chaos); err == nil {
 			j.mu.Lock()
 			j.jl = jl
 			j.mu.Unlock()

@@ -75,27 +75,28 @@ const (
 // journal is an append-only JSONL file. Appends are serialized and
 // fsynced so a row completion survives an immediate crash.
 type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	chaos *chaos.Plan // failpoints for the write and fsync; nil injects nothing
 }
 
 // createJournal truncates and opens a fresh journal for a new job run.
-func createJournal(path string) (*journal, error) {
+func createJournal(path string, plan *chaos.Plan) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: create journal: %w", err)
 	}
-	return &journal{f: f, path: path}, nil
+	return &journal{f: f, path: path, chaos: plan}, nil
 }
 
 // appendJournal opens an existing journal for resumption.
-func appendJournal(path string) (*journal, error) {
+func appendJournal(path string, plan *chaos.Plan) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: open journal: %w", err)
 	}
-	return &journal{f: f, path: path}, nil
+	return &journal{f: f, path: path, chaos: plan}, nil
 }
 
 // append writes one record and syncs it to stable storage.
@@ -110,7 +111,7 @@ func (j *journal) append(rec record) error {
 	if j.f == nil {
 		return fmt.Errorf("jobs: journal %s is closed", j.path)
 	}
-	if n, ferr := chaos.FileWrite(chaos.SiteJournalWrite, len(b)); ferr != nil {
+	if n, ferr := j.chaos.FileWrite(chaos.SiteJournalWrite, "", len(b)); ferr != nil {
 		if n > 0 {
 			// Injected short write: the prefix really reaches the file,
 			// leaving the torn tail recovery must truncate.
@@ -121,7 +122,7 @@ func (j *journal) append(rec record) error {
 	if _, err := j.f.Write(b); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrJournalWrite, j.path, err)
 	}
-	if ferr := chaos.Error(chaos.SiteJournalFsync); ferr != nil {
+	if ferr := j.chaos.Error(chaos.SiteJournalFsync, ""); ferr != nil {
 		return fmt.Errorf("%w: %s: %w", ErrJournalSync, j.path, ferr)
 	}
 	if err := j.f.Sync(); err != nil {

@@ -10,17 +10,13 @@ import (
 	"netpowerprop/internal/engine"
 )
 
-func armChaos(t *testing.T, spec string) {
+func mustPlan(t *testing.T, spec string) *chaos.Plan {
 	t.Helper()
 	p, err := chaos.Parse(spec)
 	if err != nil {
 		t.Fatalf("chaos.Parse(%q): %v", spec, err)
 	}
-	chaos.Arm(p)
-	t.Cleanup(func() {
-		chaos.Disarm()
-		chaos.ResetCounts()
-	})
+	return p
 }
 
 // An injected fsync failure on a row checkpoint must surface as the
@@ -29,6 +25,7 @@ func armChaos(t *testing.T, spec string) {
 // and still recover on restart: the resumed run is byte-identical to an
 // uninterrupted one with no checkpointed row recomputed.
 func TestJournalFsyncFaultDegradesAndRecovers(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	req := sweepReq(6)
 
@@ -40,8 +37,8 @@ func TestJournalFsyncFaultDegradesAndRecovers(t *testing.T) {
 
 	// Fsync hit 0 is the submit record; rows are hits 1..7. Fail hit 4
 	// (row 3's checkpoint), once.
-	armChaos(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1 after=4")
-	m1, _ := newManager(t, dir, Options{})
+	plan := mustPlan(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1 after=4")
+	m1, _ := newManager(t, dir, Options{Chaos: plan})
 	snap, _, err := m1.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -64,7 +61,6 @@ func TestJournalFsyncFaultDegradesAndRecovers(t *testing.T) {
 
 	// Restart without chaos: the journal replays and the job finishes
 	// byte-identically, skipping every checkpointed row.
-	chaos.Disarm()
 	m2, _ := newManager(t, dir, Options{})
 	if m2.JournalErr() != nil {
 		t.Fatalf("fresh manager inherited journal degradation: %v", m2.JournalErr())
@@ -91,12 +87,13 @@ func TestJournalFsyncFaultDegradesAndRecovers(t *testing.T) {
 // recomputes only the torn row, so the journal still ends with exactly
 // one record per row.
 func TestJournalShortWriteLeavesTornTailAndRecovers(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	req := sweepReq(6)
 
 	// Write hit 0 is the submit record; tear row 2's checkpoint (hit 3).
-	armChaos(t, "seed=1;site=jobs.journal.write kind=shortwrite count=1 after=3")
-	m1, _ := newManager(t, dir, Options{})
+	plan := mustPlan(t, "seed=1;site=jobs.journal.write kind=shortwrite count=1 after=3")
+	m1, _ := newManager(t, dir, Options{Chaos: plan})
 	snap, _, err := m1.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -106,7 +103,6 @@ func TestJournalShortWriteLeavesTornTailAndRecovers(t *testing.T) {
 		t.Fatalf("JournalErr = %v, want ErrJournalWrite", jerr)
 	}
 
-	chaos.Disarm()
 	m2, _ := newManager(t, dir, Options{})
 	if n := m2.ResumeAll(); n != 1 {
 		t.Fatalf("ResumeAll = %d, want 1", n)
@@ -126,15 +122,51 @@ func TestJournalShortWriteLeavesTornTailAndRecovers(t *testing.T) {
 // An injected ENOSPC on the submit record itself must refuse the job
 // with the typed write error and degrade the manager.
 func TestJournalENOSPCOnSubmitRefusesJob(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	armChaos(t, "seed=1;site=jobs.journal.write kind=enospc count=1")
-	m, _ := newManager(t, dir, Options{})
+	plan := mustPlan(t, "seed=1;site=jobs.journal.write kind=enospc count=1")
+	m, _ := newManager(t, dir, Options{Chaos: plan})
 	_, _, err := m.Submit(context.Background(), sweepReq(4))
 	if !errors.Is(err, ErrJournalWrite) {
 		t.Fatalf("Submit = %v, want ErrJournalWrite", err)
 	}
 	if _, _, err := m.Submit(context.Background(), sweepReq(5)); !errors.Is(err, ErrJournalDegraded) {
 		t.Fatalf("second Submit = %v, want ErrJournalDegraded", err)
+	}
+}
+
+// A fault plan belongs to the manager it was handed: two managers in
+// one process, only one given an fsync-failure plan, and only that one
+// degrades and counts the injection. The other's plan evaluates its
+// journal sites but never fires.
+func TestJournalFaultPlanIsPerManager(t *testing.T) {
+	t.Parallel()
+	faulty := mustPlan(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1")
+	healthy := mustPlan(t, "seed=1;site=jobs.journal.write kind=error after=1000")
+	mf, _ := newManager(t, t.TempDir(), Options{Chaos: faulty})
+	mh, _ := newManager(t, t.TempDir(), Options{Chaos: healthy})
+
+	if _, _, err := mf.Submit(context.Background(), sweepReq(4)); !errors.Is(err, ErrJournalSync) {
+		t.Fatalf("faulty Submit = %v, want ErrJournalSync", err)
+	}
+	if _, _, err := mf.Submit(context.Background(), sweepReq(5)); !errors.Is(err, ErrJournalDegraded) {
+		t.Fatalf("faulty second Submit = %v, want ErrJournalDegraded", err)
+	}
+	snap, _, err := mh.Submit(context.Background(), sweepReq(4))
+	if err != nil {
+		t.Fatalf("healthy Submit = %v, want accepted", err)
+	}
+	if final, err := mh.Wait(context.Background(), snap.ID); err != nil || final.State != StateDone {
+		t.Fatalf("healthy job = (%v, %v), want done", final, err)
+	}
+	if err := mh.JournalErr(); err != nil {
+		t.Fatalf("healthy manager degraded: %v", err)
+	}
+	if got := faulty.Injections(); got != 1 {
+		t.Fatalf("faulty plan injections = %d, want 1", got)
+	}
+	if got := healthy.Injections(); got != 0 {
+		t.Fatalf("healthy plan injections = %d, want 0", got)
 	}
 }
 

@@ -60,7 +60,7 @@ func (m *Manager) readLease(journalPath string) (lf leaseFile, ok bool) {
 		return leaseFile{}, false
 	}
 	if err := json.Unmarshal(b, &lf); err != nil {
-		m.logf("jobs: lease %s unreadable: %v", leasePath(journalPath), err)
+		m.log.Warn("lease unreadable", "path", leasePath(journalPath), "error", err)
 		return leaseFile{}, false
 	}
 	return lf, true
@@ -91,7 +91,7 @@ func (m *Manager) writeLease(journalPath string, released bool) error {
 	if err != nil {
 		return err
 	}
-	if ferr := chaos.ErrorPeer(chaos.SiteLeaseWrite, m.owner); ferr != nil {
+	if ferr := m.chaos.Error(chaos.SiteLeaseWrite, m.owner); ferr != nil {
 		return ferr
 	}
 	path := leasePath(journalPath)
@@ -123,7 +123,7 @@ func (m *Manager) claimLease(journalPath string) bool {
 		return false
 	}
 	if err := m.writeLease(journalPath, false); err != nil {
-		m.logf("jobs: claim lease %s: %v", journalPath, err)
+		m.log.Warn("lease claim failed", "path", journalPath, "error", err)
 		return false
 	}
 	lf, ok := m.readLease(journalPath)
@@ -137,7 +137,7 @@ func (m *Manager) renewLease(journalPath string) {
 		return
 	}
 	if err := m.writeLease(journalPath, false); err != nil {
-		m.logf("jobs: renew lease %s: %v", journalPath, err)
+		m.log.Warn("lease renew failed", "path", journalPath, "error", err)
 	}
 }
 
@@ -148,7 +148,7 @@ func (m *Manager) releaseLease(journalPath string) {
 		return
 	}
 	if err := m.writeLease(journalPath, true); err != nil {
-		m.logf("jobs: release lease %s: %v", journalPath, err)
+		m.log.Warn("lease release failed", "path", journalPath, "error", err)
 	}
 }
 
@@ -203,7 +203,7 @@ func (m *Manager) ClaimStale() int {
 	}
 	entries, err := os.ReadDir(m.dir)
 	if err != nil {
-		m.logf("jobs: claim sweep: %v", err)
+		m.log.Warn("claim sweep failed", "path", m.dir, "error", err)
 		return 0
 	}
 	adopted := 0
@@ -221,7 +221,7 @@ func (m *Manager) ClaimStale() int {
 		path := filepath.Join(m.dir, e.Name())
 		loaded, err := m.adoptJournal(path)
 		if err != nil {
-			m.logf("jobs: adopting journal %s: %v", path, err)
+			m.log.Warn("journal adoption failed", "path", path, "error", err)
 			continue
 		}
 		if !loaded {
