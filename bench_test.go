@@ -581,9 +581,13 @@ func BenchmarkSensitivity(b *testing.B) {
 		core.AssumeComputeProportionality: {0.70, 0.85, 0.95},
 		core.AssumeNetworkProportionality: {0.05, 0.10, 0.20},
 	}
+	assumptions := []core.Assumption{
+		core.AssumeCommRatio, core.AssumeServerOverhead, core.AssumeSwitchPower,
+		core.AssumeComputeProportionality, core.AssumeNetworkProportionality,
+	}
 	var share float64
 	for i := 0; i < b.N; i++ {
-		for _, a := range core.Assumptions() {
+		for _, a := range assumptions {
 			pts, err := core.Sensitivity(a, sweeps[a])
 			if err != nil {
 				b.Fatal(err)

@@ -519,7 +519,7 @@ func TestBatchShedRefundsQuota(t *testing.T) {
 	// Refill is negligible within the test: only the refund can restore
 	// the tokens the first batch spends.
 	s.admit = admit.New(admit.Options{RatePerSec: 0.001, Burst: 10,
-		Capacity: eng.Capacity(), Pending: eng.Pending})
+		Capacity: eng.Capacity(), Pending: eng.Pending, Registry: s.reg})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
@@ -553,8 +553,8 @@ func TestBatchShedRefundsQuota(t *testing.T) {
 	if shed := bresp.Header.Get("X-Batch-Shed"); shed != "4" {
 		t.Fatalf("X-Batch-Shed = %q, want 4", shed)
 	}
-	if m := s.admit.Metrics(); m.RefundedRows != 4 {
-		t.Errorf("RefundedRows = %d, want 4", m.RefundedRows)
+	if metrics := getText(t, srv.URL+"/metrics"); !strings.Contains(metrics, "netpowerprop_admit_refunded_rows_total 4\n") {
+		t.Errorf("/metrics lacks netpowerprop_admit_refunded_rows_total 4:\n%s", metrics)
 	}
 	// The refund restored the 4 tokens, so a full-burst batch is admitted
 	// past the quota layer (and shed again by the engine, not 429'd).

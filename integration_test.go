@@ -1,146 +1,25 @@
 package netpowerprop
 
 // End-to-end integration tests: the full pipelines a user of this library
-// would run, crossing module boundaries — fabric simulation feeding the
-// per-chip mechanism studies, the analytical model feeding the cost model,
-// and the OCS/scheduler stack sharing one fabric description.
+// would run, crossing module boundaries — the scheduler's placement driving
+// the fabric simulation, the analytical model feeding the cost model, and
+// the OCS/scheduler stack sharing one fabric description.
 
 import (
 	"math"
+	"sort"
 	"testing"
 
-	"netpowerprop/internal/asic"
 	"netpowerprop/internal/core"
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/ocs"
-	"netpowerprop/internal/parking"
 	"netpowerprop/internal/power"
-	"netpowerprop/internal/rateadapt"
 	"netpowerprop/internal/schedule"
 	"netpowerprop/internal/traffic"
 	"netpowerprop/internal/units"
 )
-
-// TestEndToEndFabricToRateAdapt runs the complete §4.3 pipeline: build a
-// fat tree, run an ML ring job through the flow-level simulator, project
-// one core switch's traffic onto per-pipeline utilization, and drive the
-// rate-adaptation controller on it.
-func TestEndToEndFabricToRateAdapt(t *testing.T) {
-	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := traffic.Job{ID: 1, Hosts: top.Hosts(), Period: 1, CommRatio: 0.2,
-		Rate: 40 * units.Gbps, Pattern: traffic.Ring}
-	flows, err := job.Flows(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := netsim.New(top)
-	res, err := s.Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pick a switch that actually carried traffic.
-	var busySwitch = -1
-	for _, sw := range top.SwitchIDs() {
-		if res.SwitchTrace[sw].MeanRate() > 0 {
-			busySwitch = sw
-			break
-		}
-	}
-	if busySwitch < 0 {
-		t.Fatal("no switch carried traffic")
-	}
-
-	cfg := asic.Config{
-		Ports: 8, Pipelines: 4, MemoryBanks: 4,
-		Max: device.SwitchMaxPower, Shares: asic.DefaultShares(),
-		PipelineStaticFraction: 0.3,
-	}
-	times, utils, err := s.PipelineUtilization(res, busySwitch, cfg, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(utils) != cfg.Pipelines {
-		t.Fatalf("pipeline rows = %d", len(utils))
-	}
-	// Some pipeline saw load.
-	var peak float64
-	for _, row := range utils {
-		for _, u := range row {
-			if u > peak {
-				peak = u
-			}
-		}
-	}
-	if peak <= 0 {
-		t.Fatal("projected utilization all zero")
-	}
-
-	mk := func() rateadapt.Controller {
-		c, err := rateadapt.NewReactive(1.1, 0.1, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	ra, err := rateadapt.Simulate(cfg, times, utils, mk, rateadapt.Options{GateIdleSerDes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 20%-duty workload on a mostly idle switch must save energy without
-	// capacity shortfall.
-	if ra.Savings <= 0 {
-		t.Errorf("rate adaptation savings = %v, want > 0", ra.Savings)
-	}
-	if ra.ShortfallTime > 0 {
-		t.Errorf("unexpected shortfall %v", ra.ShortfallTime)
-	}
-}
-
-// TestEndToEndFabricToParking runs the §4.4 pipeline: the same fabric
-// simulation drives the pipeline-parking policy through SwitchDemand.
-func TestEndToEndFabricToParking(t *testing.T) {
-	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := traffic.Job{ID: 1, Hosts: top.Hosts(), Period: 1, CommRatio: 0.2,
-		Rate: 40 * units.Gbps, Pattern: traffic.Ring}
-	flows, err := job.Flows(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := netsim.New(top)
-	res, err := s.Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := top.SwitchIDs()[0]
-	times, demand, err := s.SwitchDemand(res, sw, 400*units.Gbps, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := parking.DefaultConfig()
-	pol, err := parking.NewReactive(cfg.ASIC.Pipelines, cfg.MinActive, 0.8, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := parking.Simulate(cfg, times, demand, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Savings <= 0 {
-		t.Errorf("parking savings = %v, want > 0 on a lightly loaded switch", pr.Savings)
-	}
-	if pr.DroppedBits > 0.05*pr.OfferedBits {
-		t.Errorf("parking dropped %v of %v offered bits", pr.DroppedBits, pr.OfferedBits)
-	}
-}
 
 // TestEndToEndScheduleThenTailor chains §4.2's two ideas: the job
 // scheduler concentrates placement, then the OCS tailors the topology to
@@ -206,10 +85,7 @@ func TestEndToEndMultiJobConcentration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapping, err := placed.MapToTopology(top)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mapping := placedHosts(t, placed, top)
 		var flows []traffic.Flow
 		for _, req := range jobs {
 			job := traffic.Job{ID: req.ID, Hosts: mapping[req.ID], Period: 1,
@@ -236,14 +112,14 @@ func TestEndToEndMultiJobConcentration(t *testing.T) {
 		}
 		for _, sw := range top.SwitchIDs() {
 			tr := res.SwitchTrace[sw]
-			if tr.MeanRate() == 0 {
+			if tr.BusyTime() == 0 {
 				continue // powered off by the scheduler
 			}
 			e, err := tr.Energy(model, device.SwitchCapacity, netsim.TwoState)
 			if err != nil {
 				t.Fatal(err)
 			}
-			energy += e.Joules()
+			energy += float64(e)
 		}
 		return energy, delivered
 	}
@@ -256,6 +132,44 @@ func TestEndToEndMultiJobConcentration(t *testing.T) {
 	if concEnergy >= spreadEnergy {
 		t.Errorf("concentrated energy %v J should beat spread %v J", concEnergy, spreadEnergy)
 	}
+}
+
+// placedHosts realizes a schedule on a fat tree: abstract edge i is the
+// topology's i-th edge switch, and each placement takes the next free hosts
+// under its edges in node-ID order.
+func placedHosts(t *testing.T, s schedule.Schedule, top *fattree.Topology) map[int][]int {
+	t.Helper()
+	var edges []int
+	for _, n := range top.Nodes {
+		if n.Kind == fattree.KindEdge {
+			edges = append(edges, n.ID)
+		}
+	}
+	free := map[int][]int{} // edge node ID -> its unused hosts
+	for _, h := range top.Hosts() {
+		e, err := top.EdgeOf(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free[e] = append(free[e], h)
+	}
+	out := map[int][]int{}
+	for _, pl := range s.Placements {
+		idxs := make([]int, 0, len(pl.HostsPerEdge))
+		for i := range pl.HostsPerEdge {
+			idxs = append(idxs, i)
+		}
+		sort.Ints(idxs)
+		for _, i := range idxs {
+			hs, n := free[edges[i]], pl.HostsPerEdge[i]
+			if n > len(hs) {
+				t.Fatalf("edge %d over-subscribed: %d > %d free hosts", i, n, len(hs))
+			}
+			out[pl.Job.ID] = append(out[pl.Job.ID], hs[:n]...)
+			free[edges[i]] = hs[n:]
+		}
+	}
+	return out
 }
 
 // powerModel builds the standard 750 W / 10%-proportional switch model.
@@ -319,7 +233,7 @@ func TestEndToEndEnergyConsistency(t *testing.T) {
 	idlePower := 675.0 // 750 * (1-0.10)
 	lo := nSwitches * idlePower * 1.0
 	hi := nSwitches * (idlePower*0.9 + 750*0.1)
-	got := rep.SwitchEnergy.Joules()
+	got := float64(rep.SwitchEnergy)
 	if got < lo-1e-6 || got > hi+1e-6 {
 		t.Errorf("simulated switch energy %v outside analytical bounds [%v, %v]", got, lo, hi)
 	}

@@ -17,10 +17,13 @@ type adaptiveFixture struct {
 	load int64
 }
 
+// adaptiveBuckets are the fixture latency histogram's bounds, in seconds.
+var adaptiveBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1}
+
 func newAdaptiveFixture(t *testing.T, capacity int) *adaptiveFixture {
 	t.Helper()
 	f := &adaptiveFixture{
-		h:   obs.NewHistogram([]float64{0.01, 0.05, 0.1, 0.5, 1}),
+		h:   obs.NewHistogram(adaptiveBuckets),
 		now: time.Unix(1000, 0),
 	}
 	f.c = New(Options{
@@ -37,9 +40,9 @@ func newAdaptiveFixture(t *testing.T, capacity int) *adaptiveFixture {
 // refill replaces the histogram's contents: obs histograms only
 // accumulate, so swap in a fresh one with the given observations.
 func (f *adaptiveFixture) refill(seconds float64, n int) {
-	f.h = obs.NewHistogram(f.h.Bounds())
+	f.h = obs.NewHistogram(adaptiveBuckets)
 	for i := 0; i < n; i++ {
-		f.h.Observe(seconds)
+		f.h.ObserveDuration(time.Duration(seconds * float64(time.Second)))
 	}
 }
 
@@ -75,7 +78,7 @@ func TestAdaptiveShedTightensAndClamps(t *testing.T) {
 			t.Fatalf("step %d: threshold = %d, want %d", i, got, want)
 		}
 	}
-	if got := f.c.Metrics().Adaptations; got != 2 {
+	if got := f.c.adaptations.Load(); got != 2 {
 		t.Errorf("Adaptations = %d, want 2 (the clamped step is not a move)", got)
 	}
 	// The shed decision follows the walked threshold.
@@ -116,7 +119,7 @@ func TestAdaptiveShedHysteresisHolds(t *testing.T) {
 			t.Fatalf("threshold moved to %d inside the hysteresis band", got)
 		}
 	}
-	if got := f.c.Metrics().Adaptations; got != 0 {
+	if got := f.c.adaptations.Load(); got != 0 {
 		t.Errorf("Adaptations = %d inside the band, want 0", got)
 	}
 }

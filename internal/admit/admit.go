@@ -202,9 +202,6 @@ func New(opts Options) *Controller {
 	return c
 }
 
-// QuotaEnabled reports whether per-tenant quotas are active.
-func (c *Controller) QuotaEnabled() bool { return c.rate > 0 }
-
 // Admit decides whether tenant may spend rows at the given priority.
 // rows is the request's true row count — a 100-row batch spends 100
 // tokens, not 1 — so quotas meter work, not HTTP calls.
@@ -307,49 +304,6 @@ func (c *Controller) Tenants() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.buckets)
-}
-
-// Metrics is a point-in-time snapshot of the controller's counters.
-type Metrics struct {
-	// Allowed counts admitted requests by class.
-	Allowed map[string]uint64
-	// QuotaRejected counts quota rejections by class.
-	QuotaRejected map[string]uint64
-	// LoadShed counts low-priority requests shed early under load.
-	LoadShed uint64
-	// TooLarge counts requests whose cost no full bucket could cover.
-	TooLarge uint64
-	// RefundedRows counts rows refunded after an engine shed.
-	RefundedRows uint64
-	// Evictions counts tenant buckets dropped at the table bound.
-	Evictions uint64
-	// Tenants is the current tracked-bucket count.
-	Tenants int
-	// ShedThreshold is the current effective low-priority shed bound
-	// (0 when the early shed is disabled).
-	ShedThreshold int64
-	// Adaptations counts adaptive threshold moves.
-	Adaptations uint64
-}
-
-// Metrics snapshots the counters.
-func (c *Controller) Metrics() Metrics {
-	m := Metrics{
-		Allowed:       make(map[string]uint64, 3),
-		QuotaRejected: make(map[string]uint64, 3),
-		LoadShed:      c.loadShed.Load(),
-		TooLarge:      c.tooLarge.Load(),
-		RefundedRows:  c.refunded.Load(),
-		Evictions:     c.evictions.Load(),
-		Tenants:       c.Tenants(),
-		ShedThreshold: c.ShedThreshold(),
-		Adaptations:   c.adaptations.Load(),
-	}
-	for _, pri := range []Priority{Low, Normal, High} {
-		m.Allowed[pri.String()] = c.allowed[pri+1].Load()
-		m.QuotaRejected[pri.String()] = c.quotaRej[pri+1].Load()
-	}
-	return m
 }
 
 // instrument registers the controller's metrics under

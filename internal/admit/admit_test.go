@@ -55,7 +55,7 @@ func TestParsePriority(t *testing.T) {
 // With no rate configured, everything is admitted.
 func TestQuotaDisabled(t *testing.T) {
 	c := New(Options{})
-	if c.QuotaEnabled() {
+	if c.rate > 0 {
 		t.Fatal("quota enabled with zero rate")
 	}
 	for i := 0; i < 1000; i++ {
@@ -146,8 +146,8 @@ func TestLowPriority(t *testing.T) {
 	if d := c.Admit("b", Normal, 1); !d.OK {
 		t.Fatalf("normal under half-full queue rejected: %+v", d)
 	}
-	if m := c.Metrics(); m.LoadShed != 1 {
-		t.Errorf("LoadShed = %d, want 1", m.LoadShed)
+	if got := c.loadShed.Load(); got != 1 {
+		t.Errorf("LoadShed = %d, want 1", got)
 	}
 }
 
@@ -201,8 +201,8 @@ func TestTooLargePermanentRejection(t *testing.T) {
 	if d.OK || d.Reason != ReasonTooLarge {
 		t.Fatalf("9 high rows against burst 4 = %+v, want too-large", d)
 	}
-	if m := c.Metrics(); m.TooLarge != 3 {
-		t.Errorf("TooLarge = %d, want 3", m.TooLarge)
+	if got := c.tooLarge.Load(); got != 3 {
+		t.Errorf("TooLarge = %d, want 3", got)
 	}
 }
 
@@ -236,8 +236,8 @@ func TestRefund(t *testing.T) {
 		t.Errorf("refund created a bucket: %d tenants, want 1", n)
 	}
 	New(Options{}).Refund("x", Normal, 5)
-	if m := c.Metrics(); m.RefundedRows != 106 {
-		t.Errorf("RefundedRows = %d, want 106", m.RefundedRows)
+	if got := c.refunded.Load(); got != 106 {
+		t.Errorf("RefundedRows = %d, want 106", got)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestTenantEviction(t *testing.T) {
 	if n := c.Tenants(); n != 3 {
 		t.Fatalf("tenants = %d, want 3 after eviction", n)
 	}
-	if m := c.Metrics(); m.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", m.Evictions)
+	if got := c.evictions.Load(); got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
 	}
 	// t0 returns with a fresh (full) bucket — the cost of bounding state.
 	if d := c.Admit("t0", Normal, 5); !d.OK {

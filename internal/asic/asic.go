@@ -286,14 +286,3 @@ func (a *ASIC) MinPower() units.Power {
 	sh := a.cfg.Shares
 	return units.Power(max * (sh.Control + sh.Fixed))
 }
-
-// Clone returns an independent copy of the ASIC and its state, so policies
-// can evaluate hypothetical configurations.
-func (a *ASIC) Clone() *ASIC {
-	cp := &ASIC{cfg: a.cfg, l3: a.l3}
-	cp.portOn = append([]bool(nil), a.portOn...)
-	cp.pipeOn = append([]bool(nil), a.pipeOn...)
-	cp.pipeFreq = append([]float64(nil), a.pipeFreq...)
-	cp.bankOn = append([]bool(nil), a.bankOn...)
-	return cp
-}

@@ -226,22 +226,6 @@ func TestMinPower(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	a := newASIC(t)
-	a.SetPort(0, false)
-	a.SetPipelineFreq(1, 0.5)
-	cp := a.Clone()
-	if cp.Power() != a.Power() {
-		t.Error("clone power differs")
-	}
-	// Mutating the clone must not touch the original.
-	cp.SetPort(1, false)
-	cp.SetPipeline(2, false)
-	if !a.PortOn(1) || !a.PipelineOn(2) {
-		t.Error("clone shares state with original")
-	}
-}
-
 // Property: power is always within [MinPower, Max] whatever the state.
 func TestPowerBounded(t *testing.T) {
 	f := func(ops []uint16) bool {

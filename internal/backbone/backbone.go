@@ -54,9 +54,6 @@ func New(n int, routerPower units.Power) (*Network, error) {
 	return &Network{routers: n, adj: make(map[int][]int), RouterPower: routerPower}, nil
 }
 
-// Routers returns the router count.
-func (n *Network) Routers() int { return n.routers }
-
 // Links returns the links (do not mutate).
 func (n *Network) Links() []Link { return n.links }
 

@@ -9,11 +9,7 @@ import (
 )
 
 func flat(level float64) traffic.Profile {
-	p, err := traffic.Constant(level)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return func(units.Seconds) float64 { return level }
 }
 
 func TestNewValidation(t *testing.T) {
@@ -24,7 +20,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("negative router power accepted")
 	}
 	n, err := New(4, 100*units.Watt)
-	if err != nil || n.Routers() != 4 {
+	if err != nil || n.routers != 4 {
 		t.Fatalf("New: %v", err)
 	}
 }

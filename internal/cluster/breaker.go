@@ -184,21 +184,6 @@ func (b *Breaker) open(e *breakerEntry) {
 	b.opens.Add(1)
 }
 
-// State reports peer's current circuit position (closed when unknown).
-// Purely observational: it does not start a half-open probe.
-func (b *Breaker) State(peer string) BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := b.peers[peer]
-	if e == nil {
-		return BreakerClosed
-	}
-	if e.state == BreakerOpen && b.now().Sub(e.openedAt) >= b.cooldown {
-		return BreakerHalfOpen
-	}
-	return e.state
-}
-
 // Opens, Rejects, Probes, Recloses are lifetime totals across peers.
 func (b *Breaker) Opens() uint64    { return b.opens.Load() }
 func (b *Breaker) Rejects() uint64  { return b.rejects.Load() }

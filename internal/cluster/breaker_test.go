@@ -20,6 +20,28 @@ type fakeNow struct {
 	t  time.Time
 }
 
+// breakerState is peer's circuit position as Snapshot reports it (closed
+// when the breaker does not track the peer).
+func breakerState(b *Breaker, peer string) BreakerState {
+	for _, s := range b.Snapshot() {
+		if s.Peer == peer {
+			return s.State
+		}
+	}
+	return BreakerClosed
+}
+
+// budgetTokens is peer's retry balance as Snapshot reports it (a full
+// burst when the budget does not track the peer).
+func budgetTokens(b *RetryBudget, peer string) float64 {
+	for _, s := range b.Snapshot() {
+		if s.Peer == peer {
+			return s.Tokens
+		}
+	}
+	return b.burst
+}
+
 func newFakeNow() *fakeNow { return &fakeNow{t: time.Unix(1000, 0)} }
 
 func (f *fakeNow) Now() time.Time {
@@ -47,11 +69,11 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	b.Success("p")
 	b.Failure("p")
 	b.Failure("p")
-	if got := b.State("p"); got != BreakerClosed {
+	if got := breakerState(b, "p"); got != BreakerClosed {
 		t.Fatalf("state = %s after reset+2 failures, want closed", got)
 	}
 	b.Failure("p")
-	if got := b.State("p"); got != BreakerOpen {
+	if got := breakerState(b, "p"); got != BreakerOpen {
 		t.Fatalf("state = %s after threshold, want open", got)
 	}
 	if ok, _ := b.Allow("p"); ok {
@@ -67,7 +89,7 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Now: clk.Now})
 	b.Failure("p")
 	clk.Advance(time.Second)
-	if got := b.State("p"); got != BreakerHalfOpen {
+	if got := breakerState(b, "p"); got != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %s, want half-open", got)
 	}
 	// Exactly one probe is admitted at a time, and it is flagged as one.
@@ -79,7 +101,7 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 	}
 	// Probe failure re-opens for another full cooldown.
 	b.Failure("p")
-	if got := b.State("p"); got != BreakerOpen {
+	if got := breakerState(b, "p"); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %s, want open", got)
 	}
 	clk.Advance(time.Second)
@@ -87,7 +109,7 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 		t.Fatalf("cooldown elapsed but admit = (%v, %v), want probe", ok, probe)
 	}
 	b.Success("p")
-	if got := b.State("p"); got != BreakerClosed {
+	if got := breakerState(b, "p"); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %s, want closed", got)
 	}
 	if b.Recloses() != 1 || b.Probes() != 2 || b.Opens() != 2 {
@@ -137,7 +159,7 @@ func TestRetryBudgetSpendAndRefill(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Deposit("q")
 	}
-	if got := b.Tokens("q"); got != 2 {
+	if got := budgetTokens(b, "q"); got != 2 {
 		t.Fatalf("tokens = %g, want capped at 2", got)
 	}
 }
@@ -215,8 +237,8 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 	if st.BreakerOpen != 0 {
 		t.Fatalf("breaker_open = %d after successful probe, want 0", st.BreakerOpen)
 	}
-	if n.Breaker().Recloses() != 1 {
-		t.Fatalf("recloses = %d, want 1", n.Breaker().Recloses())
+	if n.breaker.Recloses() != 1 {
+		t.Fatalf("recloses = %d, want 1", n.breaker.Recloses())
 	}
 }
 
@@ -279,7 +301,7 @@ func TestBreakerCancelProbeReleasesSlotWithoutVerdict(t *testing.T) {
 	}
 
 	b.CancelProbe("p")
-	if got := b.State("p"); got != BreakerHalfOpen {
+	if got := breakerState(b, "p"); got != BreakerHalfOpen {
 		t.Fatalf("state after CancelProbe = %s, want half-open (no verdict recorded)", got)
 	}
 	if snap := b.Snapshot(); snap[0].Probing {
@@ -290,7 +312,7 @@ func TestBreakerCancelProbeReleasesSlotWithoutVerdict(t *testing.T) {
 		t.Fatalf("admit after CancelProbe = (%v, %v), want a fresh probe", ok, probe)
 	}
 	b.Success("p")
-	if got := b.State("p"); got != BreakerClosed {
+	if got := breakerState(b, "p"); got != BreakerClosed {
 		t.Fatalf("state after successful re-probe = %s, want closed", got)
 	}
 }

@@ -76,13 +76,6 @@ func (b *RetryBudget) Spend(peer string) bool {
 	return false
 }
 
-// Tokens is peer's current balance (full burst when untracked).
-func (b *RetryBudget) Tokens(peer string) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bucket(peer)
-}
-
 // Exhausted counts refused retries across all peers.
 func (b *RetryBudget) Exhausted() uint64 { return b.exhausted.Load() }
 

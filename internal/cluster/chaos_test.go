@@ -179,7 +179,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 		if !allSee(addrs) {
 			t.Fatal("mesh did not converge before the partition")
 		}
-		inc0, _ := gs[a].State(a)
+		inc0, _ := gossipState(gs[a], a)
 
 		plan = mustPlan(t, "seed=21;site=cluster.gossip.deliver kind=partition peer="+a)
 		for round := 1; ; round++ {
@@ -187,7 +187,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 				t.Fatalf("b never convicted a within 12 rounds: %v", gs[b].Alive())
 			}
 			tick()
-			if st, ok := gs[b].State(a); ok && st.State == HealthDead {
+			if st, ok := gossipState(gs[b], a); ok && st.State == HealthDead {
 				deathRound = round
 				break
 			}
@@ -207,7 +207,7 @@ func TestGossipOneWayPartitionSelfRefutesAfterHeal(t *testing.T) {
 		}
 		// Recovery must be a self-refutation — a's incarnation advanced
 		// past the slandered one everywhere — not mere forgetting.
-		got, _ := gs[b].State(a)
+		got, _ := gossipState(gs[b], a)
 		if got.Incarnation <= inc0.Incarnation {
 			t.Fatalf("a's incarnation at b = %d, want > %d (self-refutation)",
 				got.Incarnation, inc0.Incarnation)
@@ -262,8 +262,8 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 
 	// Trip the owner's circuit and elapse the cooldown: the next
 	// admitted call is the half-open probe.
-	n.Breaker().Failure(owner)
-	if got := n.Breaker().State(owner); got != BreakerOpen {
+	n.breaker.Failure(owner)
+	if got := breakerState(n.breaker, owner); got != BreakerOpen {
 		t.Fatalf("owner state = %s after trip, want open", got)
 	}
 	clk.Advance(time.Minute)
@@ -286,7 +286,7 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var ownerStatus *BreakerStatus
-		for _, bs := range n.Breaker().Snapshot() {
+		for _, bs := range n.breaker.Snapshot() {
 			if bs.Peer == owner {
 				v := bs
 				ownerStatus = &v
@@ -317,10 +317,10 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	if got := ownerCalls.Load(); got == 0 {
 		t.Fatal("post-heal dispatch never reached the owner — probe slot still held")
 	}
-	if got := n.Breaker().State(owner); got != BreakerClosed {
+	if got := breakerState(n.breaker, owner); got != BreakerClosed {
 		t.Fatalf("owner state = %s after healed probe, want closed", got)
 	}
-	if got := n.Breaker().Recloses(); got != 1 {
+	if got := n.breaker.Recloses(); got != 1 {
 		t.Fatalf("recloses = %d, want 1", got)
 	}
 }

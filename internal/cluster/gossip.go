@@ -424,17 +424,6 @@ func (g *Gossiper) Snapshot() []PeerState {
 	return out
 }
 
-// State returns one peer's current record.
-func (g *Gossiper) State(addr string) (PeerState, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	p, ok := g.peers[addr]
-	if !ok {
-		return PeerState{}, false
-	}
-	return p.PeerState, true
-}
-
 // Version is the membership version; it bumps whenever ring membership
 // could have changed.
 func (g *Gossiper) Version() uint64 {

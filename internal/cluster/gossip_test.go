@@ -18,6 +18,16 @@ type mesh struct {
 	down map[string]bool // addr -> exchanges to it fail (crashed process)
 }
 
+// gossipState is addr's record as Snapshot reports it.
+func gossipState(g *Gossiper, addr string) (PeerState, bool) {
+	for _, st := range g.Snapshot() {
+		if st.Addr == addr {
+			return st, true
+		}
+	}
+	return PeerState{}, false
+}
+
 // newMesh builds a gossiper per address. peersOf maps each address to
 // its static boot list (nil means "everyone else"). All replicas share
 // one seed — the schedule still differs per (self, round).
@@ -164,7 +174,7 @@ func TestGossipFrozenPeerDiesOfStaleness(t *testing.T) {
 			m.gs[a].Tick(context.Background())
 		}
 		if converged() {
-			if st, _ := m.gs[addrs[0]].State(frozen); st.State != HealthDead {
+			if st, _ := gossipState(m.gs[addrs[0]], frozen); st.State != HealthDead {
 				t.Fatalf("frozen peer state = %s, want dead", st.State)
 			}
 			return
@@ -188,7 +198,7 @@ func TestGossipDrainingPeerLeavesRingButStaysKnown(t *testing.T) {
 		if got := m.gs[a].Alive(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s alive view = %v, want %v (draining peer must leave the ring)", a, got, want)
 		}
-		st, ok := m.gs[a].State(addrs[1])
+		st, ok := gossipState(m.gs[a], addrs[1])
 		if !ok || st.State != HealthDraining {
 			t.Fatalf("%s lost track of the draining peer: %+v ok=%v", a, st, ok)
 		}
@@ -212,7 +222,7 @@ func TestGossipRestartWithNewIncarnationResurrects(t *testing.T) {
 	// A same-incarnation digest must NOT resurrect: dead is sticky.
 	old := m.gs[addrs[2]]
 	m.gs[addrs[0]].MergeDigest(old.Digest())
-	if st, _ := m.gs[addrs[0]].State(addrs[2]); st.State != HealthDead {
+	if st, _ := gossipState(m.gs[addrs[0]], addrs[2]); st.State != HealthDead {
 		t.Fatalf("stale digest resurrected dead peer: %s", st.State)
 	}
 	// Restart c under a higher incarnation: it must rejoin everywhere.
@@ -241,13 +251,13 @@ func TestGossipRefutesFalseDeathVerdictAboutSelf(t *testing.T) {
 		m.tick()
 	}
 	a := m.gs[addrs[0]]
-	st, _ := a.State(addrs[0])
+	st, _ := gossipState(a, addrs[0])
 	// Forge a death verdict about a at its own incarnation and feed it
 	// back: a must refuse it and bump its incarnation past the slander.
 	a.MergeDigest(Digest{From: addrs[1], Peers: []PeerState{{
 		Addr: addrs[0], Incarnation: st.Incarnation, Heartbeat: st.Heartbeat + 10, State: HealthDead,
 	}}})
-	after, _ := a.State(addrs[0])
+	after, _ := gossipState(a, addrs[0])
 	if after.State != HealthAlive {
 		t.Fatalf("self state = %s after slander, want alive", after.State)
 	}
@@ -261,7 +271,7 @@ func TestGossipRefutesFalseDeathVerdictAboutSelf(t *testing.T) {
 		Addr: addrs[0], Incarnation: st.Incarnation, Heartbeat: st.Heartbeat + 10, State: HealthDead,
 	}}})
 	b.MergeDigest(a.Digest())
-	got, _ := b.State(addrs[0])
+	got, _ := gossipState(b, addrs[0])
 	if got.State != HealthAlive || got.Incarnation != after.Incarnation {
 		t.Fatalf("refutation did not spread: %+v", got)
 	}

@@ -295,9 +295,6 @@ func normalizeAddr(a string) string {
 // Self is this replica's normalized cluster address.
 func (n *Node) Self() string { return n.self }
 
-// Gossip exposes the gossiper (serve's drain hook, tests).
-func (n *Node) Gossip() *Gossiper { return n.gossip }
-
 // Ring returns the current consistent-hash ring, rebuilt (and cached)
 // whenever gossip membership changes.
 func (n *Node) Ring() *Ring {
@@ -796,9 +793,3 @@ func (n *Node) Status() Status {
 		ChaosInjected:   n.chaos.Injections(),
 	}
 }
-
-// Breaker exposes the forward-path circuit breakers (status, tests).
-func (n *Node) Breaker() *Breaker { return n.breaker }
-
-// RetryBudget exposes the per-peer retry budget (status, tests).
-func (n *Node) RetryBudget() *RetryBudget { return n.budget }

@@ -216,7 +216,7 @@ func TestDispatchReroutesAfterFailureVerdictRemapsRing(t *testing.T) {
 	if note.Value() != RouteLocal {
 		t.Fatalf("route = %q, want %q (ring remapped to self)", note.Value(), RouteLocal)
 	}
-	if st, _ := n.Gossip().State(normalizeAddr(ts.URL)); st.State != HealthDead {
+	if st, _ := gossipState(n.gossip, normalizeAddr(ts.URL)); st.State != HealthDead {
 		t.Fatalf("owner state = %s, want dead after FailAfter=1", st.State)
 	}
 	if got := n.Ring().Members(); len(got) != 1 || got[0] != "http://self:1" {
@@ -321,7 +321,7 @@ func TestDefaultIncarnationUsesInjectedClock(t *testing.T) {
 		Peers: []string{"127.0.0.1:9002"},
 		Now:   func() time.Time { return fixed },
 	})
-	st, ok := n.Gossip().State(n.Self())
+	st, ok := gossipState(n.gossip, n.Self())
 	if !ok {
 		t.Fatal("gossiper has no state for self")
 	}
@@ -334,7 +334,7 @@ func TestDefaultIncarnationUsesInjectedClock(t *testing.T) {
 		Incarnation: 42,
 		Now:         func() time.Time { return fixed },
 	})
-	if st2, _ := n2.Gossip().State(n2.Self()); st2.Incarnation != 42 {
+	if st2, _ := gossipState(n2.gossip, n2.Self()); st2.Incarnation != 42 {
 		t.Errorf("explicit incarnation = %d, want 42", st2.Incarnation)
 	}
 }

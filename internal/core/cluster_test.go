@@ -23,10 +23,10 @@ func mustCluster(t *testing.T, cfg Config) *Cluster {
 // 15,360 GPUs x 500 W = 7.68 MW max, 1.152 MW idle (85% proportional).
 func TestBaselineComputePower(t *testing.T) {
 	c := mustCluster(t, Baseline())
-	if got := c.ComputeMaxPower().Megawatts(); math.Abs(got-7.68) > 1e-9 {
+	if got := float64(c.ComputeMaxPower() / units.Megawatt); math.Abs(got-7.68) > 1e-9 {
 		t.Errorf("compute max = %v MW, want 7.68", got)
 	}
-	if got := c.Model(device.ClassGPU).Idle().Megawatts(); math.Abs(got-1.152) > 1e-9 {
+	if got := float64(c.Model(device.ClassGPU).Idle() / units.Megawatt); math.Abs(got-1.152) > 1e-9 {
 		t.Errorf("compute idle = %v MW, want 1.152", got)
 	}
 }
@@ -40,7 +40,7 @@ func TestBaselineNetworkPower(t *testing.T) {
 	if d.Switches < 470 || d.Switches > 478 {
 		t.Errorf("switches = %v, want ~474", d.Switches)
 	}
-	net := c.NetworkMaxPower().Megawatts()
+	net := float64(c.NetworkMaxPower() / units.Megawatt)
 	if math.Abs(net-1.0569) > 0.002 {
 		t.Errorf("network max = %v MW, want ~1.057", net)
 	}
@@ -77,10 +77,10 @@ func TestPaperHeadlineNumbers(t *testing.T) {
 // cluster power ~7.99 MW, peak (computation-phase) power ~8.63 MW.
 func TestBaselineAveragePower(t *testing.T) {
 	c := mustCluster(t, Baseline())
-	if got := c.AveragePower().Megawatts(); math.Abs(got-7.989) > 0.01 {
+	if got := float64(c.AveragePower() / units.Megawatt); math.Abs(got-7.989) > 0.01 {
 		t.Errorf("average power = %v MW, want ~7.99", got)
 	}
-	if got := c.PeakPower().Megawatts(); math.Abs(got-8.631) > 0.01 {
+	if got := float64(c.PeakPower() / units.Megawatt); math.Abs(got-8.631) > 0.01 {
 		t.Errorf("peak power = %v MW, want ~8.63", got)
 	}
 	// Peak occurs in the computation phase for this compute-heavy cluster.
@@ -89,8 +89,8 @@ func TestBaselineAveragePower(t *testing.T) {
 	}
 	e := c.EnergyPerIteration()
 	want := float64(c.AveragePower()) * float64(c.Iteration().Total())
-	if math.Abs(e.Joules()-want) > 1e-6*want {
-		t.Errorf("energy per iteration = %v, want %v", e.Joules(), want)
+	if math.Abs(float64(e)-want) > 1e-6*want {
+		t.Errorf("energy per iteration = %v, want %v", float64(e), want)
 	}
 }
 
@@ -165,15 +165,15 @@ func TestFig2aAverageBar(t *testing.T) {
 func TestFig2bData(t *testing.T) {
 	c := mustCluster(t, Baseline())
 	f := c.Fig2bData()
-	if got := f.ComputePower[PhaseComputation].Megawatts(); math.Abs(got-7.68) > 1e-9 {
+	if got := float64(f.ComputePower[PhaseComputation] / units.Megawatt); math.Abs(got-7.68) > 1e-9 {
 		t.Errorf("Fig2b compute@computation = %v MW, want 7.68", got)
 	}
-	if got := f.ComputePower[PhaseCommunication].Megawatts(); math.Abs(got-1.152) > 1e-9 {
+	if got := float64(f.ComputePower[PhaseCommunication] / units.Megawatt); math.Abs(got-1.152) > 1e-9 {
 		t.Errorf("Fig2b compute@communication = %v MW, want 1.152", got)
 	}
 	// Network power barely moves between phases (10% proportionality).
-	netComp := f.NetworkPower[PhaseComputation].Megawatts()
-	netComm := f.NetworkPower[PhaseCommunication].Megawatts()
+	netComp := float64(f.NetworkPower[PhaseComputation] / units.Megawatt)
+	netComm := float64(f.NetworkPower[PhaseCommunication] / units.Megawatt)
 	if netComp >= netComm {
 		t.Errorf("network idle %v should be below max %v", netComp, netComm)
 	}

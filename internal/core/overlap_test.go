@@ -41,7 +41,8 @@ func TestOverlapRaisesNetworkEfficiency(t *testing.T) {
 		t.Errorf("overlapped iteration = %v, want 0.95", ov.Schedule().Total())
 	}
 	// The network still idles 85/95 of the time — underutilization remains.
-	if share := ov.Schedule().NetworkIdleShare(); math.Abs(share-0.85/0.95) > 1e-9 {
+	sched := ov.Schedule()
+	if share := float64(sched.ComputeOnly / sched.Total()); math.Abs(share-0.85/0.95) > 1e-9 {
 		t.Errorf("network idle share = %v", share)
 	}
 }
@@ -151,7 +152,7 @@ func TestOverlapEnergyAccounting(t *testing.T) {
 	want += float64(cl.segmentTotal(true, false)) * float64(s.ComputeOnly)
 	want += float64(cl.segmentTotal(true, true)) * float64(s.Overlapped)
 	want += float64(cl.segmentTotal(false, true)) * float64(s.CommOnly)
-	got := cl.EnergyPerIteration().Joules()
+	got := float64(cl.EnergyPerIteration())
 	if math.Abs(got-want) > 1e-6*want {
 		t.Errorf("energy = %v, want %v", got, want)
 	}

@@ -53,14 +53,6 @@ func (a Assumption) String() string {
 	}
 }
 
-// Assumptions lists all perturbable assumptions.
-func Assumptions() []Assumption {
-	return []Assumption{
-		AssumeCommRatio, AssumeServerOverhead, AssumeSwitchPower,
-		AssumeComputeProportionality, AssumeNetworkProportionality,
-	}
-}
-
 // SensitivityPoint is one evaluated perturbation.
 type SensitivityPoint struct {
 	Assumption Assumption

@@ -149,7 +149,10 @@ func TestSensitivityValidation(t *testing.T) {
 
 func TestAssumptionStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for _, a := range Assumptions() {
+	for _, a := range []Assumption{
+		AssumeCommRatio, AssumeServerOverhead, AssumeSwitchPower,
+		AssumeComputeProportionality, AssumeNetworkProportionality,
+	} {
 		name := a.String()
 		if name == "" || seen[name] {
 			t.Errorf("assumption %d unnamed or duplicated (%q)", int(a), name)
@@ -158,8 +161,5 @@ func TestAssumptionStrings(t *testing.T) {
 	}
 	if Assumption(99).String() != "Assumption(99)" {
 		t.Error("unknown assumption formatting broken")
-	}
-	if len(Assumptions()) != 5 {
-		t.Error("Assumptions() should list 5 entries")
 	}
 }

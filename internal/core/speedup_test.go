@@ -22,7 +22,7 @@ func fig3At(t *testing.T, props []float64, kind BudgetKind) map[float64]map[floa
 		for _, p := range c.Points {
 			row[p.Proportionality] = p.Speedup
 		}
-		out[c.Bandwidth.Gigabits()] = row
+		out[float64(c.Bandwidth/units.Gbps)] = row
 	}
 	return out
 }
@@ -299,7 +299,7 @@ func TestBestBandwidthCrossovers(t *testing.T) {
 		t.Fatalf("crossover rows = %d", len(cross))
 	}
 	for _, c := range cross {
-		gb := c.Best.Gigabits()
+		gb := float64(c.Best / units.Gbps)
 		switch {
 		case c.Proportionality <= 0.30:
 			if gb > 200 {
@@ -319,9 +319,9 @@ func TestBestBandwidthCrossovers(t *testing.T) {
 	}
 	// 800/1600 must NOT win anywhere at or below 90%.
 	for _, c := range cross {
-		if c.Proportionality <= 0.90+1e-9 && c.Best.Gigabits() >= 800 {
+		if c.Proportionality <= 0.90+1e-9 && float64(c.Best/units.Gbps) >= 800 {
 			t.Errorf("%vG wins already at %.0f%% proportionality; paper says only above 90%%",
-				c.Best.Gigabits(), c.Proportionality*100)
+				float64(c.Best/units.Gbps), c.Proportionality*100)
 		}
 	}
 }

@@ -112,18 +112,6 @@ func (b *Binding) call(k *kindCounters, req *Request) (float64, error) {
 	return v, nil
 }
 
-// Fallbacks reports the fail-closed fallback counts (latency, power) —
-// calls the in-process model answered because the external one could
-// not.
-func (b *Binding) Fallbacks() (latency, power uint64) {
-	return b.latency.fallbacks.Load(), b.power.fallbacks.Load()
-}
-
-// Calls reports total external-model calls (latency, power).
-func (b *Binding) Calls() (latency, power uint64) {
-	return b.latency.calls.Load(), b.power.calls.Load()
-}
-
 // Instrument registers the netpowerprop_cosim_* metrics on reg.
 func (b *Binding) Instrument(reg *obs.Registry) {
 	for _, kind := range []struct {

@@ -144,9 +144,6 @@ func OpenCassette(path string) (*Replayer, error) {
 // Len reports how many distinct calls the cassette holds.
 func (r *Replayer) Len() int { return len(r.entries) }
 
-// Torn reports whether loading stopped early at a malformed line.
-func (r *Replayer) Torn() bool { return r.torn }
-
 // Call serves a recorded response; a miss is an error (fail closed).
 func (r *Replayer) Call(req *Request) (float64, error) {
 	key, err := req.Canonical()

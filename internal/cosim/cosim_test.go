@@ -196,10 +196,10 @@ func TestEchoBitIdenticalThroughWire(t *testing.T) {
 			t.Errorf("power law %v = %v, want bit-identical %v", law, got, want)
 		}
 	}
-	if lat, pow := b.Calls(); lat == 0 || pow == 0 {
+	if lat, pow := b.latency.calls.Load(), b.power.calls.Load(); lat == 0 || pow == 0 {
 		t.Errorf("binding counted %d latency / %d power calls, want both > 0", lat, pow)
 	}
-	if lat, pow := b.Fallbacks(); lat != 0 || pow != 0 {
+	if lat, pow := b.latency.fallbacks.Load(), b.power.fallbacks.Load(); lat != 0 || pow != 0 {
 		t.Errorf("unexpected fallbacks: %d latency / %d power", lat, pow)
 	}
 }
@@ -263,8 +263,8 @@ func TestRecorderReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Torn() || rp.Len() != len(reqs) {
-		t.Fatalf("cassette torn=%v len=%d, want clean len %d", rp.Torn(), rp.Len(), len(reqs))
+	if rp.torn || rp.Len() != len(reqs) {
+		t.Fatalf("cassette torn=%v len=%d, want clean len %d", rp.torn, rp.Len(), len(reqs))
 	}
 	for i, r := range reqs {
 		v, err := rp.Call(r)
@@ -349,7 +349,7 @@ func TestRecordReplayByteStability(t *testing.T) {
 			if !bytes.Equal(plain, liveOut) {
 				t.Fatalf("live echo output differs from in-process models")
 			}
-			if lat, _ := live.Calls(); lat == 0 {
+			if live.latency.calls.Load() == 0 {
 				t.Fatal("live run made no model calls")
 			}
 
@@ -362,7 +362,7 @@ func TestRecordReplayByteStability(t *testing.T) {
 			if !bytes.Equal(plain, replayOut) {
 				t.Fatalf("cassette replay output differs from recorded run")
 			}
-			if lat, pow := replay.Fallbacks(); lat != 0 || pow != 0 {
+			if lat, pow := replay.latency.fallbacks.Load(), replay.power.fallbacks.Load(); lat != 0 || pow != 0 {
 				t.Fatalf("replay fell back %d/%d times, want full cassette coverage", lat, pow)
 			}
 		})
@@ -396,7 +396,7 @@ func TestTornCassetteFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rp.Torn() {
+	if !rp.torn {
 		t.Fatal("truncated cassette not reported torn")
 	}
 	replay := Bind(rp)
@@ -404,7 +404,7 @@ func TestTornCassetteFailsClosed(t *testing.T) {
 	if !bytes.Equal(plain, tornOut) {
 		t.Fatal("torn-cassette run not byte-identical to in-process models")
 	}
-	lat, pow := replay.Fallbacks()
+	lat, pow := replay.latency.fallbacks.Load(), replay.power.fallbacks.Load()
 	if lat+pow == 0 {
 		t.Fatal("torn cassette produced no counted fallbacks")
 	}

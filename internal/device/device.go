@@ -44,16 +44,6 @@ func Classes() []Class {
 	return []Class{ClassGPU, ClassSwitch, ClassNIC, ClassTransceiver}
 }
 
-// Spec describes one device model: its class, a label, and its maximum
-// power draw. Idle power is derived from proportionality by the power
-// package, not stored here, because the paper treats proportionality as a
-// per-scenario knob rather than a device property.
-type Spec struct {
-	Class Class
-	Name  string
-	Max   units.Power
-}
-
 // Paper constants (Table 1).
 const (
 	// H100MaxPower is the rated max power of an Nvidia H100 NVL GPU.
@@ -85,27 +75,24 @@ const (
 type ratedPoint struct {
 	speed units.Bandwidth
 	power units.Power
-	// extrapolated marks values the paper derived by linear extrapolation
-	// rather than reading from a datasheet (Table 2 footnote).
-	extrapolated bool
 }
 
 // Table 2: NIC power (NVIDIA ConnectX-7 datasheet; 800G and 1600G linearly
 // extrapolated) and transceiver power (FS.com; 1600G extrapolated).
 var (
 	nicTable = []ratedPoint{
-		{100 * units.Gbps, 8.6 * units.Watt, false},
-		{200 * units.Gbps, 16.7 * units.Watt, false},
-		{400 * units.Gbps, 25.4 * units.Watt, false},
-		{800 * units.Gbps, 38.6 * units.Watt, true},
-		{1600 * units.Gbps, 58.8 * units.Watt, true},
+		{100 * units.Gbps, 8.6 * units.Watt},
+		{200 * units.Gbps, 16.7 * units.Watt},
+		{400 * units.Gbps, 25.4 * units.Watt},
+		{800 * units.Gbps, 38.6 * units.Watt},
+		{1600 * units.Gbps, 58.8 * units.Watt},
 	}
 	transceiverTable = []ratedPoint{
-		{100 * units.Gbps, 4 * units.Watt, false},
-		{200 * units.Gbps, 6.5 * units.Watt, false},
-		{400 * units.Gbps, 10 * units.Watt, false},
-		{800 * units.Gbps, 16.5 * units.Watt, false},
-		{1600 * units.Gbps, 27.27 * units.Watt, true},
+		{100 * units.Gbps, 4 * units.Watt},
+		{200 * units.Gbps, 6.5 * units.Watt},
+		{400 * units.Gbps, 10 * units.Watt},
+		{800 * units.Gbps, 16.5 * units.Watt},
+		{1600 * units.Gbps, 27.27 * units.Watt},
 	}
 )
 
@@ -131,26 +118,6 @@ func RatedSpeeds() []units.Bandwidth {
 		out[i] = p.speed
 	}
 	return out
-}
-
-// IsExtrapolated reports whether the Table 2 value at this exact speed was
-// marked as extrapolated in the paper (only meaningful for rated speeds).
-func IsExtrapolated(speed units.Bandwidth, class Class) bool {
-	var table []ratedPoint
-	switch class {
-	case ClassNIC:
-		table = nicTable
-	case ClassTransceiver:
-		table = transceiverTable
-	default:
-		return false
-	}
-	for _, p := range table {
-		if p.speed == speed {
-			return p.extrapolated
-		}
-	}
-	return false
 }
 
 // lookupRated interpolates within the table, or extrapolates linearly from
@@ -179,34 +146,6 @@ func lookupRated(table []ratedPoint, speed units.Bandwidth, what string) (units.
 		p = 0
 	}
 	return units.Power(p), nil
-}
-
-// GPU returns the spec of one GPU unit (GPU plus server share).
-func GPU() Spec {
-	return Spec{Class: ClassGPU, Name: "Nvidia H100 (incl. server share)", Max: GPUUnitMaxPower}
-}
-
-// Switch returns the spec of the 51.2 Tbps switch.
-func Switch() Spec {
-	return Spec{Class: ClassSwitch, Name: "51.2 Tbps switch", Max: SwitchMaxPower}
-}
-
-// NIC returns the spec of a NIC at the given speed.
-func NIC(speed units.Bandwidth) (Spec, error) {
-	p, err := NICPower(speed)
-	if err != nil {
-		return Spec{}, err
-	}
-	return Spec{Class: ClassNIC, Name: fmt.Sprintf("NIC %s", speed), Max: p}, nil
-}
-
-// Transceiver returns the spec of an optical transceiver at the given speed.
-func Transceiver(speed units.Bandwidth) (Spec, error) {
-	p, err := TransceiverPower(speed)
-	if err != nil {
-		return Spec{}, err
-	}
-	return Spec{Class: ClassTransceiver, Name: fmt.Sprintf("Transceiver %s", speed), Max: p}, nil
 }
 
 // SwitchPorts returns how many ports a 51.2 Tbps switch exposes at the given

@@ -52,24 +52,6 @@ func TestTable2Transceiver(t *testing.T) {
 	}
 }
 
-func TestExtrapolationMarkers(t *testing.T) {
-	if !IsExtrapolated(800*units.Gbps, ClassNIC) || !IsExtrapolated(1600*units.Gbps, ClassNIC) {
-		t.Error("800G and 1600G NIC values should be marked extrapolated")
-	}
-	if IsExtrapolated(400*units.Gbps, ClassNIC) {
-		t.Error("400G NIC value should not be marked extrapolated")
-	}
-	if !IsExtrapolated(1600*units.Gbps, ClassTransceiver) {
-		t.Error("1600G transceiver value should be marked extrapolated")
-	}
-	if IsExtrapolated(800*units.Gbps, ClassTransceiver) {
-		t.Error("800G transceiver value should not be marked extrapolated")
-	}
-	if IsExtrapolated(400*units.Gbps, ClassGPU) {
-		t.Error("non-network classes are never extrapolated")
-	}
-}
-
 func TestInterpolationBetweenRatedPoints(t *testing.T) {
 	// 300G is midway between 200G (16.7) and 400G (25.4): expect 21.05 W.
 	p, err := NICPower(300 * units.Gbps)
@@ -135,29 +117,6 @@ func TestSwitchPorts(t *testing.T) {
 	}
 	if _, err := SwitchPorts(40 * units.Tbps); err == nil {
 		t.Error("SwitchPorts above half capacity should fail")
-	}
-}
-
-func TestSpecs(t *testing.T) {
-	if g := GPU(); g.Class != ClassGPU || g.Max != 500*units.Watt {
-		t.Errorf("GPU() = %+v", g)
-	}
-	if s := Switch(); s.Class != ClassSwitch || s.Max != 750*units.Watt {
-		t.Errorf("Switch() = %+v", s)
-	}
-	n, err := NIC(400 * units.Gbps)
-	if err != nil || n.Class != ClassNIC || math.Abs(n.Max.Watts()-25.4) > 1e-9 {
-		t.Errorf("NIC(400G) = %+v, err=%v", n, err)
-	}
-	x, err := Transceiver(800 * units.Gbps)
-	if err != nil || x.Class != ClassTransceiver || math.Abs(x.Max.Watts()-16.5) > 1e-9 {
-		t.Errorf("Transceiver(800G) = %+v, err=%v", x, err)
-	}
-	if _, err := NIC(0); err == nil {
-		t.Error("NIC(0) should fail")
-	}
-	if _, err := Transceiver(0); err == nil {
-		t.Error("Transceiver(0) should fail")
 	}
 }
 

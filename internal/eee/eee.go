@@ -10,7 +10,6 @@ package eee
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -260,30 +259,6 @@ func PoissonPacketsRand(rng *rand.Rand, capacity units.Bandwidth, utilization fl
 		// Degenerate draw (tiny horizon): place one frame mid-horizon so
 		// callers always get a valid workload.
 		out = append(out, Packet{Arrival: horizon / 2, Bits: frameBits})
-	}
-	return out, nil
-}
-
-// BurstPackets generates the ML-style on/off pattern: bursts of
-// back-to-back frames at line rate during each communication window.
-func BurstPackets(capacity units.Bandwidth, frameBits float64, period, window units.Seconds, bursts int) ([]Packet, error) {
-	if capacity <= 0 || frameBits <= 0 {
-		return nil, fmt.Errorf("eee: capacity and frame size must be positive")
-	}
-	if window <= 0 || window > period {
-		return nil, fmt.Errorf("eee: window %v must be in (0, period %v]", window, period)
-	}
-	if bursts < 1 {
-		return nil, fmt.Errorf("eee: bursts %d must be positive", bursts)
-	}
-	perBurst := int(math.Max(1, math.Floor(float64(window)*float64(capacity)/frameBits)))
-	gap := units.Seconds(frameBits / float64(capacity))
-	var out []Packet
-	for b := 0; b < bursts; b++ {
-		start := units.Seconds(b)*period + (period - window)
-		for k := 0; k < perBurst; k++ {
-			out = append(out, Packet{Arrival: start + units.Seconds(k)*gap, Bits: frameBits})
-		}
 	}
 	return out, nil
 }

@@ -304,30 +304,6 @@ func TestPoissonPacketsErrors(t *testing.T) {
 	}
 }
 
-func TestBurstPackets(t *testing.T) {
-	pkts, err := BurstPackets(10*units.Gbps, 1e4, 1, 0.1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.1 s at 10G / 1e4 bits = 1e5 frames per burst, 3 bursts.
-	if len(pkts) != 3e5 {
-		t.Fatalf("frames = %d, want 300000", len(pkts))
-	}
-	// First burst starts at period - window = 0.9.
-	if math.Abs(float64(pkts[0].Arrival)-0.9) > 1e-9 {
-		t.Errorf("first arrival = %v, want 0.9", pkts[0].Arrival)
-	}
-	if _, err := BurstPackets(0, 1e4, 1, 0.1, 1); err == nil {
-		t.Error("zero capacity should fail")
-	}
-	if _, err := BurstPackets(10*units.Gbps, 1e4, 1, 2, 1); err == nil {
-		t.Error("window > period should fail")
-	}
-	if _, err := BurstPackets(10*units.Gbps, 1e4, 1, 0.1, 0); err == nil {
-		t.Error("zero bursts should fail")
-	}
-}
-
 // Property: energy never exceeds the always-on baseline, savings are in
 // [0,1), and all frames are accounted for.
 func TestSimulateInvariants(t *testing.T) {

@@ -113,9 +113,16 @@ func TestSimulateRateSavingsMonotoneInLoad(t *testing.T) {
 func TestSleepingVsRateAdaptation(t *testing.T) {
 	lpi := DefaultParams(10*units.Gbps, 10*units.Watt)
 	rate := rateParams()
-	pkts, err := BurstPackets(10*units.Gbps, 12000, 1e-3, 1e-4, 5)
-	if err != nil {
-		t.Fatal(err)
+	// Five 100 µs bursts of back-to-back 12 kbit frames at line rate, one
+	// at the end of each 1 ms period.
+	var pkts []Packet
+	const frameBits = 12000
+	gap := units.Seconds(frameBits / float64(10*units.Gbps))
+	for b := 0; b < 5; b++ {
+		start := units.Seconds(b)*1e-3 + (1e-3 - 1e-4)
+		for k := 0; k < int(1e-4/gap); k++ {
+			pkts = append(pkts, Packet{Arrival: start + units.Seconds(k)*gap, Bits: frameBits})
+		}
 	}
 	sleepRes, err := Simulate(lpi, pkts)
 	if err != nil {

@@ -94,11 +94,12 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 	}
 	if err := ctx.Err(); err != nil {
 		for _, key := range order {
-			for _, i := range groups[key].idxs {
+			g := groups[key]
+			for _, i := range g.idxs {
 				items[i].Err = err
+				e.failed(ctx, "batch row", g.req.Op, err)
 			}
 		}
-		e.errors.Add(uint64(misses))
 		return items
 	}
 

@@ -260,8 +260,29 @@ func TestBatchCanceledContext(t *testing.T) {
 			t.Errorf("row %d = %v, want Canceled", i, it.Err)
 		}
 	}
-	if m := e.Metrics(); m.Computations != 0 {
+	m := e.Metrics()
+	if m.Computations != 0 {
 		t.Errorf("computations = %d, want 0", m.Computations)
+	}
+	if m.Errors != 2 || m.Canceled != 2 || m.Deadlines != 0 {
+		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 2/2/0", m.Errors, m.Canceled, m.Deadlines)
+	}
+}
+
+// A batch whose deadline already passed counts one deadline per miss row;
+// an invalid row counts as an error only.
+func TestBatchExpiredDeadline(t *testing.T) {
+	e := New(Options{})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	items := e.DoBatch(ctx, []Request{{Op: OpWhatIf}, {Op: OpCost}, {Op: "bogus"}})
+	for i, it := range items[:2] {
+		if !errors.Is(it.Err, context.DeadlineExceeded) {
+			t.Errorf("row %d = %v, want DeadlineExceeded", i, it.Err)
+		}
+	}
+	if m := e.Metrics(); m.Errors != 3 || m.Deadlines != 2 || m.Canceled != 0 {
+		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 3/2/0", m.Errors, m.Deadlines, m.Canceled)
 	}
 }
 

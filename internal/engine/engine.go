@@ -78,8 +78,8 @@ type Engine struct {
 	deadlines atomic.Uint64
 	canceled  atomic.Uint64
 	lastPanic atomic.Int64
-	// rowsExecuted/rowNanos count job rows run through ExecRow — the
-	// row-level execution surface internal/jobs checkpoints against.
+	// rowsExecuted/rowNanos count job and stream rows run through ExecRow —
+	// the row-level execution surface internal/jobs checkpoints against.
 	rowsExecuted atomic.Uint64
 	rowNanos     atomic.Int64
 	// batches/batchRows count DoBatch calls and the rows they carried;
@@ -175,6 +175,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool,
 		return nil, false, err
 	}
 	if err := ctx.Err(); err != nil {
+		e.failed(ctx, "request", norm.Op, err)
 		return nil, false, err
 	}
 	key := norm.Key()
@@ -402,9 +403,10 @@ type Metrics struct {
 	// Canceled counts requests abandoned because the caller canceled
 	// (typically a client disconnect), distinct from Deadlines.
 	Canceled uint64
-	// RowsExecuted counts job rows run through ExecRow.
+	// RowsExecuted counts job and stream rows run through ExecRow.
 	RowsExecuted uint64
-	// RowSeconds is the cumulative compute time spent in job rows.
+	// RowSeconds is the cumulative compute time spent in job and stream
+	// rows.
 	RowSeconds float64
 	// Batches counts DoBatch calls; BatchRows the rows they carried.
 	Batches   uint64

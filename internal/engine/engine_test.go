@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"netpowerprop/internal/core"
 )
@@ -300,12 +302,30 @@ func TestLRUEvictionBound(t *testing.T) {
 	}
 }
 
+// A request whose context is already done fails before the cache and
+// counts like any other abandoned request: one error, plus one canceled or
+// one deadline according to why the context ended.
 func TestContextCanceled(t *testing.T) {
 	e := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.Do(ctx, Request{Op: OpWhatIf}); err == nil {
-		t.Error("Do with canceled context: expected error")
+	if _, _, err := e.Do(ctx, Request{Op: OpWhatIf}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Do with canceled context = %v, want Canceled", err)
+	}
+	if m := e.Metrics(); m.Errors != 1 || m.Canceled != 1 || m.Deadlines != 0 {
+		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 1/1/0", m.Errors, m.Canceled, m.Deadlines)
+	}
+}
+
+func TestContextDeadlineExpired(t *testing.T) {
+	e := New(Options{})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, _, err := e.Do(ctx, Request{Op: OpWhatIf}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Do with expired deadline = %v, want DeadlineExceeded", err)
+	}
+	if m := e.Metrics(); m.Errors != 1 || m.Deadlines != 1 || m.Canceled != 0 {
+		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 1/1/0", m.Errors, m.Deadlines, m.Canceled)
 	}
 }
 

@@ -32,7 +32,7 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 	}
 	if reg != nil {
 		e.rowHist = reg.Histogram("netpowerprop_engine_row_duration_seconds",
-			"Latency of one job row executed through ExecRow.",
+			"Latency of one job or stream row executed through ExecRow.",
 			obs.DefLatencyBuckets)
 	} else {
 		e.rowHist = obs.NewHistogram(obs.DefLatencyBuckets)
@@ -62,7 +62,7 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 	counter("netpowerprop_engine_canceled_total",
 		"Requests abandoned because the client canceled (disconnect).", &e.canceled)
 	counter("netpowerprop_engine_rows_executed_total",
-		"Job rows run through ExecRow.", &e.rowsExecuted)
+		"Job and stream rows run through ExecRow.", &e.rowsExecuted)
 	counter("netpowerprop_engine_batches_total",
 		"Batched requests answered through DoBatch.", &e.batches)
 	counter("netpowerprop_engine_batch_rows_total",
@@ -80,7 +80,7 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 		"Cumulative computation time.",
 		func() float64 { return float64(e.computeNanos.Load()) / 1e9 })
 	reg.CounterFunc("netpowerprop_engine_row_compute_seconds_total",
-		"Cumulative compute time spent in job rows.",
+		"Cumulative compute time spent in job and stream rows.",
 		func() float64 { return float64(e.rowNanos.Load()) / 1e9 })
 	reg.GaugeFunc("netpowerprop_engine_inflight",
 		"Rows computing in a worker slot right now.",

@@ -178,3 +178,20 @@ func TestStreamShedUnderOverload(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// Stream runs its rows through ExecRow, so the row counters see every
+// streamed row exactly once.
+func TestStreamCountsRowsExecuted(t *testing.T) {
+	e := New(Options{})
+	frames := 0
+	_, err := e.Stream(context.Background(), Request{Op: OpSweep, Steps: 4}, func(int, json.RawMessage) error {
+		frames++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Metrics(); frames == 0 || m.RowsExecuted != uint64(frames) {
+		t.Errorf("RowsExecuted = %d, want the %d streamed rows", m.RowsExecuted, frames)
+	}
+}

@@ -103,12 +103,6 @@ func (t *Trace) LinkUp(at units.Seconds, link int) {
 	t.Add(Event{At: at, Kind: KindLinkUp, Target: link})
 }
 
-// Flap schedules a transient outage: down at `at`, back up after `repair`.
-func (t *Trace) Flap(at units.Seconds, link int, repair units.Seconds) {
-	t.LinkDown(at, link)
-	t.LinkUp(at+repair, link)
-}
-
 // FailLink schedules a permanent link failure (no recovery).
 func (t *Trace) FailLink(at units.Seconds, link int) { t.LinkDown(at, link) }
 
@@ -170,13 +164,6 @@ func (t *Trace) sort() {
 func (t *Trace) Events() []Event {
 	t.sort()
 	return t.events
-}
-
-// Merge appends every event of other into t (other is unchanged).
-func (t *Trace) Merge(other *Trace) {
-	for _, e := range other.Events() {
-		t.Add(e)
-	}
 }
 
 // Clone returns an independent copy of the trace.

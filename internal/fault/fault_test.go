@@ -6,13 +6,13 @@ import (
 	"slices"
 	"testing"
 
-	"netpowerprop/internal/sim"
 	"netpowerprop/internal/units"
 )
 
 func TestCompileFlap(t *testing.T) {
 	tr := &Trace{}
-	tr.Flap(2, 1, 3) // link 1 down [2,5)
+	tr.LinkDown(2, 1) // link 1 down [2,5)
+	tr.LinkUp(5, 1)
 	tl, err := Compile(tr, 10, 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,8 @@ func TestCompileFlap(t *testing.T) {
 
 func TestCompileEpochLookup(t *testing.T) {
 	tr := &Trace{}
-	tr.Flap(2, 0, 3)
+	tr.LinkDown(2, 0)
+	tr.LinkUp(5, 0)
 	tl, err := Compile(tr, 10, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -238,33 +239,6 @@ func TestReconfigModel(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("model %+v accepted", bad)
 		}
-	}
-}
-
-// Storm replays a trace onto the discrete-event kernel in time order, and
-// canceling the returned timers stops the remainder of the storm.
-func TestStormReplayAndCancel(t *testing.T) {
-	tr := &Trace{}
-	tr.Flap(1, 3, 2)
-	tr.FailSwitch(4, 9)
-	var got []Event
-	var eng sim.Engine
-	timers := Storm(&eng, tr, func(e *sim.Engine, ev Event) {
-		if e.Now() != ev.At {
-			t.Errorf("event %v delivered at %v", ev, e.Now())
-		}
-		got = append(got, ev)
-	})
-	if len(timers) != 3 {
-		t.Fatalf("timers = %d, want 3", len(timers))
-	}
-	timers[2].Cancel() // drop the switch failure
-	eng.Run()
-	if len(got) != 2 {
-		t.Fatalf("delivered %d events, want 2", len(got))
-	}
-	if got[0].Kind != KindLinkDown || got[1].Kind != KindLinkUp {
-		t.Fatalf("events out of order: %v", got)
 	}
 }
 

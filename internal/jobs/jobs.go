@@ -1135,53 +1135,6 @@ func (m *Manager) Depth() Depth {
 	return d
 }
 
-// Metrics is a point-in-time snapshot of the manager's counters.
-type Metrics struct {
-	// Submitted counts jobs accepted by Submit (new runs only).
-	Submitted uint64
-	// Completed counts jobs finishing with every row successful.
-	Completed uint64
-	// Degraded counts jobs finishing with at least one failed row.
-	Degraded uint64
-	// Canceled counts canceled jobs.
-	Canceled uint64
-	// Recovered counts incomplete jobs reloaded from journals at Open.
-	Recovered uint64
-	// Resumed counts interrupted jobs restarted by ResumeAll/Submit.
-	Resumed uint64
-	// RowsDone counts rows checkpointed (payloads and markers).
-	RowsDone uint64
-	// RowRetries counts row attempts beyond the first.
-	RowRetries uint64
-	// RowFailures counts rows that exhausted retries.
-	RowFailures uint64
-	// Adopted counts journals claimed from other replicas by ClaimStale
-	// or an adopting Submit.
-	Adopted uint64
-	// JournalErrors counts journal append/fsync failures observed.
-	JournalErrors uint64
-	// Depth is the current per-state job census.
-	Depth Depth
-}
-
-// Metrics snapshots the counters.
-func (m *Manager) Metrics() Metrics {
-	return Metrics{
-		Submitted:     m.submitted.Load(),
-		Completed:     m.completed.Load(),
-		Degraded:      m.degradedN.Load(),
-		Canceled:      m.canceledN.Load(),
-		Recovered:     m.recovered.Load(),
-		Resumed:       m.resumed.Load(),
-		RowsDone:      m.rowsDone.Load(),
-		RowRetries:    m.rowRetries.Load(),
-		RowFailures:   m.rowFailures.Load(),
-		Adopted:       m.adopted.Load(),
-		JournalErrors: m.journalErrs.Load(),
-		Depth:         m.Depth(),
-	}
-}
-
 // RowStatus is one row's position in a snapshot.
 type RowStatus struct {
 	Row      int             `json:"row"`

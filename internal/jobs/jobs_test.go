@@ -190,7 +190,7 @@ func TestKillMidJobThenRecoverIsByteIdentical(t *testing.T) {
 	// Run 2: a fresh manager over a fresh engine recovers the journal and
 	// resumes from the checkpoint.
 	m2, eng2 := newManager(t, dir, Options{})
-	if got := m2.Metrics().Recovered; got != 1 {
+	if got := m2.recovered.Load(); got != 1 {
 		t.Fatalf("recovered = %d, want 1", got)
 	}
 	if n := m2.ResumeAll(); n != 1 {
@@ -262,7 +262,7 @@ func TestTornJournalTailIsTruncatedAndResumed(t *testing.T) {
 	f.Close()
 
 	m2, _ := newManager(t, dir, Options{})
-	if got := m2.Metrics().Recovered; got != 1 {
+	if got := m2.recovered.Load(); got != 1 {
 		t.Fatalf("recovered = %d, want 1", got)
 	}
 	m2.ResumeAll()
@@ -424,8 +424,8 @@ func TestRetrySleepsFollowThePolicySchedule(t *testing.T) {
 	if n := exec.attempts(1); n != 3 {
 		t.Errorf("row 1 attempts = %d, want 3", n)
 	}
-	if m.Metrics().RowRetries != 2 {
-		t.Errorf("RowRetries = %d, want 2", m.Metrics().RowRetries)
+	if m.rowRetries.Load() != 2 {
+		t.Errorf("RowRetries = %d, want 2", m.rowRetries.Load())
 	}
 }
 
@@ -473,9 +473,8 @@ func TestRetryExhaustionDegradesInsteadOfFailing(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("sleeps = %v, want %v", got, want)
 	}
-	mm := m.Metrics()
-	if mm.RowFailures != 1 || mm.Degraded != 1 {
-		t.Errorf("metrics = %+v, want RowFailures 1 and Degraded 1", mm)
+	if f, d := m.rowFailures.Load(), m.degradedN.Load(); f != 1 || d != 1 {
+		t.Errorf("rowFailures = %d, degraded = %d, want 1 and 1", f, d)
 	}
 }
 
@@ -535,8 +534,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if final.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", final.State)
 	}
-	if m.Metrics().Canceled != 1 {
-		t.Errorf("Canceled metric = %d, want 1", m.Metrics().Canceled)
+	if m.canceledN.Load() != 1 {
+		t.Errorf("Canceled metric = %d, want 1", m.canceledN.Load())
 	}
 	// A canceled job resubmitted starts over from scratch.
 	exec.heal(1)
@@ -622,8 +621,8 @@ func TestDrainCheckpointsAndRecovers(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("state = %s, want done", final.State)
 	}
-	if m2.Metrics().Resumed != 1 {
-		t.Errorf("Resumed metric = %d, want 1", m2.Metrics().Resumed)
+	if m2.resumed.Load() != 1 {
+		t.Errorf("Resumed metric = %d, want 1", m2.resumed.Load())
 	}
 	// Rows 0-3 were never re-executed after recovery.
 	for i := 0; i < 4; i++ {

@@ -37,7 +37,8 @@ func TestFaultRerouteAroundDeadLink(t *testing.T) {
 	victim := clean.Flows[0].Path[2] // an inter-switch link on the chosen path
 
 	tr := &fault.Trace{}
-	tr.Flap(1, victim, 2) // victim dead during [1,3)
+	tr.LinkDown(1, victim) // victim dead during [1,3)
+	tr.LinkUp(3, victim)
 	s.Faults = tr
 	res, err := s.Run([]traffic.Flow{fl})
 	if err != nil {
@@ -52,7 +53,7 @@ func TestFaultRerouteAroundDeadLink(t *testing.T) {
 	if math.Abs(st.DeliveredBits-want) > 1 {
 		t.Errorf("delivered = %v, want %v", st.DeliveredBits, want)
 	}
-	if got := res.LinkTrace[victim].At(2); got != 0 {
+	if got := rateAt(res.LinkTrace[victim], 2); got != 0 {
 		t.Errorf("dead link carried %v at t=2", got)
 	}
 	if res.Faults == nil {
@@ -82,7 +83,8 @@ func TestFaultStallAndRecovery(t *testing.T) {
 	}
 
 	tr := &fault.Trace{}
-	tr.Flap(1, access[0], 2) // no path during [1,3)
+	tr.LinkDown(1, access[0]) // no path during [1,3)
+	tr.LinkUp(3, access[0])
 	s.Faults = tr
 	res, err := s.Run([]traffic.Flow{fl})
 	if err != nil {
@@ -140,7 +142,7 @@ func TestFaultSwitchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.SwitchTrace[core].At(2); got != 0 {
+	if got := rateAt(res.SwitchTrace[core], 2); got != 0 {
 		t.Errorf("failed switch carried %v at t=2", got)
 	}
 	for i, st := range res.Flows {
@@ -203,7 +205,8 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 	}
 	victim := clean.Flows[0].Path[2]
 	tr := &fault.Trace{}
-	tr.Flap(1, victim, 1) // dead during [1,2), recovered for [2,4)
+	tr.LinkDown(1, victim) // dead during [1,2), recovered for [2,4)
+	tr.LinkUp(2, victim)
 	s.Faults = tr
 	faulted, err := s.Run(flows)
 	if err != nil {
@@ -212,14 +215,14 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 	// After recovery the routing and rates must match the fault-free run:
 	// every link's rate at t=3 agrees to 1e-9.
 	for _, l := range top.Links {
-		want := float64(clean.LinkTrace[l.ID].At(3))
-		got := float64(faulted.LinkTrace[l.ID].At(3))
+		want := float64(rateAt(clean.LinkTrace[l.ID], 3))
+		got := float64(rateAt(faulted.LinkTrace[l.ID], 3))
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("link %d rate at t=3: %v, want %v (stale path cache?)", l.ID, got, want)
 		}
 	}
 	// And during the outage the victim must be drained.
-	if got := faulted.LinkTrace[victim].At(1.5); got != 0 {
+	if got := rateAt(faulted.LinkTrace[victim], 1.5); got != 0 {
 		t.Errorf("victim link carried %v mid-outage", got)
 	}
 
@@ -290,7 +293,7 @@ func TestFaultConcentrateRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.LinkTrace[victim].At(2); got != 0 {
+	if got := rateAt(res.LinkTrace[victim], 2); got != 0 {
 		t.Errorf("dead link carried %v under concentrate routing", got)
 	}
 	res2 := func() *Result {

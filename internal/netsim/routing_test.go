@@ -12,7 +12,7 @@ import (
 func busySwitches(top *fattree.Topology, res *Result) int {
 	n := 0
 	for _, sw := range top.SwitchIDs() {
-		if res.SwitchTrace[sw].MeanRate() > 0 {
+		if res.SwitchTrace[sw].BusyTime() > 0 {
 			n++
 		}
 	}
@@ -96,7 +96,7 @@ func sleepingEnergy(t *testing.T, s *Sim, res *Result) float64 {
 	_ = rep
 	for _, sw := range s.Top.SwitchIDs() {
 		tr := res.SwitchTrace[sw]
-		if tr.MeanRate() == 0 {
+		if tr.BusyTime() == 0 {
 			continue
 		}
 		// 675 W idle / 750 W busy, over the trace.

@@ -20,48 +20,6 @@ func (s Segment) Duration() units.Seconds { return s.End - s.Start }
 // trace never holds two adjacent segments at the same rate.
 type Trace []Segment
 
-// At returns the rate at time x (0 outside the trace).
-func (t Trace) At(x units.Seconds) units.Bandwidth {
-	for _, s := range t {
-		if x >= s.Start && x < s.End {
-			return s.Rate
-		}
-	}
-	return 0
-}
-
-// Duration returns the covered time span.
-func (t Trace) Duration() units.Seconds {
-	if len(t) == 0 {
-		return 0
-	}
-	return t[len(t)-1].End - t[0].Start
-}
-
-// MeanRate returns the time-weighted average rate.
-func (t Trace) MeanRate() units.Bandwidth {
-	d := t.Duration()
-	if d == 0 {
-		return 0
-	}
-	var acc float64
-	for _, s := range t {
-		acc += float64(s.Rate) * float64(s.Duration())
-	}
-	return units.Bandwidth(acc / float64(d))
-}
-
-// PeakRate returns the maximum rate.
-func (t Trace) PeakRate() units.Bandwidth {
-	var p units.Bandwidth
-	for _, s := range t {
-		if s.Rate > p {
-			p = s.Rate
-		}
-	}
-	return p
-}
-
 // BusyTime returns how long the rate was non-zero.
 func (t Trace) BusyTime() units.Seconds {
 	var d units.Seconds
@@ -71,15 +29,6 @@ func (t Trace) BusyTime() units.Seconds {
 		}
 	}
 	return d
-}
-
-// Utilization returns the mean rate over the capacity, in [0,1] when the
-// trace respects the capacity.
-func (t Trace) Utilization(capacity units.Bandwidth) float64 {
-	if capacity <= 0 {
-		return 0
-	}
-	return float64(t.MeanRate()) / float64(capacity)
 }
 
 // Validate checks the trace is time-ordered, gap-free, and non-negative.

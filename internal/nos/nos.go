@@ -36,9 +36,6 @@ func NewShell(a *asic.ASIC, out io.Writer) (*Shell, error) {
 	return &Shell{asic: a, out: out}, nil
 }
 
-// ASIC exposes the wrapped chip (for tests and composition).
-func (s *Shell) ASIC() *asic.ASIC { return s.asic }
-
 // Exec runs one command line. Unknown or malformed commands return errors;
 // state is only mutated on success.
 func (s *Shell) Exec(line string) error {

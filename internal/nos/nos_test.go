@@ -45,14 +45,14 @@ func TestShowPower(t *testing.T) {
 
 func TestSetPortGates(t *testing.T) {
 	sh, out := shell(t)
-	before := sh.ASIC().Power()
+	before := sh.asic.Power()
 	if err := sh.Exec("set port 0 down"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().PortOn(0) {
+	if sh.asic.PortOn(0) {
 		t.Error("port still up")
 	}
-	if sh.ASIC().Power() >= before {
+	if sh.asic.Power() >= before {
 		t.Error("gating a port did not reduce power")
 	}
 	if !strings.Contains(out.String(), "ok; power now") {
@@ -61,7 +61,7 @@ func TestSetPortGates(t *testing.T) {
 	if err := sh.Exec("set port 0 up"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().Power() != before {
+	if sh.asic.Power() != before {
 		t.Error("re-enabling did not restore power")
 	}
 }
@@ -71,13 +71,13 @@ func TestSetPipelineAndFreq(t *testing.T) {
 	if err := sh.Exec("set pipeline 1 off"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().PipelineOn(1) {
+	if sh.asic.PipelineOn(1) {
 		t.Error("pipeline still on")
 	}
 	if err := sh.Exec("set pipeline 0 freq 0.5"); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sh.ASIC().PipelineFreq(0)-0.5) > 1e-12 {
+	if math.Abs(sh.asic.PipelineFreq(0)-0.5) > 1e-12 {
 		t.Error("frequency not applied")
 	}
 	if err := sh.Exec("set pipeline 0 freq 2"); err == nil {
@@ -90,13 +90,13 @@ func TestSetMemoryAndL3(t *testing.T) {
 	if err := sh.Exec("set memory 7 off"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().MemoryBankOn(7) {
+	if sh.asic.MemoryBankOn(7) {
 		t.Error("bank still on")
 	}
 	if err := sh.Exec("set l3 off"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().L3On() {
+	if sh.asic.L3On() {
 		t.Error("l3 still on")
 	}
 }
@@ -112,10 +112,10 @@ func TestApplyMode(t *testing.T) {
 	if err := sh.Exec("apply mode PM3"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ASIC().PipelineOn(2) || sh.ASIC().PipelineOn(3) {
+	if sh.asic.PipelineOn(2) || sh.asic.PipelineOn(3) {
 		t.Error("PM3 left empty pipelines on")
 	}
-	if !sh.ASIC().PipelineOn(0) {
+	if !sh.asic.PipelineOn(0) {
 		t.Error("PM3 parked a live pipeline")
 	}
 	if !strings.Contains(out.String(), "mode PM3 applied") {

@@ -45,19 +45,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b))}
 }
 
-// Observe records one observation in seconds.
-func (h *Histogram) Observe(seconds float64) {
-	// Binary search beats linear scan only past ~30 buckets; bounds are
-	// small, but sort.SearchFloat64s is branch-predictable and clear.
-	i := sort.SearchFloat64s(h.bounds, seconds)
-	if i < len(h.counts) {
-		h.counts[i].Add(1)
-	} else {
-		h.inf.Add(1)
-	}
-	h.sumNanos.Add(int64(seconds * 1e9))
-}
-
 // ObserveDuration records a duration.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	i := sort.SearchFloat64s(h.bounds, d.Seconds())
@@ -67,15 +54,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 		h.inf.Add(1)
 	}
 	h.sumNanos.Add(int64(d))
-}
-
-// Count is the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n + h.inf.Load()
 }
 
 // Sum is the total of all observations, in seconds.
@@ -101,7 +79,7 @@ func (h *Histogram) snapshot() (cum []uint64, count uint64, sum float64) {
 // observations it returns 0; a quantile landing in the +Inf bucket
 // returns the highest finite bound (the histogram cannot resolve the
 // tail beyond its last bucket). The estimate reads a point-in-time
-// snapshot, so it is safe to call concurrently with Observe.
+// snapshot, so it is safe to call concurrently with ObserveDuration.
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 {
 		q = 0
@@ -130,22 +108,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return lower + (bound-lower)*(rank-lowerCum)/inBucket
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// Bounds returns the bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 {
-	out := make([]float64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
-// BucketCount returns the non-cumulative count of the bucket with the
-// given index; index len(Bounds()) is the +Inf bucket.
-func (h *Histogram) BucketCount(i int) uint64 {
-	if i == len(h.counts) {
-		return h.inf.Load()
-	}
-	return h.counts[i].Load()
 }
 
 // formatBound renders a bucket bound the way Prometheus spells le=

@@ -7,21 +7,18 @@ import (
 	"time"
 )
 
+// observe records an observation given in seconds.
+func observe(h *Histogram, seconds float64) {
+	h.ObserveDuration(time.Duration(seconds * float64(time.Second)))
+}
+
 func TestHistogramBucketPlacement(t *testing.T) {
 	h := NewHistogram([]float64{0.01, 0.1, 1})
-	h.Observe(0.005) // bucket 0
-	h.Observe(0.01)  // le="0.01" is inclusive -> bucket 0
-	h.Observe(0.05)  // bucket 1
-	h.Observe(0.5)   // bucket 2
-	h.Observe(5)     // +Inf
-	if got := h.Count(); got != 5 {
-		t.Errorf("Count = %d, want 5", got)
-	}
-	for i, want := range []uint64{2, 1, 1, 1} {
-		if got := h.BucketCount(i); got != want {
-			t.Errorf("bucket %d count = %d, want %d", i, got, want)
-		}
-	}
+	observe(h, 0.005) // bucket 0
+	observe(h, 0.01)  // le="0.01" is inclusive -> bucket 0
+	observe(h, 0.05)  // bucket 1
+	observe(h, 0.5)   // bucket 2
+	observe(h, 5)     // +Inf
 	cum, count, sum := h.snapshot()
 	wantCum := []uint64{2, 3, 4, 5}
 	for i := range wantCum {
@@ -43,8 +40,8 @@ func TestHistogramObserveDuration(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-0.003) > 1e-9 {
 		t.Errorf("Sum = %v, want 0.003", got)
 	}
-	if h.Count() != 1 {
-		t.Errorf("Count = %d, want 1", h.Count())
+	if _, count, _ := h.snapshot(); count != 1 {
+		t.Errorf("count = %d, want 1", count)
 	}
 }
 
@@ -57,7 +54,7 @@ func TestHistogramQuantile(t *testing.T) {
 	// 15 in (0.2,0.4], 5 in (0.4,0.8].
 	fill := func(n int, v float64) {
 		for i := 0; i < n; i++ {
-			h.Observe(v)
+			observe(h, v)
 		}
 	}
 	fill(50, 0.05)
@@ -110,15 +107,15 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				// Spread observations across all buckets deterministically.
-				h.Observe(math.Pow(10, -float64((g+i)%6)))
+				observe(h, math.Pow(10, -float64((g+i)%6)))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got, want := h.Count(), uint64(goroutines*per); got != want {
-		t.Errorf("concurrent Count = %d, want %d", got, want)
-	}
 	cum, count, _ := h.snapshot()
+	if want := uint64(goroutines * per); count != want {
+		t.Errorf("concurrent count = %d, want %d", count, want)
+	}
 	if cum[len(cum)-1] != count {
 		t.Errorf("+Inf cumulative %d != count %d", cum[len(cum)-1], count)
 	}

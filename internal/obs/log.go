@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -66,9 +65,8 @@ func ParseLevel(s string) (Level, error) {
 }
 
 // Logger writes leveled key=value lines to a sink. Loggers derived with
-// With share the parent's sink, level, and clock, so a level change on
-// the root applies everywhere. The zero Logger is not usable; construct
-// with New or Nop.
+// With share the parent's sink, level, and clock. The zero Logger is not
+// usable; construct with New or Nop.
 type Logger struct {
 	core   *logCore
 	fields string // pre-rendered " k=v k=v" bound by With
@@ -78,7 +76,7 @@ type Logger struct {
 type logCore struct {
 	mu    sync.Mutex
 	w     io.Writer
-	level atomic.Int32
+	level Level // fixed at construction
 	now   func() time.Time
 }
 
@@ -86,26 +84,18 @@ type logCore struct {
 // is any io.Writer; writes are serialized, so tests can hand in a plain
 // buffer and read whole lines back.
 func New(w io.Writer, level Level) *Logger {
-	c := &logCore{w: w, now: time.Now}
-	c.level.Store(int32(level))
-	return &Logger{core: c}
+	return &Logger{core: &logCore{w: w, level: level, now: time.Now}}
 }
 
 // Nop is a logger that discards everything at zero cost.
 func Nop() *Logger {
-	c := &logCore{w: io.Discard, now: time.Now}
-	c.level.Store(int32(levelOff))
-	return &Logger{core: c}
+	return &Logger{core: &logCore{w: io.Discard, level: levelOff, now: time.Now}}
 }
-
-// SetLevel changes the minimum level for this logger and everything
-// sharing its sink (parents and With-derived children alike).
-func (l *Logger) SetLevel(level Level) { l.core.level.Store(int32(level)) }
 
 // Enabled reports whether lines at the given level would be written —
 // the guard for callers that want to skip building debug attributes.
 func (l *Logger) Enabled(level Level) bool {
-	return int32(level) >= l.core.level.Load()
+	return level >= l.core.level
 }
 
 // With returns a logger that appends the given key/value pairs to every

@@ -47,11 +47,6 @@ func TestLogLevelsFilter(t *testing.T) {
 	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) {
 		t.Error("Enabled disagrees with the configured level")
 	}
-	l.SetLevel(LevelDebug)
-	l.Debug("now visible")
-	if got := sink.Lines(); len(got) != 3 {
-		t.Errorf("SetLevel(debug) did not take effect: %q", got)
-	}
 }
 
 func TestLogWithBindsFields(t *testing.T) {
@@ -64,12 +59,6 @@ func TestLogWithBindsFields(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("line %q missing %q", line, want)
 		}
-	}
-	// The child shares the root's level switch.
-	root.SetLevel(LevelError)
-	child.Info("suppressed")
-	if got := sink.Lines(); len(got) != 1 {
-		t.Errorf("child ignored root level change: %q", got)
 	}
 }
 

@@ -3,18 +3,21 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRegistryRenderIsValidExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests served.")
-	c.Add(3)
+	c.Inc()
+	c.Inc()
+	c.Inc()
 	r.Counter("test_requests_errors_total", "Failed requests.", "route", "/v1/whatif").Inc()
 	r.GaugeFunc("test_inflight", "Computations running now.", func() float64 { return 2 })
 	r.CounterFunc("test_compute_seconds_total", "Cumulative compute time.", func() float64 { return 1.5 })
 	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1}, "op", "sweep")
-	h.Observe(0.05)
-	h.Observe(3)
+	h.ObserveDuration(50 * time.Millisecond)
+	h.ObserveDuration(3 * time.Second)
 	// A label value with every character class that needs escaping.
 	r.Counter("test_weird_total", "Weird \\ label\nvalues.", "what", "a \"quoted\\thing\"\nline").Inc()
 

@@ -43,16 +43,6 @@ func TraceID(ctx context.Context) string {
 	return id
 }
 
-// EnsureTraceID returns the context's trace ID, minting and attaching a
-// fresh one when absent.
-func EnsureTraceID(ctx context.Context) (context.Context, string) {
-	if id := TraceID(ctx); id != "" {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTraceID(ctx, id), id
-}
-
 // ValidTraceID reports whether a caller-supplied trace ID is safe to
 // propagate: 1–64 characters drawn from [0-9a-zA-Z_-]. Anything else
 // (header injection, log forgery) is replaced rather than echoed.

@@ -31,14 +31,6 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if got := TraceID(ctx); got != "abc123" {
 		t.Errorf("trace = %q, want abc123", got)
 	}
-	same, id := EnsureTraceID(ctx)
-	if id != "abc123" || TraceID(same) != "abc123" {
-		t.Errorf("EnsureTraceID replaced an existing id: %q", id)
-	}
-	fresh, id2 := EnsureTraceID(context.Background())
-	if id2 == "" || TraceID(fresh) != id2 {
-		t.Errorf("EnsureTraceID minted %q but context carries %q", id2, TraceID(fresh))
-	}
 }
 
 func TestValidTraceID(t *testing.T) {

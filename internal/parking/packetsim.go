@@ -159,14 +159,14 @@ func SimulatePackets(cfg Config, arrivals []Arrival, pol Policy, tick units.Seco
 				st.active += n
 				pendingWakes -= n
 				st.setPipes(st.active)
-				meter.Set(e2.Now(), a.Power()+cfg.CircuitSwitchPower, st.serving)
+				meter.Set(e2.Now(), a.Power()+cfg.CircuitSwitchPower)
 				startService(e2)
 			})
 		case want < st.active:
 			st.reconfigs += st.active - want
 			st.active = want
 			st.setPipes(st.active)
-			meter.Set(e.Now(), a.Power()+cfg.CircuitSwitchPower, st.serving)
+			meter.Set(e.Now(), a.Power()+cfg.CircuitSwitchPower)
 		}
 		if e.Now()+tick < horizon {
 			e.After(tick, tickFn)

@@ -8,36 +8,20 @@ import (
 	"netpowerprop/internal/units"
 )
 
-// Eq. 1 on the paper's numbers: a 500 W GPU unit idling at 75 W is 85%
-// power proportional; a 750 W switch idling at 675 W is 10%.
-func ExampleProportionality() {
-	gpu, err := power.Proportionality(500*units.Watt, 75*units.Watt)
+// Eq. 1 on the paper's numbers: a 500 W GPU unit that is 85% power
+// proportional idles at 75 W; a 750 W switch at 10% idles at 675 W.
+func ExampleModel_Idle() {
+	gpu, err := power.NewModel(500*units.Watt, 0.85)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sw, err := power.Proportionality(750*units.Watt, 675*units.Watt)
+	sw, err := power.NewModel(750*units.Watt, 0.10)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("GPU unit: %.0f%%\n", gpu*100)
-	fmt.Printf("switch:   %.0f%%\n", sw*100)
+	fmt.Printf("GPU unit: %v\n", gpu.Idle())
+	fmt.Printf("switch:   %v\n", sw.Idle())
 	// Output:
-	// GPU unit: 85%
-	// switch:   10%
-}
-
-// The §3.1 efficiency metric: a 10%-proportional device that is busy 10%
-// of the time wastes 89% of its energy idling.
-func ExampleModel_Efficiency() {
-	m, err := power.NewModel(750*units.Watt, 0.10)
-	if err != nil {
-		log.Fatal(err)
-	}
-	iteration := []power.Phase{
-		{Duration: 0.9, Busy: false},
-		{Duration: 0.1, Busy: true},
-	}
-	fmt.Printf("efficiency: %.1f%%\n", m.Efficiency(iteration)*100)
-	// Output:
-	// efficiency: 11.0%
+	// GPU unit: 75 W
+	// switch:   675 W
 }

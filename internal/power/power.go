@@ -4,9 +4,8 @@
 //
 //	proportionality = (max power − idle power) / max power   (Eq. 1)
 //
-// The package also provides energy accounting over phase schedules, the
-// energy-efficiency metric used in §3.1, and a multi-state extension
-// (networking "C-states", §4.1) used by the mechanism simulators.
+// A Phase is a busy or idle span of a device class; the cluster model
+// integrates a Model over phases for the §3.1 efficiency metric.
 package power
 
 import (
@@ -61,157 +60,8 @@ func (m Model) AtLinear(utilization float64) units.Power {
 	return units.Power(idle + u*(float64(m.Max)-idle))
 }
 
-// Proportionality computes Eq. 1 from explicit max and idle powers.
-// It returns an error when idle exceeds max or max is non-positive.
-func Proportionality(max, idle units.Power) (float64, error) {
-	if max <= 0 {
-		return 0, fmt.Errorf("proportionality: non-positive max power %v", max)
-	}
-	if idle < 0 || idle > max {
-		return 0, fmt.Errorf("proportionality: idle power %v outside [0, %v]", idle, max)
-	}
-	return float64(max-idle) / float64(max), nil
-}
-
 // Phase is a time span with a single busy/idle state for a device class.
 type Phase struct {
 	Duration units.Seconds
 	Busy     bool
-}
-
-// Energy integrates the model over a phase schedule.
-func (m Model) Energy(phases []Phase) units.Energy {
-	var e units.Energy
-	for _, ph := range phases {
-		p := m.Idle()
-		if ph.Busy {
-			p = m.Max
-		}
-		e += units.EnergyOver(p, ph.Duration)
-	}
-	return e
-}
-
-// Efficiency returns the energy-efficiency metric of §3.1: the fraction of
-// consumed energy that was spent while the device was busy (doing useful
-// work). A device that idles most of the time at near-max power scores low.
-// It returns 0 for an empty or zero-energy schedule.
-func (m Model) Efficiency(phases []Phase) float64 {
-	var useful, total units.Energy
-	for _, ph := range phases {
-		p := m.Idle()
-		if ph.Busy {
-			p = m.Max
-			useful += units.EnergyOver(p, ph.Duration)
-		}
-		total += units.EnergyOver(p, ph.Duration)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(useful) / float64(total)
-}
-
-// AveragePower returns the schedule's mean power draw.
-func (m Model) AveragePower(phases []Phase) units.Power {
-	var d units.Seconds
-	for _, ph := range phases {
-		d += ph.Duration
-	}
-	return units.AveragePower(m.Energy(phases), d)
-}
-
-// State is one entry of a multi-state power table (§4.1's networking
-// C-states): a named mode with a power draw and a wake latency back to
-// the operating state.
-type State struct {
-	Name        string
-	Power       units.Power
-	WakeLatency units.Seconds
-}
-
-// StateTable is an ordered list of power states, from the operating state
-// (index 0, highest power, zero wake latency) to the deepest sleep state.
-// It generalizes the two-state model for the §4 mechanism simulators.
-type StateTable struct {
-	states []State
-}
-
-// NewStateTable validates and builds a state table. States must be ordered
-// by strictly decreasing power and non-decreasing wake latency, and the
-// first state must have zero wake latency.
-func NewStateTable(states []State) (*StateTable, error) {
-	if len(states) == 0 {
-		return nil, fmt.Errorf("state table: no states")
-	}
-	if states[0].WakeLatency != 0 {
-		return nil, fmt.Errorf("state table: operating state %q must have zero wake latency", states[0].Name)
-	}
-	for i := 1; i < len(states); i++ {
-		if states[i].Power >= states[i-1].Power {
-			return nil, fmt.Errorf("state table: %q power %v not below %q power %v",
-				states[i].Name, states[i].Power, states[i-1].Name, states[i-1].Power)
-		}
-		if states[i].WakeLatency < states[i-1].WakeLatency {
-			return nil, fmt.Errorf("state table: %q wake latency %v below %q wake latency %v",
-				states[i].Name, states[i].WakeLatency, states[i-1].Name, states[i-1].WakeLatency)
-		}
-	}
-	cp := make([]State, len(states))
-	copy(cp, states)
-	return &StateTable{states: cp}, nil
-}
-
-// Len returns the number of states.
-func (t *StateTable) Len() int { return len(t.states) }
-
-// State returns the i-th state.
-func (t *StateTable) State(i int) State { return t.states[i] }
-
-// Deepest returns the index of the deepest state whose wake latency does not
-// exceed the given budget — the standard C-state governor decision.
-func (t *StateTable) Deepest(latencyBudget units.Seconds) int {
-	best := 0
-	for i, s := range t.states {
-		if s.WakeLatency <= latencyBudget {
-			best = i
-		}
-	}
-	return best
-}
-
-// BreakEven returns the minimum idle duration for which entering state i
-// saves energy versus staying in the operating state, assuming the wake
-// transition burns operating power for the full wake latency. It returns
-// +Inf when the state saves nothing.
-func (t *StateTable) BreakEven(i int) units.Seconds {
-	if i <= 0 || i >= len(t.states) {
-		return 0
-	}
-	op := t.states[0]
-	s := t.states[i]
-	saved := float64(op.Power - s.Power)
-	if saved <= 0 {
-		return units.Seconds(math.Inf(1))
-	}
-	// Energy penalty of the wake transition relative to having stayed awake:
-	// the device draws op.Power during wake but performs no work, so the
-	// sleep must last long enough that (op−s)·(d−wake) ≥ op·wake… the
-	// conventional simplification charges the wake at op.Power:
-	// savings = (op−s)·d − op·wake ≥ 0.
-	return units.Seconds(float64(op.Power) * float64(s.WakeLatency) / saved)
-}
-
-// TwoState converts a Model into an equivalent two-entry StateTable with
-// the given wake latency for the idle state.
-func (m Model) TwoState(wake units.Seconds) (*StateTable, error) {
-	if m.Idle() >= m.Max {
-		// Completely non-proportional hardware has no useful idle state;
-		// represent it as a single operating state.
-		return NewStateTable([]State{{Name: "active", Power: m.Max}})
-	}
-	return NewStateTable([]State{
-		{Name: "active", Power: m.Max},
-		{Name: "idle", Power: m.Idle(), WakeLatency: wake},
-	})
 }

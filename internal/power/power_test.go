@@ -67,28 +67,8 @@ func TestAtLinear(t *testing.T) {
 	}
 }
 
-func TestProportionalityEq1(t *testing.T) {
-	// Eq. 1 on the paper's GPU numbers: (500-75)/500 = 0.85.
-	p, err := Proportionality(500*units.Watt, 75*units.Watt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.85) > 1e-12 {
-		t.Errorf("Proportionality(500, 75) = %v, want 0.85", p)
-	}
-	if _, err := Proportionality(0, 0); err == nil {
-		t.Error("zero max should fail")
-	}
-	if _, err := Proportionality(100*units.Watt, 200*units.Watt); err == nil {
-		t.Error("idle above max should fail")
-	}
-	if _, err := Proportionality(100*units.Watt, -1*units.Watt); err == nil {
-		t.Error("negative idle should fail")
-	}
-}
-
 // Property: Eq. 1 round-trips through Model: building a model with
-// proportionality p and recomputing from (max, idle) recovers p.
+// proportionality p and recomputing (max − idle) / max recovers p.
 func TestProportionalityRoundTrip(t *testing.T) {
 	f := func(rawMax, rawP float64) bool {
 		max := units.Power(1 + math.Abs(math.Mod(rawMax, 1e6)))
@@ -97,10 +77,7 @@ func TestProportionalityRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := Proportionality(m.Max, m.Idle())
-		if err != nil {
-			return false
-		}
+		back := float64(m.Max-m.Idle()) / float64(m.Max)
 		return math.Abs(back-p) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -127,171 +104,5 @@ func TestPowerBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func iterationPhases() []Phase {
-	// The paper's baseline iteration seen from the network: idle during the
-	// 90% computation phase, busy during the 10% communication phase.
-	return []Phase{{Duration: 0.9, Busy: false}, {Duration: 0.1, Busy: true}}
-}
-
-func TestEnergyAndAverage(t *testing.T) {
-	m, _ := NewModel(1000*units.Watt, 0.10)
-	ph := iterationPhases()
-	// idle = 900 W for 0.9 s + 1000 W for 0.1 s = 810 + 100 = 910 J.
-	if got := m.Energy(ph).Joules(); math.Abs(got-910) > 1e-9 {
-		t.Errorf("Energy = %v J, want 910 J", got)
-	}
-	if got := m.AveragePower(ph).Watts(); math.Abs(got-910) > 1e-9 {
-		t.Errorf("AveragePower = %v W, want 910 W", got)
-	}
-}
-
-// TestNetworkEfficiency11Percent reproduces §3.1's headline: a network with
-// 10% proportionality that is busy 10% of the time has ~11% efficiency.
-func TestNetworkEfficiency11Percent(t *testing.T) {
-	m, _ := NewModel(1*units.Megawatt, 0.10)
-	eff := m.Efficiency(iterationPhases())
-	// useful = 0.1*1.0 = 0.1; total = 0.9*0.9 + 0.1 = 0.91; 0.1/0.91 = 10.99%.
-	if math.Abs(eff-0.10989) > 1e-4 {
-		t.Errorf("network efficiency = %.4f, want ~0.110 (paper: 11%%)", eff)
-	}
-}
-
-func TestEfficiencyEdgeCases(t *testing.T) {
-	m, _ := NewModel(100*units.Watt, 0.5)
-	if got := m.Efficiency(nil); got != 0 {
-		t.Errorf("Efficiency(nil) = %v, want 0", got)
-	}
-	zero := Model{}
-	if got := zero.Efficiency(iterationPhases()); got != 0 {
-		t.Errorf("zero-power model efficiency = %v, want 0", got)
-	}
-	alwaysBusy := []Phase{{Duration: 1, Busy: true}}
-	if got := m.Efficiency(alwaysBusy); math.Abs(got-1) > 1e-12 {
-		t.Errorf("always-busy efficiency = %v, want 1", got)
-	}
-}
-
-// Property: efficiency is in [0,1] and increases with proportionality for a
-// fixed schedule that has at least some idle time.
-func TestEfficiencyMonotoneInProportionality(t *testing.T) {
-	ph := iterationPhases()
-	f := func(a, b float64) bool {
-		pa := math.Abs(math.Mod(a, 1.0))
-		pb := math.Abs(math.Mod(b, 1.0))
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		ma, _ := NewModel(100*units.Watt, pa)
-		mb, _ := NewModel(100*units.Watt, pb)
-		ea := ma.Efficiency(ph)
-		eb := mb.Efficiency(ph)
-		return ea >= 0 && eb <= 1 && ea <= eb+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStateTableValidation(t *testing.T) {
-	valid := []State{
-		{Name: "active", Power: 100 * units.Watt},
-		{Name: "idle", Power: 60 * units.Watt, WakeLatency: 1e-6},
-		{Name: "sleep", Power: 10 * units.Watt, WakeLatency: 1e-3},
-	}
-	if _, err := NewStateTable(valid); err != nil {
-		t.Fatalf("valid table rejected: %v", err)
-	}
-	if _, err := NewStateTable(nil); err == nil {
-		t.Error("empty table should fail")
-	}
-	badWake := []State{{Name: "active", Power: 100 * units.Watt, WakeLatency: 1}}
-	if _, err := NewStateTable(badWake); err == nil {
-		t.Error("operating state with non-zero wake latency should fail")
-	}
-	badPower := []State{
-		{Name: "active", Power: 100 * units.Watt},
-		{Name: "idle", Power: 100 * units.Watt, WakeLatency: 1e-6},
-	}
-	if _, err := NewStateTable(badPower); err == nil {
-		t.Error("non-decreasing power should fail")
-	}
-	badLatency := []State{
-		{Name: "active", Power: 100 * units.Watt},
-		{Name: "idle", Power: 50 * units.Watt, WakeLatency: 1e-3},
-		{Name: "sleep", Power: 10 * units.Watt, WakeLatency: 1e-6},
-	}
-	if _, err := NewStateTable(badLatency); err == nil {
-		t.Error("decreasing wake latency should fail")
-	}
-}
-
-func TestStateTableDeepest(t *testing.T) {
-	tbl, err := NewStateTable([]State{
-		{Name: "active", Power: 100 * units.Watt},
-		{Name: "shallow", Power: 60 * units.Watt, WakeLatency: 1e-6},
-		{Name: "deep", Power: 5 * units.Watt, WakeLatency: 1e-2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		budget units.Seconds
-		want   int
-	}{
-		{0, 0}, {1e-7, 0}, {1e-6, 1}, {1e-3, 1}, {1e-2, 2}, {1, 2},
-	}
-	for _, tt := range tests {
-		if got := tbl.Deepest(tt.budget); got != tt.want {
-			t.Errorf("Deepest(%v) = %d, want %d", tt.budget, got, tt.want)
-		}
-	}
-	if tbl.Len() != 3 {
-		t.Errorf("Len = %d, want 3", tbl.Len())
-	}
-	if tbl.State(2).Name != "deep" {
-		t.Errorf("State(2) = %+v", tbl.State(2))
-	}
-}
-
-func TestBreakEven(t *testing.T) {
-	tbl, err := NewStateTable([]State{
-		{Name: "active", Power: 100 * units.Watt},
-		{Name: "sleep", Power: 20 * units.Watt, WakeLatency: 0.004},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// break-even = 100 * 0.004 / (100-20) = 0.005 s.
-	if got := tbl.BreakEven(1); math.Abs(float64(got)-0.005) > 1e-12 {
-		t.Errorf("BreakEven = %v, want 0.005", got)
-	}
-	if got := tbl.BreakEven(0); got != 0 {
-		t.Errorf("BreakEven(0) = %v, want 0", got)
-	}
-	if got := tbl.BreakEven(5); got != 0 {
-		t.Errorf("BreakEven(out of range) = %v, want 0", got)
-	}
-}
-
-func TestTwoState(t *testing.T) {
-	m, _ := NewModel(100*units.Watt, 0.4)
-	tbl, err := m.TwoState(0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 2 || tbl.State(1).Power != 60*units.Watt {
-		t.Errorf("TwoState produced %+v", tbl)
-	}
-	// A 0%-proportional model collapses to a single state.
-	flat, _ := NewModel(100*units.Watt, 0)
-	tbl, err = flat.TwoState(0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("flat model TwoState Len = %d, want 1", tbl.Len())
 	}
 }

@@ -8,7 +8,6 @@ package powergate
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"netpowerprop/internal/asic"
 	"netpowerprop/internal/units"
@@ -260,9 +259,4 @@ func Best(reports []ModeReport) (ModeReport, error) {
 		}
 	}
 	return best, nil
-}
-
-// SortByPower orders reports by ascending power (useful for display).
-func SortByPower(reports []ModeReport) {
-	sort.SliceStable(reports, func(i, j int) bool { return reports[i].Power < reports[j].Power })
 }

@@ -202,17 +202,6 @@ func TestStandardKnobsNamed(t *testing.T) {
 	}
 }
 
-func TestSortByPower(t *testing.T) {
-	reports := []ModeReport{
-		{Mode: Mode{Name: "b"}, Power: 200},
-		{Mode: Mode{Name: "a"}, Power: 100},
-	}
-	SortByPower(reports)
-	if reports[0].Mode.Name != "a" {
-		t.Error("sort broken")
-	}
-}
-
 // Property: for any subset of used ports, every mode's power is within
 // [MinPower, Max] and savings grow monotonically down the ladder.
 func TestEvaluateInvariants(t *testing.T) {

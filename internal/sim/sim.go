@@ -1,7 +1,7 @@
 // Package sim is a minimal discrete-event simulation kernel: a virtual
-// clock and an event queue ordered by time (FIFO among equal times). The
-// §4 mechanism simulators (EEE, rate adaptation, pipeline parking, OCS
-// reconfiguration) all run on this kernel.
+// clock and an event queue ordered by time (FIFO among equal times), plus a
+// power meter. It is the kernel of parking's packet-level validator, which
+// checks the fluid pipeline-parking model against individual packets.
 package sim
 
 import (
@@ -19,12 +19,6 @@ type event struct {
 	at  units.Seconds
 	seq uint64
 	fn  Handler
-	// canceled events stay in the heap but are skipped when popped.
-	canceled bool
-	// gen increments each time the event object is recycled through the
-	// engine free list, so a stale Timer cannot cancel the object's next
-	// incarnation.
-	gen uint64
 }
 
 type eventQueue []*event
@@ -47,48 +41,24 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-// Timer identifies a scheduled event so it can be canceled.
-type Timer struct {
-	ev  *event
-	gen uint64
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled timer is a no-op (a fired event's object may already
-// be serving a later Schedule call; the generation check keeps the stale
-// timer from touching it).
-func (t Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen {
-		t.ev.canceled = true
-	}
-}
-
 // Engine is the simulation clock and event queue. The zero value is ready
 // to use at time 0.
 type Engine struct {
 	now   units.Seconds
 	queue eventQueue
 	seq   uint64
-	steps uint64
-	// free is the event free list: fired and drained-canceled events are
-	// recycled here instead of left to the garbage collector, so long §4
-	// runs stop allocating one heap object per scheduled event.
+	// free is the event free list: fired events are recycled here instead
+	// of left to the garbage collector, so long runs stop allocating one
+	// heap object per scheduled event.
 	free []*event
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() units.Seconds { return e.now }
 
-// Pending returns the number of events still queued (including canceled
-// ones not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Steps returns how many events have been executed.
-func (e *Engine) Steps() uint64 { return e.steps }
-
 // Schedule runs fn at the given absolute virtual time. Scheduling in the
 // past panics: it indicates a simulator bug, not a recoverable condition.
-func (e *Engine) Schedule(at units.Seconds, fn Handler) Timer {
+func (e *Engine) Schedule(at units.Seconds, fn Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -103,58 +73,36 @@ func (e *Engine) Schedule(at units.Seconds, fn Handler) Timer {
 	}
 	e.seq++
 	heap.Push(&e.queue, ev)
-	return Timer{ev: ev, gen: ev.gen}
-}
-
-// recycle returns a popped event to the free list for the next Schedule.
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.canceled = false
-	e.free = append(e.free, ev)
 }
 
 // After runs fn after a non-negative delay.
-func (e *Engine) After(delay units.Seconds, fn Handler) Timer {
+func (e *Engine) After(delay units.Seconds, fn Handler) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.Schedule(e.now+delay, fn)
+	e.Schedule(e.now+delay, fn)
 }
 
 // Step executes the next event. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.canceled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.steps++
-		fn := ev.fn
-		// Recycle before running: fn may schedule new events, and the hot
-		// schedule-one-fire-one pattern then reuses this object directly.
-		e.recycle(ev)
-		fn(e)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	fn := ev.fn
+	// Recycle before running: fn may schedule new events, and the hot
+	// schedule-one-fire-one pattern then reuses this object directly.
+	ev.fn = nil
+	e.free = append(e.free, ev)
+	fn(e)
+	return true
 }
 
 // RunUntil executes events with time ≤ until, then advances the clock to
 // exactly until. Events scheduled during execution are honored.
 func (e *Engine) RunUntil(until units.Seconds) {
-	for len(e.queue) > 0 {
-		// Peek without popping canceled entries permanently out of order.
-		ev := e.queue[0]
-		if ev.canceled {
-			e.recycle(heap.Pop(&e.queue).(*event))
-			continue
-		}
-		if ev.at > until {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= until {
 		e.Step()
 	}
 	if until > e.now {
@@ -162,23 +110,11 @@ func (e *Engine) RunUntil(until units.Seconds) {
 	}
 }
 
-// Run drains the queue completely.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
-// Meter integrates a piecewise-constant power signal into energy. It is the
-// accounting primitive every simulated component uses.
+// Meter integrates a piecewise-constant power signal into energy.
 type Meter struct {
 	lastT  units.Seconds
 	power  units.Power
 	energy units.Energy
-	// busyEnergy accumulates energy drawn while marked busy, for
-	// efficiency reporting.
-	busy       bool
-	busyEnergy units.Energy
-	busyTime   units.Seconds
 }
 
 // NewMeter starts a meter at time t drawing p.
@@ -187,13 +123,10 @@ func NewMeter(t units.Seconds, p units.Power) *Meter {
 }
 
 // Set records a power change at time t (t must not precede the previous
-// sample). The busy flag tags the energy drawn *since the last sample*
-// retroactively as it was: the meter accumulates at the old power/busy
-// state up to t, then switches.
-func (m *Meter) Set(t units.Seconds, p units.Power, busy bool) {
+// sample): the meter accumulates at the old power up to t, then switches.
+func (m *Meter) Set(t units.Seconds, p units.Power) {
 	m.accumulate(t)
 	m.power = p
-	m.busy = busy
 }
 
 func (m *Meter) accumulate(t units.Seconds) {
@@ -202,12 +135,7 @@ func (m *Meter) accumulate(t units.Seconds) {
 		panic(fmt.Sprintf("sim: meter sample at %v before %v", t, m.lastT))
 	}
 	if d > 0 {
-		e := units.EnergyOver(m.power, d)
-		m.energy += e
-		if m.busy {
-			m.busyEnergy += e
-			m.busyTime += d
-		}
+		m.energy += units.EnergyOver(m.power, d)
 		m.lastT = t
 	}
 }
@@ -216,28 +144,4 @@ func (m *Meter) accumulate(t units.Seconds) {
 func (m *Meter) Energy(t units.Seconds) units.Energy {
 	m.accumulate(t)
 	return m.energy
-}
-
-// BusyEnergy returns the energy consumed while busy up to time t.
-func (m *Meter) BusyEnergy(t units.Seconds) units.Energy {
-	m.accumulate(t)
-	return m.busyEnergy
-}
-
-// BusyTime returns the total time spent busy up to time t.
-func (m *Meter) BusyTime(t units.Seconds) units.Seconds {
-	m.accumulate(t)
-	return m.busyTime
-}
-
-// Power returns the current power draw.
-func (m *Meter) Power() units.Power { return m.power }
-
-// Efficiency returns busy energy over total energy up to t (0 if no energy).
-func (m *Meter) Efficiency(t units.Seconds) float64 {
-	m.accumulate(t)
-	if m.energy == 0 {
-		return 0
-	}
-	return float64(m.busyEnergy) / float64(m.energy)
 }

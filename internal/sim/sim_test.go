@@ -9,21 +9,24 @@ import (
 	"netpowerprop/internal/units"
 )
 
+// drain runs events until the queue is empty.
+func drain(e *Engine) {
+	for e.Step() {
+	}
+}
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var order []int
 	e.Schedule(3, func(*Engine) { order = append(order, 3) })
 	e.Schedule(1, func(*Engine) { order = append(order, 1) })
 	e.Schedule(2, func(*Engine) { order = append(order, 2) })
-	e.Run()
+	drain(&e)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("execution order = %v", order)
 	}
 	if e.Now() != 3 {
 		t.Errorf("final time = %v, want 3", e.Now())
-	}
-	if e.Steps() != 3 {
-		t.Errorf("steps = %d, want 3", e.Steps())
 	}
 }
 
@@ -34,7 +37,7 @@ func TestEngineFIFOAmongEqualTimes(t *testing.T) {
 		i := i
 		e.Schedule(5, func(*Engine) { order = append(order, i) })
 	}
-	e.Run()
+	drain(&e)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-time events out of FIFO order: %v", order)
@@ -53,7 +56,7 @@ func TestEngineCascade(t *testing.T) {
 		}
 	}
 	e.After(1, tick)
-	e.Run()
+	drain(&e)
 	if len(fired) != 5 {
 		t.Fatalf("cascade fired %d times, want 5: %v", len(fired), fired)
 	}
@@ -78,8 +81,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 5 {
 		t.Errorf("time after RunUntil = %v, want 5", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Errorf("queued = %d, want 1", len(e.queue))
 	}
 	e.RunUntil(20)
 	if len(fired) != 4 || e.Now() != 20 {
@@ -87,30 +90,10 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	var e Engine
-	fired := false
-	tm := e.Schedule(1, func(*Engine) { fired = true })
-	tm.Cancel()
-	tm.Cancel() // double-cancel is a no-op
-	e.Run()
-	if fired {
-		t.Error("canceled event fired")
-	}
-	// Canceled event at the head of the queue is skipped by RunUntil too.
-	tm2 := e.Schedule(e.Now()+1, func(*Engine) { fired = true })
-	e.Schedule(e.Now()+2, func(*Engine) {})
-	tm2.Cancel()
-	e.RunUntil(e.Now() + 3)
-	if fired {
-		t.Error("canceled event fired via RunUntil")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	var e Engine
 	e.Schedule(5, func(*Engine) {})
-	e.Run()
+	drain(&e)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past should panic")
@@ -138,7 +121,7 @@ func TestEngineSortsArbitraryTimes(t *testing.T) {
 			at := units.Seconds(r)
 			e.Schedule(at, func(en *Engine) { got = append(got, float64(en.Now())) })
 		}
-		e.Run()
+		drain(&e)
 		return sort.Float64sAreSorted(got)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -148,23 +131,11 @@ func TestEngineSortsArbitraryTimes(t *testing.T) {
 
 func TestMeterIntegration(t *testing.T) {
 	m := NewMeter(0, 100*units.Watt)
-	m.Set(10, 50*units.Watt, true) // 100 W idle for 10 s
-	m.Set(20, 0, false)            // 50 W busy for 10 s
-	e := m.Energy(30)              // 0 W for 10 s
-	if math.Abs(e.Joules()-1500) > 1e-9 {
-		t.Errorf("energy = %v J, want 1500", e.Joules())
-	}
-	if be := m.BusyEnergy(30); math.Abs(be.Joules()-500) > 1e-9 {
-		t.Errorf("busy energy = %v J, want 500", be.Joules())
-	}
-	if bt := m.BusyTime(30); math.Abs(float64(bt)-10) > 1e-9 {
-		t.Errorf("busy time = %v, want 10", bt)
-	}
-	if eff := m.Efficiency(30); math.Abs(eff-500.0/1500.0) > 1e-12 {
-		t.Errorf("efficiency = %v, want 1/3", eff)
-	}
-	if m.Power() != 0 {
-		t.Errorf("current power = %v, want 0", m.Power())
+	m.Set(10, 50*units.Watt) // 100 W for 10 s
+	m.Set(20, 0)             // 50 W for 10 s
+	e := m.Energy(30)        // 0 W for 10 s
+	if math.Abs(float64(e)-1500) > 1e-9 {
+		t.Errorf("energy = %v, want 1500 J", e)
 	}
 }
 
@@ -182,84 +153,28 @@ func TestMeterIdempotentReads(t *testing.T) {
 	m.Energy(1)
 }
 
-func TestMeterZeroEnergyEfficiency(t *testing.T) {
-	m := NewMeter(0, 0)
-	if eff := m.Efficiency(10); eff != 0 {
-		t.Errorf("zero-energy efficiency = %v, want 0", eff)
-	}
-}
-
 // Property: meter energy equals the sum of piecewise power x duration for
-// random step signals, and busy energy never exceeds total.
+// random step signals.
 func TestMeterConservation(t *testing.T) {
 	f := func(steps []struct {
 		P uint16
 		D uint8
-		B bool
 	}) bool {
 		m := NewMeter(0, 0)
 		var now units.Seconds
-		var want, wantBusy float64
+		var want float64
 		cur := 0.0
-		curBusy := false
 		for _, s := range steps {
 			d := units.Seconds(s.D)
 			want += cur * float64(d)
-			if curBusy {
-				wantBusy += cur * float64(d)
-			}
 			now += d
-			m.Set(now, units.Power(s.P), s.B)
-			cur, curBusy = float64(s.P), s.B
+			m.Set(now, units.Power(s.P))
+			cur = float64(s.P)
 		}
-		got := m.Energy(now)
-		gotBusy := m.BusyEnergy(now)
-		return math.Abs(got.Joules()-want) < 1e-6 &&
-			math.Abs(gotBusy.Joules()-wantBusy) < 1e-6 &&
-			gotBusy <= got+1e-9
+		return math.Abs(float64(m.Energy(now))-want) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestEventRecycleStaleCancel: a timer for an already-fired event must not
-// cancel the recycled event object's next incarnation.
-func TestEventRecycleStaleCancel(t *testing.T) {
-	var e Engine
-	t1 := e.Schedule(1, func(*Engine) {})
-	e.Run() // fires and recycles t1's event object
-	fired := false
-	t2 := e.Schedule(2, func(*Engine) { fired = true })
-	t1.Cancel() // stale: must be a no-op on the reused object
-	e.Run()
-	if !fired {
-		t.Fatal("stale Cancel killed a recycled event")
-	}
-	t2.Cancel() // after firing: also a no-op
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", e.Pending())
-	}
-}
-
-// TestEventRecycleCanceledDrain: canceled events drained by Step and
-// RunUntil return to the free list and are reused.
-func TestEventRecycleCanceledDrain(t *testing.T) {
-	var e Engine
-	a := e.Schedule(1, func(*Engine) { t.Fatal("canceled event ran") })
-	a.Cancel()
-	e.RunUntil(2)
-	if got := len(e.free); got != 1 {
-		t.Fatalf("free list = %d events, want 1", got)
-	}
-	ran := false
-	e.Schedule(3, func(*Engine) { ran = true })
-	if got := len(e.free); got != 0 {
-		t.Fatalf("free list = %d events after reuse, want 0", got)
-	}
-	e.Run()
-	if !ran {
-		t.Fatal("reused event never ran")
 	}
 }
 
@@ -276,6 +191,32 @@ func TestScheduleAllocFree(t *testing.T) {
 	})
 	if allocs > 0.01 {
 		t.Errorf("schedule+step allocates %.3f objects/op, want 0", allocs)
+	}
+}
+
+// Under the storm, the free list is actually exercised: after a run the
+// engine has recycled objects available, and reusing the engine for a
+// second storm still behaves correctly.
+func TestFaultEngineReuseAfterStorm(t *testing.T) {
+	var e Engine
+	total := 0
+	for i := 0; i < 100; i++ {
+		e.After(units.Seconds(i)*0.01, func(*Engine) { total++ })
+	}
+	drain(&e)
+	if total != 100 {
+		t.Fatalf("first storm fired %d, want 100", total)
+	}
+	if len(e.free) == 0 {
+		t.Fatal("free list empty after run; recycling is broken")
+	}
+	// Second storm on the same engine reuses recycled objects.
+	for i := 0; i < 100; i++ {
+		e.After(units.Seconds(i)*0.01, func(*Engine) { total++ })
+	}
+	drain(&e)
+	if total != 200 {
+		t.Fatalf("second storm fired %d total, want 200", total)
 	}
 }
 

@@ -1,15 +1,9 @@
 // Package stats provides the small numerical toolbox the analysis needs:
-// linear interpolation, monotone bracketing/bisection root finding, a
-// golden-section maximizer for the fixed-power-budget optimizer, and basic
-// series summaries for simulator output.
+// linear interpolation, clamping, and an exponentially weighted moving
+// average.
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Lerp linearly interpolates between (x0,y0) and (x1,y1) at x. When x0==x1
 // it returns y0.
@@ -24,159 +18,6 @@ func Lerp(x0, y0, x1, y1, x float64) float64 {
 // Clamp restricts v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	return math.Min(hi, math.Max(lo, v))
-}
-
-// ErrNoBracket is returned when a root finder cannot bracket a sign change.
-var ErrNoBracket = errors.New("stats: no sign change in bracket")
-
-// Bisect finds x in [lo, hi] with f(x) ≈ 0 for a continuous f whose sign
-// differs at the endpoints. tol bounds the interval width at termination.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if flo*fhi > 0 {
-		return 0, fmt.Errorf("%w: f(%v)=%v, f(%v)=%v", ErrNoBracket, lo, flo, hi, fhi)
-	}
-	for i := 0; i < 200 && hi-lo > tol; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if flo*fm < 0 {
-			hi = mid
-		} else {
-			lo, flo = mid, fm
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
-// MaximizeGolden finds the x in [lo, hi] maximizing a unimodal f via
-// golden-section search, to within tol on x.
-func MaximizeGolden(f func(float64) float64, lo, hi, tol float64) float64 {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for i := 0; i < 400 && b-a > tol; i++ {
-		if fc >= fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
-}
-
-// MaximizeInt maximizes f over the integers in [lo, hi] by golden-section
-// on the relaxation followed by a local integer scan. f need only be
-// quasi-concave for the result to be exact; otherwise it is a good local
-// maximum. Returns the argmax and the maximum.
-func MaximizeInt(f func(int) float64, lo, hi int) (int, float64) {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi-lo <= 64 {
-		return scanInt(f, lo, hi)
-	}
-	x := MaximizeGolden(func(x float64) float64 { return f(int(math.Round(x))) },
-		float64(lo), float64(hi), 1)
-	center := int(math.Round(x))
-	scanLo := center - 32
-	scanHi := center + 32
-	if scanLo < lo {
-		scanLo = lo
-	}
-	if scanHi > hi {
-		scanHi = hi
-	}
-	return scanInt(f, scanLo, scanHi)
-}
-
-func scanInt(f func(int) float64, lo, hi int) (int, float64) {
-	best, bestV := lo, f(lo)
-	for x := lo + 1; x <= hi; x++ {
-		if v := f(x); v > bestV {
-			best, bestV = x, v
-		}
-	}
-	return best, bestV
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Min, Max      float64
-	Mean, Stddev  float64
-	P50, P95, P99 float64
-	Sum           float64
-}
-
-// Summarize computes descriptive statistics. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	for _, x := range sorted {
-		s.Sum += x
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range sorted {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.P50 = Percentile(sorted, 0.50)
-	s.P95 = Percentile(sorted, 0.95)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
-}
-
-// Percentile returns the p-quantile (p in [0,1]) of an ascending-sorted
-// sample using linear interpolation between order statistics.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	p = Clamp(p, 0, 1)
-	pos := p * float64(len(sorted)-1)
-	i := int(math.Floor(pos))
-	if i >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(i)
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
 // EWMA is an exponentially weighted moving average with smoothing factor
@@ -204,6 +45,3 @@ func (e *EWMA) Update(x float64) float64 {
 
 // Value returns the current average (0 before any update).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Seeded reports whether any sample has been folded in.
-func (e *EWMA) Seeded() bool { return e.seeded }

@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/units"
 )
@@ -21,9 +19,6 @@ func init() {
 type closGen struct{}
 
 func (closGen) Name() string { return "fattree" }
-func (closGen) Describe() string {
-	return "three-tier folded Clos trimmed to the host count (full bisection)"
-}
 
 // closRadix returns the smallest even k ≥ 4 with k³/4 ≥ hosts.
 func closRadix(hosts int) int {
@@ -95,9 +90,6 @@ const (
 )
 
 func (oversubGen) Name() string { return "clos-oversub" }
-func (oversubGen) Describe() string {
-	return fmt.Sprintf("leaf-spine with %d:1 oversubscription taper", oversubTaper)
-}
 
 func (oversubGen) Build(spec Spec) (*fattree.Topology, Design, error) {
 	leaves := (spec.Hosts + oversubHosts - 1) / oversubHosts

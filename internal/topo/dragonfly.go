@@ -19,9 +19,6 @@ func init() {
 type dragonflyGen struct{}
 
 func (dragonflyGen) Name() string { return "dragonfly" }
-func (dragonflyGen) Describe() string {
-	return "balanced dragonfly (a=2p, h=p), complete group graph"
-}
 
 func (dragonflyGen) Build(spec Spec) (*fattree.Topology, Design, error) {
 	// Smallest p with capacity 2p²·(2p²+1) ≥ hosts.

@@ -24,9 +24,6 @@ func init() {
 type ocsLeafGen struct{}
 
 func (ocsLeafGen) Name() string { return "ocsleaf" }
-func (ocsLeafGen) Describe() string {
-	return "OCS-tailored Clos: ring-job hosts packed onto active switches only"
-}
 
 func (ocsLeafGen) Build(spec Spec) (*fattree.Topology, Design, error) {
 	k := closRadix(spec.Hosts)

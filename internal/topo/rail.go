@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/units"
 )
@@ -38,13 +36,6 @@ func (g railGen) Name() string {
 		return "railopt"
 	}
 	return "railonly"
-}
-
-func (g railGen) Describe() string {
-	if g.optimized {
-		return fmt.Sprintf("rail-optimized: %d-host domains, %d rails + %d cores (full bisection)", railDomain, railOptRails, railOptCores)
-	}
-	return fmt.Sprintf("rail-only: %d-host domains, %d rails, no core tier", railDomain, railOnlyRails)
 }
 
 func (g railGen) Build(spec Spec) (*fattree.Topology, Design, error) {

@@ -60,16 +60,10 @@ type Design struct {
 	Params map[string]int
 }
 
-// Transceivers returns the optical transceiver count: two per
-// inter-switch link (§2.3.2's accounting).
-func (d Design) Transceivers() int { return 2 * d.Links }
-
 // Generator builds one zoo topology family.
 type Generator interface {
 	// Name is the registry key.
 	Name() string
-	// Describe is a one-line summary for CLI/docs.
-	Describe() string
 	// Build sizes the family for the spec and constructs the instance.
 	// The returned design reflects the built graph exactly.
 	Build(Spec) (*fattree.Topology, Design, error)

@@ -40,9 +40,6 @@ func buildAll(t *testing.T, hosts int) map[string]*fattree.Topology {
 		if d.Links != optical {
 			t.Fatalf("%s/%d: design links %d, graph %d", name, hosts, d.Links, optical)
 		}
-		if d.Transceivers() != 2*optical {
-			t.Fatalf("%s/%d: transceivers %d, want %d", name, hosts, d.Transceivers(), 2*optical)
-		}
 		if d.Bisection <= 0 {
 			t.Fatalf("%s/%d: bisection %v not positive", name, hosts, d.Bisection)
 		}

@@ -27,9 +27,6 @@ type torusGen struct {
 }
 
 func (g torusGen) Name() string { return fmt.Sprintf("torus%dd", g.dims) }
-func (g torusGen) Describe() string {
-	return fmt.Sprintf("%dD wrap-around torus, %d hosts per router", g.dims, torusHosts)
-}
 
 // torusDims picks near-balanced dimensions with product ≥ routers,
 // preferring the smallest product, then the smallest spread. The first

@@ -225,22 +225,8 @@ func (m *Matrix) Pairs(visit func(src, dst int, d units.Bandwidth)) {
 	}
 }
 
-// Total returns the summed demand.
-func (m *Matrix) Total() units.Bandwidth {
-	var t units.Bandwidth
-	for _, v := range m.demand {
-		t += v
-	}
-	return t
-}
-
 // Len returns the number of non-zero entries.
 func (m *Matrix) Len() int { return len(m.demand) }
-
-// Merge accumulates another matrix into this one.
-func (m *Matrix) Merge(other *Matrix) {
-	other.Pairs(func(s, d int, v units.Bandwidth) { m.Add(s, d, v) })
-}
 
 // Profile is a time-varying offered utilization in [0,1], used for
 // link-level studies (EEE, rate adaptation) where individual flows matter
@@ -285,14 +271,6 @@ func MLPeriodic(commRatio float64, period units.Seconds, level float64) (Profile
 		}
 		return 0
 	}, nil
-}
-
-// Constant returns a flat load profile.
-func Constant(level float64) (Profile, error) {
-	if level < 0 || level > 1 {
-		return nil, fmt.Errorf("traffic: level %v outside [0,1]", level)
-	}
-	return func(units.Seconds) float64 { return level }, nil
 }
 
 // Sample evaluates a profile at a fixed step over [0, horizon), returning

@@ -225,7 +225,9 @@ func TestJobMatrix(t *testing.T) {
 	if got := m.Demand(100, 101); math.Abs(float64(got-want)) > 1 {
 		t.Errorf("demand(100,101) = %v, want %v", got, want)
 	}
-	if got := m.Total(); math.Abs(float64(got-4*want)) > 1 {
+	var total units.Bandwidth
+	m.Pairs(func(_, _ int, d units.Bandwidth) { total += d })
+	if got := total; math.Abs(float64(got-4*want)) > 1 {
 		t.Errorf("total = %v, want %v", got, 4*want)
 	}
 	bad := j
@@ -247,13 +249,7 @@ func TestMatrixOps(t *testing.T) {
 	if m.Demand(1, 2) != 15*units.Gbps {
 		t.Errorf("demand = %v, want 15 Gbps", m.Demand(1, 2))
 	}
-	other := NewMatrix()
-	other.Add(1, 2, 1*units.Gbps)
-	other.Add(3, 4, 2*units.Gbps)
-	m.Merge(other)
-	if m.Len() != 2 || m.Demand(1, 2) != 16*units.Gbps || m.Demand(3, 4) != 2*units.Gbps {
-		t.Errorf("merge broken: %d entries", m.Len())
-	}
+	m.Add(3, 4, 2*units.Gbps)
 	var visited int
 	m.Pairs(func(s, d int, v units.Bandwidth) { visited++ })
 	if visited != 2 {
@@ -313,10 +309,7 @@ func TestMLPeriodic(t *testing.T) {
 }
 
 func TestConstantAndSample(t *testing.T) {
-	p, err := Constant(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Profile(func(units.Seconds) float64 { return 0.5 })
 	ts, vs, err := Sample(p, 10, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -331,9 +324,6 @@ func TestConstantAndSample(t *testing.T) {
 	}
 	if ts[4] != 8 {
 		t.Errorf("last sample time = %v, want 8", ts[4])
-	}
-	if _, err := Constant(-0.1); err == nil {
-		t.Error("negative level should fail")
 	}
 	if _, _, err := Sample(p, 0, 1); err == nil {
 		t.Error("zero horizon should fail")

@@ -34,31 +34,6 @@ func FuzzParseBandwidth(f *testing.F) {
 	})
 }
 
-// FuzzParsePower mirrors FuzzParseBandwidth for the power parser.
-func FuzzParsePower(f *testing.F) {
-	for _, seed := range []string{"750W", "1.05 MW", "365kW", "8.6", "-1W", "W", "1e2 kW"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePower(s)
-		if err != nil {
-			return
-		}
-		if math.IsNaN(float64(p)) {
-			t.Fatalf("ParsePower(%q) = NaN without error", s)
-		}
-		if p > 0 && !math.IsInf(float64(p), 0) {
-			back, err := ParsePower(p.String())
-			if err != nil {
-				t.Fatalf("reparse of %q (from %q) failed: %v", p.String(), s, err)
-			}
-			if float64(p) > 1 && math.Abs(float64(back-p)) > 1e-3*float64(p)+1 {
-				t.Fatalf("round trip %q -> %v -> %v", s, p, back)
-			}
-		}
-	})
-}
-
 // FuzzSplitQuantity hammers the shared tokenizer directly.
 func FuzzSplitQuantity(f *testing.F) {
 	for _, seed := range []string{"", " ", "1", "1.5e3 kW", "e", "+", "-", "..", "1e+", "1E9G"} {

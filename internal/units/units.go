@@ -25,12 +25,6 @@ const (
 	Tbps                   = 1e12 * BitPerSecond
 )
 
-// Gigabits returns the bandwidth expressed in Gbps.
-func (b Bandwidth) Gigabits() float64 { return float64(b / Gbps) }
-
-// Terabits returns the bandwidth expressed in Tbps.
-func (b Bandwidth) Terabits() float64 { return float64(b / Tbps) }
-
 // String formats the bandwidth with an auto-selected SI suffix.
 func (b Bandwidth) String() string {
 	v := float64(b)
@@ -90,9 +84,6 @@ func (p Power) Watts() float64 { return float64(p) }
 // Kilowatts returns the power in kW.
 func (p Power) Kilowatts() float64 { return float64(p / Kilowatt) }
 
-// Megawatts returns the power in MW.
-func (p Power) Megawatts() float64 { return float64(p / Megawatt) }
-
 // String formats the power with an auto-selected SI suffix.
 func (p Power) String() string {
 	v := float64(p)
@@ -106,25 +97,6 @@ func (p Power) String() string {
 	}
 }
 
-// ParsePower parses strings such as "750W", "1.05 MW", "365kW", or a bare
-// number interpreted as watts.
-func ParsePower(s string) (Power, error) {
-	num, suffix, err := splitQuantity(s)
-	if err != nil {
-		return 0, fmt.Errorf("parse power %q: %w", s, err)
-	}
-	switch strings.TrimSuffix(strings.ToLower(suffix), "w") {
-	case "":
-		return Power(num) * Watt, nil
-	case "k":
-		return Power(num) * Kilowatt, nil
-	case "m":
-		return Power(num) * Megawatt, nil
-	default:
-		return 0, fmt.Errorf("parse power %q: unknown suffix %q", s, suffix)
-	}
-}
-
 // Energy is an amount of electrical energy in joules.
 type Energy float64
 
@@ -132,17 +104,10 @@ type Energy float64
 const (
 	Joule        Energy = 1
 	Kilojoule           = 1e3 * Joule
-	Megajoule           = 1e6 * Joule
 	WattHour            = 3600 * Joule
 	KilowattHour        = 1e3 * WattHour
 	MegawattHour        = 1e6 * WattHour
 )
-
-// Joules returns the energy in joules.
-func (e Energy) Joules() float64 { return float64(e) }
-
-// KilowattHours returns the energy in kWh.
-func (e Energy) KilowattHours() float64 { return float64(e / KilowattHour) }
 
 // String formats the energy with an auto-selected suffix, preferring kWh for
 // utility-scale values.

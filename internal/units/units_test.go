@@ -17,8 +17,8 @@ func TestBandwidthScales(t *testing.T) {
 		{0, 0},
 	}
 	for _, tt := range tests {
-		if got := tt.in.Gigabits(); math.Abs(got-tt.gbps) > 1e-9 {
-			t.Errorf("%v.Gigabits() = %v, want %v", tt.in, got, tt.gbps)
+		if got := float64(tt.in / Gbps); math.Abs(got-tt.gbps) > 1e-9 {
+			t.Errorf("%float64(v / Gbps) = %v, want %v", tt.in, got, tt.gbps)
 		}
 	}
 }
@@ -76,38 +76,6 @@ func TestBandwidthString(t *testing.T) {
 	}
 }
 
-func TestParsePower(t *testing.T) {
-	tests := []struct {
-		in   string
-		want Power
-	}{
-		{"750W", 750 * Watt},
-		{"750 W", 750 * Watt},
-		{"365kW", 365 * Kilowatt},
-		{"1.05 MW", 1.05 * Megawatt},
-		{"8.6", 8.6 * Watt},
-		{"27.27w", 27.27 * Watt},
-	}
-	for _, tt := range tests {
-		got, err := ParsePower(tt.in)
-		if err != nil {
-			t.Errorf("ParsePower(%q) error: %v", tt.in, err)
-			continue
-		}
-		if math.Abs(float64(got-tt.want)) > 1e-9 {
-			t.Errorf("ParsePower(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestParsePowerErrors(t *testing.T) {
-	for _, in := range []string{"", "watt", "10GW"} {
-		if _, err := ParsePower(in); err == nil {
-			t.Errorf("ParsePower(%q) expected error, got nil", in)
-		}
-	}
-}
-
 func TestPowerString(t *testing.T) {
 	tests := []struct {
 		in   Power
@@ -127,7 +95,7 @@ func TestPowerString(t *testing.T) {
 
 func TestEnergyConversions(t *testing.T) {
 	e := EnergyOver(1*Kilowatt, 3600) // 1 kW for one hour
-	if got := e.KilowattHours(); math.Abs(got-1) > 1e-9 {
+	if got := float64(e / KilowattHour); math.Abs(got-1) > 1e-9 {
 		t.Errorf("1kW x 1h = %v kWh, want 1", got)
 	}
 	if got := AveragePower(e, 3600); math.Abs(float64(got-1*Kilowatt)) > 1e-9 {

@@ -22,12 +22,6 @@ type Schedule struct {
 // Total returns the iteration time under the schedule.
 func (s Schedule) Total() units.Seconds { return s.ComputeOnly + s.Overlapped + s.CommOnly }
 
-// ComputeBusy returns the total time the compute hardware is busy.
-func (s Schedule) ComputeBusy() units.Seconds { return s.ComputeOnly + s.Overlapped }
-
-// NetworkBusy returns the total time the network is busy.
-func (s Schedule) NetworkBusy() units.Seconds { return s.Overlapped + s.CommOnly }
-
 // ComputePhases returns the compute hardware's phase schedule.
 func (s Schedule) ComputePhases() []power.Phase {
 	return []power.Phase{
@@ -65,15 +59,4 @@ func (it Iteration) WithOverlap(overlap float64) (Schedule, error) {
 		Overlapped:  hidden,
 		CommOnly:    it.Comm - hidden,
 	}, nil
-}
-
-// NetworkIdleShare returns the fraction of the iteration the network
-// spends idle — the underutilization that proportionality improvements
-// monetize (§3.4).
-func (s Schedule) NetworkIdleShare() float64 {
-	total := float64(s.Total())
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ComputeOnly) / total
 }

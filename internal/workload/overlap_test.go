@@ -42,11 +42,11 @@ func TestWithOverlapHalf(t *testing.T) {
 		t.Errorf("total = %v, want 0.95", s.Total())
 	}
 	// Busy times are conserved: compute still works 0.9, network 0.1.
-	if math.Abs(float64(s.ComputeBusy())-0.9) > 1e-12 {
-		t.Errorf("compute busy = %v, want 0.9", s.ComputeBusy())
+	if busy := s.ComputeOnly + s.Overlapped; math.Abs(float64(busy)-0.9) > 1e-12 {
+		t.Errorf("compute busy = %v, want 0.9", busy)
 	}
-	if math.Abs(float64(s.NetworkBusy())-0.1) > 1e-12 {
-		t.Errorf("network busy = %v, want 0.1", s.NetworkBusy())
+	if busy := s.Overlapped + s.CommOnly; math.Abs(float64(busy)-0.1) > 1e-12 {
+		t.Errorf("network busy = %v, want 0.1", busy)
 	}
 }
 
@@ -99,17 +99,6 @@ func TestSchedulePhases(t *testing.T) {
 	}
 }
 
-func TestNetworkIdleShare(t *testing.T) {
-	s := Schedule{ComputeOnly: 0.85, Overlapped: 0.05, CommOnly: 0.05}
-	want := 0.85 / 0.95
-	if got := s.NetworkIdleShare(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("idle share = %v, want %v", got, want)
-	}
-	if (Schedule{}).NetworkIdleShare() != 0 {
-		t.Error("zero schedule idle share should be 0")
-	}
-}
-
 // Property: overlap conserves busy time and never lengthens the iteration;
 // more overlap means less network idle share.
 func TestOverlapInvariants(t *testing.T) {
@@ -125,12 +114,13 @@ func TestOverlapInvariants(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if math.Abs(float64(sa.ComputeBusy()-it.Compute)) > 1e-12 ||
-			math.Abs(float64(sa.NetworkBusy()-it.Comm)) > 1e-12 {
+		if math.Abs(float64(sa.ComputeOnly+sa.Overlapped-it.Compute)) > 1e-12 ||
+			math.Abs(float64(sa.Overlapped+sa.CommOnly-it.Comm)) > 1e-12 {
 			return false
 		}
+		idleShare := func(s Schedule) float64 { return float64(s.ComputeOnly) / float64(s.Total()) }
 		return sb.Total() <= sa.Total()+1e-12 &&
-			sb.NetworkIdleShare() <= sa.NetworkIdleShare()+1e-12
+			idleShare(sb) <= idleShare(sa)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

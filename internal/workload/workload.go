@@ -9,7 +9,6 @@ package workload
 import (
 	"fmt"
 
-	"netpowerprop/internal/power"
 	"netpowerprop/internal/units"
 )
 
@@ -104,24 +103,6 @@ func (w Workload) WithFixedRatio(gpus int, ratio float64) (Iteration, error) {
 		Compute: compute,
 		Comm:    units.Seconds(float64(compute) * ratio / (1 - ratio)),
 	}, nil
-}
-
-// ComputePhases returns the iteration as a phase schedule seen by the
-// compute hardware: busy while computing, idle while communicating.
-func (it Iteration) ComputePhases() []power.Phase {
-	return []power.Phase{
-		{Duration: it.Compute, Busy: true},
-		{Duration: it.Comm, Busy: false},
-	}
-}
-
-// NetworkPhases returns the iteration as a phase schedule seen by the
-// network hardware: idle while computing, busy while communicating.
-func (it Iteration) NetworkPhases() []power.Phase {
-	return []power.Phase{
-		{Duration: it.Compute, Busy: false},
-		{Duration: it.Comm, Busy: true},
-	}
 }
 
 // Baseline returns the paper's baseline workload (§2.1): a unit iteration

@@ -141,18 +141,6 @@ func TestWithFixedRatio(t *testing.T) {
 	}
 }
 
-func TestPhases(t *testing.T) {
-	it := Iteration{Compute: 0.9, Comm: 0.1}
-	cp := it.ComputePhases()
-	if !cp[0].Busy || cp[0].Duration != 0.9 || cp[1].Busy || cp[1].Duration != 0.1 {
-		t.Errorf("ComputePhases = %+v", cp)
-	}
-	np := it.NetworkPhases()
-	if np[0].Busy || np[0].Duration != 0.9 || !np[1].Busy || np[1].Duration != 0.1 {
-		t.Errorf("NetworkPhases = %+v", np)
-	}
-}
-
 func TestCommRatioEdge(t *testing.T) {
 	if (Iteration{}).CommRatio() != 0 {
 		t.Error("zero iteration ratio should be 0")

@@ -19,16 +19,22 @@ step_fmt() {
 	fi
 }
 
+# vet, build and test cover the root module and the bench/ module, which
+# is its own Go module (go ./... in the root does not see it) but builds
+# against the root's engine, netsim, jobs, admit, fault, topo and traffic.
 step_vet() {
 	go vet ./...
+	(cd bench && go vet ./...)
 }
 
 step_build() {
 	go build ./...
+	(cd bench && go build ./...)
 }
 
 step_test() {
 	go test -race ./...
+	(cd bench && go test -race ./...)
 }
 
 # Chaos smoke, under the race detector: every test that builds a chaos
