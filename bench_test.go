@@ -545,6 +545,31 @@ func BenchmarkFaultSim(b *testing.B) {
 	b.ReportMetric(float64(reroutes), "gated-reroutes")
 }
 
+// BenchmarkFaultRow runs BenchmarkFaultSim's row, the faults scenario's
+// 4× failure rate with half the core gated, through an engine worker slot
+// as the fault-long workload does. The slot's Sim stays warm across ops,
+// so this is the warm row: fault generation, both simulations on the
+// reused Sim, and the row's JSON. BenchmarkFaultSim is the cold one.
+func BenchmarkFaultRow(b *testing.B) {
+	e := engine.New(engine.Options{Workers: 1})
+	plan, err := e.Plan(engine.Request{Op: engine.OpScenario, Scenario: "faults",
+		Params: map[string]float64{"radix": 4, "iters": 32, "seed": 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const row = 5 // failure rate 4×, half the core gated
+	ctx := context.Background()
+	if _, err := e.ExecRow(ctx, plan, row); err != nil { // warm the slot
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecRow(ctx, plan, row); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMaxMinDense measures the fairness solver on a contended
 // instance through a reused dense Solver — the allocation-free path the
 // simulator hot loop takes.

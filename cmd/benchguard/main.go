@@ -19,7 +19,9 @@
 // starts allocating more often or in bigger pieces — an arena that grows
 // back to a dense size keeps its allocation count but not its bytes. The
 // BENCH_TOLERANCE environment variable overrides -tolerance for slow CI
-// runners.
+// runners. The baseline's optional "host" block (CPU count, CPU model, Go
+// version) is printed first, so a run on a different machine class reads
+// as one.
 package main
 
 import (
@@ -50,9 +52,17 @@ type metrics struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// baselineFile mirrors BENCH_netsim.json. Only "current" matters here; the
-// optional "seed" entries are historical context.
+// host is the machine a baseline was recorded on.
+type host struct {
+	NProc int    `json:"nproc"`
+	CPU   string `json:"cpu"`
+	Go    string `json:"go"`
+}
+
+// baselineFile mirrors BENCH_netsim.json. Only "current" and "host" matter
+// here; the optional "seed" entries are historical context.
 type baselineFile struct {
+	Host       *host `json:"host"`
 	Benchmarks map[string]struct {
 		Current metrics `json:"current"`
 	} `json:"benchmarks"`
@@ -86,6 +96,9 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	}
 	if len(base.Benchmarks) == 0 {
 		return fmt.Errorf("%s has no benchmarks", *baselinePath)
+	}
+	if h := base.Host; h != nil {
+		fmt.Fprintf(w, "baseline host: %d CPUs, %s, %s\n", h.NProc, h.CPU, h.Go)
 	}
 
 	in := stdin

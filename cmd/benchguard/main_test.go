@@ -130,6 +130,28 @@ func TestRunPasses(t *testing.T) {
 	}
 }
 
+func TestRunPrintsBaselineHost(t *testing.T) {
+	withHost := strings.Replace(sampleBaseline, "{\n  \"benchmarks\"",
+		"{\n  \"host\": {\"nproc\": 2, \"cpu\": \"Intel(R) Xeon(R) Processor\", \"go\": \"go1.24.0\"},\n  \"benchmarks\"", 1)
+	if withHost == sampleBaseline {
+		t.Fatal("sample baseline has no benchmarks block to put the host before")
+	}
+	var sb strings.Builder
+	if err := run([]string{"-baseline", writeBaseline(t, withHost)}, strings.NewReader(sampleBench), &sb); err != nil {
+		t.Fatalf("run: %v\n%s", err, sb.String())
+	}
+	if !strings.HasPrefix(sb.String(), "baseline host: 2 CPUs, Intel(R) Xeon(R) Processor, go1.24.0\n") {
+		t.Errorf("output does not open with the baseline host: %s", sb.String())
+	}
+	sb.Reset()
+	if err := run([]string{"-baseline", writeBaseline(t, sampleBaseline)}, strings.NewReader(sampleBench), &sb); err != nil {
+		t.Fatalf("run without a host block: %v\n%s", err, sb.String())
+	}
+	if strings.Contains(sb.String(), "baseline host") {
+		t.Errorf("printed a host for a baseline without one: %s", sb.String())
+	}
+}
+
 func TestRunFailsOnRegression(t *testing.T) {
 	base := writeBaseline(t, sampleBaseline)
 	slow := "BenchmarkFabricSim-8 10 99999999 ns/op 216313 B/op 1132 allocs/op\n"

@@ -31,7 +31,9 @@ type Options struct {
 	CacheShards int
 	// Workers bounds concurrently computing rows (default GOMAXPROCS):
 	// every row of every request, batch, stream, and job takes one slot.
-	// Queued rows honor their context while waiting for a slot.
+	// Queued rows honor their context while waiting for a slot. Each slot
+	// keeps one warm simulator, of at most netsim.WarmCap bytes between
+	// rows.
 	Workers int
 	// MaxQueue bounds requests waiting for a worker slot: once
 	// Workers+MaxQueue requests are pending, further misses are shed with
@@ -55,9 +57,12 @@ type Options struct {
 
 // Engine answers what-if requests, memoizing results by canonical key.
 type Engine struct {
-	cache    *cache
-	flight   *flightGroup
-	sem      chan struct{}
+	cache  *cache
+	flight *flightGroup
+	// slots is the worker pool: Workers slots, each a warm simulator that
+	// the slot's rows run on in turn. A row holds its slot, and so has the
+	// simulator to itself, for its whole computation.
+	slots    chan *netsim.Sim
 	workers  int
 	maxQueue int // negative: unbounded
 	models   *netsim.Models
@@ -134,11 +139,14 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		cache:    newCache(opts.CacheSize, opts.CacheShards),
 		flight:   newFlightGroup(),
-		sem:      make(chan struct{}, opts.Workers),
+		slots:    make(chan *netsim.Sim, opts.Workers),
 		workers:  opts.Workers,
 		maxQueue: opts.MaxQueue,
 		models:   opts.Models,
 		opStats:  stats,
+	}
+	for range opts.Workers {
+		e.slots <- new(netsim.Sim)
 	}
 	e.instrument(opts.Logger, opts.Registry)
 	return e
@@ -314,11 +322,14 @@ func (r *planRun) work() {
 
 // execRow computes row i of a plan in a worker slot with panic
 // containment, returning the row's value and how long it held the slot.
-// A panicking row becomes a *PanicError and bumps the panic counters
-// instead of killing the process.
+// The row runs on the slot's simulator, which is trimmed to its byte cap
+// afterwards. A panicking row becomes a *PanicError and bumps the panic
+// counters instead of killing the process, and its slot gets a fresh
+// simulator, since the panic may have left the old one mid-run.
 func (e *Engine) execRow(ctx context.Context, p *RowPlan, i int) (v any, elapsed time.Duration, err error) {
+	var sim *netsim.Sim
 	select {
-	case e.sem <- struct{}{}:
+	case sim = <-e.slots:
 	case <-ctx.Done():
 		return nil, 0, ctx.Err()
 	}
@@ -332,15 +343,17 @@ func (e *Engine) execRow(ctx context.Context, p *RowPlan, i int) (v any, elapsed
 			e.lastPanic.Store(time.Now().UnixNano())
 			e.log.Error("panic recovered in computation",
 				"trace", obs.TraceID(ctx), "op", string(p.req.Op), "row", i, "panic", pe.Val)
+			sim = new(netsim.Sim)
 		}
+		sim.Trim()
 		elapsed = time.Since(start)
 		e.inFlight.Add(-1)
-		<-e.sem
+		e.slots <- sim
 	}()
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	v, err = p.row(ctx, i)
+	v, err = p.row(ctx, sim, i)
 	return v, 0, err
 }
 

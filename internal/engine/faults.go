@@ -28,9 +28,11 @@ var faultGatingLevels = []float64{0.25, 0.5}
 // and recovery time does power gating add when the fabric degrades?
 //
 // Each grid cell is one row: a row regenerates its seeded trace and
-// re-simulates the fully-powered fabric itself, so rows share no state
+// re-simulates the fully-powered fabric itself, so rows share no results
 // and a single cell can be retried or replayed from a journal while
-// producing exactly the bytes of a serial sweep.
+// producing exactly the bytes of a serial sweep. Rows share only the
+// topology and flows planned here and, through their worker slot's warm
+// simulator, its path cache for that topology.
 func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 	radix := int(req.Params["radix"])
 	iters := int(req.Params["iters"])
@@ -89,9 +91,10 @@ func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 		rep      *netsim.FaultReport
 	}
 	// simulate runs flows on s under trace tr. A row runs its full and
-	// gated fabrics on one Sim, so the second run reuses the first's path
-	// cache and scratch; cached paths are revalidated against each run's
-	// faults, so the result is the same as on a fresh Sim.
+	// gated fabrics on its slot's Sim, so each run reuses the path cache
+	// and scratch of the runs before it; cached paths are revalidated
+	// against each run's faults, so the result is the same as on a fresh
+	// Sim.
 	simulate := func(s *netsim.Sim, tr *fault.Trace) (outcome, error) {
 		s.Faults = tr
 		res, err := s.Run(flows)
@@ -123,7 +126,7 @@ func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 			"switch per primary failure after a sampled OCS reconfiguration delay.",
 		},
 	}
-	row := func(ctx context.Context, idx int) ([]string, error) {
+	row := func(ctx context.Context, s *netsim.Sim, idx int) ([]string, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -139,7 +142,7 @@ func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := netsim.New(top)
+		s.Reset(top)
 		s.Models = models
 		full, err := simulate(s, base)
 		if err != nil {

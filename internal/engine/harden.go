@@ -127,7 +127,7 @@ func chaosRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 			Notes:   []string{"set panic=1, fail=1, or sleep=<seconds> to misbehave"},
 		},
 		n: n,
-		row: func(ctx context.Context, i int) ([]string, error) {
+		row: func(ctx context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			if i == panicRow {
 				panic(fmt.Sprintf("chaos scenario: injected panic on row %d", i))
 			}

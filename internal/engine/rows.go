@@ -44,23 +44,24 @@ func (e RowError) Error() string {
 type RowPlan struct {
 	req Request
 	n   int
-	// row computes one row's value; decode turns its JSON payload back
-	// into the same value.
-	row    func(ctx context.Context, i int) (any, error)
+	// row computes one row's value on the worker slot's simulator; decode
+	// turns its JSON payload back into the same value.
+	row    func(ctx context.Context, sim *netsim.Sim, i int) (any, error)
 	decode func(raw json.RawMessage) (any, error)
 	// assemble receives one value per row, nil where the row failed.
 	assemble func(rows []any) (*Result, error)
 }
 
 // planOf builds a plan whose rows compute values of type T; assemble
-// receives them in row order, nil where a row failed.
-func planOf[T any](norm Request, n int, row func(ctx context.Context, i int) (T, error),
+// receives them in row order, nil where a row failed. A row that simulates
+// runs on sim, its worker slot's simulator, after resetting it.
+func planOf[T any](norm Request, n int, row func(ctx context.Context, sim *netsim.Sim, i int) (T, error),
 	assemble func(rows []*T) (*Result, error)) *RowPlan {
 	return &RowPlan{
 		req: norm,
 		n:   n,
-		row: func(ctx context.Context, i int) (any, error) {
-			v, err := row(ctx, i)
+		row: func(ctx context.Context, sim *netsim.Sim, i int) (any, error) {
+			v, err := row(ctx, sim, i)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +103,9 @@ func present[T any](rows []*T) []T {
 func NewRowPlan(req Request, n int,
 	row func(ctx context.Context, i int) (json.RawMessage, error),
 	assemble func(rows []json.RawMessage) (*Result, error)) *RowPlan {
-	return planOf(req, n, row, func(rows []*json.RawMessage) (*Result, error) {
+	return planOf(req, n, func(ctx context.Context, _ *netsim.Sim, i int) (json.RawMessage, error) {
+		return row(ctx, i)
+	}, func(rows []*json.RawMessage) (*Result, error) {
 		raw := make([]json.RawMessage, len(rows))
 		for i, r := range rows {
 			if r != nil {
@@ -156,8 +159,10 @@ func (p *RowPlan) Assemble(rows []json.RawMessage, failed []RowError) (*Result, 
 // Plan normalizes a request and splits it into independent rows: sweeps
 // split per point, Table 3 and Figs. 3/4 per bandwidth, row-structured
 // scenarios per table row, and everything else into a single row. The
-// split is chosen so rows share no mutable state, which is what lets them
-// run concurrently, retry, and replay without changing a byte.
+// split is chosen so rows share no results: a row's bytes depend only on
+// the request and its index, never on which rows ran before it or on the
+// worker slot's simulator it ran on. That is what lets them run
+// concurrently, retry, and replay without changing a byte.
 func (e *Engine) Plan(req Request) (*RowPlan, error) {
 	norm, err := req.Normalize()
 	if err != nil {
@@ -190,7 +195,7 @@ func planRows(norm Request, models *netsim.Models) (*RowPlan, error) {
 // payload is the whole Result (an empty one if the row failed).
 func wholeRow(norm Request, compute func(res *Result) error) *RowPlan {
 	return planOf(norm, 1,
-		func(context.Context, int) (Result, error) {
+		func(context.Context, *netsim.Sim, int) (Result, error) {
 			res := Result{Op: norm.Op, Request: norm}
 			if err := compute(&res); err != nil {
 				return Result{}, err
@@ -227,7 +232,7 @@ func planWhatIf(norm Request) *RowPlan {
 // deterministic, so every row prices savings against identical bytes.
 func planSweep(norm Request) *RowPlan {
 	return planOf(norm, norm.Steps+1,
-		func(_ context.Context, i int) (SweepPoint, error) { return sweepRow(norm, i) },
+		func(_ context.Context, _ *netsim.Sim, i int) (SweepPoint, error) { return sweepRow(norm, i) },
 		func(rows []*SweepPoint) (*Result, error) {
 			return &Result{Op: norm.Op, Request: norm, Sweep: present(rows)}, nil
 		})
@@ -280,7 +285,7 @@ func planTable3(norm Request) (*RowPlan, error) {
 	}
 	bws := core.Table3Bandwidths()
 	return planOf(norm, len(bws),
-		func(_ context.Context, i int) (table3Row, error) {
+		func(_ context.Context, _ *netsim.Sim, i int) (table3Row, error) {
 			grid, err := core.ComputeSavingsGrid(cfg, bws[i:i+1],
 				core.Table3Proportionalities(), cfg.NetworkProportionality)
 			if err != nil {
@@ -326,7 +331,7 @@ func planFig(norm Request) (*RowPlan, error) {
 	}
 	bws := core.Table3Bandwidths()
 	return planOf(norm, len(bws),
-		func(_ context.Context, i int) (core.SpeedupCurve, error) {
+		func(_ context.Context, _ *netsim.Sim, i int) (core.SpeedupCurve, error) {
 			var curves []core.SpeedupCurve
 			var err error
 			if norm.Op == OpFig3 {

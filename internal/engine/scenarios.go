@@ -33,11 +33,13 @@ type scenarioSpec struct {
 // headers, static notes) plus n independent row computations. The row
 // function must be safe to call concurrently and deterministically
 // produce the same cells for the same (req, i) — that contract is what
-// makes concurrent rows and journaled replay byte-identical.
+// makes concurrent rows and journaled replay byte-identical. A row that
+// simulates runs on sim, its worker slot's simulator, after resetting it
+// to its topology, and must not keep sim past its return.
 type scenarioRows struct {
 	table *Table
 	n     int
-	row   func(ctx context.Context, i int) ([]string, error)
+	row   func(ctx context.Context, sim *netsim.Sim, i int) ([]string, error)
 }
 
 // tableRows plans a scenario whose table rows are independent
@@ -252,7 +254,7 @@ func rateAdaptRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 			Headers: []string{"variant", "energy", "savings", "mean freq", "shortfall", "queue delay"},
 		},
 		n: len(variants),
-		row: func(_ context.Context, i int) ([]string, error) {
+		row: func(_ context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			v := variants[i]
 			res, err := rateadapt.Simulate(cfg, times, utils, v.mk, v.opts)
 			if err != nil {
@@ -295,7 +297,7 @@ func parkingRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 			Headers: []string{"policy", "energy", "savings", "mean active", "reconfigs", "max backlog", "max delay", "dropped"},
 		},
 		n: len(policies),
-		row: func(_ context.Context, i int) ([]string, error) {
+		row: func(_ context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			pol, err := policies[i]()
 			if err != nil {
 				return nil, err
@@ -337,7 +339,7 @@ func eeeRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 			Headers: []string{"utilization", "savings", "mean delay", "max delay", "LPI share"},
 		},
 		n: len(eeeUtilizations),
-		row: func(_ context.Context, i int) ([]string, error) {
+		row: func(_ context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			util := eeeUtilizations[i]
 			pkts, err := eee.PoissonPackets(seed, cap, util, 12000, units.Seconds(horizon))
 			if err != nil {
@@ -373,7 +375,7 @@ func rateLinkRows(req Request, _ *netsim.Models) (*scenarioRows, error) {
 			Headers: []string{"utilization", "sleep savings", "sleep delay", "rate savings", "rate delay", "mean speed"},
 		},
 		n: len(eeeUtilizations),
-		row: func(_ context.Context, i int) ([]string, error) {
+		row: func(_ context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			util := eeeUtilizations[i]
 			pkts, err := eee.PoissonPackets(seed, cap, util, 12000, units.Seconds(horizon))
 			if err != nil {

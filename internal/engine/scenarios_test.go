@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/topo"
 )
 
@@ -18,7 +19,7 @@ import (
 func cellPlan(n int, fail func(i int) error) *RowPlan {
 	norm, _ := Request{Op: OpScenario, Scenario: "chaos"}.Normalize()
 	return planOf(norm, n,
-		func(_ context.Context, i int) ([]string, error) {
+		func(_ context.Context, _ *netsim.Sim, i int) ([]string, error) {
 			if err := fail(i); err != nil {
 				return nil, err
 			}

@@ -74,7 +74,7 @@ func topologiesRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 			"downtime and reroutes under the same seeded fault trace for every topology.",
 		},
 	}
-	row := func(ctx context.Context, idx int) ([]string, error) {
+	row := func(ctx context.Context, s *netsim.Sim, idx int) ([]string, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func topologiesRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := netsim.New(top)
+		s.Reset(top)
 		s.Routing = netsim.ConcentrateRouting
 		s.Models = models
 		hs := top.Hosts()

@@ -61,23 +61,29 @@ func Compile(tr *Trace, horizon units.Seconds, numLinks int, incident func(sw in
 	if err := tr.Validate(numLinks, incident); err != nil {
 		return nil, err
 	}
-	depth := make([]int, numLinks) // outage reference count per link
-	tl := &Timeline{}
-	snapshot := func(at units.Seconds) {
-		dead := make([]bool, numLinks)
-		n := 0
-		for l, d := range depth {
-			if d > 0 {
-				dead[l] = true
-				n++
-			}
+	events := tr.Events()
+	// Each event time can open at most one epoch after the one at 0, so
+	// every per-epoch slice is sized once. The dead sets are numLinks bools
+	// each in one arena, cut into tl.Dead when the timeline is complete.
+	maxEpochs := 1
+	for i, e := range events {
+		if e.At > 0 && e.At < horizon && (i == 0 || e.At != events[i-1].At) {
+			maxEpochs++
 		}
+	}
+	depth := make([]int, numLinks) // outage reference count per link
+	arena := make([]bool, 0, maxEpochs*numLinks)
+	tl := &Timeline{
+		Starts:    make([]units.Seconds, 0, maxEpochs),
+		DeadCount: make([]int, 0, maxEpochs),
+	}
+	snapshot := func(at units.Seconds) {
 		// Only open a new epoch if the dead set actually changed.
 		if len(tl.Starts) > 0 {
-			last := tl.Dead[len(tl.Dead)-1]
+			last := arena[len(arena)-numLinks:]
 			same := true
-			for l := range dead {
-				if dead[l] != last[l] {
+			for l, d := range depth {
+				if (d > 0) != last[l] {
 					same = false
 					break
 				}
@@ -86,8 +92,14 @@ func Compile(tr *Trace, horizon units.Seconds, numLinks int, incident func(sw in
 				return
 			}
 		}
+		n := 0
+		for _, d := range depth {
+			arena = append(arena, d > 0)
+			if d > 0 {
+				n++
+			}
+		}
 		tl.Starts = append(tl.Starts, at)
-		tl.Dead = append(tl.Dead, dead)
 		tl.DeadCount = append(tl.DeadCount, n)
 	}
 
@@ -117,7 +129,6 @@ func Compile(tr *Trace, horizon units.Seconds, numLinks int, incident func(sw in
 		}
 	}
 
-	events := tr.Events()
 	i := 0
 	// Fold every t<=0 event into the initial state.
 	for ; i < len(events) && events[i].At <= 0; i++ {
@@ -139,6 +150,10 @@ func Compile(tr *Trace, horizon units.Seconds, numLinks int, incident func(sw in
 			apply(events[i])
 		}
 		snapshot(e.At)
+	}
+	tl.Dead = make([][]bool, len(tl.Starts))
+	for e := range tl.Dead {
+		tl.Dead[e] = arena[e*numLinks : (e+1)*numLinks : (e+1)*numLinks]
 	}
 	return tl, nil
 }

@@ -25,6 +25,22 @@ outer:
 	return out
 }
 
+// waitDone waits until job id has settled, which is after its "job done"
+// line is logged (the state turns done a little before), and fails unless
+// it is done.
+func waitDone(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s, err := m.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("Wait(%s): %v", id, err)
+	}
+	if s.State != StateDone {
+		t.Fatalf("job %s settled %s, want %s", id, s.State, StateDone)
+	}
+}
+
 // TestRetryEventsCarrySubmitTrace drives a flaky row through retries with
 // a sink-backed logger and checks every lifecycle line — submit, retry,
 // checkpoint, done — carries the submitting request's trace ID.
@@ -43,7 +59,7 @@ func TestRetryEventsCarrySubmitTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitState(t, m, snap.ID, StateDone)
+	waitDone(t, m, snap.ID)
 
 	lines := sink.Lines()
 	for _, event := range []string{
@@ -101,7 +117,7 @@ func TestResumeEventsCarryOriginalTrace(t *testing.T) {
 	if n := m2.ResumeAll(); n != 1 {
 		t.Fatalf("ResumeAll resumed %d jobs, want 1", n)
 	}
-	waitState(t, m2, snap.ID, StateDone)
+	waitDone(t, m2, snap.ID)
 
 	lines := sink.Lines()
 	for _, event := range []string{

@@ -36,7 +36,7 @@ func (t Trace) append(start, end units.Seconds, rate units.Bandwidth) Trace {
 // s.scratch, so call it right after the run.
 func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (links, switches []Trace) {
 	t.Helper()
-	sc := &s.scratch
+	sc := &s.warm.scratch
 	nl := len(s.Top.Links)
 	caps := make([]float64, nl)
 	for _, l := range s.Top.Links {
@@ -412,5 +412,31 @@ func TestWarmRunAllocs(t *testing.T) {
 	// Result, Flows, the segment arena and the trace headers.
 	if allocs > 4 {
 		t.Errorf("warm Run allocates %.1f objects, want <= 4", allocs)
+	}
+}
+
+// A warm faulted Run allocates its Result as a fault-free one does, plus
+// the FaultReport and the compiled fault timeline: the timeline, its
+// per-link reference counts, its epoch starts, dead counts and dead-set
+// headers, and one arena holding every dead set.
+func TestWarmFaultedRunAllocs(t *testing.T) {
+	top := smallTopo(t)
+	st := scratchSteps(t, top)[0]
+	s := New(top)
+	s.Faults = st.faults
+	res, err := s.Run(st.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Epochs < 8 {
+		t.Fatalf("the trace splits the run into %d epochs, want at least 8", res.Faults.Epochs)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Run(st.flows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4+1+6 {
+		t.Errorf("warm faulted Run allocates %.1f objects, want <= 11", allocs)
 	}
 }

@@ -30,12 +30,7 @@ func TestFaultRerouteAroundDeadLink(t *testing.T) {
 	hosts := top.Hosts()
 	fl := traffic.Flow{Src: hosts[0], Dst: hosts[len(hosts)-1], Demand: 50 * units.Gbps, Start: 0, End: 4}
 
-	clean, err := s.Run([]traffic.Flow{fl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := clean.Flows[0].Path[2] // an inter-switch link on the chosen path
-
+	victim := victimLink(t, s, fl)
 	tr := &fault.Trace{}
 	tr.LinkDown(1, victim) // victim dead during [1,3)
 	tr.LinkUp(3, victim)
@@ -203,7 +198,7 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := clean.Flows[0].Path[2]
+	victim := victimLink(t, s, flows[0])
 	tr := &fault.Trace{}
 	tr.LinkDown(1, victim) // dead during [1,2), recovered for [2,4)
 	tr.LinkUp(2, victim)
@@ -281,11 +276,10 @@ func TestFaultConcentrateRouting(t *testing.T) {
 	flows := faultFlows(top, 20*units.Gbps)
 	s := New(top)
 	s.Routing = ConcentrateRouting
-	clean, err := s.Run(flows)
-	if err != nil {
+	if _, err := s.Run(flows); err != nil {
 		t.Fatal(err)
 	}
-	victim := clean.Flows[0].Path[2]
+	victim := victimLink(t, s, flows[0])
 	tr := &fault.Trace{}
 	tr.FailLink(0, victim) // dead for the whole run
 	s.Faults = tr

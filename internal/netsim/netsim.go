@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/fattree"
@@ -63,28 +64,96 @@ type Sim struct {
 	// in-process formulas and adds nothing to the hot path.
 	Models *Models
 
-	// usedSwitches marks, by node ID, the switches already chosen by
-	// ConcentrateRouting within one Run.
-	usedSwitches []bool
+	// warm is what the Sim reuses across runs and across Reset: the path
+	// cache and the per-run arenas.
+	warm warmState
+}
+
+// WarmCap is the most warm-state bytes Trim lets a Sim keep between rows.
+// It holds a k=4 faults row over 32 iterations (about 1.3 MiB) and any
+// topologies row up to 32 hosts (at most about 4 MiB).
+const WarmCap = 4 << 20
+
+// warmState is a Sim's unexported state, reused across runs. Nothing in a
+// Result aliases it.
+type warmState struct {
+	// top is the topology pathCache was enumerated on. A run on any other
+	// topology drops the cache first, and with it every scratch pointer into
+	// the old path sets.
+	top *fattree.Topology
 
 	// pathCache memoizes the ECMP path enumeration (and the switches each
-	// path visits) per (src,dst) pair, keyed src<<32|dst: the enumeration
-	// depends only on the topology, never on seed or routing mode, so it
-	// survives across Run calls. Fault-filtered views of each entry are
-	// cached on the pathSet itself and invalidated per (run, epoch).
+	// path visits) per (src,dst) pair of top, keyed src<<32|dst: the
+	// enumeration depends only on the topology, never on seed or routing
+	// mode, so it survives across Run calls. Fault-filtered views of each
+	// entry are cached on the pathSet itself and invalidated per (run,
+	// epoch). pathBytes estimates the cache's heap bytes.
 	pathCache map[uint64]*pathSet
+	pathBytes int
 
 	// indices[:n] is [0, n): the alive set of an n-path set in any epoch
 	// with no dead links, shared by every cached path set.
 	indices []int
+
+	// usedSwitches marks, by node ID, the switches already chosen by
+	// ConcentrateRouting within one Run.
+	usedSwitches []bool
 
 	// runGen counts runs; it stamps the per-pathSet alive caches so a new
 	// run (possibly with a different fault trace) never reuses a stale
 	// filtered path list.
 	runGen uint64
 
-	// Per-run arenas and the solve state, reused across runs.
+	// Per-run arenas and the solve state.
 	scratch runScratch
+}
+
+// Reset readies s for new runs on top. Every exported field is cleared, so
+// no routing mode, seed, fault trace or co-sim model carries over from
+// earlier runs; the warm state is kept.
+func (s *Sim) Reset(top *fattree.Topology) { *s = Sim{Top: top, warm: s.warm} }
+
+// Trim releases the warm state if it holds more than WarmCap bytes, so one
+// large run cannot pin memory in a Sim kept for reuse.
+func (s *Sim) Trim() {
+	if s.WarmBytes() > WarmCap {
+		s.warm = warmState{}
+	}
+}
+
+// WarmBytes estimates the heap bytes s keeps between runs: the path cache
+// plus the capacity of every scratch arena.
+func (s *Sim) WarmBytes() int {
+	w := &s.warm
+	sc := &w.scratch
+	ss := &sc.solve
+	return w.pathBytes + capBytes(w.indices) + capBytes(w.usedSwitches) +
+		capBytes(sc.states) + capBytes(sc.routes) + capBytes(sc.epochOff) + capBytes(sc.buckets) +
+		capBytes(sc.times) + capBytes(sc.byStart) + capBytes(sc.cur) + capBytes(sc.caps) +
+		capBytes(sc.devRate) + capBytes(sc.marked) + capBytes(sc.open) + capBytes(sc.touched) +
+		capBytes(sc.prev) + capBytes(sc.emitted) + capBytes(sc.segOff) +
+		capBytes(ss.demands) + capBytes(ss.paths) + capBytes(ss.lastDemands) + capBytes(ss.lastPaths) +
+		ss.solver.bytes()
+}
+
+// capBytes is the size of s's backing array.
+func capBytes[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
+}
+
+// usePaths points the path cache at top, dropping it (and every scratch
+// reference into its path sets) when it was built on another topology, so
+// a run neither routes on stale paths nor keeps the old ones reachable.
+func (w *warmState) usePaths(top *fattree.Topology) {
+	if w.top == top {
+		return
+	}
+	w.top, w.pathCache, w.pathBytes = top, nil, 0
+	sc := &w.scratch
+	clear(sc.states[:cap(sc.states)])
+	clear(sc.solve.paths[:cap(sc.solve.paths)])
+	clear(sc.solve.lastPaths[:cap(sc.solve.lastPaths)])
 }
 
 // pathSet is one (src,dst) pair's cached ECMP choices.
@@ -198,16 +267,11 @@ func New(top *fattree.Topology) *Sim {
 	return &Sim{Top: top}
 }
 
-// FlowStat reports one flow's outcome.
+// FlowStat reports one flow's outcome. It holds no pointers, so a
+// Result's flow stats cost the garbage collector nothing to scan.
 type FlowStat struct {
-	Flow traffic.Flow
-	// Path is the chosen link-ID sequence (at the flow's start epoch; a
-	// faulted run may reroute the flow in later epochs).
-	Path []int
 	// DeliveredBits integrates the achieved rate over the flow lifetime.
 	DeliveredBits float64
-	// MeanRate is DeliveredBits / lifetime.
-	MeanRate units.Bandwidth
 	// Downtime is the time the flow spent stalled with every ECMP path
 	// dead. Always zero without fault injection.
 	Downtime units.Seconds
@@ -255,8 +319,9 @@ type Result struct {
 
 // pathsFor returns the cached path set for a pair, enumerating on first use.
 func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
+	w := &s.warm
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	if ps, ok := s.pathCache[key]; ok {
+	if ps, ok := w.pathCache[key]; ok {
 		return ps, nil
 	}
 	paths, err := s.Top.Paths(src, dst)
@@ -284,13 +349,16 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 		}
 		ps.switches[i] = arena[start:len(arena):len(arena)]
 	}
-	for len(s.indices) < len(paths) {
-		s.indices = append(s.indices, len(s.indices))
+	for len(w.indices) < len(paths) {
+		w.indices = append(w.indices, len(w.indices))
 	}
-	if s.pathCache == nil {
-		s.pathCache = make(map[uint64]*pathSet)
+	if w.pathCache == nil {
+		w.pathCache = make(map[uint64]*pathSet)
 	}
-	s.pathCache[key] = ps
+	w.pathCache[key] = ps
+	// The pathSet and its map entry; per path, two slice headers, an alive
+	// index and a path of one link more than its switches; the switch arena.
+	w.pathBytes += int(unsafe.Sizeof(*ps)) + 16 + len(paths)*(2*24+8+8) + 2*8*total
 	return ps, nil
 }
 
@@ -301,9 +369,9 @@ func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
 func (s *Sim) aliveFor(ps *pathSet, epoch int, dead []bool) []int {
 	if dead == nil {
 		n := len(ps.paths)
-		return s.indices[:n:n]
+		return s.warm.indices[:n:n]
 	}
-	if ps.aliveRun == s.runGen && ps.aliveEpoch == epoch {
+	if ps.aliveRun == s.warm.runGen && ps.aliveEpoch == epoch {
 		return ps.alive
 	}
 	ps.alive = slices.Grow(ps.alive[:0], len(ps.paths))
@@ -319,7 +387,7 @@ func (s *Sim) aliveFor(ps *pathSet, epoch int, dead []bool) []int {
 			ps.alive = append(ps.alive, i)
 		}
 	}
-	ps.aliveRun, ps.aliveEpoch = s.runGen, epoch
+	ps.aliveRun, ps.aliveEpoch = s.warm.runGen, epoch
 	return ps.alive
 }
 
@@ -351,11 +419,12 @@ func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 		// The first path with the fewest new switches wins, so scoring a
 		// path stops once it cannot beat the best so far, and the scan
 		// stops at a path that adds none.
+		used := s.warm.usedSwitches
 		best, bestNew := alive[0], len(s.Top.Nodes)+1
 		for _, i := range alive {
 			newSwitches := 0
 			for _, sw := range ps.switches[i] {
-				if !s.usedSwitches[sw] {
+				if !used[sw] {
 					if newSwitches++; newSwitches >= bestNew {
 						break
 					}
@@ -369,7 +438,7 @@ func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 			}
 		}
 		for _, sw := range ps.switches[best] {
-			s.usedSwitches[sw] = true
+			used[sw] = true
 		}
 		return route{path: int32(best), rerouted: rerouted}
 	}
@@ -422,9 +491,11 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("netsim: no flows")
 	}
-	s.usedSwitches = resize(s.usedSwitches, len(s.Top.Nodes))
-	s.runGen++
-	sc := &s.scratch
+	w := &s.warm
+	w.usePaths(s.Top)
+	w.usedSwitches = resize(w.usedSwitches, len(s.Top.Nodes))
+	w.runGen++
+	sc := &w.scratch
 	// The caps slice outlives a run and Sim.Top may change between runs, so
 	// a remembered solve from an earlier run could match a reused capacity
 	// slice holding other values.
@@ -733,9 +804,8 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	}
 
 	for i := range states {
-		st, f, fs := &states[i], &flows[i], &res.Flows[i]
-		// routes[0] is the start epoch's decision; its path points into the
-		// pathSet cache, never into the scratch arena.
+		st, f := &states[i], &flows[i]
+		// routes[0] is the start epoch's decision.
 		var path []int
 		if rt := st.routes[0]; !rt.stalled {
 			path = st.ps.paths[rt.path]
@@ -754,12 +824,7 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 				lat = v
 			}
 		}
-		fs.Flow = *f
-		fs.Path = path
-		fs.DeliveredBits = st.delivered
-		fs.MeanRate = units.Bandwidth(st.delivered / float64(f.End-f.Start))
-		fs.Downtime = st.downtime
-		fs.TransferLatency = lat
+		res.Flows[i] = FlowStat{DeliveredBits: st.delivered, Downtime: st.downtime, TransferLatency: lat}
 	}
 	if tl != cleanTimeline {
 		rep := &FaultReport{

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"netpowerprop/internal/fattree"
@@ -126,12 +127,8 @@ func TestConcentrateRoutingDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range r1.Flows {
-		for j := range r1.Flows[i].Path {
-			if r1.Flows[i].Path[j] != r2.Flows[i].Path[j] {
-				t.Fatal("concentrate routing not deterministic")
-			}
-		}
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("concentrate routing not deterministic")
 	}
 }
 

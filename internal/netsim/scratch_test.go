@@ -3,6 +3,7 @@ package netsim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/fault"
@@ -138,7 +139,7 @@ func TestRouteArenaIsFlowEpochOverlap(t *testing.T) {
 		}
 	}
 	dense := len(st.flows) * tl.NumEpochs()
-	if got := len(s.scratch.routes); got != overlap {
+	if got := len(s.warm.scratch.routes); got != overlap {
 		t.Errorf("route arena = %d routes, want the flow-epoch overlap %d (dense would be %d)", got, overlap, dense)
 	}
 	if 4*overlap > dense {
@@ -146,5 +147,121 @@ func TestRouteArenaIsFlowEpochOverlap(t *testing.T) {
 	}
 	if res.Faults.Epochs != tl.NumEpochs() {
 		t.Errorf("report epochs = %d, want %d", res.Faults.Epochs, tl.NumEpochs())
+	}
+}
+
+// The path cache is keyed by (src, dst) only, so a Sim whose Top changes
+// between runs must drop it: hosts 7 and 10 exist in both k=4 builds, but
+// the two-tier tree's paths between them are not the three-tier tree's.
+func TestPathCacheFollowsTopology(t *testing.T) {
+	three := smallTopo(t)
+	two, err := fattree.BuildTwoTier(4, 100*units.Gbps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []int{7, 10}
+	for _, h := range hosts {
+		if three.Nodes[h].IsSwitch() || two.Nodes[h].IsSwitch() {
+			t.Fatalf("node %d is not a host in both trees", h)
+		}
+	}
+	job := traffic.Job{ID: 1, Hosts: hosts, Period: 1, CommRatio: 0.5,
+		Rate: 10 * units.Gbps, Pattern: traffic.AllToAll}
+	flows, err := job.Flows(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(three)
+	if _, err := s.Run(flows); err != nil {
+		t.Fatal(err)
+	}
+	s.Top = two
+	got, err := s.Run(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(two).Run(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reused Sim routed on links %v, a fresh one on %v", busyLinks(got), busyLinks(want))
+	}
+}
+
+// Reset clears every exported field and keeps the warm state: a run after
+// Reset matches a fresh Sim configured the same way, and it reuses the
+// path cache when the topology is the same one.
+func TestResetKeepsOnlyWarmState(t *testing.T) {
+	top := smallTopo(t)
+	steps := scratchSteps(t, top)
+	s := New(top)
+	s.Routing, s.ECMPSeed, s.Faults, s.Models = ConcentrateRouting, 9, steps[0].faults, &Models{}
+	if _, err := s.Run(steps[0].flows); err != nil {
+		t.Fatal(err)
+	}
+	var key uint64
+	var ps *pathSet
+	for key, ps = range s.warm.pathCache {
+		break
+	}
+	s.Reset(top)
+	if !reflect.DeepEqual(*s, Sim{Top: top, warm: s.warm}) {
+		t.Fatalf("Reset kept a config field: %+v", *s)
+	}
+	st := steps[2]
+	s.Faults = st.faults
+	got, err := s.Run(st.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(top)
+	fresh.Faults = st.faults
+	want, err := fresh.Run(st.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a run after Reset differs from a fresh Sim")
+	}
+	if ps == nil || s.warm.pathCache[key] != ps {
+		t.Error("Reset on the same topology dropped the path cache")
+	}
+}
+
+// Trim keeps warm state up to WarmCap and releases all of it above.
+func TestTrimReleasesAboveCap(t *testing.T) {
+	top := smallTopo(t)
+	st := scratchSteps(t, top)[0]
+	s := New(top)
+	s.Faults = st.faults
+	if _, err := s.Run(st.flows); err != nil {
+		t.Fatal(err)
+	}
+	kept := s.WarmBytes()
+	if kept == 0 || kept > WarmCap {
+		t.Fatalf("a k=4 faulted run keeps %d warm bytes, want (0, %d]", kept, WarmCap)
+	}
+	s.Trim()
+	if s.WarmBytes() != kept {
+		t.Errorf("Trim under the cap changed warm bytes %d -> %d", kept, s.WarmBytes())
+	}
+	s.warm.scratch.emitted = make([]deviceSegment, 0, WarmCap/int(unsafe.Sizeof(deviceSegment{}))+1)
+	s.Trim()
+	if got := s.WarmBytes(); got != 0 {
+		t.Errorf("Trim over the cap kept %d bytes, want 0", got)
+	}
+	again, err := s.Run(st.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(top)
+	fresh.Faults = st.faults
+	want, err := fresh.Run(st.flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Error("a run after Trim differs from a fresh Sim")
 	}
 }

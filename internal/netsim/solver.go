@@ -184,3 +184,9 @@ func resize[T any](s []T, n int) []T {
 	clear(s)
 	return s
 }
+
+// bytes is the size of the solver's scratch arrays.
+func (s *Solver) bytes() int {
+	return capBytes(s.rates) + capBytes(s.frozen) + capBytes(s.unfrozen) + capBytes(s.remaining) +
+		capBytes(s.count) + capBytes(s.active) + capBytes(s.csrOff) + capBytes(s.csrFlows) + capBytes(s.cursor)
+}

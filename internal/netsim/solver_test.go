@@ -174,7 +174,7 @@ func TestPathCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.pathCache) == 0 {
+	if len(s.warm.pathCache) == 0 {
 		t.Fatal("path cache not populated")
 	}
 	second, err := s.Run(flows)

@@ -2,7 +2,9 @@
 # bench.sh runs the simulator hot-path benchmarks and writes
 # BENCH_netsim.json at the repo root: current ns/op, B/op, and allocs/op
 # for each benchmark, alongside the frozen pre-optimization seed numbers
-# so the speedup is visible without digging through git history.
+# so the speedup is visible without digging through git history. A "host"
+# block records the CPU count, CPU model and Go version the numbers were
+# measured with, so a re-record on other hardware is visible as one.
 #
 # It also runs the serving-capacity experiment: the same distinct what-if
 # rows pushed as individual /v1/whatif requests and as /v1/batch
@@ -20,7 +22,7 @@ trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
 echo "running root benchmarks..." >&2
 go test -run=NONE -benchmem \
-	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkZooRow$' \
+	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$' \
 	. >>"$tmp"
 echo "running event-queue benchmark..." >&2
 go test -run=NONE -benchmem -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
@@ -46,9 +48,14 @@ done
 	-out "$tmpdir/capacity.json" >&2
 kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
 
+nproc="$(getconf _NPROCESSORS_ONLN)"
+cpu="$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
+gover="$(go env GOVERSION)"
+
 # The seed baselines below were measured on this repo at the commit before
 # the named optimization landed, same machine class.
-awk -v out="$out" -v capfile="$tmpdir/capacity.json" '
+awk -v out="$out" -v capfile="$tmpdir/capacity.json" \
+	-v nproc="$nproc" -v cpu="${cpu:-unknown}" -v gover="$gover" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
@@ -65,7 +72,9 @@ END {
 	base["BenchmarkTopoPathsTorus3D"] = "{\"ns_per_op\": 2036794, \"bytes_per_op\": 895616, \"allocs_per_op\": 8336}"
 	base["BenchmarkFaultSim"] = "{\"ns_per_op\": 33617561, \"bytes_per_op\": 48634728, \"allocs_per_op\": 7387}"
 	base["BenchmarkZooRow"] = "{\"ns_per_op\": 35503637, \"bytes_per_op\": 6835742, \"allocs_per_op\": 76301}"
-	printf "{\n  \"benchmarks\": {\n" > out
+	gsub(/[\\"]/, "\\\\&", cpu)
+	printf "{\n  \"host\": {\"nproc\": %d, \"cpu\": \"%s\", \"go\": \"%s\"},\n", nproc, cpu, gover > out
+	printf "  \"benchmarks\": {\n" >> out
 	for (i = 1; i <= n; i++) {
 		name = order[i]
 		printf "    \"%s\": {\n", name >> out
@@ -86,7 +95,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set + change-only trace emission into one ID-indexed segment arena and reuse of a repeated interval solve. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set + change-only trace emission into one ID-indexed segment arena and reuse of a repeated interval solve + one fused interval pass (active set, solve and accumulate per interval; no per-interval arenas or per-epoch capacity copies) + warm Sims owned by the engine worker slots and pointer-free flow stats. BenchmarkFaultRow is BenchmarkFaultSim'"'"'s row through a worker slot whose Sim stays warm; BenchmarkFaultSim stays the cold case. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"
