@@ -760,3 +760,26 @@ func BenchmarkEngineCacheMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineBatchMiss measures the batch path on cold rows: one
+// DoBatch of 64 whatif rows, 32 fresh keys each sent twice, so every key
+// misses the cache, dispatches once and fans out to its duplicate row.
+func BenchmarkEngineBatchMiss(b *testing.B) {
+	e := engine.New(engine.Options{CacheSize: 1 << 20, MaxQueue: 4096})
+	ctx := context.Background()
+	reqs := make([]engine.Request, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range reqs {
+			reqs[k] = engine.Request{Op: engine.OpWhatIf, GPUs: 1024 + i*32 + k%32}
+		}
+		for k, it := range e.DoBatch(ctx, reqs) {
+			if it.Err != nil {
+				b.Fatalf("row %d: %v", k, it.Err)
+			}
+			if it.Cached {
+				b.Fatalf("row %d: unexpected cache hit", k)
+			}
+		}
+	}
+}

@@ -14,8 +14,8 @@
 //	GET/POST /v1/scenarios/{name}  run a §4 mechanism scenario (incl.
 //	                               "topologies", the cross-topology zoo
 //	                               power-proportionality comparison)
-//	POST     /v1/batch             answer many requests in one call (amortized
-//	                               normalize/key/cache/dispatch, one frame per row)
+//	POST     /v1/batch             answer many requests in one call (one dispatch
+//	                               per unique key, one frame per row)
 //	POST     /v1/jobs              submit a durable async job (idempotent by canonical key)
 //	GET      /v1/jobs              list jobs
 //	GET      /v1/jobs/{id}         job status, progress, partial rows, result when done

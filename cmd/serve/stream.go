@@ -46,11 +46,10 @@ type batchResponse struct {
 
 // handleBatch answers many requests in one POST: body {"requests":
 // [{...},...]} where each element is a synchronous endpoint's body plus
-// "op". Normalization, canonical keying, cache lookups, duplicate
-// collapsing, and worker-pool admission are amortized across the batch
-// (engine.DoBatch); quota admission spends the batch's true row count;
-// and when overload sheds rows, the Retry-After header is derived from
-// the shed row count, not from one unit.
+// "op". Decode and encode are paid once per batch, and engine.DoBatch
+// dispatches each unique key once; quota admission spends the batch's
+// true row count; and when overload sheds rows, the Retry-After header is
+// derived from the shed row count, not from one unit.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Requests []engine.Request `json:"requests"`

@@ -197,14 +197,11 @@ func TestBatchShedCoversDuplicates(t *testing.T) {
 	}
 }
 
-// Regression: Pass 2's admitted list must not alias order's backing
-// array. When pending drops between admission checks — exactly what
-// happens under concurrent load — a shed key can precede an admitted
-// key; with order[:0] aliasing, the admitted key overwrote the shed
-// key's slot, so Pass 4 skipped the shed group (returning zero-value
-// items: nil Result AND nil Err) and fanned a later group out twice.
-// Hammer batches against a fluctuating queue and assert the invariant
-// every row must satisfy: it carries a result or an error, never neither.
+// Under concurrent load, pending rises and falls between a batch's
+// admission checks, so one batch can have a shed key before an admitted
+// one. Hammer batches against a fluctuating queue and assert the
+// invariant every row must satisfy: it carries a result or an error,
+// never neither.
 func TestBatchShedUnderChurnNeverYieldsEmptyItems(t *testing.T) {
 	e := New(Options{Workers: 2, MaxQueue: 1})
 	stop := make(chan struct{})
@@ -248,24 +245,51 @@ func TestBatchShedUnderChurnNeverYieldsEmptyItems(t *testing.T) {
 	}
 }
 
-// A batch submitted with an expired context fails every miss row without
-// dispatching work.
+// A batch submitted with an expired context fails every row without
+// dispatching work, cached rows included: the batch follows Do's
+// done-context rule, which fails before the cache.
 func TestBatchCanceledContext(t *testing.T) {
 	e := New(Options{})
+	do(t, e, Request{Op: OpTable3})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items := e.DoBatch(ctx, []Request{{Op: OpWhatIf}, {Op: OpCost}})
+	items := e.DoBatch(ctx, []Request{{Op: OpWhatIf}, {Op: OpCost}, {Op: OpTable3}})
 	for i, it := range items {
-		if !errors.Is(it.Err, context.Canceled) {
-			t.Errorf("row %d = %v, want Canceled", i, it.Err)
+		if !errors.Is(it.Err, context.Canceled) || it.Result != nil {
+			t.Errorf("row %d = %+v, want Canceled", i, it)
 		}
 	}
 	m := e.Metrics()
-	if m.Computations != 0 {
-		t.Errorf("computations = %d, want 0", m.Computations)
+	if m.Computations != 1 {
+		t.Errorf("computations = %d, want 1 (the warm-up only)", m.Computations)
 	}
-	if m.Errors != 2 || m.Canceled != 2 || m.Deadlines != 0 {
-		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 2/2/0", m.Errors, m.Canceled, m.Deadlines)
+	if m.Errors != 3 || m.Canceled != 3 || m.Deadlines != 0 {
+		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 3/3/0", m.Errors, m.Canceled, m.Deadlines)
+	}
+}
+
+// A batch joins a Do already in flight for the same key: both of its rows
+// share that one computation.
+func TestBatchJoinsInFlightDo(t *testing.T) {
+	e := New(Options{})
+	req := chaosReq(map[string]float64{"sleep": 0.2})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.Do(context.Background(), req)
+		done <- err
+	}()
+	waitPending(t, e, 1)
+	items := e.DoBatch(context.Background(), []Request{req, req})
+	if err := <-done; err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	for i, it := range items {
+		if it.Err != nil || !it.Shared || it.Cached {
+			t.Errorf("row %d = %+v, want a shared, uncached result", i, it)
+		}
+	}
+	if m := e.Metrics(); m.Computations != 1 || m.Shared != 2 {
+		t.Errorf("computations/shared = %d/%d, want 1/2", m.Computations, m.Shared)
 	}
 }
 

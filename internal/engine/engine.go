@@ -177,28 +177,48 @@ func (e *Engine) Pending() int64 { return e.pending.Load() }
 // reports whether the result was served from the cache without waiting on
 // any computation.
 func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool, err error) {
-	norm, err := req.Normalize()
+	norm, key, res, err := e.lookup(ctx, req)
+	if res != nil || err != nil {
+		return res, res != nil, err
+	}
+	res, _, err = e.miss(ctx, key, norm)
+	return res, false, err
+}
+
+// lookup is the first step of every Do and DoBatch row: normalize, fail a
+// done context before the cache, key, and probe the cache. It returns the
+// cached result on a hit, the error on a failure, and otherwise the
+// normalized request and its canonical key for miss.
+func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key string, res *Result, err error) {
+	norm, err = req.Normalize()
 	if err != nil {
 		e.errors.Add(1)
-		return nil, false, err
+		return norm, "", nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		e.failed(ctx, "request", norm.Op, err)
-		return nil, false, err
+		return norm, "", nil, err
 	}
-	key := norm.Key()
+	key = norm.Key()
 	if res, ok := e.cache.Get(key); ok {
 		e.hits.Add(1)
 		if e.log.Enabled(obs.LevelDebug) {
 			e.log.Debug("cache hit", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 		}
-		return res, true, nil
+		return norm, key, res, nil
 	}
 	e.misses.Add(1)
 	if e.log.Enabled(obs.LevelDebug) {
 		e.log.Debug("cache miss", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 	}
-	res, shared, err := e.flight.do(ctx, key, func() (*Result, error) {
+	return norm, key, nil, nil
+}
+
+// miss answers a lookup miss through the singleflight group, so one
+// dispatch serves every concurrent caller of the key. shared reports that
+// this caller waited on another caller's dispatch.
+func (e *Engine) miss(ctx context.Context, key string, norm Request) (res *Result, shared bool, err error) {
+	res, shared, err = e.flight.do(ctx, key, func() (*Result, error) {
 		return e.dispatch(ctx, key, norm)
 	})
 	if shared {
@@ -206,9 +226,9 @@ func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool,
 	}
 	if err != nil {
 		e.failed(ctx, "request", norm.Op, err)
-		return nil, false, err
+		return nil, shared, err
 	}
-	return res, false, nil
+	return res, shared, nil
 }
 
 // computeAndCache runs one computation through the worker pool. The
@@ -241,9 +261,7 @@ func (e *Engine) computeAndCache(ctx context.Context, key string, req Request) (
 
 // compute plans a normalized request, runs its rows through the worker
 // pool, updates the compute counters, and populates the cache on success.
-// Admission (pending accounting and shedding) is the caller's
-// responsibility: the interactive path admits per request, the batch path
-// per unique miss.
+// Admission (pending accounting and shedding) is computeAndCache's.
 func (e *Engine) compute(ctx context.Context, key string, req Request) (*Result, error) {
 	plan, err := planRows(req, e.models)
 	if err != nil {

@@ -50,7 +50,8 @@ func (e *Engine) remoteFn() RemoteFunc {
 // localOnlyKey marks a context as "compute here, never re-dispatch": the
 // serving layer stamps it on requests that already took a cluster hop
 // (X-Forwarded-Admit), so an ownership disagreement during a ring
-// transition cannot bounce a request between replicas forever.
+// transition cannot bounce a request between replicas forever. DoBatch
+// stamps it too: batch rows are answered by the ingress replica.
 type localOnlyKey struct{}
 
 // WithLocalOnly returns a context whose requests bypass the remote hook.
@@ -58,8 +59,8 @@ func WithLocalOnly(ctx context.Context) context.Context {
 	return context.WithValue(ctx, localOnlyKey{}, true)
 }
 
-// LocalOnly reports whether the context forbids remote dispatch.
-func LocalOnly(ctx context.Context) bool {
+// localOnly reports whether the context forbids remote dispatch.
+func localOnly(ctx context.Context) bool {
 	v, _ := ctx.Value(localOnlyKey{}).(bool)
 	return v
 }
@@ -69,7 +70,7 @@ func LocalOnly(ctx context.Context) bool {
 // singleflight group, so one network hop serves every concurrent
 // identical query.
 func (e *Engine) dispatch(ctx context.Context, key string, norm Request) (*Result, error) {
-	if fn := e.remoteFn(); fn != nil && !LocalOnly(ctx) {
+	if fn := e.remoteFn(); fn != nil && !localOnly(ctx) {
 		res, handled, err := fn(ctx, key, norm)
 		if handled {
 			if err != nil {

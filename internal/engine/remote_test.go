@@ -126,3 +126,29 @@ func TestRemoteLocalOnlyBypassesHook(t *testing.T) {
 		t.Errorf("hook called %d times under WithLocalOnly, want 0", got)
 	}
 }
+
+// DoBatch rows are answered by the ingress replica: a fresh batch row
+// computes locally without consulting the hook, while Do of another fresh
+// request still dispatches through it.
+func TestRemoteBatchStaysLocal(t *testing.T) {
+	e := New(Options{CacheSize: 32, Workers: 2})
+	var calls atomic.Int64
+	e.SetRemote(func(ctx context.Context, k string, r Request) (*Result, bool, error) {
+		calls.Add(1)
+		return nil, false, nil
+	})
+	items := e.DoBatch(context.Background(), []Request{remoteTestRequest()})
+	if items[0].Err != nil {
+		t.Fatalf("DoBatch: %v", items[0].Err)
+	}
+	m := e.Metrics()
+	if got := calls.Load(); got != 0 || m.RemoteHits != 0 || m.Computations != 1 {
+		t.Errorf("hook calls/remote hits/computations = %d/%d/%d, want 0/0/1", got, m.RemoteHits, m.Computations)
+	}
+	if _, _, err := e.Do(context.Background(), Request{Op: OpWhatIf, GPUs: 4096}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("hook called %d times by Do, want 1", got)
+	}
+}

@@ -179,7 +179,7 @@ step_bench_guard() {
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
 	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$' \
+		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$|BenchmarkEngineCacheHit$|BenchmarkEngineCacheMiss$|BenchmarkEngineBatchMiss$' \
 		. >"$tmp/bench.out"
 	go test -run=NONE -benchmem -benchtime=100x \
 		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
