@@ -83,7 +83,7 @@ func run(args []string, w io.Writer) error {
 	a := &app{job: *job, jobdir: *jobdir, killrow: *killrow, loglevel: *loglevel}
 	cfg := cosim.Config{Command: *cosimCmd, Record: *cosimRecord, Replay: *cosimReplay, Timeout: *cosimTimeout}
 	if cfg.Enabled() {
-		binding, err := cosim.Open(cfg)
+		binding, err := cosim.Open(cfg, nil)
 		if err != nil {
 			return err
 		}

@@ -109,11 +109,13 @@ func TestClusterForwardsMissToOwnerAndReportsRoute(t *testing.T) {
 		t.Fatalf("forwarded response missing result payload: %+v", env)
 	}
 	// The owner computed it; the ingress replica only proxied and primed.
-	if m := b.eng.Metrics(); m.Computations != 1 {
-		t.Fatalf("owner computations = %d, want 1", m.Computations)
+	if got := metric(t, b.srv.reg, "netpowerprop_engine_computations_total"); got != 1 {
+		t.Fatalf("owner computations = %v, want 1", got)
 	}
-	if m := a.eng.Metrics(); m.Computations != 0 || m.RemoteHits != 1 {
-		t.Fatalf("ingress computations=%d remote_hits=%d, want 0 and 1", m.Computations, m.RemoteHits)
+	comps := metric(t, a.srv.reg, "netpowerprop_engine_computations_total")
+	remote := metric(t, a.srv.reg, "netpowerprop_engine_remote_hits_total")
+	if comps != 0 || remote != 1 {
+		t.Fatalf("ingress computations=%v remote_hits=%v, want 0 and 1", comps, remote)
 	}
 	// Second identical request at the ingress is a primed cache hit — no
 	// second hop.
@@ -142,8 +144,8 @@ func TestClusterSelfOwnedKeyStaysLocal(t *testing.T) {
 	if got := resp.Header.Get("X-Cluster-Route"); got != cluster.RouteLocal {
 		t.Fatalf("X-Cluster-Route = %q, want %q", got, cluster.RouteLocal)
 	}
-	if m := b.eng.Metrics(); m.Computations != 0 {
-		t.Fatalf("peer computed %d, want 0", m.Computations)
+	if got := metric(t, b.srv.reg, "netpowerprop_engine_computations_total"); got != 0 {
+		t.Fatalf("peer computed %v, want 0", got)
 	}
 }
 
@@ -229,11 +231,11 @@ func TestClusterForwardedHopNeverReforwards(t *testing.T) {
 	if got := resp.Header.Get("X-Cluster-Route"); got != cluster.RouteLocal {
 		t.Fatalf("X-Cluster-Route = %q, want %q (local-only pin)", got, cluster.RouteLocal)
 	}
-	if m := b.eng.Metrics(); m.Computations != 1 {
-		t.Fatalf("receiver computations = %d, want 1", m.Computations)
+	if got := metric(t, b.srv.reg, "netpowerprop_engine_computations_total"); got != 1 {
+		t.Fatalf("receiver computations = %v, want 1", got)
 	}
-	if m := c.eng.Metrics(); m.Computations != 0 {
-		t.Fatalf("true owner computations = %d, want 0 (no onward hop)", m.Computations)
+	if got := metric(t, c.srv.reg, "netpowerprop_engine_computations_total"); got != 0 {
+		t.Fatalf("true owner computations = %v, want 0 (no onward hop)", got)
 	}
 }
 

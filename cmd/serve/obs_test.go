@@ -164,7 +164,7 @@ func TestClientDisconnectCountsCanceled(t *testing.T) {
 	}()
 	// Wait for the computation to be admitted, then hang up.
 	deadline := time.After(5 * time.Second)
-	for eng.Metrics().Pending == 0 {
+	for eng.Pending() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("computation never admitted")
@@ -178,15 +178,16 @@ func TestClientDisconnectCountsCanceled(t *testing.T) {
 	// The engine observes the disconnect promptly — well before the
 	// 30-second sleep or the 60-second server timeout.
 	deadline = time.After(5 * time.Second)
-	for eng.Metrics().Canceled == 0 {
+	for metric(t, s.reg, "netpowerprop_engine_canceled_total") == 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("canceled never counted: %+v", eng.Metrics())
+			t.Fatal("canceled never counted")
 		case <-time.After(time.Millisecond):
 		}
 	}
-	m := eng.Metrics()
-	if m.Canceled != 1 || m.Deadlines != 0 {
-		t.Errorf("canceled=%d deadlines=%d, want 1 and 0", m.Canceled, m.Deadlines)
+	canceled := metric(t, s.reg, "netpowerprop_engine_canceled_total")
+	deadlines := metric(t, s.reg, "netpowerprop_engine_deadline_total")
+	if canceled != 1 || deadlines != 0 {
+		t.Errorf("canceled=%v deadlines=%v, want 1 and 0", canceled, deadlines)
 	}
 }

@@ -396,7 +396,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 	// Let the stream admit and start computing row 0 (the 2s sleep), then
 	// hang up.
 	deadline := time.After(2 * time.Second)
-	for eng.Metrics().Pending == 0 {
+	for eng.Pending() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("stream never admitted")
@@ -408,16 +408,16 @@ func TestStreamClientDisconnect(t *testing.T) {
 
 	// The engine must classify the abandonment as canceled, not deadline.
 	waitDeadline := time.After(2 * time.Second)
-	for eng.Metrics().Canceled == 0 {
+	for metric(t, s.reg, "netpowerprop_engine_canceled_total") == 0 {
 		select {
 		case <-waitDeadline:
-			m := eng.Metrics()
-			t.Fatalf("canceled=%d deadlines=%d after disconnect, want 1/0", m.Canceled, m.Deadlines)
+			t.Fatalf("canceled=0 deadlines=%v after disconnect, want 1/0",
+				metric(t, s.reg, "netpowerprop_engine_deadline_total"))
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if m := eng.Metrics(); m.Deadlines != 0 {
-		t.Errorf("deadlines = %d, want 0", m.Deadlines)
+	if got := metric(t, s.reg, "netpowerprop_engine_deadline_total"); got != 0 {
+		t.Errorf("deadlines = %v, want 0", got)
 	}
 	// The worker slot and queue position are released: Drain completes.
 	dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -528,7 +528,7 @@ func TestBatchShedRefundsQuota(t *testing.T) {
 	go http.Get(srv.URL + "/v1/scenarios/chaos?sleep=0.5")  //nolint:errcheck
 	go http.Get(srv.URL + "/v1/scenarios/chaos?sleep=0.51") //nolint:errcheck
 	deadline := time.After(2 * time.Second)
-	for eng.Metrics().Pending < 2 {
+	for eng.Pending() < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("sleeper never admitted")
@@ -582,7 +582,7 @@ func TestLowPriorityShedEarly(t *testing.T) {
 		go http.Get(srv.URL + fmt.Sprintf("/v1/scenarios/chaos?sleep=0.%d", 20+i)) //nolint:errcheck
 	}
 	deadline := time.After(2 * time.Second)
-	for eng.Metrics().Pending < 2 {
+	for eng.Pending() < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("sleepers never admitted")
@@ -610,8 +610,8 @@ func TestLowPriorityShedEarly(t *testing.T) {
 		resp.Body.Close()
 	}
 	// The early shed is the admission layer's, not the engine's.
-	if m := eng.Metrics(); m.Sheds != 0 {
-		t.Errorf("engine sheds = %d, want 0 (admission layer shed it)", m.Sheds)
+	if got := metric(t, s.reg, "netpowerprop_engine_shed_total"); got != 0 {
+		t.Errorf("engine sheds = %v, want 0 (admission layer shed it)", got)
 	}
 }
 
@@ -627,7 +627,7 @@ func TestBatchRetryAfterCountsRows(t *testing.T) {
 		go http.Get(srv.URL + fmt.Sprintf("/v1/scenarios/chaos?sleep=0.%d", 50+i)) //nolint:errcheck
 	}
 	deadline := time.After(2 * time.Second)
-	for eng.Metrics().Pending < 2 {
+	for eng.Pending() < 2 {
 		select {
 		case <-deadline:
 			t.Fatal("sleepers never admitted")

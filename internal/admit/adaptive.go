@@ -78,7 +78,7 @@ func (c *Controller) maybeAdapt() {
 	}
 	if next != cur {
 		c.threshold.Store(next)
-		c.adaptations.Add(1)
+		c.adaptations.Inc()
 	}
 }
 

@@ -78,7 +78,7 @@ func TestAdaptiveShedTightensAndClamps(t *testing.T) {
 			t.Fatalf("step %d: threshold = %d, want %d", i, got, want)
 		}
 	}
-	if got := f.c.adaptations.Load(); got != 2 {
+	if got := f.c.adaptations.Value(); got != 2 {
 		t.Errorf("Adaptations = %d, want 2 (the clamped step is not a move)", got)
 	}
 	// The shed decision follows the walked threshold.
@@ -119,7 +119,7 @@ func TestAdaptiveShedHysteresisHolds(t *testing.T) {
 			t.Fatalf("threshold moved to %d inside the hysteresis band", got)
 		}
 	}
-	if got := f.c.adaptations.Load(); got != 0 {
+	if got := f.c.adaptations.Value(); got != 0 {
 		t.Errorf("Adaptations = %d inside the band, want 0", got)
 	}
 }

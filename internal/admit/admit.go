@@ -125,7 +125,8 @@ type Options struct {
 	MaxTenants int
 	// Now injects time for tests; defaults to time.Now.
 	Now func() time.Time
-	// Registry, when non-nil, receives netpowerprop_admit_* metrics.
+	// Registry receives netpowerprop_admit_* metrics; nil keeps them
+	// unregistered.
 	Registry *obs.Registry
 }
 
@@ -151,17 +152,17 @@ type Controller struct {
 	adaptEvery  time.Duration
 	threshold   atomic.Int64
 	lastAdapt   atomic.Int64
-	adaptations atomic.Uint64
+	adaptations *obs.Counter
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	allowed   [3]atomic.Uint64 // indexed by class (Low+1)
-	quotaRej  [3]atomic.Uint64
-	loadShed  atomic.Uint64
-	tooLarge  atomic.Uint64
-	refunded  atomic.Uint64
-	evictions atomic.Uint64
+	allowed   [3]*obs.Counter // indexed by class (Low+1)
+	quotaRej  [3]*obs.Counter
+	loadShed  *obs.Counter
+	tooLarge  *obs.Counter
+	refunded  *obs.Counter
+	evictions *obs.Counter
 }
 
 // New builds a controller.
@@ -215,12 +216,12 @@ func (c *Controller) Admit(tenant string, pri Priority, rows int) Decision {
 	// p99 latency when a probe is configured (adaptive.go).
 	if pri == Low && c.capacity > 0 && c.pending != nil {
 		if p := c.pending(); p >= c.shedThreshold() {
-			c.loadShed.Add(1)
+			c.loadShed.Inc()
 			return Decision{Reason: ReasonLoad, RetryAfter: time.Second}
 		}
 	}
 	if c.rate <= 0 {
-		c.allowed[pri+1].Add(1)
+		c.allowed[pri+1].Inc()
 		return Decision{OK: true}
 	}
 
@@ -235,7 +236,7 @@ func (c *Controller) Admit(tenant string, pri Priority, rows int) Decision {
 	// tokens refill only to burst, so a finite Retry-After here would
 	// have the client retrying forever, always getting 429.
 	if cost > c.burst-floor {
-		c.tooLarge.Add(1)
+		c.tooLarge.Inc()
 		return Decision{Reason: ReasonTooLarge}
 	}
 
@@ -253,12 +254,12 @@ func (c *Controller) Admit(tenant string, pri Priority, rows int) Decision {
 	if b.tokens-cost >= floor {
 		b.tokens -= cost
 		c.mu.Unlock()
-		c.allowed[pri+1].Add(1)
+		c.allowed[pri+1].Inc()
 		return Decision{OK: true}
 	}
 	deficit := cost - (b.tokens - floor)
 	c.mu.Unlock()
-	c.quotaRej[pri+1].Add(1)
+	c.quotaRej[pri+1].Inc()
 	return Decision{
 		Reason:     ReasonQuota,
 		RetryAfter: time.Duration(deficit / c.rate * float64(time.Second)),
@@ -296,7 +297,7 @@ func (c *Controller) evict() {
 		}
 	}
 	delete(c.buckets, victim)
-	c.evictions.Add(1)
+	c.evictions.Inc()
 }
 
 // Tenants is the number of tracked buckets.
@@ -306,42 +307,29 @@ func (c *Controller) Tenants() int {
 	return len(c.buckets)
 }
 
-// instrument registers the controller's metrics under
-// netpowerprop_admit_*.
+// instrument creates the controller's metrics under netpowerprop_admit_*.
+// A nil registry yields handles that count but are not rendered.
 func (c *Controller) instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	for _, pri := range []Priority{Low, Normal, High} {
-		pri := pri
-		reg.CounterFunc("netpowerprop_admit_allowed_total",
-			"Requests admitted past priority/quota checks.",
-			func() float64 { return float64(c.allowed[pri+1].Load()) },
-			"class", pri.String())
-		reg.CounterFunc("netpowerprop_admit_quota_rejected_total",
-			"Requests rejected by a tenant's token-bucket quota.",
-			func() float64 { return float64(c.quotaRej[pri+1].Load()) },
-			"class", pri.String())
+		c.allowed[pri+1] = reg.Counter("netpowerprop_admit_allowed_total",
+			"Requests admitted past priority/quota checks.", "class", pri.String())
+		c.quotaRej[pri+1] = reg.Counter("netpowerprop_admit_quota_rejected_total",
+			"Requests rejected by a tenant's token-bucket quota.", "class", pri.String())
 	}
-	reg.CounterFunc("netpowerprop_admit_load_shed_total",
-		"Low-priority requests shed early under queue pressure.",
-		func() float64 { return float64(c.loadShed.Load()) })
-	reg.CounterFunc("netpowerprop_admit_too_large_total",
-		"Requests rejected permanently: cost exceeds bucket capacity.",
-		func() float64 { return float64(c.tooLarge.Load()) })
-	reg.CounterFunc("netpowerprop_admit_refunded_rows_total",
-		"Rows refunded to tenant buckets after an engine shed.",
-		func() float64 { return float64(c.refunded.Load()) })
-	reg.CounterFunc("netpowerprop_admit_tenant_evictions_total",
-		"Tenant buckets evicted at the table bound.",
-		func() float64 { return float64(c.evictions.Load()) })
+	c.loadShed = reg.Counter("netpowerprop_admit_load_shed_total",
+		"Low-priority requests shed early under queue pressure.")
+	c.tooLarge = reg.Counter("netpowerprop_admit_too_large_total",
+		"Requests rejected permanently: cost exceeds bucket capacity.")
+	c.refunded = reg.Counter("netpowerprop_admit_refunded_rows_total",
+		"Rows refunded to tenant buckets after an engine shed.")
+	c.evictions = reg.Counter("netpowerprop_admit_tenant_evictions_total",
+		"Tenant buckets evicted at the table bound.")
 	reg.GaugeFunc("netpowerprop_admit_tenants",
 		"Tenant buckets currently tracked.",
 		func() float64 { return float64(c.Tenants()) })
 	reg.GaugeFunc("netpowerprop_admit_shed_threshold",
 		"Current low-priority early-shed bound on engine pending count.",
 		func() float64 { return float64(c.ShedThreshold()) })
-	reg.CounterFunc("netpowerprop_admit_shed_adaptations_total",
-		"Moves of the adaptive low-priority shed threshold.",
-		func() float64 { return float64(c.adaptations.Load()) })
+	c.adaptations = reg.Counter("netpowerprop_admit_shed_adaptations_total",
+		"Moves of the adaptive low-priority shed threshold.")
 }

@@ -146,7 +146,7 @@ func TestLowPriority(t *testing.T) {
 	if d := c.Admit("b", Normal, 1); !d.OK {
 		t.Fatalf("normal under half-full queue rejected: %+v", d)
 	}
-	if got := c.loadShed.Load(); got != 1 {
+	if got := c.loadShed.Value(); got != 1 {
 		t.Errorf("LoadShed = %d, want 1", got)
 	}
 }
@@ -201,7 +201,7 @@ func TestTooLargePermanentRejection(t *testing.T) {
 	if d.OK || d.Reason != ReasonTooLarge {
 		t.Fatalf("9 high rows against burst 4 = %+v, want too-large", d)
 	}
-	if got := c.tooLarge.Load(); got != 3 {
+	if got := c.tooLarge.Value(); got != 3 {
 		t.Errorf("TooLarge = %d, want 3", got)
 	}
 }
@@ -236,7 +236,7 @@ func TestRefund(t *testing.T) {
 		t.Errorf("refund created a bucket: %d tenants, want 1", n)
 	}
 	New(Options{}).Refund("x", Normal, 5)
-	if got := c.refunded.Load(); got != 106 {
+	if got := c.refunded.Value(); got != 106 {
 		t.Errorf("RefundedRows = %d, want 106", got)
 	}
 }
@@ -253,7 +253,7 @@ func TestTenantEviction(t *testing.T) {
 	if n := c.Tenants(); n != 3 {
 		t.Fatalf("tenants = %d, want 3 after eviction", n)
 	}
-	if got := c.evictions.Load(); got != 1 {
+	if got := c.evictions.Value(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
 	// t0 returns with a fresh (full) bucket — the cost of bounding state.

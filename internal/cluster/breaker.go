@@ -3,8 +3,9 @@ package cluster
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"netpowerprop/internal/obs"
 )
 
 // BreakerState is one peer's circuit position.
@@ -39,6 +40,9 @@ type BreakerOptions struct {
 	// Now injects the clock so breaker timing is deterministic in tests;
 	// defaults to time.Now.
 	Now func() time.Time
+	// Registry receives the netpowerprop_breaker_* metrics; nil keeps
+	// them unregistered.
+	Registry *obs.Registry
 }
 
 // Breaker is a per-peer circuit breaker for the forward/hedge path.
@@ -54,10 +58,8 @@ type Breaker struct {
 	mu    sync.Mutex
 	peers map[string]*breakerEntry
 
-	opens    atomic.Uint64
-	rejects  atomic.Uint64
-	probes   atomic.Uint64
-	recloses atomic.Uint64
+	// Lifetime totals across peers.
+	opens, rejects, probes, recloses *obs.Counter
 }
 
 type breakerEntry struct {
@@ -79,12 +81,24 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	return &Breaker{
+	b := &Breaker{
 		threshold: opts.Threshold,
 		cooldown:  opts.Cooldown,
 		now:       opts.Now,
 		peers:     make(map[string]*breakerEntry),
+		opens: opts.Registry.Counter("netpowerprop_breaker_opens_total",
+			"Circuit-breaker transitions to open (per-peer trips summed)."),
+		rejects: opts.Registry.Counter("netpowerprop_breaker_rejects_total",
+			"Forward attempts rejected without a network call by an open circuit."),
+		probes: opts.Registry.Counter("netpowerprop_breaker_probes_total",
+			"Half-open probe requests admitted."),
+		recloses: opts.Registry.Counter("netpowerprop_breaker_recloses_total",
+			"Circuits re-closed after a successful probe."),
 	}
+	opts.Registry.GaugeFunc("netpowerprop_breaker_open",
+		"Peers whose forward circuit is currently open or half-open.",
+		func() float64 { return float64(b.OpenCount()) })
+	return b
 }
 
 func (b *Breaker) entry(peer string) *breakerEntry {
@@ -111,20 +125,20 @@ func (b *Breaker) Allow(peer string) (admit, probe bool) {
 		return true, false
 	case BreakerOpen:
 		if b.now().Sub(e.openedAt) < b.cooldown {
-			b.rejects.Add(1)
+			b.rejects.Inc()
 			return false, false
 		}
 		e.state = BreakerHalfOpen
 		e.probing = true
-		b.probes.Add(1)
+		b.probes.Inc()
 		return true, true
 	default: // half-open
 		if e.probing {
-			b.rejects.Add(1)
+			b.rejects.Inc()
 			return false, false
 		}
 		e.probing = true
-		b.probes.Add(1)
+		b.probes.Inc()
 		return true, true
 	}
 }
@@ -136,7 +150,7 @@ func (b *Breaker) Success(peer string) {
 	defer b.mu.Unlock()
 	e := b.entry(peer)
 	if e.state != BreakerClosed {
-		b.recloses.Add(1)
+		b.recloses.Inc()
 	}
 	e.state = BreakerClosed
 	e.fails = 0
@@ -181,14 +195,8 @@ func (b *Breaker) open(e *breakerEntry) {
 	e.openedAt = b.now()
 	e.fails = 0
 	e.opens++
-	b.opens.Add(1)
+	b.opens.Inc()
 }
-
-// Opens, Rejects, Probes, Recloses are lifetime totals across peers.
-func (b *Breaker) Opens() uint64    { return b.opens.Load() }
-func (b *Breaker) Rejects() uint64  { return b.rejects.Load() }
-func (b *Breaker) Probes() uint64   { return b.probes.Load() }
-func (b *Breaker) Recloses() uint64 { return b.recloses.Load() }
 
 // OpenCount is how many peers are currently not closed.
 func (b *Breaker) OpenCount() int {

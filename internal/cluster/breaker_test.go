@@ -79,8 +79,8 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	if ok, _ := b.Allow("p"); ok {
 		t.Fatal("open circuit allowed a request inside cooldown")
 	}
-	if b.Opens() != 1 || b.Rejects() != 1 {
-		t.Fatalf("opens=%d rejects=%d, want 1 and 1", b.Opens(), b.Rejects())
+	if b.opens.Value() != 1 || b.rejects.Value() != 1 {
+		t.Fatalf("opens=%d rejects=%d, want 1 and 1", b.opens.Value(), b.rejects.Value())
 	}
 }
 
@@ -112,8 +112,8 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 	if got := breakerState(b, "p"); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %s, want closed", got)
 	}
-	if b.Recloses() != 1 || b.Probes() != 2 || b.Opens() != 2 {
-		t.Fatalf("recloses=%d probes=%d opens=%d, want 1/2/2", b.Recloses(), b.Probes(), b.Opens())
+	if b.recloses.Value() != 1 || b.probes.Value() != 2 || b.opens.Value() != 2 {
+		t.Fatalf("recloses=%d probes=%d opens=%d, want 1/2/2", b.recloses.Value(), b.probes.Value(), b.opens.Value())
 	}
 	if b.OpenCount() != 0 {
 		t.Fatalf("OpenCount = %d, want 0", b.OpenCount())
@@ -237,8 +237,8 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 	if st.BreakerOpen != 0 {
 		t.Fatalf("breaker_open = %d after successful probe, want 0", st.BreakerOpen)
 	}
-	if n.breaker.Recloses() != 1 {
-		t.Fatalf("recloses = %d, want 1", n.breaker.Recloses())
+	if n.breaker.recloses.Value() != 1 {
+		t.Fatalf("recloses = %d, want 1", n.breaker.recloses.Value())
 	}
 }
 

@@ -320,7 +320,7 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	if got := breakerState(n.breaker, owner); got != BreakerClosed {
 		t.Fatalf("owner state = %s after healed probe, want closed", got)
 	}
-	if got := n.breaker.Recloses(); got != 1 {
+	if got := n.breaker.recloses.Value(); got != 1 {
 		t.Fatalf("recloses = %d, want 1", got)
 	}
 }

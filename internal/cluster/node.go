@@ -94,7 +94,7 @@ type Options struct {
 	// Logger receives cluster events. Nil discards.
 	Logger *obs.Logger
 	// Registry receives netpowerprop_cluster_* and netpowerprop_breaker_*
-	// metrics. Nil skips.
+	// metrics; nil keeps them unregistered.
 	Registry *obs.Registry
 	// Chaos is the failpoint plan the forward path, the HTTP gossip
 	// exchange and the gossip receive side consult (see internal/chaos).
@@ -126,16 +126,11 @@ type Node struct {
 
 	ring atomic.Pointer[ringCache]
 
-	forwarded     atomic.Uint64
-	forwardErrors atomic.Uint64
-	hedges        atomic.Uint64
-	hedgeWins     atomic.Uint64
-	degraded      atomic.Uint64
-	retries       atomic.Uint64
-	// breakerSkips counts dispatches sent straight to local compute
-	// because the owner's circuit was open; budget exhaustions live on
-	// n.budget.
-	breakerSkips atomic.Uint64
+	// The netpowerprop_cluster_* counters. breakerSkips counts
+	// dispatches sent straight to local compute because the owner's
+	// circuit was open; budget exhaustions live on n.budget.
+	forwarded, forwardErrors, hedges, hedgeWins *obs.Counter
+	degraded, retries, breakerSkips             *obs.Counter
 }
 
 // ringCache pins a built ring to the gossip membership version it was
@@ -195,6 +190,7 @@ func New(opts Options) *Node {
 			Threshold: opts.BreakerThreshold,
 			Cooldown:  opts.BreakerCooldown,
 			Now:       opts.Now,
+			Registry:  opts.Registry,
 		}),
 		budget: NewRetryBudget(opts.RetryBudgetRatio, opts.RetryBudgetBurst),
 	}
@@ -223,29 +219,25 @@ func New(opts Options) *Node {
 		Exchange:    exchange,
 		Logger:      n.log,
 	})
-	if opts.Registry != nil {
-		n.instrument(opts.Registry)
-	}
+	n.instrument(opts.Registry)
 	return n
 }
 
-// instrument registers the netpowerprop_cluster_* metric family.
+// instrument creates the netpowerprop_cluster_* metrics. A nil registry
+// yields handles that count but are not rendered.
 func (n *Node) instrument(reg *obs.Registry) {
-	counter := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("netpowerprop_cluster_forwarded_total",
-		"Requests proxied to their owning replica.", &n.forwarded)
-	counter("netpowerprop_cluster_forward_errors_total",
-		"Cross-replica hops that failed (before any retry or degradation).", &n.forwardErrors)
-	counter("netpowerprop_cluster_hedges_total",
-		"Hedged reads launched after the owner stalled past the hedge delay.", &n.hedges)
-	counter("netpowerprop_cluster_hedge_wins_total",
-		"Hedged reads that answered before the owner.", &n.hedgeWins)
-	counter("netpowerprop_cluster_degraded_total",
-		"Requests demoted to local computation because no owner was reachable.", &n.degraded)
-	counter("netpowerprop_cluster_retries_total",
-		"Cross-replica hop retries (backoff sleeps taken).", &n.retries)
+	n.forwarded = reg.Counter("netpowerprop_cluster_forwarded_total",
+		"Requests proxied to their owning replica.")
+	n.forwardErrors = reg.Counter("netpowerprop_cluster_forward_errors_total",
+		"Cross-replica hops that failed (before any retry or degradation).")
+	n.hedges = reg.Counter("netpowerprop_cluster_hedges_total",
+		"Hedged reads launched after the owner stalled past the hedge delay.")
+	n.hedgeWins = reg.Counter("netpowerprop_cluster_hedge_wins_total",
+		"Hedged reads that answered before the owner.")
+	n.degraded = reg.Counter("netpowerprop_cluster_degraded_total",
+		"Requests demoted to local computation because no owner was reachable.")
+	n.retries = reg.Counter("netpowerprop_cluster_retries_total",
+		"Cross-replica hop retries (backoff sleeps taken).")
 	reg.CounterFunc("netpowerprop_cluster_gossip_rounds_total",
 		"Anti-entropy gossip rounds run.",
 		func() float64 { return float64(n.gossip.Rounds()) })
@@ -255,27 +247,11 @@ func (n *Node) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("netpowerprop_cluster_peers_alive",
 		"Replicas currently alive in this replica's view (self included).",
 		func() float64 { return float64(len(n.gossip.Alive())) })
-	counter("netpowerprop_cluster_breaker_skips_total",
-		"Dispatches degraded to local compute because the owner's circuit was open.",
-		&n.breakerSkips)
+	n.breakerSkips = reg.Counter("netpowerprop_cluster_breaker_skips_total",
+		"Dispatches degraded to local compute because the owner's circuit was open.")
 	reg.CounterFunc("netpowerprop_cluster_retry_budget_exhausted_total",
 		"Cross-replica retries refused by an empty per-peer retry budget.",
 		func() float64 { return float64(n.budget.Exhausted()) })
-	reg.CounterFunc("netpowerprop_breaker_opens_total",
-		"Circuit-breaker transitions to open (per-peer trips summed).",
-		func() float64 { return float64(n.breaker.Opens()) })
-	reg.CounterFunc("netpowerprop_breaker_rejects_total",
-		"Forward attempts rejected without a network call by an open circuit.",
-		func() float64 { return float64(n.breaker.Rejects()) })
-	reg.CounterFunc("netpowerprop_breaker_probes_total",
-		"Half-open probe requests admitted.",
-		func() float64 { return float64(n.breaker.Probes()) })
-	reg.CounterFunc("netpowerprop_breaker_recloses_total",
-		"Circuits re-closed after a successful probe.",
-		func() float64 { return float64(n.breaker.Recloses()) })
-	reg.GaugeFunc("netpowerprop_breaker_open",
-		"Peers whose forward circuit is currently open or half-open.",
-		func() float64 { return float64(n.breaker.OpenCount()) })
 }
 
 // normalizeAddr canonicalizes a peer address: scheme added when absent,
@@ -526,29 +502,29 @@ attempts:
 				n.log.Warn("retry budget exhausted, degrading", "owner", owner)
 				break attempts
 			}
-			n.retries.Add(1)
+			n.retries.Inc()
 		}
 		admit, probe := n.breaker.Allow(owner)
 		if !admit {
 			// Circuit open: the owner has failed consecutively and its
 			// cooldown has not elapsed. No network attempt at all.
-			n.breakerSkips.Add(1)
+			n.breakerSkips.Inc()
 			n.log.Debug("breaker open, degrading", "owner", owner)
 			break attempts
 		}
 		res, err := n.forwardHedged(ctx, ring, owner, key, req, probe)
 		if err == nil {
-			n.forwarded.Add(1)
+			n.forwarded.Inc()
 			noteRoute(ctx, RouteForwarded)
 			return res, true, nil
 		}
-		n.forwardErrors.Add(1)
+		n.forwardErrors.Inc()
 		n.log.Debug("forward failed", "owner", owner, "attempt", attempt+1, "err", err.Error())
 		if ctx.Err() != nil {
 			return nil, true, ctx.Err()
 		}
 	}
-	n.degraded.Add(1)
+	n.degraded.Inc()
 	noteRoute(ctx, RouteDegraded)
 	n.log.Warn("degrading to local compute", "owner", owner, "key_hash", hash64(key))
 	return nil, false, nil
@@ -604,7 +580,7 @@ func (n *Node) forwardHedged(ctx context.Context, ring *Ring, owner, key string,
 				n.gossip.ObserveSuccess(out.addr)
 				n.breaker.Success(out.addr)
 				if out.addr != owner {
-					n.hedgeWins.Add(1)
+					n.hedgeWins.Inc()
 				}
 				n.drainLosers(ch, inflight)
 				return out.res, nil
@@ -634,7 +610,7 @@ func (n *Node) forwardHedged(ctx context.Context, ring *Ring, owner, key string,
 				// on a peer already judged sick.
 				continue
 			}
-			n.hedges.Add(1)
+			n.hedges.Inc()
 			inflight[hedgeTarget] = probe
 			go send(hedgeTarget)
 		case <-hopCtx.Done():
@@ -777,17 +753,17 @@ func (n *Node) Status() Status {
 		Self:            n.self,
 		RingMembers:     n.Ring().Members(),
 		Peers:           n.gossip.Snapshot(),
-		Forwarded:       n.forwarded.Load(),
-		ForwardErrors:   n.forwardErrors.Load(),
-		Hedges:          n.hedges.Load(),
-		HedgeWins:       n.hedgeWins.Load(),
-		Degraded:        n.degraded.Load(),
-		Retries:         n.retries.Load(),
+		Forwarded:       n.forwarded.Value(),
+		ForwardErrors:   n.forwardErrors.Value(),
+		Hedges:          n.hedges.Value(),
+		HedgeWins:       n.hedgeWins.Value(),
+		Degraded:        n.degraded.Value(),
+		Retries:         n.retries.Value(),
 		GossipRounds:    n.gossip.Rounds(),
 		PeerDeaths:      n.gossip.Deaths(),
 		Breakers:        n.breaker.Snapshot(),
 		BreakerOpen:     n.breaker.OpenCount(),
-		BreakerSkips:    n.breakerSkips.Load(),
+		BreakerSkips:    n.breakerSkips.Value(),
 		RetryBudgets:    n.budget.Snapshot(),
 		BudgetExhausted: n.budget.Exhausted(),
 		ChaosInjected:   n.chaos.Injections(),

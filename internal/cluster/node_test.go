@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,27 @@ import (
 // fastRetry is a test retry policy that never really sleeps (the node's
 // sleeper is overridden anyway) and has no jitter.
 var fastRetry = jobs.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Max: time.Millisecond, Jitter: -1}
+
+// metric renders reg and returns the value of one series, named as it
+// renders (family name and label set, e.g. `x_total{k="v"}`).
+func metric(t *testing.T, reg *obs.Registry, series string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.Render(&b); err != nil {
+		t.Fatalf("Render: %v", err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s not rendered", series)
+	return 0
+}
 
 // newTestNode builds a Node over the given peer base URLs with retries
 // made instant and hedging disabled unless asked for.
@@ -279,7 +302,8 @@ func TestNodePrimesEngineCacheThroughRemoteHook(t *testing.T) {
 	ts := resultServer(t, func(*http.Request) { ownerCalls.Add(1) })
 	defer ts.Close()
 	n := newTestNode(t, "http://self:1", []string{ts.URL}, nil)
-	e := engine.New(engine.Options{})
+	reg := obs.NewRegistry()
+	e := engine.New(engine.Options{Registry: reg})
 	e.SetRemote(n.Dispatch)
 	// Find a whatif request owned by the remote replica.
 	var req engine.Request
@@ -306,8 +330,10 @@ func TestNodePrimesEngineCacheThroughRemoteHook(t *testing.T) {
 	if ownerCalls.Load() != 1 {
 		t.Fatalf("owner saw %d calls, want 1 (second request served from primed cache)", ownerCalls.Load())
 	}
-	if m := e.Metrics(); m.RemoteHits != 1 || m.Computations != 0 {
-		t.Fatalf("engine metrics remote_hits=%d computations=%d, want 1 and 0", m.RemoteHits, m.Computations)
+	remote := metric(t, reg, "netpowerprop_engine_remote_hits_total")
+	comps := metric(t, reg, "netpowerprop_engine_computations_total")
+	if remote != 1 || comps != 0 {
+		t.Fatalf("engine metrics remote_hits=%v computations=%v, want 1 and 0", remote, comps)
 	}
 }
 

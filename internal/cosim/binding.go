@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"netpowerprop/internal/netsim"
@@ -14,9 +13,19 @@ import (
 
 // kindCounters is one request kind's call accounting.
 type kindCounters struct {
-	calls     atomic.Uint64
-	errors    atomic.Uint64
-	fallbacks atomic.Uint64
+	calls, errors, fallbacks *obs.Counter
+}
+
+// newKindCounters creates one request kind's netpowerprop_cosim_* series.
+func newKindCounters(reg *obs.Registry, kind string) kindCounters {
+	return kindCounters{
+		calls: reg.Counter("netpowerprop_cosim_calls_total",
+			"External co-sim model calls by request kind.", "kind", kind),
+		errors: reg.Counter("netpowerprop_cosim_errors_total",
+			"Co-sim calls that returned a model or transport error.", "kind", kind),
+		fallbacks: reg.Counter("netpowerprop_cosim_fallbacks_total",
+			"Co-sim calls answered by the in-process fallback model.", "kind", kind),
+	}
 }
 
 // Binding bridges a Provider to netsim's Models hooks and owns the
@@ -32,13 +41,20 @@ type Binding struct {
 
 	latency kindCounters
 	power   kindCounters
-	rtt     atomic.Pointer[obs.Histogram]
+	rtt     *obs.Histogram
 }
 
-// Bind wraps a provider. Replay providers get both capabilities; live
-// clients contribute what their handshake declared.
-func Bind(p Provider) *Binding {
-	b := &Binding{p: p, model: "cassette", hasLatency: true, hasPower: true}
+// Bind wraps a provider and registers its netpowerprop_cosim_* metrics on
+// reg (nil keeps them unregistered). Replay providers get both
+// capabilities; live clients contribute what their handshake declared.
+func Bind(p Provider, reg *obs.Registry) *Binding {
+	b := &Binding{p: p, model: "cassette", hasLatency: true, hasPower: true,
+		latency: newKindCounters(reg, "latency"),
+		power:   newKindCounters(reg, "power"),
+		rtt: reg.Histogram("netpowerprop_cosim_rtt_seconds",
+			"Round-trip latency of external co-sim model calls.",
+			obs.DefLatencyBuckets),
+	}
 	if c, ok := p.(*Client); ok {
 		b.model = c.Model()
 		b.hasLatency = c.Has(CapLatency)
@@ -98,40 +114,16 @@ func (b *Binding) Models() *netsim.Models {
 }
 
 func (b *Binding) call(k *kindCounters, req *Request) (float64, error) {
-	k.calls.Add(1)
+	k.calls.Inc()
 	start := time.Now()
 	v, err := b.p.Call(req)
-	if h := b.rtt.Load(); h != nil {
-		h.ObserveDuration(time.Since(start))
-	}
+	b.rtt.ObserveDuration(time.Since(start))
 	if err != nil {
-		k.errors.Add(1)
-		k.fallbacks.Add(1)
+		k.errors.Inc()
+		k.fallbacks.Inc()
 		return 0, err
 	}
 	return v, nil
-}
-
-// Instrument registers the netpowerprop_cosim_* metrics on reg.
-func (b *Binding) Instrument(reg *obs.Registry) {
-	for _, kind := range []struct {
-		name string
-		k    *kindCounters
-	}{{"latency", &b.latency}, {"power", &b.power}} {
-		k := kind.k
-		reg.CounterFunc("netpowerprop_cosim_calls_total",
-			"External co-sim model calls by request kind.",
-			func() float64 { return float64(k.calls.Load()) }, "kind", kind.name)
-		reg.CounterFunc("netpowerprop_cosim_errors_total",
-			"Co-sim calls that returned a model or transport error.",
-			func() float64 { return float64(k.errors.Load()) }, "kind", kind.name)
-		reg.CounterFunc("netpowerprop_cosim_fallbacks_total",
-			"Co-sim calls answered by the in-process fallback model.",
-			func() float64 { return float64(k.fallbacks.Load()) }, "kind", kind.name)
-	}
-	b.rtt.Store(reg.Histogram("netpowerprop_cosim_rtt_seconds",
-		"Round-trip latency of external co-sim model calls.",
-		obs.DefLatencyBuckets))
 }
 
 // Close shuts down the provider (and its subprocess, when live).
@@ -157,8 +149,9 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Command != "" || c.Replay != "" }
 
 // Open builds the bound provider stack: a cassette replayer, or a
-// dialed subprocess optionally wrapped in a recorder.
-func Open(cfg Config) (*Binding, error) {
+// dialed subprocess optionally wrapped in a recorder. Its metrics go to
+// reg, as with Bind.
+func Open(cfg Config, reg *obs.Registry) (*Binding, error) {
 	if cfg.Replay != "" {
 		if cfg.Command != "" || cfg.Record != "" {
 			return nil, fmt.Errorf("cosim: -cosim-replay is exclusive with -cosim/-cosim-record")
@@ -167,7 +160,7 @@ func Open(cfg Config) (*Binding, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Bind(rp), nil
+		return Bind(rp, reg), nil
 	}
 	if cfg.Command == "" {
 		return nil, fmt.Errorf("cosim: no model command or cassette configured")
@@ -186,5 +179,5 @@ func Open(cfg Config) (*Binding, error) {
 		}
 		p = rec
 	}
-	return Bind(p), nil
+	return Bind(p, reg), nil
 }

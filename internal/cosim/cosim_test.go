@@ -155,7 +155,7 @@ func TestDesyncLatchesDead(t *testing.T) {
 // acceptance criterion.
 func TestEchoBitIdenticalThroughWire(t *testing.T) {
 	c := pipeClient(t, Echo{}, Options{})
-	b := Bind(c)
+	b := Bind(c, nil)
 	models := b.Models()
 
 	for _, req := range []netsim.LatencyRequest{
@@ -196,10 +196,10 @@ func TestEchoBitIdenticalThroughWire(t *testing.T) {
 			t.Errorf("power law %v = %v, want bit-identical %v", law, got, want)
 		}
 	}
-	if lat, pow := b.latency.calls.Load(), b.power.calls.Load(); lat == 0 || pow == 0 {
+	if lat, pow := b.latency.calls.Value(), b.power.calls.Value(); lat == 0 || pow == 0 {
 		t.Errorf("binding counted %d latency / %d power calls, want both > 0", lat, pow)
 	}
-	if lat, pow := b.latency.fallbacks.Load(), b.power.fallbacks.Load(); lat != 0 || pow != 0 {
+	if lat, pow := b.latency.fallbacks.Value(), b.power.fallbacks.Value(); lat != 0 || pow != 0 {
 		t.Errorf("unexpected fallbacks: %d latency / %d power", lat, pow)
 	}
 }
@@ -281,13 +281,13 @@ func TestRecorderReplayRoundTrip(t *testing.T) {
 }
 
 func TestOpenConfigValidation(t *testing.T) {
-	if _, err := Open(Config{}); err == nil {
+	if _, err := Open(Config{}, nil); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := Open(Config{Command: "x", Replay: "y"}); err == nil {
+	if _, err := Open(Config{Command: "x", Replay: "y"}, nil); err == nil {
 		t.Error("command+replay accepted")
 	}
-	if _, err := Open(Config{Replay: filepath.Join(t.TempDir(), "missing.jsonl")}); err == nil {
+	if _, err := Open(Config{Replay: filepath.Join(t.TempDir(), "missing.jsonl")}, nil); err == nil {
 		t.Error("missing cassette accepted")
 	}
 }
@@ -319,7 +319,7 @@ func liveBinding(t *testing.T, cassette string, perturb float64) *Binding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Bind(rec)
+	return Bind(rec, nil)
 }
 
 // The acceptance criterion, in-process: for both row-structured
@@ -349,7 +349,7 @@ func TestRecordReplayByteStability(t *testing.T) {
 			if !bytes.Equal(plain, liveOut) {
 				t.Fatalf("live echo output differs from in-process models")
 			}
-			if live.latency.calls.Load() == 0 {
+			if live.latency.calls.Value() == 0 {
 				t.Fatal("live run made no model calls")
 			}
 
@@ -357,12 +357,12 @@ func TestRecordReplayByteStability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replay := Bind(rp)
+			replay := Bind(rp, nil)
 			replayOut := scenarioBytes(t, replay.Models(), tc.scenario, tc.params)
 			if !bytes.Equal(plain, replayOut) {
 				t.Fatalf("cassette replay output differs from recorded run")
 			}
-			if lat, pow := replay.latency.fallbacks.Load(), replay.power.fallbacks.Load(); lat != 0 || pow != 0 {
+			if lat, pow := replay.latency.fallbacks.Value(), replay.power.fallbacks.Value(); lat != 0 || pow != 0 {
 				t.Fatalf("replay fell back %d/%d times, want full cassette coverage", lat, pow)
 			}
 		})
@@ -399,12 +399,12 @@ func TestTornCassetteFailsClosed(t *testing.T) {
 	if !rp.torn {
 		t.Fatal("truncated cassette not reported torn")
 	}
-	replay := Bind(rp)
+	replay := Bind(rp, nil)
 	tornOut := scenarioBytes(t, replay.Models(), "topologies", params)
 	if !bytes.Equal(plain, tornOut) {
 		t.Fatal("torn-cassette run not byte-identical to in-process models")
 	}
-	lat, pow := replay.latency.fallbacks.Load(), replay.power.fallbacks.Load()
+	lat, pow := replay.latency.fallbacks.Value(), replay.power.fallbacks.Value()
 	if lat+pow == 0 {
 		t.Fatal("torn cassette produced no counted fallbacks")
 	}

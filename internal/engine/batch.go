@@ -27,7 +27,7 @@ type BatchItem struct {
 // N independent Do calls would. Batch rows never leave this replica: the
 // batch's context is local-only, so a miss never takes the remote hook.
 func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
-	e.batches.Add(1)
+	e.batches.Inc()
 	e.batchRows.Add(uint64(len(reqs)))
 	ctx = WithLocalOnly(ctx)
 	items := make([]BatchItem, len(reqs))
@@ -69,7 +69,7 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 			e.failed(ctx, "request", reqs[d[0]].Op, it.Err)
 		} else {
 			it.Shared = true
-			e.shared.Add(1)
+			e.shared.Inc()
 		}
 		items[d[0]] = it
 	}

@@ -13,10 +13,10 @@ import (
 func waitPending(t *testing.T, e *Engine, n int64) {
 	t.Helper()
 	deadline := time.After(2 * time.Second)
-	for e.Metrics().Pending < n {
+	for e.Pending() < n {
 		select {
 		case <-deadline:
-			t.Fatalf("pending = %d, want >= %d", e.Metrics().Pending, n)
+			t.Fatalf("pending = %d, want >= %d", e.Pending(), n)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -54,12 +54,11 @@ func TestBatchMatchesDo(t *testing.T) {
 			t.Errorf("row %d differs from Do:\n batch: %s\n    do: %s", i, got, ref)
 		}
 	}
-	m := batched.Metrics()
-	if m.Batches != 1 || m.BatchRows != uint64(len(reqs)) {
-		t.Errorf("batches=%d rows=%d, want 1/%d", m.Batches, m.BatchRows, len(reqs))
+	if batched.batches.Value() != 1 || batched.batchRows.Value() != uint64(len(reqs)) {
+		t.Errorf("batches=%d rows=%d, want 1/%d", batched.batches.Value(), batched.batchRows.Value(), len(reqs))
 	}
-	if m.Computations != uint64(len(reqs)) {
-		t.Errorf("computations = %d, want %d", m.Computations, len(reqs))
+	if batched.computations.Value() != uint64(len(reqs)) {
+		t.Errorf("computations = %d, want %d", batched.computations.Value(), len(reqs))
 	}
 }
 
@@ -80,8 +79,8 @@ func TestBatchDedupesWithinBatch(t *testing.T) {
 			t.Fatalf("row %d: %v", i, it.Err)
 		}
 	}
-	if m := e.Metrics(); m.Computations != 2 {
-		t.Errorf("computations = %d, want 2 (duplicates collapsed)", m.Computations)
+	if e.computations.Value() != 2 {
+		t.Errorf("computations = %d, want 2 (duplicates collapsed)", e.computations.Value())
 	}
 	if items[0].Shared || items[3].Shared {
 		t.Errorf("first row of each group should own its computation: %+v", items)
@@ -109,8 +108,8 @@ func TestBatchServesFromCache(t *testing.T) {
 	if items[1].Cached {
 		t.Errorf("cold row reported cached: %+v", items[1])
 	}
-	if m := e.Metrics(); m.Hits != 1 || m.Misses != 2 || m.Computations != 2 {
-		t.Errorf("hits=%d misses=%d computations=%d, want 1/2/2", m.Hits, m.Misses, m.Computations)
+	if e.hits.Value() != 1 || e.misses.Value() != 2 || e.computations.Value() != 2 {
+		t.Errorf("hits=%d misses=%d computations=%d, want 1/2/2", e.hits.Value(), e.misses.Value(), e.computations.Value())
 	}
 }
 
@@ -161,8 +160,8 @@ func TestBatchPartialShed(t *testing.T) {
 	if ok != 1 || shed != 2 {
 		t.Fatalf("ok=%d shed=%d, want 1 admitted and 2 shed", ok, shed)
 	}
-	if m := e.Metrics(); m.Sheds != 2 {
-		t.Errorf("sheds = %d, want 2", m.Sheds)
+	if e.sheds.Value() != 2 {
+		t.Errorf("sheds = %d, want 2", e.sheds.Value())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -187,8 +186,8 @@ func TestBatchShedCoversDuplicates(t *testing.T) {
 		}
 	}
 	// One unique key shed once, even though two rows carried it.
-	if m := e.Metrics(); m.Sheds != 1 {
-		t.Errorf("sheds = %d, want 1", m.Sheds)
+	if e.sheds.Value() != 1 {
+		t.Errorf("sheds = %d, want 1", e.sheds.Value())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -259,12 +258,11 @@ func TestBatchCanceledContext(t *testing.T) {
 			t.Errorf("row %d = %+v, want Canceled", i, it)
 		}
 	}
-	m := e.Metrics()
-	if m.Computations != 1 {
-		t.Errorf("computations = %d, want 1 (the warm-up only)", m.Computations)
+	if e.computations.Value() != 1 {
+		t.Errorf("computations = %d, want 1 (the warm-up only)", e.computations.Value())
 	}
-	if m.Errors != 3 || m.Canceled != 3 || m.Deadlines != 0 {
-		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 3/3/0", m.Errors, m.Canceled, m.Deadlines)
+	if e.errors.Value() != 3 || e.canceled.Value() != 3 || e.deadlines.Value() != 0 {
+		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 3/3/0", e.errors.Value(), e.canceled.Value(), e.deadlines.Value())
 	}
 }
 
@@ -288,8 +286,8 @@ func TestBatchJoinsInFlightDo(t *testing.T) {
 			t.Errorf("row %d = %+v, want a shared, uncached result", i, it)
 		}
 	}
-	if m := e.Metrics(); m.Computations != 1 || m.Shared != 2 {
-		t.Errorf("computations/shared = %d/%d, want 1/2", m.Computations, m.Shared)
+	if e.computations.Value() != 1 || e.shared.Value() != 2 {
+		t.Errorf("computations/shared = %d/%d, want 1/2", e.computations.Value(), e.shared.Value())
 	}
 }
 
@@ -305,8 +303,8 @@ func TestBatchExpiredDeadline(t *testing.T) {
 			t.Errorf("row %d = %v, want DeadlineExceeded", i, it.Err)
 		}
 	}
-	if m := e.Metrics(); m.Errors != 3 || m.Deadlines != 2 || m.Canceled != 0 {
-		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 3/2/0", m.Errors, m.Deadlines, m.Canceled)
+	if e.errors.Value() != 3 || e.deadlines.Value() != 2 || e.canceled.Value() != 0 {
+		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 3/2/0", e.errors.Value(), e.deadlines.Value(), e.canceled.Value())
 	}
 }
 
@@ -316,7 +314,7 @@ func TestBatchEmpty(t *testing.T) {
 	if items := e.DoBatch(context.Background(), nil); len(items) != 0 {
 		t.Fatalf("got %d items for empty batch", len(items))
 	}
-	if m := e.Metrics(); m.Batches != 1 || m.BatchRows != 0 {
-		t.Errorf("batches=%d rows=%d, want 1/0", m.Batches, m.BatchRows)
+	if e.batches.Value() != 1 || e.batchRows.Value() != 0 {
+		t.Errorf("batches=%d rows=%d, want 1/0", e.batches.Value(), e.batchRows.Value())
 	}
 }

@@ -44,9 +44,10 @@ type Options struct {
 	// debug, sheds and deadlines at warn, recovered panics at error),
 	// each tagged with the request's trace ID. Nil discards.
 	Logger *obs.Logger
-	// Registry, when non-nil, receives every engine metric under the
+	// Registry receives every engine metric under the
 	// netpowerprop_engine_* namespace, including per-op latency
-	// histograms. Register at most one engine per registry.
+	// histograms. Register at most one engine per registry. Nil keeps the
+	// metrics unregistered.
 	Registry *obs.Registry
 	// Models, when non-nil, are the co-simulation hooks every scenario
 	// simulation attaches (see internal/cosim). Request keys do not encode
@@ -67,52 +68,25 @@ type Engine struct {
 	maxQueue int // negative: unbounded
 	models   *netsim.Models
 
-	hits         atomic.Uint64
-	misses       atomic.Uint64
-	shared       atomic.Uint64
-	computations atomic.Uint64
-	errors       atomic.Uint64
-	inFlight     atomic.Int64
-	computeNanos atomic.Int64
 	// pending counts admitted computations (queued or running); it gates
-	// load shedding and Drain. panics/sheds/deadlines are the robustness
-	// counters surfaced on /metrics; lastPanic (UnixNano) feeds Health.
+	// load shedding and Drain. inFlight counts rows holding a worker slot;
+	// lastPanic (UnixNano) feeds Health.
 	pending   atomic.Int64
-	panics    atomic.Uint64
-	sheds     atomic.Uint64
-	deadlines atomic.Uint64
-	canceled  atomic.Uint64
+	inFlight  atomic.Int64
 	lastPanic atomic.Int64
-	// rowsExecuted/rowNanos count job and stream rows run through ExecRow —
-	// the row-level execution surface internal/jobs checkpoints against.
-	rowsExecuted atomic.Uint64
-	rowNanos     atomic.Int64
-	// batches/batchRows count DoBatch calls and the rows they carried;
-	// streams/streamRows count Stream calls and the row frames they
-	// emitted — the high-throughput serving surfaces.
-	batches    atomic.Uint64
-	batchRows  atomic.Uint64
-	streams    atomic.Uint64
-	streamRows atomic.Uint64
-	// remote holds the cluster dispatch hook (see remote.go); remoteHits
-	// counts misses answered by the owning replica instead of computed
-	// locally.
-	remote     atomic.Pointer[remoteBox]
-	remoteHits atomic.Uint64
-	// opStats breaks computation count and time down by operation. The map
-	// is built once in New (one entry per registered Op) and never written
-	// afterwards, so lookups are safe without a lock.
-	opStats map[Op]*opStat
-	// log and rowHist are set by instrument (always non-nil after New).
-	log     *obs.Logger
-	rowHist *obs.Histogram
-}
-
-// opStat accumulates per-operation compute counters.
-type opStat struct {
-	count atomic.Uint64
-	nanos atomic.Int64
-	hist  *obs.Histogram
+	// remote holds the cluster dispatch hook (see remote.go).
+	remote atomic.Pointer[remoteBox]
+	// The counters and histograms behind /metrics, set by instrument
+	// (always non-nil after New). opHist holds one compute histogram per
+	// registered Op; the map is built once and never written afterwards,
+	// so lookups are safe without a lock.
+	hits, misses, shared, computations, errors *obs.Counter
+	panics, sheds, deadlines, canceled         *obs.Counter
+	rowsExecuted, batches, batchRows           *obs.Counter
+	streams, streamRows, remoteHits            *obs.Counter
+	opHist                                     map[Op]*obs.Histogram
+	rowHist                                    *obs.Histogram
+	log                                        *obs.Logger
 }
 
 // allOps lists every registered operation, for per-op metric setup.
@@ -132,10 +106,6 @@ func New(opts Options) *Engine {
 	if opts.MaxQueue == 0 {
 		opts.MaxQueue = 4 * opts.Workers
 	}
-	stats := make(map[Op]*opStat, len(allOps))
-	for _, op := range allOps {
-		stats[op] = new(opStat)
-	}
 	e := &Engine{
 		cache:    newCache(opts.CacheSize, opts.CacheShards),
 		flight:   newFlightGroup(),
@@ -143,7 +113,6 @@ func New(opts Options) *Engine {
 		workers:  opts.Workers,
 		maxQueue: opts.MaxQueue,
 		models:   opts.Models,
-		opStats:  stats,
 	}
 	for range opts.Workers {
 		e.slots <- new(netsim.Sim)
@@ -167,9 +136,29 @@ func (e *Engine) Capacity() int {
 }
 
 // Pending is the live count of admitted computations (queued or
-// running) — the cheap probe admission layers poll on every request,
-// without snapshotting the full Metrics struct.
+// running) — the cheap probe admission layers poll on every request.
 func (e *Engine) Pending() int64 { return e.pending.Load() }
+
+// MeanCompute is the mean worker time of the computations run so far, in
+// seconds; ok is false before the first one. Servers derive Retry-After
+// hints from it.
+func (e *Engine) MeanCompute() (seconds float64, ok bool) {
+	n := e.computations.Value()
+	if n == 0 {
+		return 0, false
+	}
+	return e.computeSeconds() / float64(n), true
+}
+
+// computeSeconds is the cumulative worker time of computations: the sum
+// of the per-op compute histograms, taken in allOps order.
+func (e *Engine) computeSeconds() float64 {
+	var sum float64
+	for _, op := range allOps {
+		sum += e.opHist[op].Sum()
+	}
+	return sum
+}
 
 // Do answers a request: normalize, consult the cache, collapse concurrent
 // identical queries, then plan the request and run its rows through the
@@ -192,7 +181,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool,
 func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key string, res *Result, err error) {
 	norm, err = req.Normalize()
 	if err != nil {
-		e.errors.Add(1)
+		e.errors.Inc()
 		return norm, "", nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -201,13 +190,13 @@ func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key str
 	}
 	key = norm.Key()
 	if res, ok := e.cache.Get(key); ok {
-		e.hits.Add(1)
+		e.hits.Inc()
 		if e.log.Enabled(obs.LevelDebug) {
 			e.log.Debug("cache hit", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 		}
 		return norm, key, res, nil
 	}
-	e.misses.Add(1)
+	e.misses.Inc()
 	if e.log.Enabled(obs.LevelDebug) {
 		e.log.Debug("cache miss", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 	}
@@ -222,7 +211,7 @@ func (e *Engine) miss(ctx context.Context, key string, norm Request) (res *Resul
 		return e.dispatch(ctx, key, norm)
 	})
 	if shared {
-		e.shared.Add(1)
+		e.shared.Inc()
 	}
 	if err != nil {
 		e.failed(ctx, "request", norm.Op, err)
@@ -268,13 +257,10 @@ func (e *Engine) compute(ctx context.Context, key string, req Request) (*Result,
 		return nil, err
 	}
 	res, busy, err := e.runPlan(ctx, plan)
-	e.computeNanos.Add(int64(busy))
-	if st := e.opStats[req.Op]; st != nil {
-		st.count.Add(1)
-		st.nanos.Add(int64(busy))
-		st.hist.ObserveDuration(busy)
+	if h := e.opHist[req.Op]; h != nil {
+		h.ObserveDuration(busy)
 	}
-	e.computations.Add(1)
+	e.computations.Inc()
 	if err == nil {
 		e.cache.Add(key, res)
 	}
@@ -357,7 +343,7 @@ func (e *Engine) execRow(ctx context.Context, p *RowPlan, i int) (v any, elapsed
 		if r := recover(); r != nil {
 			pe := &PanicError{Val: r, Stack: debug.Stack()}
 			v, err = nil, pe
-			e.panics.Add(1)
+			e.panics.Inc()
 			e.lastPanic.Store(time.Now().UnixNano())
 			e.log.Error("panic recovered in computation",
 				"trace", obs.TraceID(ctx), "op", string(p.req.Op), "row", i, "panic", pe.Val)
@@ -385,8 +371,7 @@ func (e *Engine) ExecRow(ctx context.Context, p *RowPlan, i int) (json.RawMessag
 	}
 	v, elapsed, err := e.execRow(ctx, p, i)
 	if elapsed > 0 || err == nil { // a row canceled while queued never ran
-		e.rowNanos.Add(int64(elapsed))
-		e.rowsExecuted.Add(1)
+		e.rowsExecuted.Inc()
 		e.rowHist.ObserveDuration(elapsed)
 	}
 	if err != nil {
@@ -404,100 +389,4 @@ func (e *Engine) Prime(key string, res *Result) {
 		return
 	}
 	e.cache.Add(key, res)
-}
-
-// Metrics is a point-in-time snapshot of the engine's counters.
-type Metrics struct {
-	// Hits counts requests answered from the cache.
-	Hits uint64
-	// Misses counts requests that had to wait on a computation.
-	Misses uint64
-	// Shared counts misses that piggybacked on another request's
-	// in-flight computation (singleflight).
-	Shared uint64
-	// Computations counts computations actually run.
-	Computations uint64
-	// Errors counts failed requests (bad input or canceled).
-	Errors uint64
-	// Evictions counts cache entries displaced by LRU pressure.
-	Evictions uint64
-	// InFlight is the number of rows computing in a worker slot right now.
-	InFlight int64
-	// Pending counts admitted computations, queued or running.
-	Pending int64
-	// Panics counts computations that panicked and were recovered.
-	Panics uint64
-	// Sheds counts requests rejected by the bounded queue (ErrOverloaded).
-	Sheds uint64
-	// Deadlines counts requests that failed with a deadline exceeded.
-	Deadlines uint64
-	// Canceled counts requests abandoned because the caller canceled
-	// (typically a client disconnect), distinct from Deadlines.
-	Canceled uint64
-	// RowsExecuted counts job and stream rows run through ExecRow.
-	RowsExecuted uint64
-	// RowSeconds is the cumulative compute time spent in job and stream
-	// rows.
-	RowSeconds float64
-	// Batches counts DoBatch calls; BatchRows the rows they carried.
-	Batches   uint64
-	BatchRows uint64
-	// Streams counts Stream calls; StreamRows the row frames emitted.
-	Streams    uint64
-	StreamRows uint64
-	// RemoteHits counts misses answered by the owning cluster replica
-	// through the remote-dispatch hook instead of computed locally.
-	RemoteHits uint64
-	// CacheEntries is the current cache population.
-	CacheEntries int
-	// ComputeSeconds is the cumulative worker time of computations: the
-	// time their rows held a slot, so a request whose rows ran side by
-	// side counts each row.
-	ComputeSeconds float64
-	// PerOp breaks Computations and ComputeSeconds down by operation.
-	// Every registered op has an entry, even if never exercised.
-	PerOp map[Op]OpMetrics
-}
-
-// OpMetrics is the per-operation slice of the compute counters.
-type OpMetrics struct {
-	// Count is how many computations ran for this op.
-	Count uint64
-	// Seconds is the cumulative computation time for this op.
-	Seconds float64
-}
-
-// Metrics snapshots the engine's counters.
-func (e *Engine) Metrics() Metrics {
-	perOp := make(map[Op]OpMetrics, len(e.opStats))
-	for op, st := range e.opStats {
-		perOp[op] = OpMetrics{
-			Count:   st.count.Load(),
-			Seconds: float64(st.nanos.Load()) / 1e9,
-		}
-	}
-	return Metrics{
-		Hits:           e.hits.Load(),
-		Misses:         e.misses.Load(),
-		Shared:         e.shared.Load(),
-		Computations:   e.computations.Load(),
-		Errors:         e.errors.Load(),
-		Evictions:      e.cache.Evictions(),
-		InFlight:       e.inFlight.Load(),
-		Pending:        e.pending.Load(),
-		Panics:         e.panics.Load(),
-		Sheds:          e.sheds.Load(),
-		Deadlines:      e.deadlines.Load(),
-		Canceled:       e.canceled.Load(),
-		RowsExecuted:   e.rowsExecuted.Load(),
-		RowSeconds:     float64(e.rowNanos.Load()) / 1e9,
-		Batches:        e.batches.Load(),
-		BatchRows:      e.batchRows.Load(),
-		Streams:        e.streams.Load(),
-		StreamRows:     e.streamRows.Load(),
-		RemoteHits:     e.remoteHits.Load(),
-		CacheEntries:   e.cache.Len(),
-		ComputeSeconds: float64(e.computeNanos.Load()) / 1e9,
-		PerOp:          perOp,
-	}
 }

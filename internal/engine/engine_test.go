@@ -135,8 +135,8 @@ func TestNonFiniteRejected(t *testing.T) {
 			t.Errorf("%s: Do succeeded, want an error", c.name)
 		}
 	}
-	if m := e.Metrics(); m.Errors != uint64(len(cases)) {
-		t.Errorf("errors = %d, want %d", m.Errors, len(cases))
+	if e.errors.Value() != uint64(len(cases)) {
+		t.Errorf("errors = %d, want %d", e.errors.Value(), len(cases))
 	}
 }
 
@@ -244,9 +244,9 @@ func TestCacheHit(t *testing.T) {
 	if res == nil {
 		t.Fatal("nil cached result")
 	}
-	m := e.Metrics()
-	if m.Hits != 1 || m.Misses != 1 || m.Computations != 1 {
-		t.Errorf("metrics = %+v, want 1 hit / 1 miss / 1 computation", m)
+	if e.hits.Value() != 1 || e.misses.Value() != 1 || e.computations.Value() != 1 {
+		t.Errorf("hits/misses/computations = %d/%d/%d, want 1/1/1",
+			e.hits.Value(), e.misses.Value(), e.computations.Value())
 	}
 }
 
@@ -274,12 +274,11 @@ func TestSingleflightCollapse(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", i, err)
 		}
 	}
-	m := e.Metrics()
-	if m.Computations != 1 {
-		t.Errorf("computations = %d, want 1 (singleflight should collapse identical queries)", m.Computations)
+	if e.computations.Value() != 1 {
+		t.Errorf("computations = %d, want 1 (singleflight should collapse identical queries)", e.computations.Value())
 	}
-	if m.Hits+m.Misses != n {
-		t.Errorf("hits %d + misses %d != %d requests", m.Hits, m.Misses, n)
+	if e.hits.Value()+e.misses.Value() != n {
+		t.Errorf("hits %d + misses %d != %d requests", e.hits.Value(), e.misses.Value(), n)
 	}
 }
 
@@ -290,15 +289,14 @@ func TestLRUEvictionBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		do(t, e, Request{Op: OpWhatIf, GPUs: 1024 + 128*i})
 	}
-	m := e.Metrics()
-	if m.CacheEntries > 4 {
-		t.Errorf("cache entries %d exceed capacity 4", m.CacheEntries)
+	if e.cache.Len() > 4 {
+		t.Errorf("cache entries %d exceed capacity 4", e.cache.Len())
 	}
-	if m.Evictions < 6 {
-		t.Errorf("evictions = %d, want >= 6", m.Evictions)
+	if e.cache.Evictions() < 6 {
+		t.Errorf("evictions = %d, want >= 6", e.cache.Evictions())
 	}
-	if m.Computations != 10 {
-		t.Errorf("computations = %d, want 10", m.Computations)
+	if e.computations.Value() != 10 {
+		t.Errorf("computations = %d, want 10", e.computations.Value())
 	}
 }
 
@@ -312,8 +310,8 @@ func TestContextCanceled(t *testing.T) {
 	if _, _, err := e.Do(ctx, Request{Op: OpWhatIf}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Do with canceled context = %v, want Canceled", err)
 	}
-	if m := e.Metrics(); m.Errors != 1 || m.Canceled != 1 || m.Deadlines != 0 {
-		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 1/1/0", m.Errors, m.Canceled, m.Deadlines)
+	if e.errors.Value() != 1 || e.canceled.Value() != 1 || e.deadlines.Value() != 0 {
+		t.Errorf("errors/canceled/deadlines = %d/%d/%d, want 1/1/0", e.errors.Value(), e.canceled.Value(), e.deadlines.Value())
 	}
 }
 
@@ -324,8 +322,8 @@ func TestContextDeadlineExpired(t *testing.T) {
 	if _, _, err := e.Do(ctx, Request{Op: OpWhatIf}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Do with expired deadline = %v, want DeadlineExceeded", err)
 	}
-	if m := e.Metrics(); m.Errors != 1 || m.Deadlines != 1 || m.Canceled != 0 {
-		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 1/1/0", m.Errors, m.Deadlines, m.Canceled)
+	if e.errors.Value() != 1 || e.deadlines.Value() != 1 || e.canceled.Value() != 0 {
+		t.Errorf("errors/deadlines/canceled = %d/%d/%d, want 1/1/0", e.errors.Value(), e.deadlines.Value(), e.canceled.Value())
 	}
 }
 
@@ -334,8 +332,8 @@ func TestDoInvalidRequest(t *testing.T) {
 	if _, _, err := e.Do(context.Background(), Request{Op: "bogus"}); err == nil {
 		t.Error("expected error for unknown op")
 	}
-	if m := e.Metrics(); m.Errors != 1 {
-		t.Errorf("errors = %d, want 1", m.Errors)
+	if e.errors.Value() != 1 {
+		t.Errorf("errors = %d, want 1", e.errors.Value())
 	}
 }
 
@@ -364,14 +362,13 @@ func TestStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	m := e.Metrics()
-	if m.Hits+m.Misses != goroutines*iters {
-		t.Errorf("hits %d + misses %d != %d requests", m.Hits, m.Misses, goroutines*iters)
+	if e.hits.Value()+e.misses.Value() != goroutines*iters {
+		t.Errorf("hits %d + misses %d != %d requests", e.hits.Value(), e.misses.Value(), goroutines*iters)
 	}
-	if m.CacheEntries > 8 {
-		t.Errorf("cache entries %d exceed capacity 8", m.CacheEntries)
+	if e.cache.Len() > 8 {
+		t.Errorf("cache entries %d exceed capacity 8", e.cache.Len())
 	}
-	if m.InFlight != 0 {
-		t.Errorf("in-flight = %d after quiescence", m.InFlight)
+	if e.inFlight.Load() != 0 {
+		t.Errorf("in-flight = %d after quiescence", e.inFlight.Load())
 	}
 }

@@ -35,7 +35,7 @@ func (p *PanicError) Error() string {
 func (e *Engine) admit(ctx context.Context, what string, op Op) bool {
 	if p := e.pending.Add(1); e.maxQueue >= 0 && p > int64(e.workers+e.maxQueue) {
 		e.pending.Add(-1)
-		e.sheds.Add(1)
+		e.sheds.Inc()
 		e.log.Warn(what+" shed", "trace", obs.TraceID(ctx), "op", string(op),
 			"pending", p-1, "workers", e.workers, "maxqueue", e.maxQueue)
 		return false
@@ -47,13 +47,13 @@ func (e *Engine) admit(ctx context.Context, what string, op Op) bool {
 // otherwise canceled) is not a deadline: the two are counted apart so
 // overload diagnosis does not conflate them.
 func (e *Engine) failed(ctx context.Context, what string, op Op, err error) {
-	e.errors.Add(1)
+	e.errors.Inc()
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		e.deadlines.Add(1)
+		e.deadlines.Inc()
 		e.log.Warn(what+" deadline exceeded", "trace", obs.TraceID(ctx), "op", string(op))
 	case errors.Is(err, context.Canceled):
-		e.canceled.Add(1)
+		e.canceled.Inc()
 		e.log.Debug(what+" canceled", "trace", obs.TraceID(ctx), "op", string(op))
 	}
 }

@@ -27,9 +27,8 @@ func TestPanicRecovered(t *testing.T) {
 	if len(pe.Stack) == 0 {
 		t.Error("recovered panic carries no stack")
 	}
-	m := e.Metrics()
-	if m.Panics != 1 {
-		t.Errorf("panics = %d, want 1", m.Panics)
+	if e.panics.Value() != 1 {
+		t.Errorf("panics = %d, want 1", e.panics.Value())
 	}
 	h := e.Health(time.Minute)
 	if h.Status != "degraded" || !strings.Contains(h.Reason, "panic") {
@@ -54,8 +53,8 @@ func TestPanicInRowWorker(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
 	}
-	if m := e.Metrics(); m.Panics != 1 {
-		t.Errorf("panics = %d, want 1", m.Panics)
+	if e.panics.Value() != 1 {
+		t.Errorf("panics = %d, want 1", e.panics.Value())
 	}
 }
 
@@ -84,10 +83,10 @@ func TestLoadShedding(t *testing.T) {
 	close(release)
 	// Wait until both are admitted (pending == 2).
 	deadline := time.After(2 * time.Second)
-	for e.Metrics().Pending < 2 {
+	for e.Pending() < 2 {
 		select {
 		case <-deadline:
-			t.Fatalf("pending = %d, want 2", e.Metrics().Pending)
+			t.Fatalf("pending = %d, want 2", e.Pending())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -95,8 +94,8 @@ func TestLoadShedding(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
-	if m := e.Metrics(); m.Sheds != 1 {
-		t.Errorf("sheds = %d, want 1", m.Sheds)
+	if e.sheds.Value() != 1 {
+		t.Errorf("sheds = %d, want 1", e.sheds.Value())
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-done; err != nil {
@@ -125,8 +124,8 @@ func TestDeadlinePropagation(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	if m := e.Metrics(); m.Deadlines != 1 {
-		t.Errorf("deadlines = %d, want 1", m.Deadlines)
+	if e.deadlines.Value() != 1 {
+		t.Errorf("deadlines = %d, want 1", e.deadlines.Value())
 	}
 	// The abandoned computation eventually finishes and frees the pool.
 	drainCtx, dcancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -144,7 +143,7 @@ func TestDrain(t *testing.T) {
 	}
 	go e.Do(context.Background(), chaosReq(map[string]float64{"sleep": 30})) //nolint:errcheck
 	deadline := time.After(2 * time.Second)
-	for e.Metrics().Pending == 0 {
+	for e.Pending() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("slow request never admitted")
@@ -169,10 +168,10 @@ func TestHealthSaturation(t *testing.T) {
 		go e.Do(context.Background(), chaosReq(map[string]float64{"sleep": sleep})) //nolint:errcheck
 	}
 	deadline := time.After(2 * time.Second)
-	for e.Metrics().Pending < 2 {
+	for e.Pending() < 2 {
 		select {
 		case <-deadline:
-			t.Fatalf("pending = %d, want >= 2", e.Metrics().Pending)
+			t.Fatalf("pending = %d, want >= 2", e.Pending())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -202,7 +201,7 @@ func TestUnboundedQueue(t *testing.T) {
 			t.Errorf("request failed: %v", err)
 		}
 	}
-	if m := e.Metrics(); m.Sheds != 0 {
-		t.Errorf("sheds = %d, want 0", m.Sheds)
+	if e.sheds.Value() != 0 {
+		t.Errorf("sheds = %d, want 0", e.sheds.Value())
 	}
 }

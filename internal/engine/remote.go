@@ -76,7 +76,7 @@ func (e *Engine) dispatch(ctx context.Context, key string, norm Request) (*Resul
 			if err != nil {
 				return nil, err
 			}
-			e.remoteHits.Add(1)
+			e.remoteHits.Inc()
 			// Prime so the next identical query is a local cache hit —
 			// proxied results are as authoritative as local ones (both
 			// replicas run the same deterministic computation).

@@ -43,10 +43,10 @@ func TestRemoteHandledPrimesCache(t *testing.T) {
 	if cached {
 		t.Error("remote answer reported cached=true on first fetch")
 	}
-	if got := e.Metrics().RemoteHits; got != 1 {
+	if got := e.remoteHits.Value(); got != 1 {
 		t.Errorf("RemoteHits = %d, want 1", got)
 	}
-	if got := e.Metrics().Computations; got != 0 {
+	if got := e.computations.Value(); got != 0 {
 		t.Errorf("Computations = %d, want 0 — the owner computed, not us", got)
 	}
 
@@ -76,10 +76,10 @@ func TestRemoteUnhandledFallsBackToLocal(t *testing.T) {
 	if res == nil || res.Cluster == nil {
 		t.Fatal("local fallback produced no cluster summary")
 	}
-	if got := e.Metrics().RemoteHits; got != 0 {
+	if got := e.remoteHits.Value(); got != 0 {
 		t.Errorf("RemoteHits = %d, want 0 for unhandled dispatch", got)
 	}
-	if got := e.Metrics().Computations; got != 1 {
+	if got := e.computations.Value(); got != 1 {
 		t.Errorf("Computations = %d, want 1", got)
 	}
 }
@@ -141,9 +141,8 @@ func TestRemoteBatchStaysLocal(t *testing.T) {
 	if items[0].Err != nil {
 		t.Fatalf("DoBatch: %v", items[0].Err)
 	}
-	m := e.Metrics()
-	if got := calls.Load(); got != 0 || m.RemoteHits != 0 || m.Computations != 1 {
-		t.Errorf("hook calls/remote hits/computations = %d/%d/%d, want 0/0/1", got, m.RemoteHits, m.Computations)
+	if got := calls.Load(); got != 0 || e.remoteHits.Value() != 0 || e.computations.Value() != 1 {
+		t.Errorf("hook calls/remote hits/computations = %d/%d/%d, want 0/0/1", got, e.remoteHits.Value(), e.computations.Value())
 	}
 	if _, _, err := e.Do(context.Background(), Request{Op: OpWhatIf, GPUs: 4096}); err != nil {
 		t.Fatalf("Do: %v", err)

@@ -175,12 +175,11 @@ func TestExecRowPanicContained(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking row returned %v, want *PanicError", err)
 	}
-	m := e.Metrics()
-	if m.Panics != 1 {
-		t.Errorf("Panics = %d, want 1", m.Panics)
+	if e.panics.Value() != 1 {
+		t.Errorf("Panics = %d, want 1", e.panics.Value())
 	}
-	if m.RowsExecuted != 2 {
-		t.Errorf("RowsExecuted = %d, want 2", m.RowsExecuted)
+	if e.rowsExecuted.Value() != 2 {
+		t.Errorf("RowsExecuted = %d, want 2", e.rowsExecuted.Value())
 	}
 }
 

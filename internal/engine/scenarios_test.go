@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"netpowerprop/internal/netsim"
+	"netpowerprop/internal/obs"
 	"netpowerprop/internal/topo"
 )
 
@@ -168,10 +170,12 @@ func TestTopologiesRejects(t *testing.T) {
 	}
 }
 
-// TestPerOpMetrics: computations are attributed to their op, and every
-// registered op has an entry even when idle.
+// TestPerOpMetrics: computations are attributed to their op, every
+// registered op has a series even when idle, and the compute total is the
+// sum of the per-op histograms.
 func TestPerOpMetrics(t *testing.T) {
-	e := New(Options{})
+	reg := obs.NewRegistry()
+	e := New(Options{Registry: reg})
 	if _, _, err := e.Do(context.Background(), Request{Op: OpWhatIf}); err != nil {
 		t.Fatal(err)
 	}
@@ -181,27 +185,26 @@ func TestPerOpMetrics(t *testing.T) {
 	if _, _, err := e.Do(context.Background(), Request{Op: OpCost}); err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
-	if len(m.PerOp) != len(allOps) {
-		t.Errorf("PerOp has %d entries, want %d", len(m.PerOp), len(allOps))
+	var b strings.Builder
+	if err := reg.Render(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.PerOp[OpWhatIf].Count; got != 1 {
-		t.Errorf("whatif count = %d, want 1", got)
+	out := b.String()
+	for _, op := range allOps {
+		want := 0
+		if op == OpWhatIf || op == OpCost {
+			want = 1
+		}
+		line := fmt.Sprintf("netpowerprop_engine_compute_duration_seconds_count{op=%q} %d\n", op, want)
+		if !strings.Contains(out, line) {
+			t.Errorf("metrics missing %q", line)
+		}
 	}
-	if got := m.PerOp[OpCost].Count; got != 1 {
-		t.Errorf("cost count = %d, want 1", got)
+	if got := e.computations.Value(); got != 2 {
+		t.Errorf("computations = %d, want 2", got)
 	}
-	if got := m.PerOp[OpTable3].Count; got != 0 {
-		t.Errorf("idle table3 count = %d, want 0", got)
-	}
-	if m.PerOp[OpWhatIf].Seconds < 0 {
-		t.Errorf("negative whatif seconds %v", m.PerOp[OpWhatIf].Seconds)
-	}
-	var sum uint64
-	for _, st := range m.PerOp {
-		sum += st.Count
-	}
-	if sum != m.Computations {
-		t.Errorf("per-op counts sum to %d, total computations %d", sum, m.Computations)
+	mean, ok := e.MeanCompute()
+	if sum := e.opHist[OpWhatIf].Sum() + e.opHist[OpCost].Sum(); !ok || mean != sum/2 {
+		t.Errorf("MeanCompute = %v, %v; want %v, true", mean, ok, sum/2)
 	}
 }

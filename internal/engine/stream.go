@@ -25,16 +25,16 @@ import (
 func (e *Engine) Stream(ctx context.Context, req Request, emit func(i int, data json.RawMessage) error) (*Result, error) {
 	plan, err := e.Plan(req)
 	if err != nil {
-		e.errors.Add(1)
+		e.errors.Inc()
 		return nil, err
 	}
-	e.streams.Add(1)
+	e.streams.Inc()
 
 	// One pending slot covers the whole stream: rows run sequentially, so
 	// the stream occupies at most one worker at a time, and Drain waits
 	// for in-progress streams like any other admitted computation.
 	if !e.admit(ctx, "stream", plan.req.Op) {
-		e.errors.Add(1)
+		e.errors.Inc()
 		return nil, ErrOverloaded
 	}
 	// A disconnected streaming client never blocks Drain: ExecRow holds a
@@ -53,7 +53,7 @@ func (e *Engine) Stream(ctx context.Context, req Request, emit func(i int, data 
 			return fail(err)
 		}
 		rows[i] = data
-		e.streamRows.Add(1)
+		e.streamRows.Inc()
 		if err := emit(i, data); err != nil {
 			// The sink failed mid-stream (client went away): surface it as
 			// a cancellation so overload diagnosis does not conflate dead
@@ -68,7 +68,7 @@ func (e *Engine) Stream(ctx context.Context, req Request, emit func(i int, data 
 	}
 	res, err := plan.Assemble(rows, nil)
 	if err != nil {
-		e.errors.Add(1)
+		e.errors.Inc()
 		return nil, err
 	}
 	e.Prime(plan.Key(), res)

@@ -62,9 +62,8 @@ func TestStreamMatchesDo(t *testing.T) {
 			if _, cached, err := streamed.Do(context.Background(), req); err != nil || !cached {
 				t.Errorf("post-stream Do cached=%v err=%v, want cache hit", cached, err)
 			}
-			m := streamed.Metrics()
-			if m.Streams != 1 || m.StreamRows != uint64(plan.Rows()) {
-				t.Errorf("streams=%d streamRows=%d, want 1/%d", m.Streams, m.StreamRows, plan.Rows())
+			if streamed.streams.Value() != 1 || streamed.streamRows.Value() != uint64(plan.Rows()) {
+				t.Errorf("streams=%d streamRows=%d, want 1/%d", streamed.streams.Value(), streamed.streamRows.Value(), plan.Rows())
 			}
 		})
 	}
@@ -91,12 +90,11 @@ func TestStreamCancelMidStream(t *testing.T) {
 	if seen < 2 || seen >= 6 {
 		t.Fatalf("saw %d rows, want at least 2 and fewer than 6", seen)
 	}
-	m := e.Metrics()
-	if m.Canceled != 1 || m.Deadlines != 0 {
-		t.Errorf("canceled=%d deadlines=%d, want 1/0", m.Canceled, m.Deadlines)
+	if e.canceled.Value() != 1 || e.deadlines.Value() != 0 {
+		t.Errorf("canceled=%d deadlines=%d, want 1/0", e.canceled.Value(), e.deadlines.Value())
 	}
-	if m.Pending != 0 {
-		t.Errorf("pending = %d after canceled stream, want 0", m.Pending)
+	if e.Pending() != 0 {
+		t.Errorf("pending = %d after canceled stream, want 0", e.Pending())
 	}
 	dctx, dcancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer dcancel()
@@ -116,8 +114,8 @@ func TestStreamDeadlineMidStream(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Stream = %v, want DeadlineExceeded", err)
 	}
-	if m := e.Metrics(); m.Deadlines != 1 || m.Canceled != 0 {
-		t.Errorf("deadlines=%d canceled=%d, want 1/0", m.Deadlines, m.Canceled)
+	if e.deadlines.Value() != 1 || e.canceled.Value() != 0 {
+		t.Errorf("deadlines=%d canceled=%d, want 1/0", e.deadlines.Value(), e.canceled.Value())
 	}
 }
 
@@ -135,8 +133,8 @@ func TestStreamEmitError(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Stream with failing sink = %v, want context.Canceled", err)
 	}
-	if m := e.Metrics(); m.Canceled != 1 {
-		t.Errorf("canceled = %d, want 1", m.Canceled)
+	if e.canceled.Value() != 1 {
+		t.Errorf("canceled = %d, want 1", e.canceled.Value())
 	}
 }
 
@@ -169,8 +167,8 @@ func TestStreamShedUnderOverload(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Stream under overload = %v, want ErrOverloaded", err)
 	}
-	if m := e.Metrics(); m.Sheds != 1 {
-		t.Errorf("sheds = %d, want 1", m.Sheds)
+	if e.sheds.Value() != 1 {
+		t.Errorf("sheds = %d, want 1", e.sheds.Value())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -191,7 +189,7 @@ func TestStreamCountsRowsExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := e.Metrics(); frames == 0 || m.RowsExecuted != uint64(frames) {
-		t.Errorf("RowsExecuted = %d, want the %d streamed rows", m.RowsExecuted, frames)
+	if frames == 0 || e.rowsExecuted.Value() != uint64(frames) {
+		t.Errorf("RowsExecuted = %d, want the %d streamed rows", e.rowsExecuted.Value(), frames)
 	}
 }

@@ -114,9 +114,9 @@ type Options struct {
 	// Chaos is the failpoint plan the journal and lease writes consult
 	// (see internal/chaos). Nil — the default — injects nothing.
 	Chaos *chaos.Plan
-	// Registry, when non-nil, receives every jobs metric under the
-	// netpowerprop_jobs_* namespace, including a row-latency histogram.
-	// Register at most one manager per registry.
+	// Registry receives every jobs metric under the netpowerprop_jobs_*
+	// namespace, including a row-latency histogram. Register at most one
+	// manager per registry. Nil keeps the metrics unregistered.
 	Registry *obs.Registry
 	// Owner, when non-empty, enables the owner-lease protocol for a
 	// journal directory shared between replicas: this manager only
@@ -155,23 +155,16 @@ type Manager struct {
 	jobs   map[string]*job
 	closed bool
 
-	submitted   atomic.Uint64
-	completed   atomic.Uint64
-	degradedN   atomic.Uint64
-	canceledN   atomic.Uint64
-	recovered   atomic.Uint64
-	resumed     atomic.Uint64
-	rowsDone    atomic.Uint64
-	rowRetries  atomic.Uint64
-	rowFailures atomic.Uint64
-	adopted     atomic.Uint64
+	// The netpowerprop_jobs_* counters, set by instrument.
+	submitted, completed, degradedN, canceledN, recovered *obs.Counter
+	resumed, rowsDone, rowRetries, rowFailures, adopted   *obs.Counter
+	journalErrs                                           *obs.Counter
 
 	// journalErr latches the first journal append failure. Once set the
 	// manager is journal-degraded: Submit refuses new durable work (the
 	// node cannot keep its durability promises) while in-flight state
 	// stays queryable and compute-only traffic is unaffected.
-	journalErr  atomic.Pointer[error]
-	journalErrs atomic.Uint64
+	journalErr atomic.Pointer[error]
 }
 
 // job is one durable unit of work.
@@ -278,42 +271,34 @@ func Open(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// instrument registers the manager's metrics under netpowerprop_jobs_*.
-// The histogram exists even without a registry so observations are
-// always safe.
+// instrument creates the manager's metrics under netpowerprop_jobs_*. A
+// nil registry yields handles that count but are not rendered.
 func (m *Manager) instrument(reg *obs.Registry) {
-	if reg == nil {
-		m.rowHist = obs.NewHistogram(obs.DefLatencyBuckets)
-		return
-	}
 	m.rowHist = reg.Histogram("netpowerprop_jobs_row_duration_seconds",
 		"Latency of one job-row attempt, including engine queueing.",
 		obs.DefLatencyBuckets)
-	counter := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("netpowerprop_jobs_submitted_total",
-		"Jobs accepted by Submit (new runs only).", &m.submitted)
-	counter("netpowerprop_jobs_completed_total",
-		"Jobs finishing with every row successful.", &m.completed)
-	counter("netpowerprop_jobs_degraded_total",
-		"Jobs finishing with at least one failed row.", &m.degradedN)
-	counter("netpowerprop_jobs_canceled_total",
-		"Jobs canceled before completion.", &m.canceledN)
-	counter("netpowerprop_jobs_recovered_total",
-		"Incomplete jobs reloaded from journals at Open.", &m.recovered)
-	counter("netpowerprop_jobs_resumed_total",
-		"Interrupted jobs restarted by ResumeAll or Submit.", &m.resumed)
-	counter("netpowerprop_jobs_rows_done_total",
-		"Rows checkpointed (payloads and exhausted markers).", &m.rowsDone)
-	counter("netpowerprop_jobs_row_retries_total",
-		"Row attempts beyond the first.", &m.rowRetries)
-	counter("netpowerprop_jobs_row_failures_total",
-		"Rows that exhausted their retries.", &m.rowFailures)
-	counter("netpowerprop_jobs_adopted_total",
-		"Journals adopted from other replicas via the lease protocol.", &m.adopted)
-	counter("netpowerprop_jobs_journal_errors_total",
-		"Journal append/fsync failures observed.", &m.journalErrs)
+	m.submitted = reg.Counter("netpowerprop_jobs_submitted_total",
+		"Jobs accepted by Submit (new runs only).")
+	m.completed = reg.Counter("netpowerprop_jobs_completed_total",
+		"Jobs finishing with every row successful.")
+	m.degradedN = reg.Counter("netpowerprop_jobs_degraded_total",
+		"Jobs finishing with at least one failed row.")
+	m.canceledN = reg.Counter("netpowerprop_jobs_canceled_total",
+		"Jobs canceled before completion.")
+	m.recovered = reg.Counter("netpowerprop_jobs_recovered_total",
+		"Incomplete jobs reloaded from journals at Open.")
+	m.resumed = reg.Counter("netpowerprop_jobs_resumed_total",
+		"Interrupted jobs restarted by ResumeAll or Submit.")
+	m.rowsDone = reg.Counter("netpowerprop_jobs_rows_done_total",
+		"Rows checkpointed (payloads and exhausted markers).")
+	m.rowRetries = reg.Counter("netpowerprop_jobs_row_retries_total",
+		"Row attempts beyond the first.")
+	m.rowFailures = reg.Counter("netpowerprop_jobs_row_failures_total",
+		"Rows that exhausted their retries.")
+	m.adopted = reg.Counter("netpowerprop_jobs_adopted_total",
+		"Journals adopted from other replicas via the lease protocol.")
+	m.journalErrs = reg.Counter("netpowerprop_jobs_journal_errors_total",
+		"Journal append/fsync failures observed.")
 	reg.GaugeFunc("netpowerprop_jobs_journal_degraded",
 		"1 once a journal append has failed and new jobs are refused.",
 		func() float64 {
@@ -342,7 +327,7 @@ func (m *Manager) noteJournalErr(where string, err error) {
 	if err == nil || (!errors.Is(err, ErrJournalWrite) && !errors.Is(err, ErrJournalSync)) {
 		return
 	}
-	m.journalErrs.Add(1)
+	m.journalErrs.Inc()
 	e := err
 	if m.journalErr.CompareAndSwap(nil, &e) {
 		m.log.Error("journal degraded, refusing new jobs", "where", where, "cause", err)
@@ -447,7 +432,7 @@ func (m *Manager) recoverFile(path string) (string, error) {
 		close(j.doneCh)
 	default:
 		j.state = StateInterrupted
-		m.recovered.Add(1)
+		m.recovered.Inc()
 		m.log.Info("job recovered", "job", j.id, "key", j.key,
 			"rows_done", j.done, "rows", plan.Rows(), "trace", j.trace)
 	}
@@ -572,7 +557,7 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 			j.mu.Lock()
 			st := j.state
 			j.mu.Unlock()
-			m.adopted.Add(1)
+			m.adopted.Inc()
 			m.log.Info("job adopted on submit", "job", id, "state", string(st), "trace", trace)
 			if st == StateInterrupted {
 				m.resume(j)
@@ -603,7 +588,7 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 	}
 	m.jobs[id] = j
 	m.mu.Unlock()
-	m.submitted.Add(1)
+	m.submitted.Inc()
 	m.log.Info("job submitted", "job", id, "key", j.key,
 		"op", string(j.req.Op), "rows", plan.Rows(), "trace", trace)
 	m.start(j)
@@ -635,7 +620,7 @@ func (m *Manager) resume(j *job) {
 	done := j.done
 	j.bump()
 	j.mu.Unlock()
-	m.resumed.Add(1)
+	m.resumed.Inc()
 	m.log.Info("job resumed", "job", j.id, "key", j.key,
 		"rows_done", done, "rows", j.plan.Rows(), "trace", j.trace)
 	m.start(j)
@@ -726,7 +711,7 @@ func (m *Manager) runJob(j *job) {
 		if rerr != nil {
 			j.rowErrs[i] = rerr
 			rec.Error, rec.Panic = rerr.Err, rerr.Panic
-			m.rowFailures.Add(1)
+			m.rowFailures.Inc()
 		} else {
 			j.rows[i] = data
 			rec.Data = data
@@ -736,7 +721,7 @@ func (m *Manager) runJob(j *job) {
 		jl := j.jl
 		j.bump()
 		j.mu.Unlock()
-		m.rowsDone.Add(1)
+		m.rowsDone.Inc()
 		if err := jl.append(rec); err != nil {
 			m.log.Error("journal row append failed", "job", j.id, "path", j.path, "row", i, "error", err)
 			m.noteJournalErr("row checkpoint", err)
@@ -789,7 +774,7 @@ func (m *Manager) execRowWithRetry(j *job, plan *engine.RowPlan, i int) (data js
 				Row: i, Err: err.Error(), Panic: errors.As(err, &pe),
 			}, false
 		}
-		m.rowRetries.Add(1)
+		m.rowRetries.Inc()
 		j.mu.Lock()
 		j.retries++
 		j.mu.Unlock()
@@ -820,17 +805,18 @@ func (m *Manager) sleepRetry(j *job, d time.Duration) error {
 	return m.clock.Sleep(ctx, d)
 }
 
-// finishJob assembles the result, journals the terminal record, and
-// settles the job as done or degraded.
+// finishJob assembles the result, primes the executor's cache with a
+// clean one, journals the terminal record, and settles the job as done or
+// degraded.
 func (m *Manager) finishJob(j *job) {
 	j.mu.Lock()
 	markers := j.markers()
 	res, err := j.plan.Assemble(j.rows, markers)
+	j.mu.Unlock()
 	if err != nil {
 		// Assembly of journaled payloads cannot fail unless the journal
 		// was corrupted in flight; keep the job resumable rather than
 		// inventing a terminal state.
-		j.mu.Unlock()
 		m.log.Error("job assemble failed", "job", j.id, "path", j.path, "error", err)
 		m.markInterrupted(j)
 		return
@@ -838,7 +824,13 @@ func (m *Manager) finishJob(j *job) {
 	state := StateDone
 	if len(markers) > 0 {
 		state = StateDegraded
+	} else if p, ok := m.exec.(cachePrimer); ok {
+		// Primed before done is visible, so a client that sees done and
+		// asks the synchronous endpoint gets a cache hit. Only this runner
+		// settles a running job, so the state cannot move meanwhile.
+		p.Prime(j.key, res)
 	}
+	j.mu.Lock()
 	j.result = res
 	j.state = state
 	j.finished = m.clock.Now()
@@ -852,14 +844,11 @@ func (m *Manager) finishJob(j *job) {
 	jl.close()
 	m.releaseLease(j.path)
 	if state == StateDone {
-		m.completed.Add(1)
+		m.completed.Inc()
 		m.log.Info("job done", "job", j.id, "key", j.key,
 			"rows", len(j.rows), "trace", j.trace)
-		if p, ok := m.exec.(cachePrimer); ok {
-			p.Prime(j.key, res)
-		}
 	} else {
-		m.degradedN.Add(1)
+		m.degradedN.Inc()
 		m.log.Warn("job degraded", "job", j.id, "key", j.key,
 			"rows", len(j.rows), "rows_failed", len(markers), "trace", j.trace)
 	}
@@ -887,7 +876,7 @@ func (m *Manager) finishCanceled(j *job) {
 		jl.close()
 	}
 	m.releaseLease(j.path)
-	m.canceledN.Add(1)
+	m.canceledN.Inc()
 	m.log.Info("job canceled", "job", j.id, "key", j.key, "trace", j.trace)
 	j.cancel()
 	close(j.doneCh)

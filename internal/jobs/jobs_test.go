@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netpowerprop/internal/engine"
+	"netpowerprop/internal/obs"
 )
 
 // sweepReq is the canonical small job: an analytic proportionality sweep
@@ -20,10 +23,11 @@ func sweepReq(steps int) engine.Request {
 	return engine.Request{Op: engine.OpSweep, Steps: steps}
 }
 
-// newManager opens a manager over a fresh engine in a test temp dir.
+// newManager opens a manager over a fresh engine in a test temp dir. The
+// engine registers its metrics on opts.Registry too.
 func newManager(t *testing.T, dir string, opts Options) (*Manager, *engine.Engine) {
 	t.Helper()
-	eng := engine.New(engine.Options{})
+	eng := engine.New(engine.Options{Registry: opts.Registry})
 	opts.Dir = dir
 	if opts.Exec == nil {
 		opts.Exec = eng
@@ -39,6 +43,27 @@ func newManager(t *testing.T, dir string, opts Options) (*Manager, *engine.Engin
 		m.Close(ctx)
 	})
 	return m, eng
+}
+
+// metric renders reg and returns the value of one series, named as it
+// renders (family name and label set, e.g. `x_total{k="v"}`).
+func metric(t *testing.T, reg *obs.Registry, series string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.Render(&b); err != nil {
+		t.Fatalf("Render: %v", err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s not rendered", series)
+	return 0
 }
 
 // waitState polls until the job reaches the wanted state.
@@ -189,8 +214,9 @@ func TestKillMidJobThenRecoverIsByteIdentical(t *testing.T) {
 
 	// Run 2: a fresh manager over a fresh engine recovers the journal and
 	// resumes from the checkpoint.
-	m2, eng2 := newManager(t, dir, Options{})
-	if got := m2.recovered.Load(); got != 1 {
+	reg := obs.NewRegistry()
+	m2, _ := newManager(t, dir, Options{Registry: reg})
+	if got := m2.recovered.Value(); got != 1 {
 		t.Fatalf("recovered = %d, want 1", got)
 	}
 	if n := m2.ResumeAll(); n != 1 {
@@ -215,8 +241,8 @@ func TestKillMidJobThenRecoverIsByteIdentical(t *testing.T) {
 	if records != 7 || distinct != 7 {
 		t.Errorf("journal has %d row records over %d rows, want 7 over 7", records, distinct)
 	}
-	if got := eng2.Metrics().RowsExecuted; got != 7-(killAfterRow+1) {
-		t.Errorf("resumed engine executed %d rows, want %d", got, 7-(killAfterRow+1))
+	if got := metric(t, reg, "netpowerprop_engine_rows_executed_total"); got != 7-(killAfterRow+1) {
+		t.Errorf("resumed engine executed %v rows, want %d", got, 7-(killAfterRow+1))
 	}
 }
 
@@ -262,7 +288,7 @@ func TestTornJournalTailIsTruncatedAndResumed(t *testing.T) {
 	f.Close()
 
 	m2, _ := newManager(t, dir, Options{})
-	if got := m2.recovered.Load(); got != 1 {
+	if got := m2.recovered.Value(); got != 1 {
 		t.Fatalf("recovered = %d, want 1", got)
 	}
 	m2.ResumeAll()
@@ -299,7 +325,8 @@ func TestRecoveredDoneJobServesResultWithoutRerun(t *testing.T) {
 	defer cancel()
 	m1.Close(ctx)
 
-	m2, eng2 := newManager(t, dir, Options{})
+	reg := obs.NewRegistry()
+	m2, _ := newManager(t, dir, Options{Registry: reg})
 	got, err := m2.Get(snap.ID)
 	if err != nil {
 		t.Fatalf("Get after recovery: %v", err)
@@ -310,8 +337,8 @@ func TestRecoveredDoneJobServesResultWithoutRerun(t *testing.T) {
 	if a, b := resultJSON(t, got.Result), resultJSON(t, final.Result); a != b {
 		t.Errorf("recovered result differs from original:\n got: %s\nwant: %s", a, b)
 	}
-	if n := eng2.Metrics().RowsExecuted; n != 0 {
-		t.Errorf("recovery of a finished job executed %d rows, want 0", n)
+	if n := metric(t, reg, "netpowerprop_engine_rows_executed_total"); n != 0 {
+		t.Errorf("recovery of a finished job executed %v rows, want 0", n)
 	}
 	// Resubmitting the finished job returns it instead of rerunning.
 	again, created, err := m2.Submit(context.Background(), req)
@@ -424,8 +451,8 @@ func TestRetrySleepsFollowThePolicySchedule(t *testing.T) {
 	if n := exec.attempts(1); n != 3 {
 		t.Errorf("row 1 attempts = %d, want 3", n)
 	}
-	if m.rowRetries.Load() != 2 {
-		t.Errorf("RowRetries = %d, want 2", m.rowRetries.Load())
+	if m.rowRetries.Value() != 2 {
+		t.Errorf("RowRetries = %d, want 2", m.rowRetries.Value())
 	}
 }
 
@@ -473,7 +500,7 @@ func TestRetryExhaustionDegradesInsteadOfFailing(t *testing.T) {
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("sleeps = %v, want %v", got, want)
 	}
-	if f, d := m.rowFailures.Load(), m.degradedN.Load(); f != 1 || d != 1 {
+	if f, d := m.rowFailures.Value(), m.degradedN.Value(); f != 1 || d != 1 {
 		t.Errorf("rowFailures = %d, degraded = %d, want 1 and 1", f, d)
 	}
 }
@@ -534,8 +561,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if final.State != StateCanceled {
 		t.Fatalf("state = %s, want canceled", final.State)
 	}
-	if m.canceledN.Load() != 1 {
-		t.Errorf("Canceled metric = %d, want 1", m.canceledN.Load())
+	if m.canceledN.Value() != 1 {
+		t.Errorf("Canceled metric = %d, want 1", m.canceledN.Value())
 	}
 	// A canceled job resubmitted starts over from scratch.
 	exec.heal(1)
@@ -621,8 +648,8 @@ func TestDrainCheckpointsAndRecovers(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("state = %s, want done", final.State)
 	}
-	if m2.resumed.Load() != 1 {
-		t.Errorf("Resumed metric = %d, want 1", m2.resumed.Load())
+	if m2.resumed.Value() != 1 {
+		t.Errorf("Resumed metric = %d, want 1", m2.resumed.Value())
 	}
 	// Rows 0-3 were never re-executed after recovery.
 	for i := 0; i < 4; i++ {
@@ -634,7 +661,8 @@ func TestDrainCheckpointsAndRecovers(t *testing.T) {
 
 func TestJobPrimesEngineCache(t *testing.T) {
 	dir := t.TempDir()
-	m, eng := newManager(t, dir, Options{})
+	reg := obs.NewRegistry()
+	m, eng := newManager(t, dir, Options{Registry: reg})
 	req := sweepReq(5)
 	snap, _, err := m.Submit(context.Background(), req)
 	if err != nil {
@@ -643,13 +671,56 @@ func TestJobPrimesEngineCache(t *testing.T) {
 	if _, err := m.Wait(context.Background(), snap.ID); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	before := eng.Metrics()
+	before := metric(t, reg, "netpowerprop_engine_computations_total")
 	if _, cached, err := eng.Do(context.Background(), req); err != nil || !cached {
 		t.Errorf("synchronous query after job: cached=%v err=%v, want cache hit", cached, err)
 	}
-	after := eng.Metrics()
-	if after.Computations != before.Computations {
+	if metric(t, reg, "netpowerprop_engine_computations_total") != before {
 		t.Errorf("synchronous query recomputed despite primed cache")
+	}
+}
+
+// primeProbe is an engine-backed executor whose Prime records the state
+// the Manager reports for the job being primed.
+type primeProbe struct {
+	*engine.Engine
+	m    *Manager
+	seen chan State
+}
+
+func (p *primeProbe) Prime(key string, res *engine.Result) {
+	snap, err := p.m.Get(jobID(key))
+	if err != nil {
+		panic(err)
+	}
+	p.seen <- snap.State
+	p.Engine.Prime(key, res)
+}
+
+// A finished job is primed before done is published, so a client that
+// reads done and asks the synchronous endpoint always gets a cache hit.
+func TestJobPrimedBeforeDone(t *testing.T) {
+	probe := &primeProbe{Engine: engine.New(engine.Options{}), seen: make(chan State, 1)}
+	m, _ := newManager(t, t.TempDir(), Options{Exec: probe})
+	probe.m = m
+	snap, _, err := m.Submit(context.Background(), sweepReq(3))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	final, err := m.Wait(context.Background(), snap.ID)
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("state = %s, want done", final.State)
+	}
+	select {
+	case st := <-probe.seen:
+		if st == StateDone {
+			t.Error("Prime ran after the job was already visible as done")
+		}
+	default:
+		t.Fatal("finished job was never primed")
 	}
 }
 

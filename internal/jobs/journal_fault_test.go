@@ -55,7 +55,7 @@ func TestJournalFsyncFaultDegradesAndRecovers(t *testing.T) {
 	if _, _, err := m1.Submit(context.Background(), sweepReq(3)); !errors.Is(err, ErrJournalDegraded) {
 		t.Fatalf("Submit while degraded = %v, want ErrJournalDegraded", err)
 	}
-	if got := m1.journalErrs.Load(); got != 1 {
+	if got := m1.journalErrs.Value(); got != 1 {
 		t.Fatalf("JournalErrors = %d, want 1", got)
 	}
 

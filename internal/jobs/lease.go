@@ -228,7 +228,7 @@ func (m *Manager) ClaimStale() int {
 			continue
 		}
 		adopted++
-		m.adopted.Add(1)
+		m.adopted.Inc()
 		m.mu.Lock()
 		j := m.jobs[id]
 		m.mu.Unlock()

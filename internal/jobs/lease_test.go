@@ -162,8 +162,8 @@ func TestLiveLeaseBlocksAdoptionUntilReleased(t *testing.T) {
 	if execB.attempts(1) != 1 || execB.attempts(2) != 1 {
 		t.Errorf("rows 1,2 attempts = %d,%d, want 1,1", execB.attempts(1), execB.attempts(2))
 	}
-	if b.adopted.Load() != 1 {
-		t.Errorf("Adopted = %d, want 1", b.adopted.Load())
+	if b.adopted.Value() != 1 {
+		t.Errorf("Adopted = %d, want 1", b.adopted.Value())
 	}
 }
 
