@@ -11,7 +11,8 @@
 // Each -probe URL is fetched first (retrying until it answers 200) —
 // both a readiness gate and a way to drive traffic so request-path
 // series exist before the exposition is scraped. Each -require NAME
-// must appear as a sample family in the output.
+// must be announced by a "# TYPE NAME <type>" line: a family whose name
+// merely starts with NAME does not count.
 package main
 
 import (
@@ -67,20 +68,20 @@ func run(args []string, w io.Writer) error {
 	if err := obs.ValidateExposition(body); err != nil {
 		return fmt.Errorf("%s: invalid exposition: %w", url, err)
 	}
-	families := 0
+	families := make(map[string]bool)
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			families++
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			families[name] = true
 		}
 	}
 	for _, name := range require {
-		// A family shows up either as a bare sample or with labels/suffixes.
-		if !strings.Contains(string(body), "\n"+name) && !strings.HasPrefix(string(body), name) {
+		if !families[name] {
 			return fmt.Errorf("%s: required metric family %q not found", url, name)
 		}
 	}
 	fmt.Fprintf(w, "expcheck OK: %s is valid exposition (%d families, %d required present)\n",
-		url, families, len(require))
+		url, len(families), len(require))
 	return nil
 }
 

@@ -121,6 +121,10 @@ step_metrics_smoke() {
 		-require netpowerprop_engine_compute_duration_seconds \
 		-require netpowerprop_http_requests_total \
 		-require netpowerprop_jobs_submitted_total \
+		-require netpowerprop_engine_compute_seconds_total \
+		-require netpowerprop_engine_row_compute_seconds_total \
+		-require netpowerprop_admit_allowed_total \
+		-require netpowerprop_chaos_armed \
 		"http://$addr/metrics"
 }
 
