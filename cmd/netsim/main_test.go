@@ -23,12 +23,15 @@ func runErr(t *testing.T, args ...string) {
 	}
 }
 
-// TestScenarioGolden pins the topologies and faults tables against
-// checked-in snapshots, so a routing or simulator change that moves any
-// byte of either scenario shows up as a reviewable diff. Regenerate with:
+// TestScenarioGolden pins every engine scenario's table against a
+// checked-in snapshot, so a routing, simulator or flag change that moves
+// any byte of a scenario shows up as a reviewable diff. Regenerate with:
 //
 //	go run ./cmd/netsim topologies -hosts 16 -seed 7 > cmd/netsim/testdata/topologies-h16-s7.golden
 //	go run ./cmd/netsim faults -seed 7 > cmd/netsim/testdata/faults-s7.golden
+//	go run ./cmd/netsim gating > cmd/netsim/testdata/gating.golden
+//
+// and likewise for the other scenarios run at their defaults.
 func TestScenarioGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -36,6 +39,14 @@ func TestScenarioGolden(t *testing.T) {
 	}{
 		{"topologies-h16-s7.golden", []string{"topologies", "-hosts", "16", "-seed", "7"}},
 		{"faults-s7.golden", []string{"faults", "-seed", "7"}},
+		{"gating.golden", []string{"gating"}},
+		{"rateadapt.golden", []string{"rateadapt"}},
+		{"parking.golden", []string{"parking"}},
+		{"eee.golden", []string{"eee"}},
+		{"ratelink.golden", []string{"ratelink"}},
+		{"chiplet.golden", []string{"chiplet"}},
+		{"scheduler.golden", []string{"scheduler"}},
+		{"summary.golden", []string{"summary"}},
 	} {
 		want, err := os.ReadFile("testdata/" + tc.golden)
 		if err != nil {
