@@ -1,12 +1,12 @@
 // Command benchguard compares `go test -bench` output against the frozen
 // numbers in BENCH_netsim.json and exits non-zero when a benchmark has
-// regressed past the tolerance. CI pipes a short -benchtime run through it
-// so an accidental O(n²) in a hot path fails the build instead of landing
-// silently.
+// regressed past the tolerance. CI pipes a short -benchtime run, repeated
+// with -count, through it so an accidental O(n²) in a hot path fails the
+// build instead of landing silently.
 //
 // Usage:
 //
-//	go test -run=NONE -benchmem -bench . -benchtime=20x . | benchguard
+//	go test -run=NONE -benchmem -bench . -benchtime=20x -count 5 . | benchguard
 //	benchguard -baseline BENCH_netsim.json -tolerance 5 bench.out
 //
 // Only benchmarks present in both the baseline and the observed output are
@@ -145,10 +145,12 @@ var benchLine = regexp.MustCompile(`-[0-9]+$`)
 //
 // possibly with extra ReportMetric pairs (e.g. "42.0 savings-%") mixed in;
 // values are keyed by their unit so extra metrics pass through harmlessly.
-// A benchmark that appears multiple times (e.g. -count>1) keeps its best
-// (lowest) ns/op, matching how a human reads repeated runs.
+// A benchmark that appears multiple times (-count>1) is judged by its
+// median sample by ns/op (the upper of the middle two for an even count),
+// so one sample slowed by a noisy neighbour cannot fail the guard and one
+// lucky sample cannot hide a regression.
 func parseBench(r io.Reader) (map[string]metrics, error) {
-	out := map[string]metrics{}
+	samples := map[string][]metrics{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -174,15 +176,17 @@ func parseBench(r io.Reader) (map[string]metrics, error) {
 				m.AllocsPerOp = val
 			}
 		}
-		if !seen {
-			continue
-		}
-		if prev, ok := out[name]; !ok || m.NsPerOp < prev.NsPerOp {
-			out[name] = m
+		if seen {
+			samples[name] = append(samples[name], m)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	out := make(map[string]metrics, len(samples))
+	for name, ms := range samples {
+		sort.Slice(ms, func(i, j int) bool { return ms[i].NsPerOp < ms[j].NsPerOp })
+		out[name] = ms[len(ms)/2]
 	}
 	return out, nil
 }

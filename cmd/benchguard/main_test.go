@@ -41,16 +41,25 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-func TestParseBenchRepeatedKeepsBest(t *testing.T) {
+// TestParseBenchRepeatedTakesMedian: a repeated benchmark is judged by
+// its median sample by ns/op, so one outlier sample moves nothing.
+func TestParseBenchRepeatedTakesMedian(t *testing.T) {
 	got, err := parseBench(strings.NewReader(
-		"BenchmarkX-8 10 500 ns/op 0 B/op 0 allocs/op\n" +
-			"BenchmarkX-8 10 300 ns/op 0 B/op 0 allocs/op\n" +
-			"BenchmarkX-8 10 400 ns/op 0 B/op 0 allocs/op\n"))
+		"BenchmarkX-8 10 500 ns/op 64 B/op 2 allocs/op\n" +
+			"BenchmarkX-8 10 300 ns/op 64 B/op 2 allocs/op\n" +
+			"BenchmarkX-8 10 90000 ns/op 9000 B/op 40 allocs/op\n" +
+			"BenchmarkX-8 10 400 ns/op 64 B/op 2 allocs/op\n" +
+			"BenchmarkX-8 10 450 ns/op 64 B/op 2 allocs/op\n" +
+			"BenchmarkY-8 10 100 ns/op 0 B/op 0 allocs/op\n" +
+			"BenchmarkY-8 10 300 ns/op 0 B/op 0 allocs/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkX"].NsPerOp != 300 {
-		t.Errorf("repeated benchmark kept %v ns/op, want best 300", got["BenchmarkX"].NsPerOp)
+	if want := (metrics{NsPerOp: 450, BytesPerOp: 64, AllocsPerOp: 2}); got["BenchmarkX"] != want {
+		t.Errorf("BenchmarkX = %+v, want the median sample %+v", got["BenchmarkX"], want)
+	}
+	if got["BenchmarkY"].NsPerOp != 300 {
+		t.Errorf("BenchmarkY kept %v ns/op, want the upper of the middle two, 300", got["BenchmarkY"].NsPerOp)
 	}
 }
 

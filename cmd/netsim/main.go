@@ -1,20 +1,22 @@
 // Command netsim runs the §4 mechanism simulations: power gating modes
 // (§4.1), OCS topology tailoring (§4.2), rate adaptation (§4.3), pipeline
 // parking (§4.4), the 802.3az EEE baseline, the network-aware job
-// scheduler, and a flow-level fabric simulation.
+// scheduler, fault-tolerant gating, the topology zoo, and a flow-level
+// fabric simulation.
 //
 // Usage:
 //
 //	netsim [-job -jobdir DIR] <scenario> [flags]
 //	netsim -resume -jobdir DIR
 //
-// Scenarios: gating, ocs, rateadapt, parking, eee, ratelink, scheduler,
-// fabric, chiplet, backbone, topologies
-//
-// The single-table scenarios route through internal/engine — the same
-// registry cmd/serve exposes at /v1/scenarios/<name> — so CLI and server
-// produce identical numbers. ocs, fabric, and backbone have multi-section
-// output and drive their simulators directly (and cannot run as jobs).
+// Run netsim with no scenario to list them. Every scenario except ocs,
+// fabric and backbone is a scenario of internal/engine's registry — the
+// same registry cmd/serve exposes at /v1/scenarios/<name> — so CLI and
+// server produce identical numbers. The registry also declares each
+// scenario's parameters (name, default, kind, help), and netsim builds
+// the scenario's flags from it: netsim <scenario> -h lists them. ocs,
+// fabric, and backbone have multi-section output and drive their
+// simulators directly (and cannot run as jobs).
 //
 // With -job, the scenario runs as a durable job: every finished table row
 // is journaled to a per-job JSONL write-ahead log under -jobdir, so a
@@ -31,6 +33,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"time"
 
 	"netpowerprop/internal/backbone"
@@ -102,52 +106,60 @@ func run(args []string, w io.Writer) error {
 		}
 		return a.cmdResume(w)
 	}
-	if len(args) == 0 {
-		return fmt.Errorf("missing scenario (gating ocs rateadapt parking eee ratelink scheduler fabric chiplet backbone summary faults topologies)")
+	direct := map[string]func([]string, io.Writer) error{
+		"ocs": cmdOCS, "fabric": a.cmdFabric, "backbone": cmdBackbone,
 	}
-	switch args[0] {
-	case "ocs", "fabric", "backbone":
+	if len(args) == 0 {
+		names := engine.ScenarioNames()
+		for name := range direct {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return fmt.Errorf("missing scenario (have %s)", strings.Join(names, " "))
+	}
+	if cmd, ok := direct[args[0]]; ok {
 		if a.job {
 			return fmt.Errorf("%s has multi-section output and cannot run as a job", args[0])
 		}
+		return cmd(args[1:], w)
 	}
-	switch args[0] {
-	case "gating":
-		return a.cmdGating(args[1:], w)
-	case "faults":
-		return a.cmdFaults(args[1:], w)
-	case "ocs":
-		return cmdOCS(args[1:], w)
-	case "rateadapt":
-		return a.cmdRateAdapt(args[1:], w)
-	case "parking":
-		return a.cmdParking(args[1:], w)
-	case "eee":
-		return a.cmdEEE(args[1:], w)
-	case "ratelink":
-		return a.cmdRateLink(args[1:], w)
-	case "scheduler":
-		return a.cmdScheduler(args[1:], w)
-	case "fabric":
-		return a.cmdFabric(args[1:], w)
-	case "chiplet":
-		return a.cmdChiplet(args[1:], w)
-	case "backbone":
-		return cmdBackbone(args[1:], w)
-	case "summary":
-		return a.cmdSummary(args[1:], w)
-	case "topologies":
-		return a.cmdTopologies(args[1:], w)
-	default:
-		return fmt.Errorf("unknown scenario %q", args[0])
-	}
+	return a.cmdScenario(args[0], args[1:], w)
 }
 
-// runScenario routes a §4 scenario through the shared engine and renders
-// the resulting table exactly as the direct simulation used to print it.
-// With -job the same request runs as a durable journaled job instead; the
-// rendered bytes are identical either way.
-func (a *app) runScenario(w io.Writer, name, bw string, params map[string]float64) error {
+// cmdScenario runs one of the engine's registered scenarios and renders
+// its table; with -job the same request runs as a durable journaled job,
+// and the rendered bytes are identical either way. Its flags come from
+// the registry: one per parameter, with the parameter's name, default and
+// help (a bool parameter is a bool flag, so -l3 needs no value), plus
+// -speed when the scenario has a default link speed.
+func (a *app) cmdScenario(name string, args []string, w io.Writer) error {
+	decl, bw, ok := engine.ScenarioParams(name)
+	if !ok {
+		return fmt.Errorf("unknown scenario %q", name)
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	params := make(map[string]float64, len(decl))
+	for _, p := range decl {
+		params[p.Name] = p.Default
+		set := func(s string) error {
+			v, err := p.Kind.Parse(s)
+			if err == nil {
+				params[p.Name] = v
+			}
+			return err
+		}
+		if p.Kind == engine.ParamBool {
+			fs.BoolFunc(p.Name, fmt.Sprintf("%s (default %t)", p.Help, p.Default != 0), set)
+		} else {
+			fs.Func(p.Name, fmt.Sprintf("%s (default %v)", p.Help, p.Default), set)
+		}
+	}
+	if bw != "" {
+		fs.StringVar(&bw, "speed", bw, "link speed")
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	req := engine.Request{Op: engine.OpScenario, Scenario: name, Bandwidth: bw, Params: params}
 	if a.job {
 		return a.runJob(w, req)
@@ -304,43 +316,6 @@ func renderTable(w io.Writer, t *engine.Table) error {
 	return nil
 }
 
-// cmdSummary closes the loop between §4 and §3: each mechanism's simulated
-// switch-level savings are converted into an effective power
-// proportionality, which the §3 cluster model then prices at
-// baseline-cluster scale.
-func (a *app) cmdSummary(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("summary", flag.ContinueOnError)
-	ratio := fs.Float64("ratio", 0.1, "communication ratio")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "summary", "", map[string]float64{"ratio": *ratio})
-}
-
-// cmdTopologies runs the topology-zoo comparison: every registered
-// internal/topo generator sized to the same host count, measured on one
-// offered-load sweep plus a shared seeded fault trace.
-func (a *app) cmdTopologies(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("topologies", flag.ContinueOnError)
-	hosts := fs.Int("hosts", 24, "host count every topology is sized for")
-	speed := fs.String("speed", "100G", "uniform link speed")
-	iters := fs.Int("iters", 2, "training iterations to simulate")
-	seed := fs.Uint64("seed", 1, "fault trace seed")
-	flaps := fs.Int("flaps", 4, "transient link outages in the fault trace")
-	mttr := fs.Float64("mttr", 0.3, "mean link repair time (s)")
-	perm := fs.Int("perm", 1, "permanent link failures in the fault trace")
-	lowload := fs.Float64("lowload", 0.1, "active host fraction of the low-load phase")
-	level := fs.Float64("level", 0.9, "per-host offered load during bursts")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "topologies", *speed, map[string]float64{
-		"hosts": float64(*hosts), "iters": float64(*iters), "seed": float64(*seed),
-		"flaps": float64(*flaps), "mttr": *mttr, "perm": float64(*perm),
-		"lowload": *lowload, "level": *level,
-	})
-}
-
 func cmdBackbone(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("backbone", flag.ContinueOnError)
 	routers := fs.Int("routers", 12, "backbone routers (ring + two chords)")
@@ -381,50 +356,6 @@ func cmdBackbone(args []string, w io.Writer) error {
 	fmt.Fprintln(w, "rerouted traffic kept under the utilization cap — §3.4's point that ISP")
 	fmt.Fprintln(w, "links are underutilized rather than unused.")
 	return nil
-}
-
-func (a *app) cmdGating(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("gating", flag.ContinueOnError)
-	usedPorts := fs.Int("ports", 64, "ports in use (of 128)")
-	l3 := fs.Bool("l3", false, "deployment needs L3 routing")
-	fib := fs.Float64("fib", 0.25, "fraction of FIB memory needed")
-	wake := fs.Float64("wake", 1.0, "wake latency budget (s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	l3v := 0.0
-	if *l3 {
-		l3v = 1
-	}
-	return a.runScenario(w, "gating", "", map[string]float64{
-		"ports": float64(*usedPorts), "l3": l3v, "fib": *fib, "wake": *wake,
-	})
-}
-
-// cmdFaults sweeps failure rate × core gating level on the flow-level
-// fabric simulator under a seeded fault trace, comparing job slowdown and
-// recovery time for a gated vs. fully-powered fat tree.
-func (a *app) cmdFaults(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("faults", flag.ContinueOnError)
-	radix := fs.Int("radix", 4, "fat-tree radix k")
-	iters := fs.Int("iters", 4, "training iterations to simulate")
-	seed := fs.Uint64("seed", 1, "fault trace seed")
-	flaps := fs.Int("flaps", 6, "base transient link outages (scaled by the sweep)")
-	mttr := fs.Float64("mttr", 0.3, "mean link repair time (s)")
-	stuckProb := fs.Float64("stuckprob", 0.25, "probability a link wake misses its deadline")
-	stuckExtra := fs.Float64("stuckextra", 0.5, "mean extra latency of a stuck wake (s)")
-	reconfig := fs.Float64("reconfig", 0.2, "nominal OCS reconfiguration latency (s)")
-	slowProb := fs.Float64("slowprob", 0.25, "probability a reconfiguration is slow")
-	failProb := fs.Float64("failprob", 0.1, "probability a reconfiguration attempt fails")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "faults", "", map[string]float64{
-		"radix": float64(*radix), "iters": float64(*iters), "seed": float64(*seed),
-		"flaps": float64(*flaps), "mttr": *mttr,
-		"stuckprob": *stuckProb, "stuckextra": *stuckExtra,
-		"reconfig": *reconfig, "slowprob": *slowProb, "failprob": *failProb,
-	})
 }
 
 func cmdOCS(args []string, w io.Writer) error {
@@ -497,81 +428,6 @@ func cmdOCS(args []string, w io.Writer) error {
 		tb.AddRow(fmt.Sprintf("%d", pt.Pool), pt.ExtraPower.String(), fmt.Sprintf("%gs", float64(pt.Reaction)))
 	}
 	return tb.Write(w)
-}
-
-func (a *app) cmdRateAdapt(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("rateadapt", flag.ContinueOnError)
-	busy := fs.Int("busy", 1, "pipelines carrying traffic (of 4)")
-	ratio := fs.Float64("ratio", 0.2, "communication ratio of the periodic load")
-	level := fs.Float64("level", 0.8, "utilization during bursts")
-	samples := fs.Int("samples", 400, "trace samples")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "rateadapt", "", map[string]float64{
-		"busy": float64(*busy), "ratio": *ratio, "level": *level, "samples": float64(*samples),
-	})
-}
-
-func (a *app) cmdParking(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("parking", flag.ContinueOnError)
-	ratio := fs.Float64("ratio", 0.2, "communication ratio")
-	level := fs.Float64("level", 0.5, "utilization during bursts")
-	period := fs.Float64("period", 2, "iteration period (s)")
-	samples := fs.Int("samples", 800, "trace samples (50 ms each)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "parking", "", map[string]float64{
-		"ratio": *ratio, "level": *level, "period": *period, "samples": float64(*samples),
-	})
-}
-
-func (a *app) cmdEEE(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("eee", flag.ContinueOnError)
-	speed := fs.String("speed", "10G", "link speed")
-	active := fs.Float64("active", 10, "PHY active power (W)")
-	horizon := fs.Float64("horizon", 0.01, "simulated span (s)")
-	seed := fs.Int64("seed", 1, "arrival seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "eee", *speed, map[string]float64{
-		"active": *active, "horizon": *horizon, "seed": float64(*seed),
-	})
-}
-
-func (a *app) cmdRateLink(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("ratelink", flag.ContinueOnError)
-	speed := fs.String("speed", "10G", "link line rate")
-	active := fs.Float64("active", 10, "PHY full-rate power (W)")
-	horizon := fs.Float64("horizon", 0.01, "simulated span (s)")
-	seed := fs.Int64("seed", 1, "arrival seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "ratelink", *speed, map[string]float64{
-		"active": *active, "horizon": *horizon, "seed": float64(*seed),
-	})
-}
-
-func (a *app) cmdChiplet(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("chiplet", flag.ContinueOnError)
-	ratio := fs.Float64("ratio", 0.1, "communication ratio of the ML load")
-	level := fs.Float64("level", 0.8, "utilization during bursts")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "chiplet", "", map[string]float64{"ratio": *ratio, "level": *level})
-}
-
-func (a *app) cmdScheduler(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("scheduler", flag.ContinueOnError)
-	radix := fs.Int("radix", 8, "fabric switch radix k")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	return a.runScenario(w, "scheduler", "", map[string]float64{"radix": float64(*radix)})
 }
 
 func (a *app) cmdFabric(args []string, w io.Writer) error {

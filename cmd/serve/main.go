@@ -31,7 +31,10 @@
 // and concurrent identical queries collapse into one computation. Adding
 // ?stream=1 to any synchronous endpoint streams the result as NDJSON row
 // frames that flush as they are computed, byte-identical to the rows of
-// the buffered result.
+// the buffered result; ?from=N (or a Last-Row header) resumes such a
+// stream at row N. A scenario's GET parameters are the names its
+// registry entry declares, checked against their kinds (an integer
+// parameter must be integral, a bool 0 or 1).
 //
 // Admission control: requests may carry X-Tenant (quota accounting key)
 // and X-Priority (low, normal, high). With -quota set, each tenant spends
@@ -779,8 +782,9 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 				req.Bandwidth = vals[0]
 				continue
 			}
-			if name == "stream" {
-				// Transport directive (?stream=1), not a scenario parameter.
+			if name == "stream" || name == "from" {
+				// Transport directives (?stream=1, and the resume offset
+				// ?from=N), not scenario parameters.
 				continue
 			}
 			v, err := strconv.ParseFloat(vals[0], 64)

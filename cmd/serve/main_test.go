@@ -286,6 +286,37 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestScenarioParamKindRejected: a scenario parameter of the wrong kind
+// answers 400 with an error naming it, over GET and POST alike, instead
+// of running a truncated value under a cache key of its own.
+func TestScenarioParamKindRejected(t *testing.T) {
+	srv := newTestServer(t)
+	for _, url := range []string{
+		"/v1/scenarios/gating?ports=64.5",
+		"/v1/scenarios/gating?l3=0.5",
+		"/v1/scenarios/faults?radix=4.7&iters=1.2",
+	} {
+		resp, err := http.Get(srv.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not") {
+			t.Errorf("GET %s: status %d body %s, want 400 with a kind error", url, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/v1/scenarios/gating", "application/json",
+		strings.NewReader(`{"params":{"ports":64.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST ports=64.5: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	srv := newTestServer(t)
 	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/whatif", nil)

@@ -221,6 +221,44 @@ func TestStreamScenarioRows(t *testing.T) {
 	}
 }
 
+// A scenario stream resumes with ?from= exactly as a sweep stream does:
+// the resumed body is byte for byte the tail of an uninterrupted stream,
+// from the first wanted row through the end frame.
+func TestScenarioStreamResumeFrom(t *testing.T) {
+	srv := newTestServer(t)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return body
+	}
+	for _, tc := range []struct {
+		path string
+		from int
+	}{
+		{"/v1/scenarios/chaos?rows=3&stream=1", 2},
+		{"/v1/scenarios/eee?stream=1", 3},
+	} {
+		full := get(tc.path)
+		lines := bytes.SplitAfter(full, []byte("\n"))
+		want := bytes.Join(lines[tc.from:], nil)
+		got := get(tc.path + "&from=" + strconv.Itoa(tc.from))
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s from %d:\n got: %s\nwant: %s", tc.path, tc.from, got, want)
+		}
+	}
+}
+
 // A stream that fails before row 0 answers a plain JSON error status.
 func TestStreamBadRequest(t *testing.T) {
 	srv := newTestServer(t)

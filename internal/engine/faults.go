@@ -47,6 +47,10 @@ func faultsRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 		SlowFactor: 4,
 		FailProb:   req.Params["failprob"],
 	}
+	if req.Params["seed"] < 0 {
+		// A negative float64 has no portable uint64 conversion.
+		return nil, fmt.Errorf("seed %v must not be negative", req.Params["seed"])
+	}
 	if iters < 1 {
 		return nil, fmt.Errorf("iters %d must be positive", iters)
 	}

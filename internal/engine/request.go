@@ -249,23 +249,35 @@ func (r Request) checkFinite() error {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // normalizeScenario resolves a scenario request against the scenario
-// registry: the scenario must exist, unknown parameters are rejected, and
-// missing parameters take the scenario's defaults.
+// registry: the scenario must exist, unknown parameters are rejected,
+// each given value must be of its parameter's kind, and missing
+// parameters take the scenario's defaults. Parameters are checked in
+// declaration order, and an unknown one is named in sort order, so the
+// error is the same every time.
 func (r Request) normalizeScenario() (Request, error) {
 	spec, ok := scenarios[r.Scenario]
 	if !ok {
 		return Request{}, fmt.Errorf("engine: unknown scenario %q (have %v)", r.Scenario, ScenarioNames())
 	}
 	n := Request{Op: OpScenario, Scenario: r.Scenario}
-	params := make(map[string]float64, len(spec.defaults))
-	for k, v := range spec.defaults {
-		params[k] = v
-	}
-	for k, v := range r.Params {
-		if _, ok := spec.defaults[k]; !ok {
-			return Request{}, fmt.Errorf("engine: scenario %q has no parameter %q", r.Scenario, k)
+	params := make(map[string]float64, len(spec.params))
+	for _, p := range spec.params {
+		v, set := r.Params[p.Name]
+		if !set {
+			v = p.Default
+		} else if err := p.Kind.check(v); err != nil {
+			return Request{}, fmt.Errorf("engine: scenario %q parameter %q: %w", r.Scenario, p.Name, err)
 		}
-		params[k] = v
+		params[p.Name] = v
+	}
+	unknown := ""
+	for k := range r.Params {
+		if _, ok := params[k]; !ok && (unknown == "" || k < unknown) {
+			unknown = k
+		}
+	}
+	if unknown != "" {
+		return Request{}, fmt.Errorf("engine: scenario %q has no parameter %q", r.Scenario, unknown)
 	}
 	if len(params) > 0 {
 		n.Params = params

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 
 	"netpowerprop/internal/asic"
 	"netpowerprop/internal/chiplet"
@@ -19,14 +21,77 @@ import (
 	"netpowerprop/internal/units"
 )
 
-// scenarioSpec describes one named §4 mechanism simulation: its default
-// numeric parameters (the cmd/netsim flag defaults), an optional default
-// bandwidth for scenarios parameterized by a link speed, and its planner.
-// Tables carry the exact strings the CLI prints.
+// ParamKind is the kind of value a scenario parameter takes. Every value
+// travels as a float64; the kind says which float64s are valid.
+type ParamKind int
+
+const (
+	ParamFloat ParamKind = iota // any finite number
+	ParamInt                    // a safe integer: |v| < 2^53, so v±1 are distinct float64s
+	ParamBool                   // 0 (false) or 1 (true)
+)
+
+// check reports whether v, already known to be finite, is of kind k.
+func (k ParamKind) check(v float64) error {
+	switch {
+	case k == ParamInt && (v != math.Trunc(v) || math.Abs(v) >= 1<<53):
+		return fmt.Errorf("%v is not an integer within ±(2^53-1)", v)
+	case k == ParamBool && v != 0 && v != 1:
+		return fmt.Errorf("%v is not a bool (0 or 1)", v)
+	}
+	return nil
+}
+
+// Parse reads command-line text as a value of kind k, in the syntax of
+// the flag package's flag of that kind, and checks it.
+func (k ParamKind) Parse(s string) (float64, error) {
+	var v float64
+	var err error
+	switch k {
+	case ParamBool:
+		var b bool
+		if b, err = strconv.ParseBool(s); b {
+			v = 1
+		}
+	case ParamInt:
+		var n int64
+		n, err = strconv.ParseInt(s, 0, 64)
+		v = float64(n)
+	default:
+		v, err = strconv.ParseFloat(s, 64)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return v, k.check(v)
+}
+
+// Param declares one scenario parameter. The registry below is the only
+// declaration: the engine defaults and checks requests against it, and
+// cmd/netsim builds each scenario's flags from it.
+type Param struct {
+	Name    string
+	Default float64
+	Kind    ParamKind
+	Help    string
+}
+
+// scenarioSpec describes one named §4 mechanism simulation: its
+// parameters, an optional default bandwidth for scenarios parameterized
+// by a link speed, and its planner. Tables carry the exact strings the
+// CLI prints.
 type scenarioSpec struct {
-	defaults  map[string]float64
+	params    []Param
 	bandwidth string
 	plan      func(norm Request, models *netsim.Models) (*RowPlan, error)
+}
+
+// ScenarioParams returns a registered scenario's parameters in
+// declaration order and its default link speed ("" when it takes none).
+// ok is false for an unknown scenario.
+func ScenarioParams(name string) (params []Param, bandwidth string, ok bool) {
+	spec, ok := scenarios[name]
+	return append([]Param(nil), spec.params...), spec.bandwidth, ok
 }
 
 // scenarioRows is a row-structured scenario: the table frame (title,
@@ -70,64 +135,109 @@ func wholeTable(run func(req Request) (*Table, error)) func(Request, *netsim.Mod
 	}
 }
 
-// scenarios is the registry behind OpScenario and /v1/scenarios/<name>.
+// scenarios is the registry behind OpScenario, /v1/scenarios/<name> and
+// cmd/netsim's scenario flags.
 var scenarios = map[string]scenarioSpec{
 	"gating": {
-		defaults: map[string]float64{"ports": 64, "l3": 0, "fib": 0.25, "wake": 1.0},
-		plan:     wholeTable(runGating),
+		params: []Param{
+			{"ports", 64, ParamInt, "ports in use (of 128)"},
+			{"l3", 0, ParamBool, "deployment needs L3 routing"},
+			{"fib", 0.25, ParamFloat, "fraction of FIB memory needed"},
+			{"wake", 1.0, ParamFloat, "wake latency budget (s)"},
+		},
+		plan: wholeTable(runGating),
 	},
 	"rateadapt": {
-		defaults: map[string]float64{"busy": 1, "ratio": 0.2, "level": 0.8, "samples": 400},
-		plan:     tableRows(rateAdaptRows),
+		params: []Param{
+			{"busy", 1, ParamInt, "pipelines carrying traffic (of 4)"},
+			{"ratio", 0.2, ParamFloat, "communication ratio of the periodic load"},
+			{"level", 0.8, ParamFloat, "utilization during bursts"},
+			{"samples", 400, ParamInt, "trace samples"},
+		},
+		plan: tableRows(rateAdaptRows),
 	},
 	"parking": {
-		defaults: map[string]float64{"ratio": 0.2, "level": 0.5, "period": 2, "samples": 800},
-		plan:     tableRows(parkingRows),
+		params: []Param{
+			{"ratio", 0.2, ParamFloat, "communication ratio"},
+			{"level", 0.5, ParamFloat, "utilization during bursts"},
+			{"period", 2, ParamFloat, "iteration period (s)"},
+			{"samples", 800, ParamInt, "trace samples (50 ms each)"},
+		},
+		plan: tableRows(parkingRows),
 	},
 	"eee": {
-		defaults:  map[string]float64{"active": 10, "horizon": 0.01, "seed": 1},
+		params:    linkParams,
 		bandwidth: "10G",
 		plan:      tableRows(eeeRows),
 	},
 	"ratelink": {
-		defaults:  map[string]float64{"active": 10, "horizon": 0.01, "seed": 1},
+		params:    linkParams,
 		bandwidth: "10G",
 		plan:      tableRows(rateLinkRows),
 	},
 	"chiplet": {
-		defaults: map[string]float64{"ratio": 0.1, "level": 0.8},
-		plan:     wholeTable(runChiplet),
+		params: []Param{
+			{"ratio", 0.1, ParamFloat, "communication ratio of the ML load"},
+			{"level", 0.8, ParamFloat, "utilization during bursts"},
+		},
+		plan: wholeTable(runChiplet),
 	},
 	"scheduler": {
-		defaults: map[string]float64{"radix": 8},
-		plan:     wholeTable(runScheduler),
+		params: []Param{{"radix", 8, ParamInt, "fabric switch radix k"}},
+		plan:   wholeTable(runScheduler),
 	},
 	"summary": {
-		defaults: map[string]float64{"ratio": 0.1},
-		plan:     wholeTable(runSummary),
+		params: []Param{{"ratio", 0.1, ParamFloat, "communication ratio"}},
+		plan:   wholeTable(runSummary),
 	},
 	"faults": {
-		defaults: map[string]float64{
-			"radix": 4, "iters": 4, "seed": 1,
-			"flaps": 6, "mttr": 0.3, "stuckprob": 0.25, "stuckextra": 0.5,
-			"reconfig": 0.2, "slowprob": 0.25, "failprob": 0.1,
+		params: []Param{
+			{"radix", 4, ParamInt, "fat-tree radix k"},
+			{"iters", 4, ParamInt, "training iterations to simulate"},
+			{"seed", 1, ParamInt, "fault trace seed"},
+			{"flaps", 6, ParamInt, "base transient link outages (scaled by the sweep)"},
+			{"mttr", 0.3, ParamFloat, "mean link repair time (s)"},
+			{"stuckprob", 0.25, ParamFloat, "probability a link wake misses its deadline"},
+			{"stuckextra", 0.5, ParamFloat, "mean extra latency of a stuck wake (s)"},
+			{"reconfig", 0.2, ParamFloat, "nominal OCS reconfiguration latency (s)"},
+			{"slowprob", 0.25, ParamFloat, "probability a reconfiguration is slow"},
+			{"failprob", 0.1, ParamFloat, "probability a reconfiguration attempt fails"},
 		},
 		plan: tableRows(faultsRows),
 	},
 	"topologies": {
-		defaults: map[string]float64{
-			"hosts": 24, "iters": 2, "seed": 1,
-			"flaps": 4, "mttr": 0.3, "perm": 1,
-			"lowload": 0.1, "level": 0.9,
+		params: []Param{
+			{"hosts", 24, ParamInt, "host count every topology is sized for"},
+			{"iters", 2, ParamInt, "training iterations to simulate"},
+			{"seed", 1, ParamInt, "fault trace seed"},
+			{"flaps", 4, ParamInt, "transient link outages in the fault trace"},
+			{"mttr", 0.3, ParamFloat, "mean link repair time (s)"},
+			{"perm", 1, ParamInt, "permanent link failures in the fault trace"},
+			{"lowload", 0.1, ParamFloat, "active host fraction of the low-load phase"},
+			{"level", 0.9, ParamFloat, "per-host offered load during bursts"},
 		},
 		bandwidth: "100G",
 		plan:      tableRows(topologiesRows),
 	},
 	"chaos": {
-		defaults: map[string]float64{"panic": 0, "sleep": 0, "fail": 0,
-			"rows": 1, "failrow": -1, "panicrow": -1},
+		params: []Param{
+			{"panic", 0, ParamBool, "panic on row 0"},
+			{"sleep", 0, ParamFloat, "sleep this long on row 0 (s)"},
+			{"fail", 0, ParamBool, "fail row 0"},
+			{"rows", 1, ParamInt, "table rows"},
+			{"failrow", -1, ParamInt, "fail this row on every attempt (-1: none)"},
+			{"panicrow", -1, ParamInt, "panic on this row on every attempt (-1: none)"},
+		},
 		plan: tableRows(chaosRows),
 	},
+}
+
+// linkParams are the single-link Poisson scenarios' parameters (eee and
+// ratelink).
+var linkParams = []Param{
+	{"active", 10, ParamFloat, "PHY full-rate power (W)"},
+	{"horizon", 0.01, ParamFloat, "simulated span (s)"},
+	{"seed", 1, ParamInt, "arrival seed"},
 }
 
 // mlTrace samples an ML periodic load profile every `step` seconds.

@@ -208,3 +208,129 @@ func TestPerOpMetrics(t *testing.T) {
 		t.Errorf("MeanCompute = %v, %v; want %v, true", mean, ok, sum/2)
 	}
 }
+
+// TestScenarioParamKinds: a value of the wrong kind is rejected before it
+// can be truncated and cached under a key of its own, and the error names
+// the parameter. Integers up to ±(2^53-1) and 0/1 bools pass.
+func TestScenarioParamKinds(t *testing.T) {
+	for _, tc := range []struct {
+		scenario, param string
+		v               float64
+		ok              bool
+	}{
+		{"gating", "ports", 64.5, false},
+		{"faults", "radix", 4.7, false},
+		{"faults", "iters", 1.2, false},
+		{"faults", "seed", 1 << 54, false},
+		{"eee", "seed", 1 << 53, false},
+		{"eee", "seed", -(1 << 53) - 2, false},
+		{"gating", "l3", 0.5, false},
+		{"gating", "l3", 2, false},
+		{"chaos", "panic", -1, false},
+		{"gating", "ports", 32, true},
+		{"gating", "l3", 1, true},
+		{"eee", "seed", 1<<53 - 1, true},
+		{"eee", "seed", -(1<<53 - 1), true},
+		{"gating", "fib", 0.5, true},
+	} {
+		req := Request{Op: OpScenario, Scenario: tc.scenario, Params: map[string]float64{tc.param: tc.v}}
+		_, err := req.Normalize()
+		if tc.ok && err != nil {
+			t.Errorf("%s %s=%v rejected: %v", tc.scenario, tc.param, tc.v, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.param))) {
+			t.Errorf("%s %s=%v: err = %v, want a kind error naming %q", tc.scenario, tc.param, tc.v, err, tc.param)
+		}
+	}
+}
+
+// TestScenarioParamErrorStable: with several bad parameters the error
+// names the same one on every call, whatever the map's iteration order.
+func TestScenarioParamErrorStable(t *testing.T) {
+	for _, params := range []map[string]float64{
+		{"radix": 4.5, "iters": 1.5, "seed": 0.5, "flaps": 2.5},
+		{"zz": 1, "aa": 1, "mm": 1, "radix": 4},
+	} {
+		req := Request{Op: OpScenario, Scenario: "faults", Params: params}
+		_, first := req.Normalize()
+		if first == nil {
+			t.Fatalf("%v accepted", params)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := req.Normalize(); err == nil || err.Error() != first.Error() {
+				t.Fatalf("%v: error %v, then %v", params, first, err)
+			}
+		}
+	}
+}
+
+// TestParamKindParse: command-line text parses by kind, with the flag
+// package's syntax, and an int beyond ±(2^53-1) is refused rather than
+// rounded into range.
+func TestParamKindParse(t *testing.T) {
+	for _, tc := range []struct {
+		kind ParamKind
+		in   string
+		want float64
+		ok   bool
+	}{
+		{ParamInt, "64", 64, true},
+		{ParamInt, "0x20", 32, true},
+		{ParamInt, "-1", -1, true},
+		{ParamInt, "64.5", 0, false},
+		{ParamInt, "9007199254740991", 1<<53 - 1, true},
+		{ParamInt, "9007199254740992", 0, false},
+		{ParamInt, "9007199254740993", 0, false},
+		{ParamInt, "-9007199254740993", 0, false},
+		{ParamBool, "true", 1, true},
+		{ParamBool, "0", 0, true},
+		{ParamBool, "maybe", 0, false},
+		{ParamFloat, "0.25", 0.25, true},
+		{ParamFloat, "x", 0, false},
+	} {
+		got, err := tc.kind.Parse(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("kind %d Parse(%q) = %v, %v; want %v, ok=%v", tc.kind, tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestScenarioParamsDeclared: every registered scenario declares its
+// parameters once, with a help string, and every default is of its own
+// kind.
+func TestScenarioParamsDeclared(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		params, _, ok := ScenarioParams(name)
+		if !ok || len(params) == 0 {
+			t.Fatalf("%s: ScenarioParams = %v, %v", name, params, ok)
+		}
+		seen := map[string]bool{}
+		for _, p := range params {
+			if seen[p.Name] {
+				t.Errorf("%s declares %q twice", name, p.Name)
+			}
+			seen[p.Name] = true
+			if p.Help == "" {
+				t.Errorf("%s %s has no help", name, p.Name)
+			}
+			if err := p.Kind.check(p.Default); err != nil {
+				t.Errorf("%s %s default: %v", name, p.Name, err)
+			}
+		}
+	}
+	if _, _, ok := ScenarioParams("bogus"); ok {
+		t.Error("unknown scenario reported ok")
+	}
+}
+
+// TestNegativeSeedRejected: the fault-trace seeds become uint64, and a
+// negative float64 has no portable conversion, so a negative seed is an
+// error rather than a platform-dependent trace.
+func TestNegativeSeedRejected(t *testing.T) {
+	for _, name := range []string{"faults", "topologies"} {
+		req := Request{Op: OpScenario, Scenario: name, Params: map[string]float64{"seed": -1}}
+		if _, _, err := New(Options{}).Do(context.Background(), req); err == nil || !strings.Contains(err.Error(), "seed") {
+			t.Errorf("%s seed=-1: err = %v, want a seed error", name, err)
+		}
+	}
+}

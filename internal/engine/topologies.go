@@ -44,6 +44,10 @@ func topologiesRows(req Request, models *netsim.Models) (*scenarioRows, error) {
 	if hosts < 4 {
 		return nil, fmt.Errorf("hosts %d must be at least 4", hosts)
 	}
+	if req.Params["seed"] < 0 {
+		// A negative float64 has no portable uint64 conversion.
+		return nil, fmt.Errorf("seed %v must not be negative", req.Params["seed"])
+	}
 	if iters < 1 {
 		return nil, fmt.Errorf("iters %d must be positive", iters)
 	}

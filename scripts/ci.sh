@@ -174,21 +174,22 @@ step_bench_smoke() {
 	go test -run=NONE -bench . -benchtime=1x ./...
 }
 
-# Bench guard: a short measured run of the hot-path benchmarks compared
-# against the frozen BENCH_netsim.json. The default x5 ns/op tolerance
-# absorbs runner noise; override with BENCH_TOLERANCE for slower machines.
+# Bench guard: a short measured run of the hot-path benchmarks, five
+# samples each, whose medians are compared against the frozen
+# BENCH_netsim.json. The default x5 ns/op tolerance absorbs runner noise;
+# override with BENCH_TOLERANCE for slower machines.
 # allocs/op and B/op are held to x1.25 plus a small constant.
 step_bench_guard() {
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
-	go test -run=NONE -benchmem -benchtime=100x \
+	go test -run=NONE -benchmem -count 5 -benchtime=100x \
 		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$|BenchmarkEngineCacheHit$|BenchmarkEngineCacheMiss$|BenchmarkEngineBatchMiss$' \
 		. >"$tmp/bench.out"
-	go test -run=NONE -benchmem -benchtime=100x \
+	go test -run=NONE -benchmem -count 5 -benchtime=100x \
 		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
 		./cmd/serve >>"$tmp/bench.out"
-	go test -run=NONE -benchmem -benchtime=10000x \
+	go test -run=NONE -benchmem -count 5 -benchtime=10000x \
 		-bench 'BenchmarkChaosDisarmed$' \
 		./internal/chaos >>"$tmp/bench.out"
 	"$tmp/benchguard" -baseline BENCH_netsim.json "$tmp/bench.out"
