@@ -478,13 +478,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r)
 }
 
-// apiResponse wraps a result with its serving metadata.
-type apiResponse struct {
-	Cached    bool           `json:"cached"`
-	ElapsedMS float64        `json:"elapsed_ms"`
-	Result    *engine.Result `json:"result"`
-}
-
 // apiError is the JSON error body.
 type apiError struct {
 	Error string `json:"error"`
@@ -496,6 +489,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeResult writes a buffered answer, a result with its serving
+// metadata, as writeJSON encodes that envelope, in one Write. body is the
+// result's JSON indented one level deep, as DoJSON returns it for hits
+// and misses alike; nil (a result that cannot be encoded) writes no body,
+// as writeJSON does.
+func writeResult(w http.ResponseWriter, cached bool, elapsedMS float64, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if body == nil {
+		return
+	}
+	ms, _ := json.Marshal(elapsedMS)
+	b := make([]byte, 0, len(body)+64)
+	b = append(b, "{\n  \"cached\": "...)
+	b = strconv.AppendBool(b, cached)
+	b = append(b, ",\n  \"elapsed_ms\": "...)
+	b = append(b, ms...)
+	b = append(b, ",\n  \"result\": "...)
+	b = append(b, body...)
+	b = append(b, "\n}\n"...)
+	_, _ = w.Write(b)
 }
 
 // retryAfterSeconds derives the Retry-After hint from actual queue
@@ -718,7 +734,7 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, req engine.Reques
 	ctx, cancel := context.WithTimeout(ctx, s.timeout)
 	defer cancel()
 	start := time.Now()
-	res, cached, err := s.eng.Do(ctx, req)
+	body, cached, err := s.eng.DoJSON(ctx, req)
 	if s.cluster != nil {
 		route := note.Value()
 		if route == "" {
@@ -735,11 +751,7 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, req engine.Reques
 	} else {
 		w.Header().Set("X-Cache", "MISS")
 	}
-	writeJSON(w, http.StatusOK, apiResponse{
-		Cached:    cached,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Result:    res,
-	})
+	writeResult(w, cached, float64(time.Since(start))/float64(time.Millisecond), body)
 }
 
 func (s *server) handleOp(op engine.Op) http.HandlerFunc {

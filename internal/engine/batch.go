@@ -38,12 +38,12 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) []BatchItem {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range reqs {
-		norm, key, res, err := e.lookup(ctx, reqs[i])
+		norm, key, ent, err := e.lookup(ctx, reqs[i])
 		switch {
 		case err != nil:
 			items[i].Err = err
-		case res != nil:
-			items[i] = BatchItem{Result: res, Cached: true}
+		case ent != nil:
+			items[i] = BatchItem{Result: ent.res, Cached: true}
 		default:
 			if j, ok := lead[key]; ok {
 				dups = append(dups, [2]int{i, j})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"encoding/json"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -23,9 +24,35 @@ type cacheShard struct {
 	evictions atomic.Uint64
 }
 
+// cacheEntry is one cached result. An entry is never modified once
+// added, except to fill its hit memo: Add replaces a refreshed key's
+// entry instead of its res, so a memo always encodes its own entry's res.
 type cacheEntry struct {
 	key string
 	res *Result
+	// hitOnce fills hitJSON, indentJSON of res (see Engine.DoJSON), on
+	// the entry's first DoJSON hit. The bytes live exactly as long as the
+	// entry: eviction drops both.
+	hitOnce sync.Once
+	hitJSON []byte
+}
+
+// indented returns the entry's memoized indentJSON of res, encoding it
+// on the first call. Concurrent first calls encode once and all return
+// the same bytes.
+func (ent *cacheEntry) indented() []byte {
+	ent.hitOnce.Do(func() { ent.hitJSON = indentJSON(ent.res) })
+	return ent.hitJSON
+}
+
+// indentJSON encodes res as it sits one level deep in an indented JSON
+// envelope, or returns nil if res cannot be encoded.
+func indentJSON(res *Result) []byte {
+	b, err := json.MarshalIndent(res, "  ", "  ")
+	if err != nil {
+		return nil
+	}
+	return b
 }
 
 // newCache builds a cache with the given total capacity split across
@@ -55,17 +82,17 @@ func (c *cache) shard(key string) *cacheShard {
 	return c.shards[int(h.Sum32())%len(c.shards)]
 }
 
-// Get returns the cached result for key, refreshing its recency.
-func (c *cache) Get(key string) (*Result, bool) {
+// Get returns the cache entry for key, refreshing its recency, or nil.
+func (c *cache) Get(key string) *cacheEntry {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry)
 }
 
 // Add inserts (or refreshes) a result, evicting the shard's least
@@ -75,7 +102,7 @@ func (c *cache) Add(key string, res *Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value = &cacheEntry{key: key, res: res}
 		s.ll.MoveToFront(el)
 		return
 	}

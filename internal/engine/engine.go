@@ -166,19 +166,45 @@ func (e *Engine) computeSeconds() float64 {
 // reports whether the result was served from the cache without waiting on
 // any computation.
 func (e *Engine) Do(ctx context.Context, req Request) (res *Result, cached bool, err error) {
-	norm, key, res, err := e.lookup(ctx, req)
-	if res != nil || err != nil {
-		return res, res != nil, err
+	res, ent, err := e.do(ctx, req)
+	return res, ent != nil, err
+}
+
+// DoJSON is Do for a server that writes the result one level deep in an
+// indented JSON envelope: body is res as json.MarshalIndent(res, "  ", "  ")
+// encodes it, or nil if res cannot be encoded. On a cache hit the bytes
+// are memoized on the cache entry: the entry's first hit encodes them,
+// every later hit shares them, and they are freed with the entry. A miss
+// encodes its result afresh and stores nothing.
+func (e *Engine) DoJSON(ctx context.Context, req Request) (body []byte, cached bool, err error) {
+	res, ent, err := e.do(ctx, req)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case ent != nil:
+		return ent.indented(), true, nil
+	}
+	return indentJSON(res), false, nil
+}
+
+// do is Do's lookup then miss; ent is the cache entry of a hit.
+func (e *Engine) do(ctx context.Context, req Request) (res *Result, ent *cacheEntry, err error) {
+	norm, key, ent, err := e.lookup(ctx, req)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case ent != nil:
+		return ent.res, ent, nil
 	}
 	res, _, err = e.miss(ctx, key, norm)
-	return res, false, err
+	return res, nil, err
 }
 
 // lookup is the first step of every Do and DoBatch row: normalize, fail a
 // done context before the cache, key, and probe the cache. It returns the
-// cached result on a hit, the error on a failure, and otherwise the
+// cache entry on a hit, the error on a failure, and otherwise the
 // normalized request and its canonical key for miss.
-func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key string, res *Result, err error) {
+func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key string, ent *cacheEntry, err error) {
 	norm, err = req.Normalize()
 	if err != nil {
 		e.errors.Inc()
@@ -189,12 +215,12 @@ func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key str
 		return norm, "", nil, err
 	}
 	key = norm.Key()
-	if res, ok := e.cache.Get(key); ok {
+	if ent := e.cache.Get(key); ent != nil {
 		e.hits.Inc()
 		if e.log.Enabled(obs.LevelDebug) {
 			e.log.Debug("cache hit", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 		}
-		return norm, key, res, nil
+		return norm, key, ent, nil
 	}
 	e.misses.Inc()
 	if e.log.Enabled(obs.LevelDebug) {

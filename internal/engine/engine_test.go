@@ -80,6 +80,43 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestNegativeZeroKey checks that -0 and 0 share one canonical key in
+// every float field a request keeps and in scenario parameters, so a -0
+// spelling neither splits the cache nor echoes "-0" in a result.
+func TestNegativeZeroKey(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		req   func(v float64) Request
+	}{
+		{"ratio", func(v float64) Request { return Request{Op: OpWhatIf, CommRatio: v} }},
+		{"netprop", func(v float64) Request { return Request{Op: OpWhatIf, NetworkProportionality: &v} }},
+		{"compprop", func(v float64) Request { return Request{Op: OpWhatIf, ComputeProportionality: &v} }},
+		{"overlap", func(v float64) Request { return Request{Op: OpSweep, Overlap: v} }},
+		{"props", func(v float64) Request { return Request{Op: OpFig3, Proportionalities: []float64{v, 0.5}} }},
+		{"fixedratio", func(v float64) Request { return Request{Op: OpFig4, FixedCommRatio: v} }},
+		{"price", func(v float64) Request { return Request{Op: OpCost, Price: &v} }},
+		{"cooling", func(v float64) Request { return Request{Op: OpCost, Cooling: &v} }},
+		{"float param", func(v float64) Request {
+			return Request{Op: OpScenario, Scenario: "chaos", Params: map[string]float64{"sleep": v}}
+		}},
+		{"bool param", func(v float64) Request {
+			return Request{Op: OpScenario, Scenario: "chaos", Params: map[string]float64{"panic": v}}
+		}},
+	} {
+		neg, err := tc.req(math.Copysign(0, -1)).Normalize()
+		if err != nil {
+			t.Fatalf("%s=-0: %v", tc.field, err)
+		}
+		pos, err := tc.req(0).Normalize()
+		if err != nil {
+			t.Fatalf("%s=0: %v", tc.field, err)
+		}
+		if neg.Key() != pos.Key() {
+			t.Errorf("%s: key of -0 differs from key of 0:\n%s\n%s", tc.field, neg.Key(), pos.Key())
+		}
+	}
+}
+
 func TestNormalizeErrors(t *testing.T) {
 	bad := []Request{
 		{Op: "bogus"},

@@ -77,7 +77,17 @@ func orDefault(p *float64, def float64) float64 {
 	if p == nil {
 		return def
 	}
-	return *p
+	return posZero(*p)
+}
+
+// posZero folds negative zero to positive zero. Normalize applies it to
+// every float it keeps, so -0 and 0 share one canonical key: the key's
+// JSON encoding would otherwise spell them "-0" and "0".
+func posZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 // Normalize validates the request and resolves every default, returning
@@ -149,7 +159,7 @@ func (r Request) Normalize() (Request, error) {
 		return Request{}, fmt.Errorf("engine: %w", err)
 	}
 	n.Interp = mode.String()
-	n.Overlap = r.Overlap
+	n.Overlap = posZero(r.Overlap)
 	if n.Overlap < 0 || n.Overlap >= 1 {
 		return Request{}, fmt.Errorf("engine: overlap %v outside [0,1)", n.Overlap)
 	}
@@ -161,9 +171,11 @@ func (r Request) Normalize() (Request, error) {
 			return Request{}, fmt.Errorf("engine: %w", err)
 		}
 		n.Budget = kind.String()
-		n.Proportionalities = r.Proportionalities
-		if len(n.Proportionalities) == 0 {
+		if len(r.Proportionalities) == 0 {
 			n.Proportionalities = core.FigProportionalities()
+		}
+		for _, p := range r.Proportionalities {
+			n.Proportionalities = append(n.Proportionalities, posZero(p))
 		}
 		for _, p := range n.Proportionalities {
 			if p < 0 || p > 1 {
@@ -268,7 +280,7 @@ func (r Request) normalizeScenario() (Request, error) {
 		} else if err := p.Kind.check(v); err != nil {
 			return Request{}, fmt.Errorf("engine: scenario %q parameter %q: %w", r.Scenario, p.Name, err)
 		}
-		params[p.Name] = v
+		params[p.Name] = posZero(v)
 	}
 	unknown := ""
 	for k := range r.Params {

@@ -187,7 +187,7 @@ step_bench_guard() {
 		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$|BenchmarkEngineCacheHit$|BenchmarkEngineCacheMiss$|BenchmarkEngineBatchMiss$' \
 		. >"$tmp/bench.out"
 	go test -run=NONE -benchmem -count 5 -benchtime=100x \
-		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
+		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$|BenchmarkServeHit$' \
 		./cmd/serve >>"$tmp/bench.out"
 	go test -run=NONE -benchmem -count 5 -benchtime=10000x \
 		-bench 'BenchmarkChaosDisarmed$' \
