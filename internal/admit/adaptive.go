@@ -1,5 +1,7 @@
 package admit
 
+import "time"
+
 // Adaptive low-priority shedding. The fixed policy — shed low priority
 // once the engine queue is half full — wastes headroom when the cluster
 // is fast (half the queue idles) and reacts too late when rows are slow
@@ -19,6 +21,8 @@ const (
 	// between two probes straddling the target.
 	tightenAbove = 1.2
 	relaxBelow   = 0.8
+	// adaptEvery rate-limits threshold re-evaluation.
+	adaptEvery = time.Second
 )
 
 // shedThreshold returns the pending-count bound at which low-priority
@@ -48,7 +52,7 @@ func (c *Controller) ShedThreshold() int64 {
 func (c *Controller) maybeAdapt() {
 	now := c.now().UnixNano()
 	last := c.lastAdapt.Load()
-	if now-last < int64(c.adaptEvery) {
+	if now-last < int64(adaptEvery) {
 		return
 	}
 	if !c.lastAdapt.CompareAndSwap(last, now) {

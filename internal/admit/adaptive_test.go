@@ -27,12 +27,11 @@ func newAdaptiveFixture(t *testing.T, capacity int) *adaptiveFixture {
 		now: time.Unix(1000, 0),
 	}
 	f.c = New(Options{
-		Capacity:   capacity,
-		Pending:    func() int64 { return f.load },
-		P99:        func() float64 { return f.h.Quantile(0.99) },
-		TargetP99:  100 * time.Millisecond,
-		AdaptEvery: time.Second,
-		Now:        func() time.Time { return f.now },
+		Capacity:  capacity,
+		Pending:   func() int64 { return f.load },
+		P99:       func() float64 { return f.h.Quantile(0.99) },
+		TargetP99: 100 * time.Millisecond,
+		Now:       func() time.Time { return f.now },
 	})
 	return f
 }

@@ -117,18 +117,16 @@ type Options struct {
 	// TargetP99 is the latency objective the adaptive threshold defends.
 	// Zero disables adaptation.
 	TargetP99 time.Duration
-	// AdaptEvery rate-limits threshold re-evaluation (default 1s).
-	AdaptEvery time.Duration
-	// MaxTenants bounds tracked buckets (default 4096); the least
-	// recently seen bucket is evicted at the bound, which at worst
-	// refunds an idle tenant its burst.
-	MaxTenants int
 	// Now injects time for tests; defaults to time.Now.
 	Now func() time.Time
 	// Registry receives netpowerprop_admit_* metrics; nil keeps them
 	// unregistered.
 	Registry *obs.Registry
 }
+
+// maxTenants bounds tracked buckets; the least recently seen bucket is
+// evicted at the bound, which at worst refunds an idle tenant its burst.
+const maxTenants = 4096
 
 // bucket is one tenant's token bucket, refilled lazily on access.
 type bucket struct {
@@ -139,17 +137,18 @@ type bucket struct {
 // Controller applies priority and quota policy. The zero value is not
 // usable; build one with New.
 type Controller struct {
-	rate       float64
-	burst      float64
-	capacity   int
-	pending    func() int64
+	rate     float64
+	burst    float64
+	capacity int
+	pending  func() int64
+	now      func() time.Time
+	// maxTenants is the package constant; tests in this package lower it
+	// to reach eviction with a few tenants.
 	maxTenants int
-	now        func() time.Time
 
 	// Adaptive low-priority shed state (see adaptive.go).
 	p99         func() float64
 	targetP99   time.Duration
-	adaptEvery  time.Duration
 	threshold   atomic.Int64
 	lastAdapt   atomic.Int64
 	adaptations *obs.Counter
@@ -170,28 +169,21 @@ func New(opts Options) *Controller {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.MaxTenants <= 0 {
-		opts.MaxTenants = 4096
-	}
 	if opts.Burst <= 0 {
 		opts.Burst = 2 * opts.RatePerSec
 	}
 	if opts.Burst < 1 {
 		opts.Burst = 1
 	}
-	if opts.AdaptEvery <= 0 {
-		opts.AdaptEvery = time.Second
-	}
 	c := &Controller{
 		rate:       opts.RatePerSec,
 		burst:      opts.Burst,
 		capacity:   opts.Capacity,
 		pending:    opts.Pending,
-		maxTenants: opts.MaxTenants,
+		maxTenants: maxTenants,
 		now:        opts.Now,
 		p99:        opts.P99,
 		targetP99:  opts.TargetP99,
-		adaptEvery: opts.AdaptEvery,
 		buckets:    make(map[string]*bucket),
 	}
 	// The adaptive walk starts from the fixed bound and moves only on

@@ -244,7 +244,8 @@ func TestRefund(t *testing.T) {
 // The tenant table is bounded; the least recently seen bucket is evicted.
 func TestTenantEviction(t *testing.T) {
 	now := newFakeNow()
-	c := New(Options{RatePerSec: 1, Burst: 5, MaxTenants: 3, Now: now.Now})
+	c := New(Options{RatePerSec: 1, Burst: 5, Now: now.Now})
+	c.maxTenants = 3
 	for i := 0; i < 3; i++ {
 		c.Admit(fmt.Sprintf("t%d", i), Normal, 1)
 		now.Advance(time.Millisecond)

@@ -22,21 +22,15 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// Default breaker tuning: trip after 5 consecutive typed failures, probe
-// again after 2s.
+// Breaker tuning: trip after 5 consecutive typed failures, probe again
+// after 2s.
 const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 2 * time.Second
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Second
 )
 
 // BreakerOptions configures a Breaker.
 type BreakerOptions struct {
-	// Threshold is the consecutive-failure count that opens a peer's
-	// circuit (DefaultBreakerThreshold when <= 0).
-	Threshold int
-	// Cooldown is how long an open circuit rejects before allowing a
-	// half-open probe (DefaultBreakerCooldown when <= 0).
-	Cooldown time.Duration
 	// Now injects the clock so breaker timing is deterministic in tests;
 	// defaults to time.Now.
 	Now func() time.Time
@@ -46,14 +40,12 @@ type BreakerOptions struct {
 }
 
 // Breaker is a per-peer circuit breaker for the forward/hedge path.
-// A peer that fails Threshold consecutive times is cut off for
-// Cooldown; after that a single half-open probe decides whether the
+// A peer that fails breakerThreshold consecutive times is cut off for
+// breakerCooldown; after that a single half-open probe decides whether the
 // circuit re-closes. All transitions are driven by the injected clock,
 // never a background goroutine, so behavior is reproducible.
 type Breaker struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	now func() time.Time
 
 	mu    sync.Mutex
 	peers map[string]*breakerEntry
@@ -72,20 +64,12 @@ type breakerEntry struct {
 
 // NewBreaker builds a Breaker with defaults filled in.
 func NewBreaker(opts BreakerOptions) *Breaker {
-	if opts.Threshold <= 0 {
-		opts.Threshold = DefaultBreakerThreshold
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = DefaultBreakerCooldown
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
 	b := &Breaker{
-		threshold: opts.Threshold,
-		cooldown:  opts.Cooldown,
-		now:       opts.Now,
-		peers:     make(map[string]*breakerEntry),
+		now:   opts.Now,
+		peers: make(map[string]*breakerEntry),
 		opens: opts.Registry.Counter("netpowerprop_breaker_opens_total",
 			"Circuit-breaker transitions to open (per-peer trips summed)."),
 		rejects: opts.Registry.Counter("netpowerprop_breaker_rejects_total",
@@ -124,7 +108,7 @@ func (b *Breaker) Allow(peer string) (admit, probe bool) {
 	case BreakerClosed:
 		return true, false
 	case BreakerOpen:
-		if b.now().Sub(e.openedAt) < b.cooldown {
+		if b.now().Sub(e.openedAt) < breakerCooldown {
 			b.rejects.Inc()
 			return false, false
 		}
@@ -170,7 +154,7 @@ func (b *Breaker) Failure(peer string) {
 		b.open(e)
 	case BreakerClosed:
 		e.fails++
-		if e.fails >= b.threshold {
+		if e.fails >= breakerThreshold {
 			b.open(e)
 		}
 	}
@@ -233,7 +217,7 @@ func (b *Breaker) Snapshot() []BreakerStatus {
 	out := make([]BreakerStatus, 0, len(b.peers))
 	for peer, e := range b.peers {
 		st := e.state
-		if st == BreakerOpen && now.Sub(e.openedAt) >= b.cooldown {
+		if st == BreakerOpen && now.Sub(e.openedAt) >= breakerCooldown {
 			st = BreakerHalfOpen
 		}
 		s := BreakerStatus{Peer: peer, State: st, Fails: e.fails, Opens: e.opens, Probing: e.probing}

@@ -42,6 +42,13 @@ func budgetTokens(b *RetryBudget, peer string) float64 {
 	return b.burst
 }
 
+// trip fails peer breakerThreshold times in a row, opening its circuit.
+func trip(b *Breaker, peer string) {
+	for i := 0; i < breakerThreshold; i++ {
+		b.Failure(peer)
+	}
+}
+
 func newFakeNow() *fakeNow { return &fakeNow{t: time.Unix(1000, 0)} }
 
 func (f *fakeNow) Now() time.Time {
@@ -58,19 +65,20 @@ func (f *fakeNow) Advance(d time.Duration) {
 
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	clk := newFakeNow()
-	b := NewBreaker(BreakerOptions{Threshold: 3, Cooldown: time.Second, Now: clk.Now})
-	for i := 0; i < 2; i++ {
+	b := NewBreaker(BreakerOptions{Now: clk.Now})
+	for i := 0; i < breakerThreshold-1; i++ {
 		b.Failure("p")
 		if ok, probe := b.Allow("p"); !ok || probe {
 			t.Fatalf("closed circuit after %d failures: allow=%v probe=%v, want plain admit", i+1, ok, probe)
 		}
 	}
-	// A success resets the streak: two more failures must not open.
+	// A success resets the streak: threshold-1 more failures must not open.
 	b.Success("p")
-	b.Failure("p")
-	b.Failure("p")
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.Failure("p")
+	}
 	if got := breakerState(b, "p"); got != BreakerClosed {
-		t.Fatalf("state = %s after reset+2 failures, want closed", got)
+		t.Fatalf("state = %s after reset+%d failures, want closed", got, breakerThreshold-1)
 	}
 	b.Failure("p")
 	if got := breakerState(b, "p"); got != BreakerOpen {
@@ -86,9 +94,9 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 	clk := newFakeNow()
-	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Now: clk.Now})
-	b.Failure("p")
-	clk.Advance(time.Second)
+	b := NewBreaker(BreakerOptions{Now: clk.Now})
+	trip(b, "p")
+	clk.Advance(breakerCooldown)
 	if got := breakerState(b, "p"); got != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %s, want half-open", got)
 	}
@@ -104,7 +112,7 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 	if got := breakerState(b, "p"); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %s, want open", got)
 	}
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	if ok, probe := b.Allow("p"); !ok || !probe {
 		t.Fatalf("cooldown elapsed but admit = (%v, %v), want probe", ok, probe)
 	}
@@ -121,8 +129,8 @@ func TestBreakerHalfOpenProbeDecides(t *testing.T) {
 }
 
 func TestBreakerPeersAreIndependent(t *testing.T) {
-	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Hour, Now: newFakeNow().Now})
-	b.Failure("sick")
+	b := NewBreaker(BreakerOptions{Now: newFakeNow().Now})
+	trip(b, "sick")
 	if ok, _ := b.Allow("sick"); ok {
 		t.Fatal("sick peer's circuit should be open")
 	}
@@ -139,7 +147,8 @@ func TestBreakerPeersAreIndependent(t *testing.T) {
 }
 
 func TestRetryBudgetSpendAndRefill(t *testing.T) {
-	b := NewRetryBudget(0.5, 2)
+	b := NewRetryBudget()
+	b.ratio, b.burst = 0.5, 2
 	if !b.Spend("p") || !b.Spend("p") {
 		t.Fatal("fresh bucket (burst 2) refused a retry")
 	}
@@ -191,20 +200,18 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 	clk := newFakeNow()
 	n := newTestNode(t, "http://self:1", []string{ts.URL}, func(o *Options) {
 		o.Retry = jobs.RetryPolicy{MaxAttempts: 1, Base: time.Millisecond, Max: time.Millisecond, Jitter: -1}
-		o.BreakerThreshold = 3
-		o.BreakerCooldown = time.Minute
 		o.Now = clk.Now
 	})
 	key := keyOwnedBy(t, n, ts.URL)
 	req := engine.Request{Op: engine.OpWhatIf}
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if _, handled, err := n.Dispatch(context.Background(), key, req); handled || err != nil {
 			t.Fatalf("Dispatch %d = (%v, %v), want degrade-to-local", i, handled, err)
 		}
 	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("backend calls = %d, want 3", got)
+	if got := calls.Load(); got != breakerThreshold {
+		t.Fatalf("backend calls = %d, want %d", got, breakerThreshold)
 	}
 	st := n.Status()
 	if st.BreakerOpen != 1 {
@@ -219,7 +226,7 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 	if note.Value() != RouteDegraded {
 		t.Fatalf("route = %q, want %q", note.Value(), RouteDegraded)
 	}
-	if got := calls.Load(); got != 3 {
+	if got := calls.Load(); got != breakerThreshold {
 		t.Fatalf("open circuit still reached the backend (%d calls)", got)
 	}
 	if st := n.Status(); st.BreakerSkips != 1 {
@@ -228,7 +235,7 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 
 	// Heal the peer, elapse the cooldown: the half-open probe re-closes.
 	healthy.Store(true)
-	clk.Advance(time.Minute)
+	clk.Advance(breakerCooldown)
 	res, handled, err := n.Dispatch(context.Background(), key, req)
 	if err != nil || !handled || res == nil {
 		t.Fatalf("probe Dispatch = (%v, %v, %v), want forwarded success", res, handled, err)
@@ -244,14 +251,12 @@ func TestDispatchBreakerOpensSkipsThenRecloses(t *testing.T) {
 
 // Retry budget: a sick owner burns its per-peer tokens, after which
 // Dispatch stops retrying and degrades immediately — one attempt per
-// request, never a retry storm.
+// request, never a retry storm. The four failed hops stay under
+// breakerThreshold, so the breaker never opens.
 func TestDispatchRetryBudgetExhaustionStopsRetries(t *testing.T) {
 	ts, calls, _ := failingServer(t)
-	n := newTestNode(t, "http://self:1", []string{ts.URL}, func(o *Options) {
-		o.RetryBudgetRatio = 0.001
-		o.RetryBudgetBurst = 2
-		o.BreakerThreshold = 1000 // keep the breaker out of this test
-	})
+	n := newTestNode(t, "http://self:1", []string{ts.URL}, nil)
+	n.budget.ratio, n.budget.burst = 0.001, 2
 	key := keyOwnedBy(t, n, ts.URL)
 	req := engine.Request{Op: engine.OpWhatIf}
 
@@ -283,9 +288,9 @@ func TestDispatchRetryBudgetExhaustionStopsRetries(t *testing.T) {
 // Allow, and Probing is visible in Snapshot while the probe is out.
 func TestBreakerCancelProbeReleasesSlotWithoutVerdict(t *testing.T) {
 	clk := newFakeNow()
-	b := NewBreaker(BreakerOptions{Threshold: 1, Cooldown: time.Second, Now: clk.Now})
-	b.Failure("p")
-	clk.Advance(time.Second)
+	b := NewBreaker(BreakerOptions{Now: clk.Now})
+	trip(b, "p")
+	clk.Advance(breakerCooldown)
 	if ok, probe := b.Allow("p"); !ok || !probe {
 		t.Fatalf("half-open admit = (%v, %v), want admitted probe", ok, probe)
 	}
@@ -293,8 +298,8 @@ func TestBreakerCancelProbeReleasesSlotWithoutVerdict(t *testing.T) {
 	if len(snap) != 1 || !snap[0].Probing || snap[0].State != BreakerHalfOpen {
 		t.Fatalf("snapshot with probe in flight = %+v, want probing half-open", snap)
 	}
-	if snap[0].OpenAgeMS != 1000 {
-		t.Fatalf("open_age_ms = %d, want 1000", snap[0].OpenAgeMS)
+	if want := breakerCooldown.Milliseconds(); snap[0].OpenAgeMS != want {
+		t.Fatalf("open_age_ms = %d, want %d", snap[0].OpenAgeMS, want)
 	}
 	if ok, _ := b.Allow("p"); ok {
 		t.Fatal("second probe admitted while the first is in flight")

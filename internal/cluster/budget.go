@@ -6,22 +6,24 @@ import (
 	"sync/atomic"
 )
 
-// Default retry-budget tuning: each initial forward earns a tenth of a
-// retry token, capped at a burst of 10 — roughly "one retry per ten
-// requests, plus a small reserve".
+// Retry-budget tuning: each initial forward earns a tenth of a retry
+// token, capped at a burst of 10 — roughly "one retry per ten requests,
+// plus a small reserve".
 const (
-	DefaultRetryBudgetRatio = 0.1
-	DefaultRetryBudgetBurst = 10
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 10
 )
 
 // RetryBudget is a per-peer token bucket on cross-replica retries.
-// Every initial forward attempt to a peer deposits Ratio tokens (capped
-// at Burst); every retry spends one. When a peer's bucket is empty the
+// Every initial forward attempt to a peer deposits ratio tokens (capped
+// at burst); every retry spends one. When a peer's bucket is empty the
 // retry is refused and the caller degrades to local compute instead —
-// a sick peer therefore costs the fleet at most Ratio extra traffic,
+// a sick peer therefore costs the fleet at most ratio extra traffic,
 // never a synchronized retry storm. Buckets start full so low-traffic
 // clusters can still retry.
 type RetryBudget struct {
+	// ratio and burst are retryBudgetRatio and retryBudgetBurst; tests
+	// in this package lower them to reach exhaustion in a few calls.
 	ratio float64
 	burst float64
 
@@ -31,16 +33,9 @@ type RetryBudget struct {
 	exhausted atomic.Uint64
 }
 
-// NewRetryBudget builds a RetryBudget; non-positive arguments select
-// the defaults.
-func NewRetryBudget(ratio, burst float64) *RetryBudget {
-	if ratio <= 0 {
-		ratio = DefaultRetryBudgetRatio
-	}
-	if burst <= 0 {
-		burst = DefaultRetryBudgetBurst
-	}
-	return &RetryBudget{ratio: ratio, burst: burst, tokens: make(map[string]float64)}
+// NewRetryBudget builds a RetryBudget with every bucket full.
+func NewRetryBudget() *RetryBudget {
+	return &RetryBudget{ratio: retryBudgetRatio, burst: retryBudgetBurst, tokens: make(map[string]float64)}
 }
 
 func (b *RetryBudget) bucket(peer string) float64 {

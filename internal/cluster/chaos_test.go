@@ -252,8 +252,6 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 	plan := mustPlan(t, fmt.Sprintf(
 		"seed=7;site=cluster.forward.rtt kind=latency delay=200ms count=1 peer=%s", owner))
 	n := newTestNode(t, "http://self:1", []string{slow.URL, fast.URL}, func(o *Options) {
-		o.BreakerThreshold = 1
-		o.BreakerCooldown = time.Minute
 		o.Now = clk.Now
 		o.HedgeDelay = 5 * time.Millisecond
 		o.Chaos = plan
@@ -262,11 +260,11 @@ func TestHedgeWinReleasesLosingHalfOpenProbe(t *testing.T) {
 
 	// Trip the owner's circuit and elapse the cooldown: the next
 	// admitted call is the half-open probe.
-	n.breaker.Failure(owner)
+	trip(n.breaker, owner)
 	if got := breakerState(n.breaker, owner); got != BreakerOpen {
 		t.Fatalf("owner state = %s after trip, want open", got)
 	}
-	clk.Advance(time.Minute)
+	clk.Advance(breakerCooldown)
 
 	ctx, note := WithRouteNote(context.Background())
 	res, handled, err := n.Dispatch(ctx, key, engine.Request{Op: engine.OpWhatIf})

@@ -27,12 +27,19 @@ import (
 // A replica is the sole authority for its own record: records about
 // self are never merged (a false death verdict is refuted by bumping
 // our own incarnation, which then wins everywhere). Deaths are detected
-// two ways: staleness (no heartbeat advance for DeadAfter rounds) and
-// direct failure (FailAfter consecutive exchange errors), the latter so
-// the replica actually talking to a crashed peer spreads the verdict
-// fast instead of waiting out the staleness window. Target selection is
-// a pure function of (seed, self, round), so a test driving Tick
-// manually gets the identical exchange schedule every run.
+// two ways: staleness (no heartbeat advance for gossipDeadAfter rounds)
+// and direct failure (gossipFailAfter consecutive exchange errors), the
+// latter so the replica actually talking to a crashed peer spreads the
+// verdict fast instead of waiting out the staleness window. Each round
+// exchanges with gossipFanout targets. Target selection is a pure
+// function of (seed, self, round), so a test driving Tick manually gets
+// the identical exchange schedule every run.
+
+const (
+	gossipFanout    = 2
+	gossipDeadAfter = 5
+	gossipFailAfter = 2
+)
 
 // PeerHealth is a replica's health state as spread by gossip.
 type PeerHealth string
@@ -100,14 +107,6 @@ type GossipOptions struct {
 	Seed int64
 	// Incarnation is this replica's start instant (Unix nanoseconds).
 	Incarnation int64
-	// Fanout is targets per round (default 2).
-	Fanout int
-	// DeadAfter marks a peer dead after this many rounds without a
-	// heartbeat advance (default 5).
-	DeadAfter int
-	// FailAfter marks a peer dead after this many consecutive direct
-	// exchange failures (default 2).
-	FailAfter int
 	// Exchange delivers digests.
 	Exchange ExchangeFunc
 	// Logger receives membership transitions. Nil discards.
@@ -126,10 +125,10 @@ type peerRecord struct {
 
 // Gossiper runs the anti-entropy rounds and owns the peer table.
 type Gossiper struct {
-	self      string
-	seed      int64
-	fanout    int
-	deadAfter uint64
+	self string
+	seed int64
+	// failAfter is gossipFailAfter; tests in this package raise it to
+	// keep a failing peer on the ring, or lower it to convict at once.
 	failAfter int
 	exchange  ExchangeFunc
 	log       *obs.Logger
@@ -149,24 +148,13 @@ type Gossiper struct {
 // every seed peer provisionally alive at incarnation 0 (so the boot
 // ring spans the static peer list before the first exchange).
 func NewGossiper(opts GossipOptions) *Gossiper {
-	if opts.Fanout <= 0 {
-		opts.Fanout = 2
-	}
-	if opts.DeadAfter <= 0 {
-		opts.DeadAfter = 5
-	}
-	if opts.FailAfter <= 0 {
-		opts.FailAfter = 2
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
 	}
 	g := &Gossiper{
 		self:      opts.Self,
 		seed:      opts.Seed,
-		fanout:    opts.Fanout,
-		deadAfter: uint64(opts.DeadAfter),
-		failAfter: opts.FailAfter,
+		failAfter: gossipFailAfter,
 		exchange:  opts.Exchange,
 		log:       opts.Logger,
 		peers:     make(map[string]*peerRecord),
@@ -200,7 +188,7 @@ func (g *Gossiper) Tick(ctx context.Context) {
 		if p.Addr == g.self || p.State == HealthDead {
 			continue
 		}
-		if round-p.lastAdvance >= g.deadAfter {
+		if round-p.lastAdvance >= gossipDeadAfter {
 			g.markDeadLocked(p, "stale")
 		}
 	}
@@ -243,8 +231,8 @@ func (g *Gossiper) pickTargetsLocked(round uint64) []string {
 	}
 	rng := rand.New(rand.NewSource(g.seed ^ int64(hash64(g.self)) ^ int64(round)))
 	rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
-	if len(cand) > g.fanout {
-		cand = cand[:g.fanout]
+	if len(cand) > gossipFanout {
+		cand = cand[:gossipFanout]
 	}
 	return cand
 }
@@ -349,7 +337,7 @@ func (g *Gossiper) markDeadLocked(p *peerRecord, why string) {
 }
 
 // ObserveFailure records a failed direct exchange (or forward) to a
-// peer; FailAfter consecutive failures mark it dead immediately, so the
+// peer; failAfter consecutive failures mark it dead immediately, so the
 // replica actually touching a crashed peer spreads the verdict without
 // waiting out the staleness window.
 func (g *Gossiper) ObserveFailure(addr string) {

@@ -31,7 +31,7 @@ func gossipState(g *Gossiper, addr string) (PeerState, bool) {
 // newMesh builds a gossiper per address. peersOf maps each address to
 // its static boot list (nil means "everyone else"). All replicas share
 // one seed — the schedule still differs per (self, round).
-func newMesh(addrs []string, seed int64, peersOf map[string][]string, opts func(*GossipOptions)) *mesh {
+func newMesh(addrs []string, seed int64, peersOf map[string][]string) *mesh {
 	m := &mesh{gs: make(map[string]*Gossiper), down: make(map[string]bool)}
 	exchange := func(_ context.Context, peer string, d Digest) (Digest, error) {
 		if m.down[peer] {
@@ -54,18 +54,14 @@ func newMesh(addrs []string, seed int64, peersOf map[string][]string, opts func(
 				}
 			}
 		}
-		o := GossipOptions{
+		m.gs[addr] = NewGossiper(GossipOptions{
 			Self:        addr,
 			Peers:       peers,
 			Seed:        seed,
 			Incarnation: int64(100 * (i + 1)),
 			Exchange:    exchange,
 			Logger:      obs.Nop(),
-		}
-		if opts != nil {
-			opts(&o)
-		}
-		m.gs[addr] = NewGossiper(o)
+		})
 	}
 	return m
 }
@@ -107,7 +103,7 @@ func TestGossipDiscoversFullMembershipFromPartialSeeds(t *testing.T) {
 		addrs[0]: {addrs[1]},
 		addrs[1]: {addrs[2]},
 		addrs[2]: {addrs[0]},
-	}, nil)
+	})
 	const bound = 4
 	for round := 1; round <= bound; round++ {
 		m.tick()
@@ -124,7 +120,7 @@ func TestGossipDiscoversFullMembershipFromPartialSeeds(t *testing.T) {
 func TestGossipCrashedPeerConvergesOutDeterministically(t *testing.T) {
 	convergedAt := func() int {
 		addrs := []string{"http://a:1", "http://b:1", "http://c:1"}
-		m := newMesh(addrs, 42, nil, nil)
+		m := newMesh(addrs, 42, nil)
 		// Warm up: everyone sees everyone.
 		for i := 0; i < 3; i++ {
 			m.tick()
@@ -134,7 +130,7 @@ func TestGossipCrashedPeerConvergesOutDeterministically(t *testing.T) {
 		}
 		m.down[addrs[2]] = true
 		survivors := []string{addrs[0], addrs[1]}
-		// FailAfter defaults to 2 and every survivor targets the dead peer
+		// gossipFailAfter is 2 and every survivor targets the dead peer
 		// each round (fanout 2 of 2 candidates), so the verdict is due
 		// within a handful of rounds.
 		const bound = 6
@@ -158,9 +154,9 @@ func TestGossipCrashedPeerConvergesOutDeterministically(t *testing.T) {
 
 func TestGossipFrozenPeerDiesOfStaleness(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:1", "http://c:1"}
-	m := newMesh(addrs, 3, nil, nil)
+	m := newMesh(addrs, 3, nil)
 	// c answers exchanges but never ticks: its heartbeat never advances,
-	// so the staleness sweep (DeadAfter rounds without advance) must
+	// so the staleness sweep (gossipDeadAfter rounds without advance) must
 	// catch it even though direct exchanges keep succeeding.
 	frozen := addrs[2]
 	m.down[frozen] = false // reachable, just frozen — but skip its stale view
@@ -185,7 +181,7 @@ func TestGossipFrozenPeerDiesOfStaleness(t *testing.T) {
 
 func TestGossipDrainingPeerLeavesRingButStaysKnown(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:1", "http://c:1"}
-	m := newMesh(addrs, 5, nil, nil)
+	m := newMesh(addrs, 5, nil)
 	for i := 0; i < 3; i++ {
 		m.tick()
 	}
@@ -207,7 +203,7 @@ func TestGossipDrainingPeerLeavesRingButStaysKnown(t *testing.T) {
 
 func TestGossipRestartWithNewIncarnationResurrects(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:1", "http://c:1"}
-	m := newMesh(addrs, 9, nil, nil)
+	m := newMesh(addrs, 9, nil)
 	for i := 0; i < 3; i++ {
 		m.tick()
 	}
@@ -246,7 +242,7 @@ func TestGossipRestartWithNewIncarnationResurrects(t *testing.T) {
 
 func TestGossipRefutesFalseDeathVerdictAboutSelf(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:1"}
-	m := newMesh(addrs, 11, nil, nil)
+	m := newMesh(addrs, 11, nil)
 	for i := 0; i < 2; i++ {
 		m.tick()
 	}
@@ -279,7 +275,7 @@ func TestGossipRefutesFalseDeathVerdictAboutSelf(t *testing.T) {
 
 func TestGossipVersionBumpsOnMembershipChangeOnly(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:1"}
-	m := newMesh(addrs, 13, nil, nil)
+	m := newMesh(addrs, 13, nil)
 	for i := 0; i < 2; i++ {
 		m.tick()
 	}

@@ -32,6 +32,11 @@ const (
 	RouteDegraded = "degraded"
 )
 
+// hopTimeout caps one cross-replica hop; the effective hop budget is
+// min(hopTimeout, half the request's remaining time). It is also the
+// overall timeout of the forward and gossip HTTP client, a backstop.
+const hopTimeout = 2 * time.Second
+
 // minHopBudget is the floor on a cross-replica hop's deadline; below it
 // a forward cannot realistically complete, so the hop is not attempted
 // with less.
@@ -47,14 +52,6 @@ type Options struct {
 	Peers []string
 	// Seed drives gossip target selection and retry jitter.
 	Seed int64
-	// Incarnation is this replica's start instant (Unix nanoseconds);
-	// zero means the Node picks time.Now().
-	Incarnation int64
-	// VNodes is the ring's virtual-node count (DefaultVNodes when <= 0).
-	VNodes int
-	// HopTimeout caps one cross-replica hop (default 2s); the effective
-	// hop budget is min(HopTimeout, half the request's remaining time).
-	HopTimeout time.Duration
 	// HedgeDelay is how long to wait on the owner before racing a second
 	// copy of the request to the ring successor (default 250ms; negative
 	// disables hedging).
@@ -64,11 +61,6 @@ type Options struct {
 	Retry jobs.RetryPolicy
 	// GossipInterval is the anti-entropy round period (default 500ms).
 	GossipInterval time.Duration
-	// Fanout, DeadAfter, FailAfter tune the gossiper (see GossipOptions).
-	Fanout, DeadAfter, FailAfter int
-	// Client issues forward and gossip requests (default: dedicated
-	// client with HopTimeout as overall timeout backstop).
-	Client *http.Client
 	// Exchange overrides the gossip transport (tests); default is HTTP
 	// POST to <peer>/v1/cluster/gossip.
 	Exchange ExchangeFunc
@@ -77,19 +69,9 @@ type Options struct {
 	QueueDepth func() int64
 	// Uptime reports this replica's uptime seconds. Nil gossips zero.
 	Uptime func() float64
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's forward circuit (DefaultBreakerThreshold when <= 0).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects before a
-	// half-open probe (DefaultBreakerCooldown when <= 0).
-	BreakerCooldown time.Duration
-	// RetryBudgetRatio/RetryBudgetBurst tune the per-peer retry budget
-	// (see RetryBudget; defaults when <= 0).
-	RetryBudgetRatio float64
-	RetryBudgetBurst float64
-	// Now injects the clock used by the breaker and by the default
-	// Incarnation stamp, so seeded tests are fully deterministic;
-	// defaults to time.Now.
+	// Now injects the clock used by the breaker and by the incarnation
+	// stamp, so seeded tests are fully deterministic; defaults to
+	// time.Now.
 	Now func() time.Time
 	// Logger receives cluster events. Nil discards.
 	Logger *obs.Logger
@@ -106,8 +88,6 @@ type Options struct {
 // cache, and the forwarding path that implements engine.RemoteFunc.
 type Node struct {
 	self       string
-	vnodes     int
-	hopTimeout time.Duration
 	hedgeDelay time.Duration
 	retry      jobs.RetryPolicy
 	interval   time.Duration
@@ -145,27 +125,14 @@ func New(opts Options) *Node {
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
 	}
-	if opts.HopTimeout <= 0 {
-		opts.HopTimeout = 2 * time.Second
-	}
 	if opts.HedgeDelay == 0 {
 		opts.HedgeDelay = 250 * time.Millisecond
 	}
 	if opts.GossipInterval <= 0 {
 		opts.GossipInterval = 500 * time.Millisecond
 	}
-	if opts.Incarnation == 0 {
-		// Stamp through the injectable clock (the one the breaker already
-		// uses) so seeded gossip/chaos runs are fully deterministic; only
-		// production, with no Now override, reads the wall clock.
-		now := opts.Now
-		if now == nil {
-			now = time.Now
-		}
-		opts.Incarnation = now().UnixNano()
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: opts.HopTimeout}
+	if opts.Now == nil {
+		opts.Now = time.Now
 	}
 	self := normalizeAddr(opts.Self)
 	peers := make([]string, 0, len(opts.Peers))
@@ -176,23 +143,16 @@ func New(opts Options) *Node {
 	}
 	n := &Node{
 		self:       self,
-		vnodes:     opts.VNodes,
-		hopTimeout: opts.HopTimeout,
 		hedgeDelay: opts.HedgeDelay,
 		retry:      opts.Retry,
 		interval:   opts.GossipInterval,
-		client:     opts.Client,
+		client:     &http.Client{Timeout: hopTimeout},
 		log:        opts.Logger.With("peer", self),
 		chaos:      opts.Chaos,
 		queueDepth: opts.QueueDepth,
 		uptime:     opts.Uptime,
-		breaker: NewBreaker(BreakerOptions{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
-			Now:       opts.Now,
-			Registry:  opts.Registry,
-		}),
-		budget: NewRetryBudget(opts.RetryBudgetRatio, opts.RetryBudgetBurst),
+		breaker:    NewBreaker(BreakerOptions{Now: opts.Now, Registry: opts.Registry}),
+		budget:     NewRetryBudget(),
 	}
 	n.sleep = func(ctx context.Context, d time.Duration) error {
 		t := time.NewTimer(d)
@@ -208,14 +168,14 @@ func New(opts Options) *Node {
 	if exchange == nil {
 		exchange = n.httpExchange
 	}
+	// The incarnation is stamped through the injectable clock so seeded
+	// gossip/chaos runs are fully deterministic; only production reads
+	// the wall clock.
 	n.gossip = NewGossiper(GossipOptions{
 		Self:        self,
 		Peers:       peers,
 		Seed:        opts.Seed,
-		Incarnation: opts.Incarnation,
-		Fanout:      opts.Fanout,
-		DeadAfter:   opts.DeadAfter,
-		FailAfter:   opts.FailAfter,
+		Incarnation: opts.Now().UnixNano(),
 		Exchange:    exchange,
 		Logger:      n.log,
 	})
@@ -278,7 +238,7 @@ func (n *Node) Ring() *Ring {
 	if c := n.ring.Load(); c != nil && c.version == v {
 		return c.ring
 	}
-	r := NewRing(n.gossip.Alive(), n.vnodes)
+	r := NewRing(n.gossip.Alive())
 	n.ring.Store(&ringCache{version: v, ring: r})
 	return r
 }
@@ -434,11 +394,11 @@ func noteRoute(ctx context.Context, v string) {
 	}
 }
 
-// hopBudget is one cross-replica hop's deadline: min(HopTimeout, half
+// hopBudget is one cross-replica hop's deadline: min(hopTimeout, half
 // the request's remaining time), floored at minHopBudget — half, so a
 // failed hop always leaves time for a retry or the local fallback.
 func (n *Node) hopBudget(ctx context.Context) time.Duration {
-	budget := n.hopTimeout
+	budget := hopTimeout
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl) / 2; remaining < budget {
 			budget = remaining

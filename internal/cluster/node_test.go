@@ -43,7 +43,8 @@ func metric(t *testing.T, reg *obs.Registry, series string) float64 {
 }
 
 // newTestNode builds a Node over the given peer base URLs with retries
-// made instant and hedging disabled unless asked for.
+// made instant, hedging disabled unless asked for, and failing peers
+// kept on the ring unless a test lowers n.gossip.failAfter.
 func newTestNode(t *testing.T, self string, peers []string, mutate func(*Options)) *Node {
 	t.Helper()
 	opts := Options{
@@ -52,7 +53,6 @@ func newTestNode(t *testing.T, self string, peers []string, mutate func(*Options
 		Seed:       17,
 		Retry:      fastRetry,
 		HedgeDelay: -1,
-		FailAfter:  100, // keep failing peers on the ring unless a test wants death
 		Logger:     obs.Nop(),
 	}
 	if mutate != nil {
@@ -60,6 +60,7 @@ func newTestNode(t *testing.T, self string, peers []string, mutate func(*Options
 	}
 	n := New(opts)
 	n.sleep = func(context.Context, time.Duration) error { return nil }
+	n.gossip.failAfter = 100
 	return n
 }
 
@@ -224,12 +225,11 @@ func TestDispatchDegradesToLocalWhenOwnerUnreachable(t *testing.T) {
 func TestDispatchReroutesAfterFailureVerdictRemapsRing(t *testing.T) {
 	ts := resultServer(t, nil)
 	ts.Close()
-	// FailAfter 1: the first failed hop kills the owner in gossip, the
+	// failAfter 1: the first failed hop kills the owner in gossip, the
 	// retry re-reads the ring, and the key lands on self — graceful
 	// degradation through remap rather than exhausted retries.
-	n := newTestNode(t, "http://self:1", []string{ts.URL}, func(o *Options) {
-		o.FailAfter = 1
-	})
+	n := newTestNode(t, "http://self:1", []string{ts.URL}, nil)
+	n.gossip.failAfter = 1
 	key := keyOwnedBy(t, n, ts.URL)
 	ctx, note := WithRouteNote(context.Background())
 	res, handled, err := n.Dispatch(ctx, key, engine.Request{Op: engine.OpWhatIf})
@@ -240,7 +240,7 @@ func TestDispatchReroutesAfterFailureVerdictRemapsRing(t *testing.T) {
 		t.Fatalf("route = %q, want %q (ring remapped to self)", note.Value(), RouteLocal)
 	}
 	if st, _ := gossipState(n.gossip, normalizeAddr(ts.URL)); st.State != HealthDead {
-		t.Fatalf("owner state = %s, want dead after FailAfter=1", st.State)
+		t.Fatalf("owner state = %s, want dead after failAfter=1", st.State)
 	}
 	if got := n.Ring().Members(); len(got) != 1 || got[0] != "http://self:1" {
 		t.Fatalf("ring members = %v, want just self", got)
@@ -353,14 +353,5 @@ func TestDefaultIncarnationUsesInjectedClock(t *testing.T) {
 	}
 	if st.Incarnation != fixed.UnixNano() {
 		t.Errorf("incarnation = %d, want the fake clock's %d", st.Incarnation, fixed.UnixNano())
-	}
-	// An explicit incarnation still wins over the clock.
-	n2 := New(Options{
-		Self:        "127.0.0.1:9001",
-		Incarnation: 42,
-		Now:         func() time.Time { return fixed },
-	})
-	if st2, _ := gossipState(n2.gossip, n2.Self()); st2.Incarnation != 42 {
-		t.Errorf("explicit incarnation = %d, want 42", st2.Incarnation)
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"strings"
 )
 
-// DefaultVNodes is the virtual-node count per replica: enough that a
+// vnodes is the virtual-node count per replica: enough that a
 // three-replica ring splits keyspace within a few percent of evenly,
 // small enough that rebuilding on membership change is trivial.
-const DefaultVNodes = 64
+const vnodes = 64
 
 // ringPoint is one virtual node on the ring.
 type ringPoint struct {
@@ -54,12 +54,9 @@ func hash64(s string) uint64 {
 }
 
 // NewRing builds a ring over the given addresses with vnodes virtual
-// nodes each (DefaultVNodes when <= 0). Duplicate addresses collapse.
-// An empty address set yields an empty ring whose Owner is always "".
-func NewRing(addrs []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// nodes each. Duplicate addresses collapse. An empty address set yields
+// an empty ring whose Owner is always "".
+func NewRing(addrs []string) *Ring {
 	seen := make(map[string]bool, len(addrs))
 	r := &Ring{}
 	for _, a := range addrs {

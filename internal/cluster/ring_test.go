@@ -25,9 +25,9 @@ func keys(n int) []string {
 
 func TestRingOwnerIsDeterministicAcrossBuilds(t *testing.T) {
 	addrs := replicas(3)
-	a := NewRing(addrs, 0)
+	a := NewRing(addrs)
 	// Same members presented shuffled and with duplicates: same ring.
-	b := NewRing([]string{addrs[2], addrs[0], addrs[1], addrs[0], ""}, 0)
+	b := NewRing([]string{addrs[2], addrs[0], addrs[1], addrs[0], ""})
 	if a.Len() != 3 || b.Len() != 3 {
 		t.Fatalf("Len = %d, %d, want 3", a.Len(), b.Len())
 	}
@@ -39,7 +39,7 @@ func TestRingOwnerIsDeterministicAcrossBuilds(t *testing.T) {
 }
 
 func TestRingSpreadsKeysRoughlyEvenly(t *testing.T) {
-	r := NewRing(replicas(3), 0)
+	r := NewRing(replicas(3))
 	counts := make(map[string]int)
 	const total = 3000
 	for _, k := range keys(total) {
@@ -60,8 +60,8 @@ func TestRingSpreadsKeysRoughlyEvenly(t *testing.T) {
 
 func TestRingRemapMovesOnlyDepartedKeys(t *testing.T) {
 	addrs := replicas(3)
-	full := NewRing(addrs, 0)
-	reduced := NewRing(addrs[:2], 0)
+	full := NewRing(addrs)
+	reduced := NewRing(addrs[:2])
 	moved := 0
 	for _, k := range keys(2000) {
 		before, after := full.Owner(k), reduced.Owner(k)
@@ -84,14 +84,14 @@ func TestRingRemapMovesOnlyDepartedKeys(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Owner("k"); got != "" {
 		t.Fatalf("empty ring Owner = %q, want \"\"", got)
 	}
 	if got := empty.Successor("k"); got != "" {
 		t.Fatalf("empty ring Successor = %q, want \"\"", got)
 	}
-	solo := NewRing([]string{"http://only:1"}, 0)
+	solo := NewRing([]string{"http://only:1"})
 	if got := solo.Owner("k"); got != "http://only:1" {
 		t.Fatalf("solo Owner = %q", got)
 	}
@@ -102,7 +102,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 
 func TestRingSuccessorSkipsOwnerAndCaller(t *testing.T) {
 	addrs := replicas(3)
-	r := NewRing(addrs, 0)
+	r := NewRing(addrs)
 	for _, k := range keys(200) {
 		owner := r.Owner(k)
 		for _, caller := range addrs {

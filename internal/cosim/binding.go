@@ -2,7 +2,6 @@ package cosim
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -141,8 +140,6 @@ type Config struct {
 	Replay string
 	// Timeout bounds each model call (default 2s).
 	Timeout time.Duration
-	// Stderr receives the subprocess's stderr (default os.Stderr).
-	Stderr io.Writer
 }
 
 // Enabled reports whether the config asks for co-simulation at all.
@@ -166,7 +163,7 @@ func Open(cfg Config, reg *obs.Registry) (*Binding, error) {
 		return nil, fmt.Errorf("cosim: no model command or cassette configured")
 	}
 	argv := strings.Fields(cfg.Command)
-	c, err := Dial(argv, Options{Timeout: cfg.Timeout, Stderr: cfg.Stderr})
+	c, err := Dial(argv, Options{Timeout: cfg.Timeout})
 	if err != nil {
 		return nil, err
 	}

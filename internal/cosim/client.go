@@ -15,17 +15,15 @@ import (
 // traces, so lines can be large; 16 MiB is far above any real scenario.
 const maxLine = 16 << 20
 
+// handshakeTimeout bounds the hello exchange.
+const handshakeTimeout = 5 * time.Second
+
 // Options tunes a Client.
 type Options struct {
 	// Timeout bounds each call round trip (default 2s). A call that
 	// exceeds it latches the client dead: the transport is lockstep, so a
 	// late answer can never be matched safely again.
 	Timeout time.Duration
-	// HandshakeTimeout bounds the hello exchange (default 5s).
-	HandshakeTimeout time.Duration
-	// Stderr receives the subprocess's stderr when dialing (default
-	// os.Stderr).
-	Stderr io.Writer
 }
 
 func (o Options) timeout() time.Duration {
@@ -33,13 +31,6 @@ func (o Options) timeout() time.Duration {
 		return o.Timeout
 	}
 	return 2 * time.Second
-}
-
-func (o Options) handshakeTimeout() time.Duration {
-	if o.HandshakeTimeout > 0 {
-		return o.HandshakeTimeout
-	}
-	return 5 * time.Second
 }
 
 // readLine is one line (or terminal error) from the model's stdout.
@@ -92,17 +83,17 @@ func NewClient(w io.Writer, r io.Reader, opts Options) (*Client, error) {
 		c.lines <- readLine{err: err}
 		close(c.lines)
 	}()
-	if err := c.handshake(opts.handshakeTimeout()); err != nil {
+	if err := c.handshake(); err != nil {
 		return nil, fmt.Errorf("cosim: handshake: %w", err)
 	}
 	return c, nil
 }
 
-func (c *Client) handshake(timeout time.Duration) error {
+func (c *Client) handshake() error {
 	if err := c.send(&Hello{T: TypeHello, Proto: ProtoVersion, Engine: "netpowerprop"}); err != nil {
 		return err
 	}
-	line, err := c.read(timeout)
+	line, err := c.read(handshakeTimeout)
 	if err != nil {
 		return err
 	}
@@ -234,11 +225,7 @@ func Dial(argv []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cosim: empty model command")
 	}
 	cmd := exec.Command(argv[0], argv[1:]...)
-	if opts.Stderr != nil {
-		cmd.Stderr = opts.Stderr
-	} else {
-		cmd.Stderr = os.Stderr
-	}
+	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, fmt.Errorf("cosim: %w", err)

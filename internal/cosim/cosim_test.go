@@ -71,7 +71,7 @@ func TestHandshakeRejects(t *testing.T) {
 				br.ReadString('\n') // engine hello
 				io.WriteString(modelW, tc.hello+"\n")
 			}()
-			c, err := NewClient(engW, engR, Options{HandshakeTimeout: 2 * time.Second})
+			c, err := NewClient(engW, engR, Options{})
 			if err == nil {
 				c.Close()
 				t.Fatalf("handshake accepted %s", tc.hello)

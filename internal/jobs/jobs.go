@@ -95,12 +95,6 @@ type Options struct {
 	Exec Executor
 	// Clock injects time for tests; defaults to the real clock.
 	Clock Clock
-	// Retry is the per-row retry schedule.
-	Retry RetryPolicy
-	// MaxConcurrent bounds jobs running at once (default 2; rows inside a
-	// job run sequentially — the checkpoint order is the row order — so
-	// per-job parallelism comes from the engine pool serving other work).
-	MaxConcurrent int
 	// OnRowCheckpoint, if set, runs after each row is journaled — the
 	// chaos hook: returning an error halts the runner dead with no
 	// terminal record, exactly like a crash, so recovery paths can be
@@ -136,14 +130,19 @@ type Manager struct {
 	dir      string
 	exec     Executor
 	clock    Clock
-	retry    RetryPolicy
 	hook     func(id string, row int) error
 	log      *obs.Logger
 	chaos    *chaos.Plan
 	rowHist  *obs.Histogram
 	owner    string
 	leaseTTL time.Duration
+	// retry is the per-row retry schedule: RetryPolicy{}.withDefaults().
+	retry RetryPolicy
 
+	// slots bounds jobs running at once to max(2, GOMAXPROCS/2). Rows
+	// inside a job run sequentially — the checkpoint order is the row
+	// order — so per-job parallelism comes from the engine pool serving
+	// other work.
 	slots     chan struct{}
 	drain     chan struct{}
 	drainOnce sync.Once
@@ -234,12 +233,6 @@ func Open(opts Options) (*Manager, error) {
 	if opts.Clock == nil {
 		opts.Clock = realClock{}
 	}
-	if opts.MaxConcurrent <= 0 {
-		opts.MaxConcurrent = 2
-		if n := runtime.GOMAXPROCS(0) / 2; n > opts.MaxConcurrent {
-			opts.MaxConcurrent = n
-		}
-	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
 	}
@@ -251,13 +244,13 @@ func Open(opts Options) (*Manager, error) {
 		dir:      opts.Dir,
 		exec:     opts.Exec,
 		clock:    opts.Clock,
-		retry:    opts.Retry.withDefaults(),
+		retry:    RetryPolicy{}.withDefaults(),
 		hook:     opts.OnRowCheckpoint,
 		log:      opts.Logger,
 		chaos:    opts.Chaos,
 		owner:    opts.Owner,
 		leaseTTL: opts.LeaseTTL,
-		slots:    make(chan struct{}, opts.MaxConcurrent),
+		slots:    make(chan struct{}, max(2, runtime.GOMAXPROCS(0)/2)),
 		drain:    make(chan struct{}),
 		hardCtx:  ctx,
 		hardStop: cancel,
@@ -806,12 +799,14 @@ func (m *Manager) sleepRetry(j *job, d time.Duration) error {
 }
 
 // finishJob assembles the result, primes the executor's cache with a
-// clean one, journals the terminal record, and settles the job as done or
-// degraded.
+// clean one, journals the terminal record, counts the outcome, and only
+// then settles the job as done or degraded: whoever sees the job
+// finished — Get, StreamRows, Depth — finds it durable and counted.
 func (m *Manager) finishJob(j *job) {
 	j.mu.Lock()
 	markers := j.markers()
 	res, err := j.plan.Assemble(j.rows, markers)
+	jl := j.jl
 	j.mu.Unlock()
 	if err != nil {
 		// Assembly of journaled payloads cannot fail unless the journal
@@ -821,23 +816,18 @@ func (m *Manager) finishJob(j *job) {
 		m.markInterrupted(j)
 		return
 	}
+	// Only this runner settles a running job, so the state cannot move
+	// while the terminal record is written outside the lock.
 	state := StateDone
 	if len(markers) > 0 {
 		state = StateDegraded
 	} else if p, ok := m.exec.(cachePrimer); ok {
 		// Primed before done is visible, so a client that sees done and
-		// asks the synchronous endpoint gets a cache hit. Only this runner
-		// settles a running job, so the state cannot move meanwhile.
+		// asks the synchronous endpoint gets a cache hit.
 		p.Prime(j.key, res)
 	}
-	j.mu.Lock()
-	j.result = res
-	j.state = state
-	j.finished = m.clock.Now()
-	jl := j.jl
-	j.bump()
-	j.mu.Unlock()
-	if err := jl.append(record{T: recDone, Status: string(state), At: m.clock.Now().UnixNano()}); err != nil {
+	now := m.clock.Now()
+	if err := jl.append(record{T: recDone, Status: string(state), At: now.UnixNano()}); err != nil {
 		m.log.Error("journal terminal append failed", "job", j.id, "path", j.path, "error", err)
 		m.noteJournalErr("terminal record", err)
 	}
@@ -845,10 +835,19 @@ func (m *Manager) finishJob(j *job) {
 	m.releaseLease(j.path)
 	if state == StateDone {
 		m.completed.Inc()
+	} else {
+		m.degradedN.Inc()
+	}
+	j.mu.Lock()
+	j.result = res
+	j.state = state
+	j.finished = now
+	j.bump()
+	j.mu.Unlock()
+	if state == StateDone {
 		m.log.Info("job done", "job", j.id, "key", j.key,
 			"rows", len(j.rows), "trace", j.trace)
 	} else {
-		m.degradedN.Inc()
 		m.log.Warn("job degraded", "job", j.id, "key", j.key,
 			"rows", len(j.rows), "rows_failed", len(markers), "trace", j.trace)
 	}
@@ -856,27 +855,29 @@ func (m *Manager) finishJob(j *job) {
 	close(j.doneCh)
 }
 
-// finishCanceled settles a canceled job with a terminal record.
+// finishCanceled settles a canceled job: terminal record, count, then
+// the visible state, like finishJob. It holds the job's lock throughout
+// because a runner and Cancel may race to settle the same job.
 func (m *Manager) finishCanceled(j *job) {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = StateCanceled
-	j.finished = m.clock.Now()
-	jl := j.jl
-	j.bump()
-	j.mu.Unlock()
-	if jl != nil {
-		if err := jl.append(record{T: recDone, Status: string(StateCanceled), At: m.clock.Now().UnixNano()}); err != nil {
+	now := m.clock.Now()
+	if j.jl != nil {
+		if err := j.jl.append(record{T: recDone, Status: string(StateCanceled), At: now.UnixNano()}); err != nil {
 			m.log.Error("journal cancel append failed", "job", j.id, "path", j.path, "error", err)
 			m.noteJournalErr("cancel record", err)
 		}
-		jl.close()
+		j.jl.close()
 	}
-	m.releaseLease(j.path)
 	m.canceledN.Inc()
+	j.state = StateCanceled
+	j.finished = now
+	j.bump()
+	j.mu.Unlock()
+	m.releaseLease(j.path)
 	m.log.Info("job canceled", "job", j.id, "key", j.key, "trace", j.trace)
 	j.cancel()
 	close(j.doneCh)

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,8 +424,7 @@ func TestRetrySleepsFollowThePolicySchedule(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
 	exec := newScriptExec(3, map[int]int{1: 2}) // row 1 fails twice, then succeeds
-	policy := RetryPolicy{MaxAttempts: 4, Base: 50 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 7}
-	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock, Retry: policy})
+	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -441,8 +442,8 @@ func TestRetrySleepsFollowThePolicySchedule(t *testing.T) {
 		t.Fatalf("state = %s, want done (retries must not fail the job)", final.State)
 	}
 	want := []time.Duration{
-		policy.withDefaults().Delay(snap.Key, 1, 1),
-		policy.withDefaults().Delay(snap.Key, 1, 2),
+		m.retry.Delay(snap.Key, 1, 1),
+		m.retry.Delay(snap.Key, 1, 2),
 	}
 	got := clock.slept()
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -460,8 +461,7 @@ func TestRetryExhaustionDegradesInsteadOfFailing(t *testing.T) {
 	dir := t.TempDir()
 	clock := newFakeClock()
 	exec := newScriptExec(4, map[int]int{2: -1}) // row 2 never succeeds
-	policy := RetryPolicy{MaxAttempts: 3, Base: 10 * time.Millisecond, Jitter: -1}
-	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock, Retry: policy})
+	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -491,13 +491,15 @@ func TestRetryExhaustionDegradesInsteadOfFailing(t *testing.T) {
 	if len(final.Result.Table.Rows) != 3 {
 		t.Errorf("degraded result has %d rows, want 3", len(final.Result.Table.Rows))
 	}
-	if n := exec.attempts(2); n != 3 {
-		t.Errorf("row 2 attempts = %d, want MaxAttempts=3", n)
+	if n := exec.attempts(2); n != m.retry.MaxAttempts {
+		t.Errorf("row 2 attempts = %d, want MaxAttempts=%d", n, m.retry.MaxAttempts)
 	}
 	// Exactly MaxAttempts-1 backoff sleeps, on the deterministic schedule.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	got := clock.slept()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	var want []time.Duration
+	for attempt := 1; attempt < m.retry.MaxAttempts; attempt++ {
+		want = append(want, m.retry.Delay(snap.Key, 2, attempt))
+	}
+	if got := clock.slept(); !reflect.DeepEqual(got, want) {
 		t.Errorf("sleeps = %v, want %v", got, want)
 	}
 	if f, d := m.rowFailures.Value(), m.degradedN.Value(); f != 1 || d != 1 {
@@ -507,9 +509,7 @@ func TestRetryExhaustionDegradesInsteadOfFailing(t *testing.T) {
 
 func TestPanicRowIsContainedAsTypedMarker(t *testing.T) {
 	dir := t.TempDir()
-	m, _ := newManager(t, dir, Options{
-		Retry: RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1},
-	})
+	m, _ := newManager(t, dir, Options{})
 	req := engine.Request{
 		Op: engine.OpScenario, Scenario: "chaos",
 		Params: map[string]float64{"rows": 4, "panicrow": 2},
@@ -532,10 +532,9 @@ func TestPanicRowIsContainedAsTypedMarker(t *testing.T) {
 
 func TestCancelRunningJob(t *testing.T) {
 	dir := t.TempDir()
-	exec := newScriptExec(3, map[int]int{1: -1}) // row 1 retries forever
+	exec := newScriptExec(3, map[int]int{1: -1}) // row 1 always fails
 	clock := &blockingClock{gate: make(chan struct{})}
-	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock,
-		Retry: RetryPolicy{MaxAttempts: 1000, Base: time.Millisecond, Jitter: -1}})
+	m, err := Open(Options{Dir: dir, Exec: exec, Clock: clock})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -603,8 +602,7 @@ func TestDrainCheckpointsAndRecovers(t *testing.T) {
 	req := sweepReq(6) // 7 rows
 	exec := newScriptExec(7, map[int]int{4: -1})
 	clock := &blockingClock{gate: make(chan struct{})}
-	m1, err := Open(Options{Dir: dir, Exec: exec, Clock: clock,
-		Retry: RetryPolicy{MaxAttempts: 1000, Base: time.Millisecond, Jitter: -1}})
+	m1, err := Open(Options{Dir: dir, Exec: exec, Clock: clock})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -722,6 +720,137 @@ func TestJobPrimedBeforeDone(t *testing.T) {
 	default:
 		t.Fatal("finished job was never primed")
 	}
+}
+
+// parkingClock wraps a Clock. Once armed, every Now call parks until the
+// test releases it, so the test can look at the manager at each point
+// where the runner reads the time.
+type parkingClock struct {
+	Clock
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func newParkingClock(inner Clock) *parkingClock {
+	return &parkingClock{Clock: inner, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (c *parkingClock) Now() time.Time {
+	if c.armed.Load() {
+		c.parked <- struct{}{}
+		<-c.release
+	}
+	return c.Clock.Now()
+}
+
+// armOnPrime arms its clock when the finished job primes the cache, the
+// step just before the runner stamps the terminal record.
+type armOnPrime struct {
+	*scriptExec
+	clk *parkingClock
+}
+
+func (a armOnPrime) Prime(string, *engine.Result) { a.clk.armed.Store(true) }
+
+// watchSettle releases the armed clock's parks one at a time until the
+// job settles. At each park, and once settled, a snapshot in a terminal
+// state must find the outcome already counted and the done record already
+// journaled.
+func watchSettle(t *testing.T, m *Manager, clk *parkingClock, dir, id string, counter *obs.Counter) {
+	t.Helper()
+	check := func(s *Snapshot) {
+		t.Helper()
+		if !s.State.terminal() {
+			return
+		}
+		if n := counter.Value(); n != 1 {
+			t.Errorf("state %s visible while its counter reads %d", s.State, n)
+		}
+		recs, _, _, err := readJournal(filepath.Join(dir, id+".jsonl"))
+		if err != nil {
+			t.Fatalf("readJournal: %v", err)
+		}
+		if last := recs[len(recs)-1]; last.T != recDone {
+			t.Errorf("state %s visible before the done record was journaled (last record %q)", s.State, last.T)
+		}
+	}
+	settled := make(chan struct{})
+	go func() {
+		m.Wait(context.Background(), id)
+		close(settled)
+	}()
+	for {
+		select {
+		case <-clk.parked:
+			got := make(chan *Snapshot, 1)
+			go func() {
+				s, _ := m.Get(id)
+				got <- s
+			}()
+			select {
+			case s := <-got:
+				check(s)
+				clk.release <- struct{}{}
+			case <-time.After(100 * time.Millisecond):
+				// The parked runner holds the job's lock; Get answers once
+				// it moves on.
+				clk.release <- struct{}{}
+				check(<-got)
+			}
+		case <-settled:
+			s, err := m.Get(id)
+			if err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+			if !s.State.terminal() {
+				t.Fatalf("Wait returned with the job %s", s.State)
+			}
+			check(s)
+			return
+		}
+	}
+}
+
+// A finished job is journaled and counted before Get, StreamRows or
+// Depth can report it finished, whether it completes or is canceled.
+func TestFinishedJobIsJournaledAndCountedFirst(t *testing.T) {
+	t.Run("done", func(t *testing.T) {
+		dir := t.TempDir()
+		clk := newParkingClock(newFakeClock())
+		m, err := Open(Options{Dir: dir, Exec: armOnPrime{newScriptExec(3, nil), clk}, Clock: clk})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer m.Close(context.Background())
+		snap, _, err := m.Submit(context.Background(), sweepReq(2))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		watchSettle(t, m, clk, dir, snap.ID, m.completed)
+	})
+	t.Run("canceled", func(t *testing.T) {
+		dir := t.TempDir()
+		blocking := &blockingClock{gate: make(chan struct{})}
+		clk := newParkingClock(blocking)
+		m, err := Open(Options{Dir: dir, Exec: newScriptExec(3, map[int]int{1: -1}), Clock: clk})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer m.Close(context.Background())
+		snap, _, err := m.Submit(context.Background(), sweepReq(2))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		select {
+		case <-blocking.gate:
+		case <-time.After(10 * time.Second):
+			t.Fatal("job never reached a retry sleep")
+		}
+		clk.armed.Store(true)
+		go m.Cancel(snap.ID)
+		watchSettle(t, m, clk, dir, snap.ID, m.canceledN)
+	})
 }
 
 func TestDepthAndList(t *testing.T) {

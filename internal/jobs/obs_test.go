@@ -50,7 +50,6 @@ func TestRetryEventsCarrySubmitTrace(t *testing.T) {
 	exec := newScriptExec(2, map[int]int{1: 2}) // row 1 fails twice, then succeeds
 	m, _ := newManager(t, dir, Options{
 		Exec:   exec,
-		Retry:  RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 3},
 		Logger: obs.New(&sink, obs.LevelDebug),
 	})
 

@@ -10,11 +10,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# steps is the pipeline, in order: `all` runs it, the usage message lists
+# it, and step_fmt checks that ci.yml runs exactly it. Step NAME runs the
+# function step_NAME, dashes turned into underscores.
+steps="fmt vet build test chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke"
+
 step_fmt() {
 	out="$(gofmt -l .)"
 	if [ -n "$out" ]; then
 		echo "gofmt needed on:" >&2
 		echo "$out" >&2
+		return 1
+	fi
+	# The workflow must run `scripts/ci.sh <step>` for exactly $steps, in
+	# order, so a step added here cannot be missing from CI.
+	wf="$(sed -n 's|^ *run: scripts/ci\.sh ||p' .github/workflows/ci.yml | tr '\n' ' ')"
+	if [ "${wf% }" != "$steps" ]; then
+		echo ".github/workflows/ci.yml runs steps: ${wf% }" >&2
+		echo "scripts/ci.sh declares steps:      $steps" >&2
 		return 1
 	fi
 }
@@ -249,7 +262,8 @@ step_cluster_smoke() {
 	"$tmp/serve" -addr "$solo" -jobdir "$tmp/jobs-solo" -queue 4096 -loglevel warn &
 	p_solo=$!
 	pids="$p_18471 $p_18472 $p_18473 $p_solo"
-	trap 'kill $pids 2>/dev/null; wait $pids 2>/dev/null; rm -rf "$tmp"' EXIT
+	# The trap runs under set -e, and one replica is already SIGKILLed.
+	trap 'kill $pids 2>/dev/null || true; wait $pids 2>/dev/null || true; rm -rf "$tmp"' EXIT
 	for addr in "$a" "$b" "$c" "$solo"; do
 		for _ in $(seq 1 100); do
 			if curl -sf "http://$addr/healthz" >/dev/null 2>&1; then break; fi
@@ -609,29 +623,19 @@ step_chaos_matrix() {
 run_step() {
 	echo "=== ci: $1 ===" >&2
 	case "$1" in
-	fmt) step_fmt ;;
-	vet) step_vet ;;
-	build) step_build ;;
-	test) step_test ;;
-	chaos-smoke) step_chaos_smoke ;;
-	jobs-race) step_jobs_race ;;
-	fault-determinism) step_fault_determinism ;;
-	topologies-determinism) step_topologies_determinism ;;
-	cosim-determinism) step_cosim_determinism ;;
-	kill-resume-smoke) step_kill_resume_smoke ;;
-	metrics-smoke) step_metrics_smoke ;;
-	bench-smoke) step_bench_smoke ;;
-	bench-guard) step_bench_guard ;;
-	loadgen-smoke) step_loadgen_smoke ;;
-	cluster-smoke) step_cluster_smoke ;;
-	chaos-matrix) step_chaos_matrix ;;
-	fuzz-smoke) step_fuzz_smoke ;;
+	"" | *[!a-z-]*) ;;
 	*)
-		echo "unknown step: $1" >&2
-		echo "steps: fmt vet build test chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke all" >&2
-		return 2
+		case " $steps " in
+		*" $1 "*)
+			"step_$(echo "$1" | tr - _)"
+			return
+			;;
+		esac
 		;;
 	esac
+	echo "unknown step: $1" >&2
+	echo "steps: $steps all" >&2
+	return 2
 }
 
 if [ $# -eq 0 ]; then
@@ -639,7 +643,7 @@ if [ $# -eq 0 ]; then
 fi
 
 if [ "$1" = all ]; then
-	for s in fmt vet build test chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke; do
+	for s in $steps; do
 		# Steps that set EXIT traps get a subshell so temp dirs clean up
 		# per step rather than at script exit.
 		(run_step "$s")
