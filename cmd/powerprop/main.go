@@ -27,9 +27,7 @@ import (
 	"netpowerprop/internal/core"
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/engine"
-	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/report"
-	"netpowerprop/internal/units"
 	"netpowerprop/internal/workload"
 )
 
@@ -179,12 +177,12 @@ func cmdReport(args []string, w io.Writer) error {
 
 func cmdScaling(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("scaling", flag.ContinueOnError)
-	f := baseFlags(fs)
+	req := engine.Flags(fs, engine.OpWhatIf, scenarioFields...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := f.Config()
+	cfg, err := engine.ClusterConfig(*req)
 	if err != nil {
 		return err
 	}
@@ -252,71 +250,9 @@ func cmdSensitivity(args []string, w io.Writer) error {
 	return tb.Write(w)
 }
 
-// scenarioFlags holds the flags shared by the scenario subcommands.
-type scenarioFlags struct {
-	gpus              *int
-	bw, interp        *string
-	ratio, netProp    *float64
-	compProp, overlap *float64
-}
-
-// baseFlags declares the shared scenario flags on a FlagSet.
-func baseFlags(fs *flag.FlagSet) *scenarioFlags {
-	return &scenarioFlags{
-		gpus:     fs.Int("gpus", 15360, "cluster size in GPUs"),
-		bw:       fs.String("bw", "400G", "network bandwidth per GPU"),
-		ratio:    fs.Float64("ratio", 0.10, "communication ratio of the baseline workload"),
-		netProp:  fs.Float64("netprop", 0.10, "network power proportionality"),
-		compProp: fs.Float64("compprop", 0.85, "compute power proportionality"),
-		interp:   fs.String("interp", "absolute", "fat-tree interpolation mode (absolute|perhost)"),
-		overlap:  fs.Float64("overlap", 0, "fraction of communication hidden behind computation (§3.4)"),
-	}
-}
-
-// Config resolves the flags into a core.Config for the subcommands that
-// drive the model directly.
-func (f *scenarioFlags) Config() (core.Config, error) {
-	b, err := units.ParseBandwidth(*f.bw)
-	if err != nil {
-		return core.Config{}, err
-	}
-	mode, err := fattree.ParseInterpMode(*f.interp)
-	if err != nil {
-		return core.Config{}, err
-	}
-	if *f.ratio <= 0 || *f.ratio >= 1 {
-		return core.Config{}, fmt.Errorf("ratio %v outside (0,1)", *f.ratio)
-	}
-	wl, err := workload.New(units.Seconds(1-*f.ratio), units.Seconds(*f.ratio), *f.gpus, b)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return core.Config{
-		GPUs:                   *f.gpus,
-		Bandwidth:              b,
-		Workload:               wl,
-		ComputeProportionality: *f.compProp,
-		NetworkProportionality: *f.netProp,
-		Interp:                 mode,
-		Overlap:                *f.overlap,
-	}, nil
-}
-
-// Request resolves the flags into an engine request for the subcommands
-// routed through the query engine.
-func (f *scenarioFlags) Request(op engine.Op) engine.Request {
-	netProp, compProp := *f.netProp, *f.compProp
-	return engine.Request{
-		Op:                     op,
-		GPUs:                   *f.gpus,
-		Bandwidth:              *f.bw,
-		CommRatio:              *f.ratio,
-		NetworkProportionality: &netProp,
-		ComputeProportionality: &compProp,
-		Interp:                 *f.interp,
-		Overlap:                *f.overlap,
-	}
-}
+// scenarioFields are the engine request fields of the commands that size
+// one cluster scenario, each a flag of the same name.
+var scenarioFields = []string{"gpus", "bw", "ratio", "netprop", "compprop", "interp", "overlap"}
 
 func cmdFig1(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig1", flag.ContinueOnError)
@@ -340,12 +276,12 @@ func cmdFig1(args []string, w io.Writer) error {
 
 func cmdFig2(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig2", flag.ContinueOnError)
-	f := baseFlags(fs)
+	req := engine.Flags(fs, engine.OpWhatIf, scenarioFields...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := f.Config()
+	cfg, err := engine.ClusterConfig(*req)
 	if err != nil {
 		return err
 	}
@@ -405,12 +341,12 @@ func cmdFig2(args []string, w io.Writer) error {
 
 func cmdTable3(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("table3", flag.ContinueOnError)
-	f := baseFlags(fs)
+	req := engine.Flags(fs, engine.OpTable3, scenarioFields...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := query(f.Request(engine.OpTable3))
+	res, err := query(*req)
 	if err != nil {
 		return err
 	}
@@ -474,19 +410,16 @@ var coarseProps = []float64{0, 0.25, 0.5, 0.75, 1}
 
 func cmdFig3(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig3", flag.ContinueOnError)
-	f := baseFlags(fs)
-	budget := fs.String("budget", "avg", "power budget kind (avg|peak)")
+	req := engine.Flags(fs, engine.OpFig3, append(scenarioFields, "budget")...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	coarse := fs.Bool("coarse", false, "coarse proportionality grid (faster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req := f.Request(engine.OpFig3)
-	req.Budget = *budget
 	if *coarse {
 		req.Proportionalities = coarseProps
 	}
-	res, err := query(req)
+	res, err := query(*req)
 	if err != nil {
 		return err
 	}
@@ -517,21 +450,16 @@ func cmdFig3(args []string, w io.Writer) error {
 
 func cmdFig4(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
-	f := baseFlags(fs)
-	budget := fs.String("budget", "avg", "power budget kind (avg|peak)")
-	ratio := fs.Float64("fixedratio", 0.10, "pinned communication ratio")
+	req := engine.Flags(fs, engine.OpFig4, append(scenarioFields, "budget", "fixedratio")...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	coarse := fs.Bool("coarse", false, "coarse proportionality grid (faster)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req := f.Request(engine.OpFig4)
-	req.Budget = *budget
-	req.FixedCommRatio = *ratio
 	if *coarse {
 		req.Proportionalities = coarseProps
 	}
-	res, err := query(req)
+	res, err := query(*req)
 	if err != nil {
 		return err
 	}
@@ -543,18 +471,11 @@ func cmdFig4(args []string, w io.Writer) error {
 
 func cmdCost(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cost", flag.ContinueOnError)
-	prop := fs.Float64("prop", 0.50, "improved network power proportionality")
-	price := fs.Float64("price", 0.13, "electricity price ($/kWh)")
-	cooling := fs.Float64("cooling", 0.30, "cooling overhead fraction")
+	req := engine.Flags(fs, engine.OpCost, "prop", "price", "cooling")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := query(engine.Request{
-		Op:                     engine.OpCost,
-		NetworkProportionality: prop,
-		Price:                  price,
-		Cooling:                cooling,
-	})
+	res, err := query(*req)
 	if err != nil {
 		return err
 	}
@@ -570,18 +491,12 @@ func cmdCost(args []string, w io.Writer) error {
 
 func cmdSweep(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	f := baseFlags(fs)
-	steps := fs.Int("steps", 10, "proportionality steps between 0 and 1")
+	req := engine.Flags(fs, engine.OpSweep, append(scenarioFields, "steps")...)
 	csv := fs.Bool("csv", false, "emit CSV")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *steps < 1 {
-		return fmt.Errorf("steps %d must be positive", *steps)
-	}
-	req := f.Request(engine.OpSweep)
-	req.Steps = *steps
-	res, err := query(req)
+	res, err := query(*req)
 	if err != nil {
 		return err
 	}

@@ -577,74 +577,7 @@ func decodeRequest(r *http.Request) (engine.Request, error) {
 		}
 		return req, nil
 	}
-	return parseQuery(r)
-}
-
-// parseQuery maps query parameters onto the request fields.
-func parseQuery(r *http.Request) (engine.Request, error) {
-	var req engine.Request
-	q := r.URL.Query()
-	var err error
-	intField := func(name string, dst *int) {
-		if err != nil || !q.Has(name) {
-			return
-		}
-		var v int
-		if v, err = strconv.Atoi(q.Get(name)); err == nil {
-			*dst = v
-		} else {
-			err = fmt.Errorf("parameter %s: %w", name, err)
-		}
-	}
-	floatField := func(name string, dst *float64) {
-		if err != nil || !q.Has(name) {
-			return
-		}
-		var v float64
-		if v, err = strconv.ParseFloat(q.Get(name), 64); err == nil {
-			*dst = v
-		} else {
-			err = fmt.Errorf("parameter %s: %w", name, err)
-		}
-	}
-	optFloatField := func(name string, dst **float64) {
-		if err != nil || !q.Has(name) {
-			return
-		}
-		var v float64
-		if v, err = strconv.ParseFloat(q.Get(name), 64); err == nil {
-			*dst = &v
-		} else {
-			err = fmt.Errorf("parameter %s: %w", name, err)
-		}
-	}
-	intField("gpus", &req.GPUs)
-	req.Bandwidth = q.Get("bw")
-	floatField("ratio", &req.CommRatio)
-	optFloatField("netprop", &req.NetworkProportionality)
-	// /v1/cost mirrors the CLI's -prop flag name too.
-	optFloatField("prop", &req.NetworkProportionality)
-	optFloatField("compprop", &req.ComputeProportionality)
-	req.Interp = q.Get("interp")
-	floatField("overlap", &req.Overlap)
-	req.Budget = q.Get("budget")
-	floatField("fixedratio", &req.FixedCommRatio)
-	intField("steps", &req.Steps)
-	optFloatField("price", &req.Price)
-	optFloatField("cooling", &req.Cooling)
-	if err != nil {
-		return engine.Request{}, err
-	}
-	if s := q.Get("props"); s != "" {
-		for _, part := range strings.Split(s, ",") {
-			v, perr := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if perr != nil {
-				return engine.Request{}, fmt.Errorf("parameter props: %w", perr)
-			}
-			req.Proportionalities = append(req.Proportionalities, v)
-		}
-	}
-	return req, nil
+	return engine.ParseQuery(r.URL.Query())
 }
 
 // admitRequest applies the priority/quota admission layer for a request

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -330,5 +332,118 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE status %d, want 405", resp.StatusCode)
+	}
+}
+
+// outcome is what a /v1/<op> call answered: its status, and either the
+// canonical key of the normalized request it echoed or its error text.
+type outcome struct {
+	status int
+	key    string
+	err    string
+}
+
+func call(t *testing.T, method, url, body string) outcome {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Result struct {
+			Request json.RawMessage `json:"request"`
+		} `json:"result"`
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("%s %s: decode: %v", method, url, err)
+	}
+	o := outcome{status: resp.StatusCode, err: out.Error}
+	if len(out.Result.Request) > 0 {
+		var key bytes.Buffer
+		if err := json.Compact(&key, out.Result.Request); err != nil {
+			t.Fatal(err)
+		}
+		o.key = key.String()
+	}
+	return o
+}
+
+// TestQueryMatchesBody walks every analytical field of engine.Request (each
+// JSON key but op, scenario and params) and checks that a GET query
+// parameter and a POST body field of the same name answer alike on every
+// analytical op: the same canonical key, or the same 400 error. Numbers
+// take one valid value per kind; a string takes an invalid one, which its
+// field's check must refuse. Each field must change the answer of at least
+// one op, so a parameter both paths ignored would not pass.
+func TestQueryMatchesBody(t *testing.T) {
+	srv := newTestServer(t)
+	ops := []string{"whatif", "table3", "fig3", "fig4", "sweep", "cost"}
+	defaults := make(map[string]outcome, len(ops))
+	for _, op := range ops {
+		defaults[op] = call(t, http.MethodGet, srv.URL+"/v1/"+op, "")
+	}
+	rt := reflect.TypeOf(engine.Request{})
+	for i := range rt.NumField() {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if name == "op" || name == "scenario" || name == "params" {
+			continue
+		}
+		var query, body string
+		switch k := rt.Field(i).Type; {
+		case k.Kind() == reflect.Int:
+			query, body = "7", "7"
+		case k.Kind() == reflect.Float64, k.Kind() == reflect.Pointer && k.Elem().Kind() == reflect.Float64:
+			query, body = "0.35", "0.35"
+		case k.Kind() == reflect.String:
+			query, body = "bogus", `"bogus"`
+		case k.Kind() == reflect.Slice && k.Elem().Kind() == reflect.Float64:
+			query, body = "0.2,0.4", "[0.2,0.4]"
+		default:
+			t.Fatalf("field %s: no sample value for kind %v", name, k)
+		}
+		read := false
+		for _, op := range ops {
+			get := call(t, http.MethodGet, srv.URL+"/v1/"+op+"?"+name+"="+query, "")
+			post := call(t, http.MethodPost, srv.URL+"/v1/"+op, `{"`+name+`":`+body+`}`)
+			if get != post {
+				t.Errorf("%s %s=%s: GET answered %+v, POST %+v", op, name, query, get, post)
+			}
+			read = read || get != defaults[op]
+		}
+		if !read {
+			t.Errorf("field %s=%s changed no op's answer", name, query)
+		}
+	}
+}
+
+// TestQueryAliasAndErrors pins /v1/cost's prop alias for netprop and the
+// 400 error text of a malformed query parameter.
+func TestQueryAliasAndErrors(t *testing.T) {
+	srv := newTestServer(t)
+	alias := call(t, http.MethodGet, srv.URL+"/v1/cost?prop=0.3", "")
+	named := call(t, http.MethodGet, srv.URL+"/v1/cost?netprop=0.3", "")
+	if alias.status != http.StatusOK || alias != named {
+		t.Errorf("cost?prop=0.3 answered %+v, cost?netprop=0.3 %+v", alias, named)
+	}
+	if def := call(t, http.MethodGet, srv.URL+"/v1/cost", ""); alias == def {
+		t.Errorf("cost?prop=0.3 answered the default %+v", def)
+	}
+	for path, want := range map[string]string{
+		"/v1/whatif?gpus=x":    `parameter gpus: strconv.Atoi: parsing "x": invalid syntax`,
+		"/v1/whatif?gpus=":     `parameter gpus: strconv.Atoi: parsing "": invalid syntax`,
+		"/v1/fig3?props=0.2,x": `parameter props: strconv.ParseFloat: parsing "x": invalid syntax`,
+		"/v1/cost?prop=x":      `parameter prop: strconv.ParseFloat: parsing "x": invalid syntax`,
+		"/v1/sweep?steps=1.5":  `parameter steps: strconv.Atoi: parsing "1.5": invalid syntax`,
+	} {
+		got := call(t, http.MethodGet, srv.URL+path, "")
+		if got.status != http.StatusBadRequest || got.err != want {
+			t.Errorf("GET %s answered %+v, want 400 %q", path, got, want)
+		}
 	}
 }

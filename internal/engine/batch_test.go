@@ -134,20 +134,36 @@ func TestBatchRowErrorIsolated(t *testing.T) {
 
 // Under overload, admission is per unique miss: rows that fit the queue
 // bound proceed, the rest are shed with ErrOverloaded — matching what N
-// independent requests would have seen.
+// independent requests would have seen. The test holds the only worker
+// slot itself until every row has been admitted or shed, so no admitted
+// computation can finish and free room for a sibling, however the rows
+// are scheduled.
 func TestBatchPartialShed(t *testing.T) {
 	e := New(Options{Workers: 1, MaxQueue: 1})
-	go e.Do(context.Background(), chaosReq(map[string]float64{"sleep": 0.15})) //nolint:errcheck
+	sim := <-e.slots
+	go e.Do(context.Background(), Request{Op: OpWhatIf, GPUs: 4096}) //nolint:errcheck
 	waitPending(t, e, 1)
-	// Capacity is workers+maxQueue = 2 and one slot is held by the
-	// sleeper: exactly one of the three unique rows is admitted.
-	items := e.DoBatch(context.Background(), []Request{
-		{Op: OpWhatIf},
-		{Op: OpWhatIf, GPUs: 1024},
-		{Op: OpWhatIf, GPUs: 2048},
-	})
+	// Capacity is workers+maxQueue = 2 and one computation is pending:
+	// exactly one of the three unique rows is admitted.
+	done := make(chan []BatchItem, 1)
+	go func() {
+		done <- e.DoBatch(context.Background(), []Request{
+			{Op: OpWhatIf},
+			{Op: OpWhatIf, GPUs: 1024},
+			{Op: OpWhatIf, GPUs: 2048},
+		})
+	}()
+	deadline := time.After(2 * time.Second)
+	for e.Pending()-1+int64(e.sheds.Value()) < 3 {
+		select {
+		case <-deadline:
+			t.Fatalf("rows not all admitted or shed: pending %d, sheds %d", e.Pending(), e.sheds.Value())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	e.slots <- sim
 	var ok, shed int
-	for _, it := range items {
+	for _, it := range <-done {
 		switch {
 		case it.Err == nil:
 			ok++
