@@ -81,8 +81,11 @@ func TestFig2BadFlags(t *testing.T) {
 		{[]string{"-nosuchflag"}, "flag provided but not defined"},
 	}
 	own := map[string][]badFlag{
-		"fig4":  {{[]string{"-fixedratio", "0"}, "engine: fixed comm ratio 0 outside (0,1)"}},
-		"sweep": {{[]string{"-steps", "0"}, "engine: steps 0 must be positive"}},
+		"fig4": {{[]string{"-fixedratio", "0"}, "engine: fixed comm ratio 0 outside (0,1)"}},
+		"sweep": {
+			{[]string{"-steps", "0"}, "engine: steps 0 must be positive"},
+			{[]string{"-steps", "9999999999"}, "engine: steps 9999999999 above the limit of 100000"},
+		},
 	}
 	for _, cmd := range []string{"fig2", "table3", "sweep", "fig4", "scaling"} {
 		for _, tc := range append(own[cmd], common...) {
@@ -242,6 +245,16 @@ func TestCost(t *testing.T) {
 		t.Errorf("doubled price not doubled:\n%s", out)
 	}
 	runErr(t, "cost", "-price", "-1")
+	// The saving is priced against the 10% reference, so a lower
+	// proportionality is refused by name rather than failing in the model.
+	for _, prop := range []string{"0.05", "0"} {
+		var sb strings.Builder
+		err := run([]string{"cost", "-prop", prop}, &sb)
+		want := "engine: network proportionality " + prop + " outside [0.1,1]: cost prices the saving against the 10% reference"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("cost -prop %s = %v, want an error containing %q", prop, err, want)
+		}
+	}
 }
 
 func TestReport(t *testing.T) {

@@ -58,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -96,7 +97,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated peer replica addresses (enables cluster mode)")
 	clusterAddr := flag.String("cluster-addr", "", "this replica's advertised address (required with -peers)")
 	gossipInterval := flag.Duration("gossip-interval", 500*time.Millisecond, "anti-entropy gossip round period")
-	gossipSeed := flag.Int64("gossip-seed", 1, "seed for gossip target selection and forward retry jitter")
+	gossipSeed := flag.Int64("gossip-seed", 1, "seed for gossip target selection")
 	hedge := flag.Duration("hedge", 250*time.Millisecond, "delay before hedging a stalled cross-replica hop (negative disables)")
 	owner := flag.String("owner", "", "replica name for job-journal owner leases (defaults to -cluster-addr; empty outside cluster mode disables leases)")
 	leaseTTL := flag.Duration("leasettl", 10*time.Second, "job-journal owner lease time-to-live")
@@ -166,7 +167,7 @@ func main() {
 			Seed:           *gossipSeed,
 			HedgeDelay:     *hedge,
 			GossipInterval: *gossipInterval,
-			Retry:          jobs.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond, Max: time.Second, Seed: uint64(*gossipSeed)},
+			Retry:          jobs.RetryPolicy{MaxAttempts: 3, Base: 50 * time.Millisecond, Max: time.Second},
 			QueueDepth:     eng.Pending,
 			Uptime:         func() float64 { return time.Since(started).Seconds() },
 			Logger:         logger.With("component", "cluster"),
@@ -284,7 +285,7 @@ func main() {
 // port. Handlers are mounted explicitly on a fresh mux — importing
 // net/http/pprof also registers on http.DefaultServeMux, which this
 // server never serves.
-func servePprof(addr string, logger *obs.Logger) {
+func servePprof(addr string, logger *slog.Logger) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -308,7 +309,7 @@ type server struct {
 	timeout time.Duration
 	started time.Time
 	mux     *http.ServeMux
-	log     *obs.Logger
+	log     *slog.Logger
 	reg     *obs.Registry
 	// panics counts HTTP handler panics recovered by ServeHTTP; draining
 	// flips when graceful shutdown begins, for /healthz.
@@ -327,10 +328,7 @@ type server struct {
 }
 
 func newServer(eng *engine.Engine, jm *jobs.Manager, timeout time.Duration,
-	logger *obs.Logger, reg *obs.Registry) *server {
-	if logger == nil {
-		logger = obs.Nop()
-	}
+	logger *slog.Logger, reg *obs.Registry) *server {
 	s := &server{eng: eng, jobs: jm, timeout: timeout, started: time.Now(),
 		mux: http.NewServeMux(), log: logger, reg: reg,
 		reqCounters: make(map[string]*obs.Counter),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -28,7 +29,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 func newTestServerWithSink(t *testing.T) (*httptest.Server, *obs.MemSink) {
 	t.Helper()
 	var sink obs.MemSink
-	logger := obs.New(&sink, obs.LevelDebug)
+	logger := obs.New(&sink, slog.LevelDebug)
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Logger: logger.With("component", "engine"), Registry: reg})
 	srv := httptest.NewServer(newServer(eng, nil, time.Minute, logger.With("component", "http"), reg))
@@ -264,6 +265,8 @@ func TestBadRequests(t *testing.T) {
 		"/v1/whatif?ratio=2",
 		"/v1/whatif?gpus=notanumber",
 		"/v1/table3?bw=bogus",
+		"/v1/sweep?steps=9999999999",
+		"/v1/cost?prop=0.05",
 		"/v1/scenarios/bogus",
 		"/v1/scenarios/gating?nosuchparam=1",
 	} {
@@ -423,7 +426,7 @@ func TestQueryMatchesBody(t *testing.T) {
 }
 
 // TestQueryAliasAndErrors pins /v1/cost's prop alias for netprop and the
-// 400 error text of a malformed query parameter.
+// 400 error text of a malformed or out-of-range query parameter.
 func TestQueryAliasAndErrors(t *testing.T) {
 	srv := newTestServer(t)
 	alias := call(t, http.MethodGet, srv.URL+"/v1/cost?prop=0.3", "")
@@ -435,11 +438,14 @@ func TestQueryAliasAndErrors(t *testing.T) {
 		t.Errorf("cost?prop=0.3 answered the default %+v", def)
 	}
 	for path, want := range map[string]string{
-		"/v1/whatif?gpus=x":    `parameter gpus: strconv.Atoi: parsing "x": invalid syntax`,
-		"/v1/whatif?gpus=":     `parameter gpus: strconv.Atoi: parsing "": invalid syntax`,
-		"/v1/fig3?props=0.2,x": `parameter props: strconv.ParseFloat: parsing "x": invalid syntax`,
-		"/v1/cost?prop=x":      `parameter prop: strconv.ParseFloat: parsing "x": invalid syntax`,
-		"/v1/sweep?steps=1.5":  `parameter steps: strconv.Atoi: parsing "1.5": invalid syntax`,
+		"/v1/whatif?gpus=x":      `parameter gpus: strconv.Atoi: parsing "x": invalid syntax`,
+		"/v1/whatif?gpus=":       `parameter gpus: strconv.Atoi: parsing "": invalid syntax`,
+		"/v1/fig3?props=0.2,x":   `parameter props: strconv.ParseFloat: parsing "x": invalid syntax`,
+		"/v1/cost?prop=x":        `parameter prop: strconv.ParseFloat: parsing "x": invalid syntax`,
+		"/v1/sweep?steps=1.5":    `parameter steps: strconv.Atoi: parsing "1.5": invalid syntax`,
+		"/v1/sweep?steps=100001": `engine: steps 100001 above the limit of 100000`,
+		"/v1/cost?prop=0.05": `engine: network proportionality 0.05 outside [0.1,1]: ` +
+			`cost prices the saving against the 10% reference`,
 	} {
 		got := call(t, http.MethodGet, srv.URL+path, "")
 		if got.status != http.StatusBadRequest || got.err != want {

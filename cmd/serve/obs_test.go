@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,7 +123,7 @@ func TestPanicPathLogsTraceID(t *testing.T) {
 
 func TestHandlerPanicLogsTraceID(t *testing.T) {
 	var sink obs.MemSink
-	logger := obs.New(&sink, obs.LevelDebug)
+	logger := obs.New(&sink, slog.LevelDebug)
 	reg := obs.NewRegistry()
 	eng := engine.New(engine.Options{Registry: reg})
 	s := newServer(eng, nil, time.Minute, logger, reg)

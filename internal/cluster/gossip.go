@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
+	"log/slog"
 	"math/rand"
 	"sort"
 	"sync"
@@ -110,7 +112,7 @@ type GossipOptions struct {
 	// Exchange delivers digests.
 	Exchange ExchangeFunc
 	// Logger receives membership transitions. Nil discards.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // peerRecord is the in-memory state per peer.
@@ -131,7 +133,7 @@ type Gossiper struct {
 	// keep a failing peer on the ring, or lower it to convict at once.
 	failAfter int
 	exchange  ExchangeFunc
-	log       *obs.Logger
+	log       *slog.Logger
 
 	mu    sync.Mutex
 	peers map[string]*peerRecord
@@ -148,15 +150,12 @@ type Gossiper struct {
 // every seed peer provisionally alive at incarnation 0 (so the boot
 // ring spans the static peer list before the first exchange).
 func NewGossiper(opts GossipOptions) *Gossiper {
-	if opts.Logger == nil {
-		opts.Logger = obs.Nop()
-	}
 	g := &Gossiper{
 		self:      opts.Self,
 		seed:      opts.Seed,
 		failAfter: gossipFailAfter,
 		exchange:  opts.Exchange,
-		log:       opts.Logger,
+		log:       cmp.Or(opts.Logger, obs.Nop()),
 		peers:     make(map[string]*peerRecord),
 	}
 	g.peers[g.self] = &peerRecord{PeerState: PeerState{

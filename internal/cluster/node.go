@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strings"
@@ -50,14 +52,14 @@ type Options struct {
 	// Peers are the other replicas' addresses (the static boot list;
 	// gossip discovers the rest).
 	Peers []string
-	// Seed drives gossip target selection and retry jitter.
+	// Seed drives gossip target selection.
 	Seed int64
 	// HedgeDelay is how long to wait on the owner before racing a second
 	// copy of the request to the ring successor (default 250ms; negative
 	// disables hedging).
 	HedgeDelay time.Duration
 	// Retry is the cross-replica retry schedule, sharing the jobs
-	// package's seeded exponential backoff.
+	// package's exponential backoff.
 	Retry jobs.RetryPolicy
 	// GossipInterval is the anti-entropy round period (default 500ms).
 	GossipInterval time.Duration
@@ -74,7 +76,7 @@ type Options struct {
 	// time.Now.
 	Now func() time.Time
 	// Logger receives cluster events. Nil discards.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Registry receives netpowerprop_cluster_* and netpowerprop_breaker_*
 	// metrics; nil keeps them unregistered.
 	Registry *obs.Registry
@@ -92,7 +94,7 @@ type Node struct {
 	retry      jobs.RetryPolicy
 	interval   time.Duration
 	client     *http.Client
-	log        *obs.Logger
+	log        *slog.Logger
 	chaos      *chaos.Plan
 	gossip     *Gossiper
 	queueDepth func() int64
@@ -122,9 +124,6 @@ type ringCache struct {
 
 // New builds a Node. It does not start gossiping — call Run.
 func New(opts Options) *Node {
-	if opts.Logger == nil {
-		opts.Logger = obs.Nop()
-	}
 	if opts.HedgeDelay == 0 {
 		opts.HedgeDelay = 250 * time.Millisecond
 	}
@@ -147,7 +146,7 @@ func New(opts Options) *Node {
 		retry:      opts.Retry,
 		interval:   opts.GossipInterval,
 		client:     &http.Client{Timeout: hopTimeout},
-		log:        opts.Logger.With("peer", self),
+		log:        cmp.Or(opts.Logger, obs.Nop()).With("peer", self),
 		chaos:      opts.Chaos,
 		queueDepth: opts.QueueDepth,
 		uptime:     opts.Uptime,
@@ -412,7 +411,7 @@ func (n *Node) hopBudget(ctx context.Context) time.Duration {
 
 // Dispatch is the engine's remote hook (engine.RemoteFunc): decide the
 // key's owner on the ring and, when it is another replica, proxy the
-// request there with per-hop deadlines, seeded backoff retries, and a
+// request there with per-hop deadlines, backoff retries, and a
 // hedged read to the ring successor. The degradation ladder:
 //
 //  1. owner is self (or ring empty) → (nil, false, nil): compute locally.

@@ -3,7 +3,7 @@
 // consistent-hash ring over the replicas' canonical request keys; peer
 // health (alive, draining, dead, queue depth) spreads over a seeded
 // deterministic anti-entropy gossip protocol; and cross-replica hops get
-// per-hop deadlines, seeded backoff retries, hedged reads, and typed
+// per-hop deadlines, backoff retries, hedged reads, and typed
 // graceful degradation — a dead owner demotes the request to a local
 // computation instead of an error, because every replica computes the
 // same bytes (the engine is deterministic); the ring only decides where
@@ -13,6 +13,7 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -73,8 +74,7 @@ func NewRing(addrs []string) *Ring {
 			sb.Reset()
 			sb.WriteString(a)
 			sb.WriteByte('#')
-			// Small decimal without fmt in the build loop.
-			sb.WriteString(itoa(v))
+			sb.WriteString(strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: hash64(sb.String()), addr: a})
 		}
 	}
@@ -87,21 +87,6 @@ func NewRing(addrs []string) *Ring {
 		return r.points[i].addr < r.points[j].addr
 	})
 	return r
-}
-
-// itoa renders a small non-negative int.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Members returns the ring's addresses, sorted.

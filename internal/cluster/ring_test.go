@@ -38,6 +38,22 @@ func TestRingOwnerIsDeterministicAcrossBuilds(t *testing.T) {
 	}
 }
 
+// TestRingOwnerPinned pins the owner of fixed keys on a fixed ring. Every
+// replica of a fleet must map a key to the same owner, so a change to the
+// hash or the vnode labels ("addr#v") that moves keys must fail here
+// before replicas running mixed versions split key ownership.
+func TestRingOwnerPinned(t *testing.T) {
+	r, ks := NewRing(replicas(3)), keys(8)
+	for i, want := range []string{
+		"http://replica-1:8080", "http://replica-0:8080", "http://replica-2:8080", "http://replica-1:8080",
+		"http://replica-2:8080", "http://replica-1:8080", "http://replica-0:8080", "http://replica-1:8080",
+	} {
+		if got := r.Owner(ks[i]); got != want {
+			t.Errorf("Owner(%s) = %s, want %s", ks[i], got, want)
+		}
+	}
+}
+
 func TestRingSpreadsKeysRoughlyEvenly(t *testing.T) {
 	r := NewRing(replicas(3))
 	counts := make(map[string]int)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -43,7 +44,7 @@ type Options struct {
 	// Logger receives structured engine events (cache hits/misses at
 	// debug, sheds and deadlines at warn, recovered panics at error),
 	// each tagged with the request's trace ID. Nil discards.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Registry receives every engine metric under the
 	// netpowerprop_engine_* namespace, including per-op latency
 	// histograms. Register at most one engine per registry. Nil keeps the
@@ -86,7 +87,7 @@ type Engine struct {
 	streams, streamRows, remoteHits            *obs.Counter
 	opHist                                     map[Op]*obs.Histogram
 	rowHist                                    *obs.Histogram
-	log                                        *obs.Logger
+	log                                        *slog.Logger
 }
 
 // allOps lists every registered operation, for per-op metric setup.
@@ -217,13 +218,13 @@ func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key str
 	key = norm.Key()
 	if ent := e.cache.Get(key); ent != nil {
 		e.hits.Inc()
-		if e.log.Enabled(obs.LevelDebug) {
+		if e.log.Enabled(ctx, slog.LevelDebug) {
 			e.log.Debug("cache hit", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 		}
 		return norm, key, ent, nil
 	}
 	e.misses.Inc()
-	if e.log.Enabled(obs.LevelDebug) {
+	if e.log.Enabled(ctx, slog.LevelDebug) {
 		e.log.Debug("cache miss", "trace", obs.TraceID(ctx), "op", string(norm.Op))
 	}
 	return norm, key, nil, nil

@@ -130,13 +130,25 @@ func TestNormalizeErrors(t *testing.T) {
 		{Op: OpFig3, Proportionalities: []float64{-0.5}},
 		{Op: OpFig4, FixedCommRatio: 2},
 		{Op: OpSweep, Steps: -3},
+		{Op: OpSweep, Steps: 100_001},
 		{Op: OpCost, Price: ptr(-1.0)},
+		{Op: OpCost, NetworkProportionality: ptr(0.05)},
 		{Op: OpScenario, Scenario: "bogus"},
 		{Op: OpScenario, Scenario: "gating", Params: map[string]float64{"nosuch": 1}},
 	}
 	for _, req := range bad {
 		if _, err := req.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v): expected error", req)
+		}
+	}
+	// Only cost's netprop starts at its reference; the limits are inside.
+	for _, req := range []Request{
+		{Op: OpWhatIf, NetworkProportionality: ptr(0.05)},
+		{Op: OpCost, NetworkProportionality: ptr(0.10)},
+		{Op: OpSweep, Steps: 100_000},
+	} {
+		if _, err := req.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v) = %v, want no error", req, err)
 		}
 	}
 }

@@ -29,22 +29,42 @@ type field struct {
 	list  func() []float64
 
 	in    bound                        // a number's range
+	inOp  map[opSet]bound              // overrides in for an op
 	canon func(string) (string, error) // a string's canonical spelling
 }
 
-// bound is a number's range and the error format, from the field's label
-// and value, for a number outside it.
-type bound struct {
-	ok  func(v float64) bool
-	bad string
+// bound is a number's range: for a value outside it, the error format
+// from the field's label and value; "" for a value inside it.
+type bound func(v float64) string
+
+// within is the range of the values ok accepts.
+func within(ok func(v float64) bool, bad string) bound {
+	return func(v float64) string {
+		if ok(v) {
+			return ""
+		}
+		return bad
+	}
 }
 
 var (
-	positive     = bound{func(v float64) bool { return v > 0 }, "%s %v must be positive"}
-	nonNegative  = bound{func(v float64) bool { return v >= 0 }, "negative %s %v"}
-	unit         = bound{func(v float64) bool { return v >= 0 && v <= 1 }, "%s %v outside [0,1]"}
-	openUnit     = bound{func(v float64) bool { return v > 0 && v < 1 }, "%s %v outside (0,1)"}
-	halfOpenUnit = bound{func(v float64) bool { return v >= 0 && v < 1 }, "%s %v outside [0,1)"}
+	positive     = within(func(v float64) bool { return v > 0 }, "%s %v must be positive")
+	nonNegative  = within(func(v float64) bool { return v >= 0 }, "negative %s %v")
+	unit         = within(func(v float64) bool { return v >= 0 && v <= 1 }, "%s %v outside [0,1]")
+	openUnit     = within(func(v float64) bool { return v > 0 && v < 1 }, "%s %v outside (0,1)")
+	halfOpenUnit = within(func(v float64) bool { return v >= 0 && v < 1 }, "%s %v outside [0,1)")
+	// stepCount caps a sweep, whose plan holds steps+1 rows in memory, at
+	// five times the 20,000-step job the cluster smoke test submits.
+	stepCount = func(v float64) string {
+		if v > 100_000 {
+			return "%s %v above the limit of 100000"
+		}
+		return positive(v)
+	}
+	// costProp is cost's netprop: the saving is priced against the
+	// costReference proportionality, so a value below it saves negative power.
+	costProp = within(func(v float64) bool { return v >= costReference && v <= 1 },
+		"%s %v outside [0.1,1]: cost prices the saving against the 10%% reference")
 )
 
 // opSet is a set of ops, one bit per allOps entry; opsOf of an unknown op
@@ -74,7 +94,8 @@ var fields = [...]field{
 		ops: analytical, num: core.Baseline().Workload.CommRatio(), in: openUnit},
 	{name: "netprop", alias: "prop", help: "network power proportionality (for cost, the improved one)",
 		label: "network proportionality", ops: analytical,
-		num: core.Baseline().NetworkProportionality, numOp: map[opSet]float64{opsOf(OpCost): 0.50}, in: unit},
+		num: core.Baseline().NetworkProportionality, numOp: map[opSet]float64{opsOf(OpCost): 0.50},
+		in: unit, inOp: map[opSet]bound{opsOf(OpCost): costProp}},
 	{name: "compprop", help: "compute power proportionality", label: "compute proportionality",
 		ops: analytical, num: core.Baseline().ComputeProportionality, in: unit},
 	{name: "interp", help: "fat-tree interpolation mode (absolute|perhost)",
@@ -88,7 +109,7 @@ var fields = [...]field{
 	{name: "fixedratio", help: "pinned communication ratio", label: "fixed comm ratio",
 		ops: opsOf(OpFig4), num: 0.10, in: openUnit},
 	{name: "steps", help: "proportionality steps between 0 and 1", label: "steps",
-		ops: opsOf(OpSweep), num: 10, in: positive},
+		ops: opsOf(OpSweep), num: 10, in: stepCount},
 	{name: "price", help: "electricity price ($/kWh)", label: "electricity price",
 		ops: opsOf(OpCost), num: core.DefaultCostModel().PricePerKWh, in: nonNegative},
 	{name: "cooling", help: "cooling overhead fraction", label: "cooling overhead",
@@ -112,14 +133,18 @@ func (f *field) def(ops opSet) float64 {
 	return f.num
 }
 
-func (f *field) rangeErr(v any) error {
-	return fmt.Errorf("engine: "+f.in.bad, f.label, v)
+func (f *field) rangeErr(bad string, v any) error {
+	return fmt.Errorf("engine: "+bad, f.label, v)
 }
 
 // normalize resolves f for the op in ops from the src slot into the dst
 // slot: the default if unset, then the canonical spelling (negative zero
-// folded to zero) and the range check.
+// folded to zero) and the range check for the op.
 func (f *field) normalize(ops opSet, src, dst any) (err error) {
+	in, ok := f.inOp[ops]
+	if !ok {
+		in = f.in
+	}
 	var v float64
 	switch p := src.(type) {
 	case *int:
@@ -143,20 +168,21 @@ func (f *field) normalize(ops opSet, src, dst any) (err error) {
 			vs = append([]float64(nil), *p...)
 		}
 		for i := range vs {
-			if vs[i] = posZero(vs[i]); !f.in.ok(vs[i]) {
-				return f.rangeErr(vs[i])
+			if vs[i] = posZero(vs[i]); in(vs[i]) != "" {
+				return f.rangeErr(in(vs[i]), vs[i])
 			}
 		}
 		*dst.(*[]float64) = vs
 		return nil
 	}
-	if f.in.ok(v) {
+	bad := in(v)
+	if bad == "" {
 		return nil
 	}
 	if n, ok := dst.(*int); ok {
-		return f.rangeErr(*n)
+		return f.rangeErr(bad, *n)
 	}
-	return f.rangeErr(v)
+	return f.rangeErr(bad, v)
 }
 
 func canonBandwidth(s string) (string, error) {

@@ -1,22 +1,22 @@
 package engine
 
 import (
+	"cmp"
+	"log/slog"
+
 	"netpowerprop/internal/obs"
 )
 
 // This file wires the engine's counters into an obs.Registry and its
-// events into an obs.Logger. The hot path increments the registry's own
+// events into a *slog.Logger. The hot path increments the registry's own
 // counter handles; render-time functions are left only for values other
 // structures keep (histogram sums, cache population, queue depths).
 
 // instrument attaches the logger and creates every engine metric under
 // the netpowerprop_engine_* namespace. A nil registry yields handles that
 // count but are not rendered, so the hot path never nil-checks.
-func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
-	if log == nil {
-		log = obs.Nop()
-	}
-	e.log = log
+func (e *Engine) instrument(log *slog.Logger, reg *obs.Registry) {
+	e.log = cmp.Or(log, obs.Nop())
 	e.opHist = make(map[Op]*obs.Histogram, len(allOps))
 	for _, op := range allOps {
 		e.opHist[op] = reg.Histogram("netpowerprop_engine_compute_duration_seconds",

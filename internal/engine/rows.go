@@ -358,18 +358,21 @@ func planFig(norm Request) (*RowPlan, error) {
 		}), nil
 }
 
+// costReference is the network proportionality cost prices a saving
+// against: the 10% baseline. cost's netprop range starts at it.
+const costReference = 0.10
+
 // planCost reproduces §3.2 as a single row: the power saved by lifting
 // the scenario's network proportionality from the 10% baseline to the
 // requested value, annualized with the given cost model.
 func planCost(norm Request) *RowPlan {
-	const refProp = 0.10
 	return wholeRow(norm, func(res *Result) error {
 		cfg, err := norm.config()
 		if err != nil {
 			return err
 		}
 		prop := *norm.NetworkProportionality
-		grid, err := core.ComputeSavingsGrid(cfg, []units.Bandwidth{cfg.Bandwidth}, []float64{prop}, refProp)
+		grid, err := core.ComputeSavingsGrid(cfg, []units.Bandwidth{cfg.Bandwidth}, []float64{prop}, costReference)
 		if err != nil {
 			return err
 		}
@@ -381,7 +384,7 @@ func planCost(norm Request) *RowPlan {
 		}
 		res.Cost = &CostResult{
 			Proportionality:    prop,
-			RefProportionality: refProp,
+			RefProportionality: costReference,
 			SavedPower:         powerQ(saved),
 			ElectricityPerYear: s.ElectricityPerYear,
 			CoolingPerYear:     s.CoolingPerYear,

@@ -6,7 +6,7 @@
 // Open replays the journals and ResumeAll continues each incomplete job
 // from its last checkpointed row, producing a result byte-identical to an
 // uninterrupted run without recomputing any finished row. Failed rows
-// retry with seeded deterministic exponential backoff + jitter up to a
+// retry with exponential backoff + deterministic jitter up to a
 // cap, after which the job degrades gracefully: it completes with the
 // successful rows plus typed per-row error markers (engine.RowError)
 // instead of failing wholesale, and recovered panics are contained the
@@ -14,12 +14,14 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,7 +106,7 @@ type Options struct {
 	// retry, checkpoint, drain, terminal — each carrying the job id, key,
 	// row, attempt, and the submitting request's trace ID, plus recovery
 	// and lease diagnostics carrying the journal path. Nil discards.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Chaos is the failpoint plan the journal and lease writes consult
 	// (see internal/chaos). Nil — the default — injects nothing.
 	Chaos *chaos.Plan
@@ -131,7 +133,7 @@ type Manager struct {
 	exec     Executor
 	clock    Clock
 	hook     func(id string, row int) error
-	log      *obs.Logger
+	log      *slog.Logger
 	chaos    *chaos.Plan
 	rowHist  *obs.Histogram
 	owner    string
@@ -189,7 +191,6 @@ type job struct {
 	finished time.Time
 	result   *engine.Result
 	jl       *journal
-	canceled bool
 	doneCh   chan struct{}
 	// updated is the row-progress broadcast: closed and replaced under mu
 	// whenever a row settles or the state changes, waking StreamRows
@@ -233,9 +234,6 @@ func Open(opts Options) (*Manager, error) {
 	if opts.Clock == nil {
 		opts.Clock = realClock{}
 	}
-	if opts.Logger == nil {
-		opts.Logger = obs.Nop()
-	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 10 * time.Second
 	}
@@ -246,7 +244,7 @@ func Open(opts Options) (*Manager, error) {
 		clock:    opts.Clock,
 		retry:    RetryPolicy{}.withDefaults(),
 		hook:     opts.OnRowCheckpoint,
-		log:      opts.Logger,
+		log:      cmp.Or(opts.Logger, obs.Nop()),
 		chaos:    opts.Chaos,
 		owner:    opts.Owner,
 		leaseTTL: opts.LeaseTTL,
@@ -420,7 +418,6 @@ func (m *Manager) recoverFile(path string) (string, error) {
 		close(j.doneCh)
 	case StateCanceled:
 		j.state = StateCanceled
-		j.canceled = true
 		j.cancel()
 		close(j.doneCh)
 	default:
@@ -724,7 +721,7 @@ func (m *Manager) runJob(j *job) {
 		// Each durable checkpoint renews the lease, so a live runner's
 		// claim on a shared journal directory never expires between rows.
 		m.renewLease(j.path)
-		if m.log.Enabled(obs.LevelInfo) {
+		if m.log.Enabled(j.ctx, slog.LevelInfo) {
 			kv := []any{"job", j.id, "key", j.key, "row", i,
 				"attempts", attempts, "trace", j.trace}
 			if rerr != nil {
@@ -932,7 +929,6 @@ func (m *Manager) Cancel(id string) (*Snapshot, error) {
 	j.mu.Lock()
 	st := j.state
 	cancel := j.cancel
-	j.canceled = st == StateInterrupted || st == StateQueued || st == StateRunning
 	j.mu.Unlock()
 	switch st {
 	case StateInterrupted:

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestRetryEventsCarrySubmitTrace(t *testing.T) {
 	exec := newScriptExec(2, map[int]int{1: 2}) // row 1 fails twice, then succeeds
 	m, _ := newManager(t, dir, Options{
 		Exec:   exec,
-		Logger: obs.New(&sink, obs.LevelDebug),
+		Logger: obs.New(&sink, slog.LevelDebug),
 	})
 
 	ctx := obs.WithTraceID(context.Background(), "trace-retry-1")
@@ -111,7 +112,7 @@ func TestResumeEventsCarryOriginalTrace(t *testing.T) {
 	var sink obs.MemSink
 	m2, _ := newManager(t, dir, Options{
 		Exec:   newScriptExec(3, nil),
-		Logger: obs.New(&sink, obs.LevelDebug),
+		Logger: obs.New(&sink, slog.LevelDebug),
 	})
 	if n := m2.ResumeAll(); n != 1 {
 		t.Fatalf("ResumeAll resumed %d jobs, want 1", n)

@@ -34,9 +34,9 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 }
 
 // RetryPolicy is the per-row retry schedule: exponential backoff with
-// deterministic, seeded jitter. The jitter for a given (seed, job key,
-// row, attempt) tuple is a pure hash, so two runs of the same job — or a
-// resumed run replaying a retried row — sleep the identical durations.
+// deterministic jitter. The jitter for a given (job key, row, attempt)
+// tuple is a pure hash, so two runs of the same job — or a resumed run
+// replaying a retried row — sleep the identical durations.
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per row before the row degrades into
 	// a typed error marker (default 4; 1 disables retries).
@@ -49,9 +49,6 @@ type RetryPolicy struct {
 	// a factor in [1, 1+Jitter). Zero selects the default 0.5; negative
 	// disables jitter entirely.
 	Jitter float64
-	// Seed perturbs the jitter hash so fleets of processes retrying the
-	// same key do not thunder in lockstep.
-	Seed uint64
 }
 
 // withDefaults fills zero fields.
@@ -95,10 +92,8 @@ func (p RetryPolicy) Delay(key string, row, attempt int) time.Duration {
 		return d
 	}
 	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], p.Seed)
-	h.Write(buf[:])
 	h.Write([]byte(key))
+	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(row))
 	h.Write(buf[:])
 	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))

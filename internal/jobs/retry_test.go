@@ -68,7 +68,7 @@ func TestRetryDelayWithoutJitterDoublesAndCaps(t *testing.T) {
 }
 
 func TestRetryDelayJitterIsDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{Seed: 42, Jitter: 0.5}.withDefaults()
+	p := RetryPolicy{Jitter: 0.5}.withDefaults()
 	for row := 0; row < 4; row++ {
 		for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
 			d1 := p.Delay("some-key", row, attempt)
@@ -76,7 +76,7 @@ func TestRetryDelayJitterIsDeterministicAndBounded(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("Delay(row %d, attempt %d) not deterministic: %v != %v", row, attempt, d1, d2)
 			}
-			base := RetryPolicy{Seed: p.Seed, MaxAttempts: p.MaxAttempts, Base: p.Base, Max: p.Max}.Delay("some-key", row, attempt)
+			base := RetryPolicy{MaxAttempts: p.MaxAttempts, Base: p.Base, Max: p.Max}.Delay("some-key", row, attempt)
 			if d1 < base || float64(d1) >= float64(base)*(1+p.Jitter)+1 {
 				t.Errorf("Delay(row %d, attempt %d) = %v outside [%v, %v)", row, attempt, d1, base, time.Duration(float64(base)*1.5))
 			}
@@ -84,21 +84,20 @@ func TestRetryDelayJitterIsDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestRetryDelayVariesAcrossKeysRowsSeeds(t *testing.T) {
-	p := RetryPolicy{Seed: 1, Jitter: 1}.withDefaults()
+func TestRetryDelayVariesAcrossKeysRows(t *testing.T) {
+	p := RetryPolicy{Jitter: 1}.withDefaults()
 	base := p.Delay("key-a", 0, 1)
 	distinct := false
 	for _, d := range []time.Duration{
 		p.Delay("key-b", 0, 1),
 		p.Delay("key-a", 1, 1),
-		RetryPolicy{Seed: 2, Jitter: 1}.withDefaults().Delay("key-a", 0, 1),
 	} {
 		if d != base {
 			distinct = true
 		}
 	}
 	if !distinct {
-		t.Error("jitter identical across keys, rows, and seeds; hash not mixing inputs")
+		t.Error("jitter identical across keys and rows; hash not mixing inputs")
 	}
 }
 
