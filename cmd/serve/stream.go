@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -154,7 +155,9 @@ func streamOffset(r *http.Request) (int, error) {
 		if n < 0 {
 			return 0, fmt.Errorf("Last-Row: negative row %d (a client that has no rows yet omits the header)", n)
 		}
-		return n + 1, nil
+		// Every offset past the last row emits only the end frame, so
+		// capping n keeps n+1 from wrapping negative.
+		return min(n, math.MaxInt-1) + 1, nil
 	}
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -762,5 +763,33 @@ func TestJobStreamNegativeOffsetRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("job stream with from=-1 status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// A resume offset past the last row emits only the end frame — even
+// Last-Row: MaxInt, whose next row used to wrap to a negative offset and
+// replay the whole stream.
+func TestStreamOffsetPastEndEmitsOnlyEndFrame(t *testing.T) {
+	srv, _ := newKillableJobsServer(t, -1)
+	snap, status := postJob(t, srv.URL, `{"op":"sweep","steps":4}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", status)
+	}
+	for _, path := range []string{"/v1/sweep?steps=4&stream=1", "/v1/jobs/" + snap.ID + "/stream"} {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+path, nil)
+		req.Header.Set("Last-Row", strconv.Itoa(math.MaxInt))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := ndjsonFrames(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d, want 200", path, resp.StatusCode)
+		}
+		var end streamEndFrame
+		if len(frames) != 1 || json.Unmarshal(frames[0], &end) != nil || !end.End {
+			t.Errorf("%s with Last-Row MaxInt sent %d frames, want the end frame alone", path, len(frames))
+		}
 	}
 }

@@ -235,6 +235,12 @@ func (e *Engine) lookup(ctx context.Context, req Request) (norm Request, key str
 // this caller waited on another caller's dispatch.
 func (e *Engine) miss(ctx context.Context, key string, norm Request) (res *Result, shared bool, err error) {
 	res, shared, err = e.flight.do(ctx, key, func() (*Result, error) {
+		// A caller whose lookup missed before an earlier flight of this key
+		// cached its result, but whose flight began after that one ended,
+		// is answered from the cache rather than computing again.
+		if ent := e.cache.Get(key); ent != nil {
+			return ent.res, nil
+		}
 		return e.dispatch(ctx, key, norm)
 	})
 	if shared {

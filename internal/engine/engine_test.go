@@ -331,6 +331,30 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
+// TestLateMissAnsweredFromCache replays the interleaving a concurrent
+// caller can hit: its lookup missed before the first flight cached the
+// key, and its flight starts after that flight ended. The cache answers
+// it; nothing is computed twice.
+func TestLateMissAnsweredFromCache(t *testing.T) {
+	e := New(Options{})
+	req := Request{Op: OpTable3}
+	want := do(t, e, req)
+	norm, err := req.Normalize()
+	if err != nil {
+		t.Fatalf("Normalize: %v", err)
+	}
+	res, _, err := e.miss(context.Background(), norm.Key(), norm)
+	if err != nil {
+		t.Fatalf("miss: %v", err)
+	}
+	if res != want {
+		t.Error("late miss did not return the cached result")
+	}
+	if n := e.computations.Value(); n != 1 {
+		t.Errorf("computations = %d, want 1 (the late miss recomputed)", n)
+	}
+}
+
 // TestLRUEvictionBound checks that the cache population never exceeds its
 // configured capacity.
 func TestLRUEvictionBound(t *testing.T) {

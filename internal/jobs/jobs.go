@@ -190,11 +190,12 @@ type job struct {
 	created  time.Time
 	finished time.Time
 	result   *engine.Result
-	jl       *journal
-	doneCh   chan struct{}
-	// updated is the row-progress broadcast: closed and replaced under mu
-	// whenever a row settles or the state changes, waking StreamRows
-	// waiters. Waiters re-check under mu, so a spurious wake is harmless.
+	// jl is the job's journal, opened by Submit or resume for the runner,
+	// closed by settle, and closed and cleared by markInterrupted.
+	jl *journal
+	// updated is the progress broadcast: closed and replaced under mu
+	// whenever a row settles or the state changes, waking StreamRows and
+	// Wait. Waiters re-check under mu, so a spurious wake is harmless.
 	updated chan struct{}
 
 	// started is set (under mu) while a runner goroutine owns the job;
@@ -202,10 +203,41 @@ type job struct {
 	started bool
 }
 
-// bump wakes every StreamRows waiter. Callers hold j.mu.
+// bump wakes every StreamRows and Wait waiter. Callers hold j.mu.
 func (j *job) bump() {
 	close(j.updated)
 	j.updated = make(chan struct{})
+}
+
+// stateNow reads the job's state under its lock.
+func (j *job) stateNow() State {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
+// settled reports whether row i holds a payload or an error marker.
+// Callers hold j.mu.
+func (j *job) settled(i int) bool {
+	return j.rows[i] != nil || j.rowErrs[i] != nil
+}
+
+// get returns the job with the given id, or nil.
+func (m *Manager) get(id string) *job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jobs[id]
+}
+
+// all returns every job the manager holds, in no particular order.
+func (m *Manager) all() []*job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	js := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		js = append(js, j)
+	}
+	return js
 }
 
 // jobID derives the stable job id from the canonical request key, so
@@ -347,42 +379,42 @@ func (m *Manager) recover() error {
 			continue
 		}
 		path := filepath.Join(m.dir, e.Name())
-		if _, err := m.adoptJournal(path); err != nil {
+		if _, err := m.adopt(path); err != nil {
 			m.log.Warn("journal skipped", "path", path, "error", err)
 		}
 	}
 	return nil
 }
 
-// recoverFile replays one journal into a job, returning the job id. A
-// journal whose id the manager already holds is left untouched (the
-// in-memory job is authoritative). Callers gate on adoptJournal when
+// recoverFile replays one journal into a job and returns it. A journal
+// whose id the manager already holds is left untouched: the in-memory job
+// is authoritative and is returned instead. Callers gate on adopt when
 // leases are enabled.
-func (m *Manager) recoverFile(path string) (string, error) {
+func (m *Manager) recoverFile(path string) (*job, error) {
 	recs, cleanOff, torn, err := readJournal(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if torn {
 		// Drop the partial tail now so a resume appends onto clean bytes.
 		if err := os.Truncate(path, cleanOff); err != nil {
-			return "", fmt.Errorf("truncate torn tail: %w", err)
+			return nil, fmt.Errorf("truncate torn tail: %w", err)
 		}
 		m.log.Warn("journal torn tail truncated", "path", path, "durable_bytes", cleanOff)
 	}
 	if len(recs) == 0 || recs[0].T != recSubmit || recs[0].Req == nil {
-		return "", errors.New("no submit record")
+		return nil, errors.New("no submit record")
 	}
 	sub := recs[0]
 	plan, err := m.exec.Plan(*sub.Req)
 	if err != nil {
-		return "", fmt.Errorf("replan: %w", err)
+		return nil, fmt.Errorf("replan: %w", err)
 	}
 	if plan.Key() != sub.Key {
-		return "", fmt.Errorf("canonical key changed (journal %q, plan %q)", sub.Key, plan.Key())
+		return nil, fmt.Errorf("canonical key changed (journal %q, plan %q)", sub.Key, plan.Key())
 	}
 	if plan.Rows() != sub.Rows {
-		return "", fmt.Errorf("row count changed (journal %d, plan %d)", sub.Rows, plan.Rows())
+		return nil, fmt.Errorf("row count changed (journal %d, plan %d)", sub.Rows, plan.Rows())
 	}
 	j := m.newJob(sub.ID, plan, path, sub.Trace)
 	var terminal State
@@ -392,7 +424,7 @@ func (m *Manager) recoverFile(path string) (string, error) {
 			if rec.I < 0 || rec.I >= plan.Rows() {
 				continue
 			}
-			if j.rows[rec.I] != nil || j.rowErrs[rec.I] != nil {
+			if j.settled(rec.I) {
 				continue // duplicate append after a resume overlap; first write wins
 			}
 			if rec.Error != "" {
@@ -408,18 +440,13 @@ func (m *Manager) recoverFile(path string) (string, error) {
 	}
 	switch terminal {
 	case StateDone, StateDegraded:
-		res, err := plan.Assemble(j.rows, j.markers())
-		if err != nil {
-			return "", fmt.Errorf("reassemble: %w", err)
+		if j.result, err = plan.Assemble(j.rows, j.markers()); err != nil {
+			return nil, fmt.Errorf("reassemble: %w", err)
 		}
-		j.result = res
+		fallthrough
+	case StateCanceled:
 		j.state = terminal
 		j.cancel()
-		close(j.doneCh)
-	case StateCanceled:
-		j.state = StateCanceled
-		j.cancel()
-		close(j.doneCh)
 	default:
 		j.state = StateInterrupted
 		m.recovered.Inc()
@@ -427,14 +454,13 @@ func (m *Manager) recoverFile(path string) (string, error) {
 			"rows_done", j.done, "rows", plan.Rows(), "trace", j.trace)
 	}
 	m.mu.Lock()
-	if _, ok := m.jobs[j.id]; ok {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	if held := m.jobs[j.id]; held != nil {
 		j.cancel()
-		return j.id, nil
+		return held, nil
 	}
 	m.jobs[j.id] = j
-	m.mu.Unlock()
-	return j.id, nil
+	return j, nil
 }
 
 // newJob allocates the in-memory job shell. The trace ID is embedded in
@@ -456,7 +482,6 @@ func (m *Manager) newJob(id string, plan *engine.RowPlan, path, trace string) *j
 		rowErrs:  make([]*engine.RowError, plan.Rows()),
 		attempts: make([]int, plan.Rows()),
 		created:  m.clock.Now(),
-		doneCh:   make(chan struct{}),
 		updated:  make(chan struct{}),
 	}
 }
@@ -494,15 +519,14 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 		m.mu.Unlock()
 		return nil, false, ErrClosed
 	}
-	rerun := false
-	if j, ok := m.jobs[id]; ok {
-		j.mu.Lock()
-		st := j.state
-		j.mu.Unlock()
-		if st != StateCanceled {
+	// A held job is returned as is, unless it was canceled: that one
+	// reruns from scratch with a fresh journal.
+	held := m.jobs[id]
+	if held != nil {
+		if st := held.stateNow(); st != StateCanceled {
 			m.mu.Unlock()
 			m.log.Debug("job resubmitted", "job", id, "state", string(st),
-				"trace", trace, "jobtrace", j.trace)
+				"trace", trace, "jobtrace", held.trace)
 			// An already-accepted job needs no new journal write, so its
 			// idempotent re-submit returns the existing snapshot even
 			// while the journal is degraded. Resuming an interrupted job
@@ -511,11 +535,10 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 				if jerr := m.JournalErr(); jerr != nil {
 					return nil, false, fmt.Errorf("%w: %w", ErrJournalDegraded, jerr)
 				}
-				m.resume(j)
+				m.resume(held)
 			}
-			return m.snapshot(j, true), false, nil
+			return m.snapshot(held, true), false, nil
 		}
-		rerun = true
 	}
 	// Everything past here writes the journal (fresh job, canceled
 	// rerun, or on-disk adoption): refused while the journal is degraded.
@@ -523,41 +546,26 @@ func (m *Manager) Submit(ctx context.Context, req engine.Request) (*Snapshot, bo
 		m.mu.Unlock()
 		return nil, false, fmt.Errorf("%w: %w", ErrJournalDegraded, jerr)
 	}
-	if rerun {
-		delete(m.jobs, id) // canceled: rerun from scratch
-	}
 	path := filepath.Join(m.dir, id+".jsonl")
-	if m.leasesEnabled() {
-		if _, err := os.Stat(path); err == nil && !rerun {
+	if held == nil && m.leasesEnabled() {
+		if _, err := os.Stat(path); err == nil {
 			// A journal exists on disk that we do not hold in memory:
 			// another replica wrote it into the shared directory. Adopt it
 			// if its lease allows, rather than truncating its checkpoints.
 			m.mu.Unlock()
-			if loaded, err := m.adoptJournal(path); err != nil {
+			j, err := m.takeOver(path)
+			switch {
+			case err != nil:
 				return nil, false, fmt.Errorf("jobs: adopt %s: %w", id, err)
-			} else if !loaded {
+			case j == nil:
 				return nil, false, ErrLeaseHeld
-			}
-			m.mu.Lock()
-			j := m.jobs[id]
-			m.mu.Unlock()
-			if j == nil {
-				return nil, false, ErrUnknownJob
-			}
-			j.mu.Lock()
-			st := j.state
-			j.mu.Unlock()
-			m.adopted.Inc()
-			m.log.Info("job adopted on submit", "job", id, "state", string(st), "trace", trace)
-			if st == StateInterrupted {
-				m.resume(j)
 			}
 			return m.snapshot(j, true), false, nil
 		}
-		if !m.claimLease(path) {
-			m.mu.Unlock()
-			return nil, false, ErrLeaseHeld
-		}
+	}
+	if !m.claimLease(path) {
+		m.mu.Unlock()
+		return nil, false, ErrLeaseHeld
 	}
 	j := m.newJob(id, plan, path, trace)
 	jl, err := createJournal(j.path, m.chaos)
@@ -619,16 +627,12 @@ func (m *Manager) resume(j *job) {
 // ResumeAll restarts every interrupted job and returns how many it
 // started — the post-recovery hook servers call once at boot.
 func (m *Manager) ResumeAll() int {
-	m.mu.Lock()
 	var interrupted []*job
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		if j.state == StateInterrupted {
+	for _, j := range m.all() {
+		if j.stateNow() == StateInterrupted {
 			interrupted = append(interrupted, j)
 		}
-		j.mu.Unlock()
 	}
-	m.mu.Unlock()
 	sort.Slice(interrupted, func(a, b int) bool { return interrupted[a].id < interrupted[b].id })
 	for _, j := range interrupted {
 		m.resume(j)
@@ -652,10 +656,10 @@ func (m *Manager) start(j *job) {
 		select {
 		case m.slots <- struct{}{}:
 		case <-m.drain:
-			m.markInterrupted(j)
+			m.halt(j)
 			return
 		case <-j.ctx.Done():
-			m.finishCanceled(j)
+			m.halt(j)
 			return
 		}
 		defer func() { <-m.slots }()
@@ -663,64 +667,71 @@ func (m *Manager) start(j *job) {
 	}()
 }
 
+// halt stops a job's runner short of its last row: a draining manager
+// interrupts the job for a later resume; otherwise it was canceled.
+func (m *Manager) halt(j *job) {
+	if m.draining() {
+		m.markInterrupted(j)
+	} else {
+		m.settle(j, StateCanceled, nil)
+	}
+}
+
 // runJob executes the job's missing rows in order, checkpointing each to
 // the journal; completed rows (from a previous run) are never recomputed.
+// A row is published — to Get, StreamRows and the row counters — only
+// once its record is durable.
 func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
-	j.state = StateRunning
-	plan := j.plan
-	j.bump()
+	// A Cancel that raced the resume queuing this job may have settled it.
+	if j.state == StateQueued {
+		j.state = StateRunning
+		j.bump()
+	}
+	plan, jl := j.plan, j.jl
 	j.mu.Unlock()
 	for i := 0; i < plan.Rows(); i++ {
 		j.mu.Lock()
-		have := j.rows[i] != nil || j.rowErrs[i] != nil
+		have := j.settled(i)
 		j.mu.Unlock()
 		if have {
 			continue
 		}
-		select {
-		case <-m.drain:
-			m.markInterrupted(j)
+		if m.draining() || j.ctx.Err() != nil {
+			m.halt(j)
 			return
-		case <-j.ctx.Done():
-			m.finishCanceled(j)
-			return
-		default:
 		}
 		data, attempts, rerr, stopped := m.execRowWithRetry(j, plan, i)
 		if stopped {
-			if j.ctx.Err() != nil && !m.draining() {
-				m.finishCanceled(j)
-			} else {
-				m.markInterrupted(j)
-			}
+			m.halt(j)
 			return
 		}
-		rec := record{T: recRow, I: i, Attempts: attempts, At: m.clock.Now().UnixNano()}
-		j.mu.Lock()
+		rec := record{T: recRow, I: i, Attempts: attempts, Data: data, At: m.clock.Now().UnixNano()}
 		if rerr != nil {
-			j.rowErrs[i] = rerr
 			rec.Error, rec.Panic = rerr.Err, rerr.Panic
-			m.rowFailures.Inc()
-		} else {
-			j.rows[i] = data
-			rec.Data = data
 		}
-		j.attempts[i] = attempts
-		j.done++
-		jl := j.jl
-		j.bump()
-		j.mu.Unlock()
-		m.rowsDone.Inc()
+		// The lease fence: a runner whose journal another live replica
+		// adopted stops here instead of appending to it.
+		if !m.renewLease(j.path) {
+			m.log.Warn("lease lost, runner stopped", "job", j.id, "path", j.path, "row", i)
+			m.markInterrupted(j)
+			return
+		}
 		if err := jl.append(rec); err != nil {
 			m.log.Error("journal row append failed", "job", j.id, "path", j.path, "row", i, "error", err)
 			m.noteJournalErr("row checkpoint", err)
 			m.markInterrupted(j)
 			return
 		}
-		// Each durable checkpoint renews the lease, so a live runner's
-		// claim on a shared journal directory never expires between rows.
-		m.renewLease(j.path)
+		m.rowsDone.Inc()
+		if rerr != nil {
+			m.rowFailures.Inc()
+		}
+		j.mu.Lock()
+		j.rows[i], j.rowErrs[i], j.attempts[i] = data, rerr, attempts
+		j.done++
+		j.bump()
+		j.mu.Unlock()
 		if m.log.Enabled(j.ctx, slog.LevelInfo) {
 			kv := []any{"job", j.id, "key", j.key, "row", i,
 				"attempts", attempts, "trace", j.trace}
@@ -796,14 +807,11 @@ func (m *Manager) sleepRetry(j *job, d time.Duration) error {
 }
 
 // finishJob assembles the result, primes the executor's cache with a
-// clean one, journals the terminal record, counts the outcome, and only
-// then settles the job as done or degraded: whoever sees the job
-// finished — Get, StreamRows, Depth — finds it durable and counted.
+// clean one, and settles the job as done or degraded.
 func (m *Manager) finishJob(j *job) {
 	j.mu.Lock()
 	markers := j.markers()
 	res, err := j.plan.Assemble(j.rows, markers)
-	jl := j.jl
 	j.mu.Unlock()
 	if err != nil {
 		// Assembly of journaled payloads cannot fail unless the journal
@@ -813,8 +821,6 @@ func (m *Manager) finishJob(j *job) {
 		m.markInterrupted(j)
 		return
 	}
-	// Only this runner settles a running job, so the state cannot move
-	// while the terminal record is written outside the lock.
 	state := StateDone
 	if len(markers) > 0 {
 		state = StateDegraded
@@ -823,65 +829,60 @@ func (m *Manager) finishJob(j *job) {
 		// asks the synchronous endpoint gets a cache hit.
 		p.Prime(j.key, res)
 	}
-	now := m.clock.Now()
-	if err := jl.append(record{T: recDone, Status: string(state), At: now.UnixNano()}); err != nil {
-		m.log.Error("journal terminal append failed", "job", j.id, "path", j.path, "error", err)
-		m.noteJournalErr("terminal record", err)
-	}
-	jl.close()
-	m.releaseLease(j.path)
-	if state == StateDone {
-		m.completed.Inc()
-	} else {
-		m.degradedN.Inc()
-	}
-	j.mu.Lock()
-	j.result = res
-	j.state = state
-	j.finished = now
-	j.bump()
-	j.mu.Unlock()
-	if state == StateDone {
-		m.log.Info("job done", "job", j.id, "key", j.key,
-			"rows", len(j.rows), "trace", j.trace)
-	} else {
-		m.log.Warn("job degraded", "job", j.id, "key", j.key,
-			"rows", len(j.rows), "rows_failed", len(markers), "trace", j.trace)
-	}
-	j.cancel()
-	close(j.doneCh)
+	m.settle(j, state, res)
 }
 
-// finishCanceled settles a canceled job: terminal record, count, then
-// the visible state, like finishJob. It holds the job's lock throughout
-// because a runner and Cancel may race to settle the same job.
-func (m *Manager) finishCanceled(j *job) {
+// settle is the one way a job reaches a terminal state. It journals the
+// terminal record, closes the journal, releases the lease, and counts
+// and logs the outcome before it publishes the state, so whoever sees
+// the job finished — Get, Wait, StreamRows, Depth — finds it durable and
+// counted. It holds the job's lock throughout because a runner and
+// Cancel may race to settle the same job; a job already terminal is left
+// as it is.
+func (m *Manager) settle(j *job, state State, res *engine.Result) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.terminal() {
-		j.mu.Unlock()
 		return
 	}
 	now := m.clock.Now()
-	if j.jl != nil {
-		if err := j.jl.append(record{T: recDone, Status: string(StateCanceled), At: now.UnixNano()}); err != nil {
-			m.log.Error("journal cancel append failed", "job", j.id, "path", j.path, "error", err)
-			m.noteJournalErr("cancel record", err)
-		}
-		j.jl.close()
+	jl := j.jl
+	var err error
+	if jl == nil {
+		// Interrupted: no runner holds the journal open.
+		jl, err = appendJournal(j.path, m.chaos)
 	}
-	m.canceledN.Inc()
-	j.state = StateCanceled
-	j.finished = now
-	j.bump()
-	j.mu.Unlock()
+	if err == nil {
+		err = jl.append(record{T: recDone, Status: string(state), At: now.UnixNano()})
+		jl.close()
+	}
+	if err != nil {
+		m.log.Error("journal terminal append failed", "job", j.id, "path", j.path,
+			"state", string(state), "error", err)
+		m.noteJournalErr("terminal record", err)
+	}
 	m.releaseLease(j.path)
-	m.log.Info("job canceled", "job", j.id, "key", j.key, "trace", j.trace)
+	switch state {
+	case StateDone:
+		m.completed.Inc()
+		m.log.Info("job done", "job", j.id, "key", j.key,
+			"rows", len(j.rows), "trace", j.trace)
+	case StateDegraded:
+		m.degradedN.Inc()
+		m.log.Warn("job degraded", "job", j.id, "key", j.key,
+			"rows", len(j.rows), "rows_failed", len(j.markers()), "trace", j.trace)
+	default:
+		m.canceledN.Inc()
+		m.log.Info("job canceled", "job", j.id, "key", j.key, "trace", j.trace)
+	}
+	j.result, j.state, j.finished = res, state, now
+	j.bump()
 	j.cancel()
-	close(j.doneCh)
 }
 
-// markInterrupted checkpoints a job stopped by drain or simulated crash:
-// no terminal record, journal closed, resumable later.
+// markInterrupted checkpoints a job stopped by drain, simulated crash,
+// journal failure or a lost lease: no terminal record, journal closed,
+// resumable later.
 func (m *Manager) markInterrupted(j *job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -891,6 +892,7 @@ func (m *Manager) markInterrupted(j *job) {
 	j.state = StateInterrupted
 	if j.jl != nil {
 		j.jl.close()
+		j.jl = nil
 	}
 	// A drained job's journal is a clean handoff: release the lease so a
 	// surviving replica's ClaimStale can adopt it immediately instead of
@@ -920,38 +922,26 @@ func (m *Manager) draining() bool {
 // Cancel stops a job. Running jobs abort their current row; queued or
 // interrupted jobs settle immediately. Terminal jobs are returned as-is.
 func (m *Manager) Cancel(id string) (*Snapshot, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.get(id)
+	if j == nil {
 		return nil, ErrUnknownJob
 	}
 	j.mu.Lock()
-	st := j.state
-	cancel := j.cancel
+	st, cancel := j.state, j.cancel
 	j.mu.Unlock()
-	switch st {
-	case StateInterrupted:
-		// No runner to observe the cancel; settle it here with an
-		// append-mode journal for the terminal record.
-		if jl, err := appendJournal(j.path, m.chaos); err == nil {
-			j.mu.Lock()
-			j.jl = jl
-			j.mu.Unlock()
-		}
-		m.finishCanceled(j)
-	case StateQueued, StateRunning:
-		cancel()
+	if st == StateInterrupted {
+		// No runner to observe the cancel; settle it here.
+		m.settle(j, StateCanceled, nil)
+	} else {
+		cancel() // the runner halts and settles; a terminal job ignores it
 	}
 	return m.snapshot(j, true), nil
 }
 
 // Get returns one job's snapshot with its rows and (if finished) result.
 func (m *Manager) Get(id string) (*Snapshot, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.get(id)
+	if j == nil {
 		return nil, ErrUnknownJob
 	}
 	return m.snapshot(j, true), nil
@@ -960,12 +950,7 @@ func (m *Manager) Get(id string) (*Snapshot, error) {
 // List returns lightweight snapshots (no rows, no results), sorted by
 // creation time then id for a stable order.
 func (m *Manager) List() []*Snapshot {
-	m.mu.Lock()
-	js := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		js = append(js, j)
-	}
-	m.mu.Unlock()
+	js := m.all()
 	out := make([]*Snapshot, 0, len(js))
 	for _, j := range js {
 		out = append(out, m.snapshot(j, false))
@@ -990,22 +975,17 @@ func (m *Manager) List() []*Snapshot {
 // client reconnects with its new offset after the next resume. An emit
 // error (the client's connection died) aborts the stream with that error.
 func (m *Manager) StreamRows(ctx context.Context, id string, from int, emit func(RowStatus) error) (*Snapshot, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.get(id)
+	if j == nil {
 		return nil, ErrUnknownJob
 	}
-	if from < 0 {
-		from = 0
-	}
-	next := from
+	next := max(from, 0)
 	for {
 		j.mu.Lock()
 		var pending []RowStatus
 		// Rows checkpoint strictly in row order, so everything settled at
 		// or beyond next is a contiguous run.
-		for next < len(j.rows) && (j.rows[next] != nil || j.rowErrs[next] != nil) {
+		for next < len(j.rows) && j.settled(next) {
 			pending = append(pending, j.rowStatus(next))
 			next++
 		}
@@ -1037,17 +1017,22 @@ func (m *Manager) StreamRows(ctx context.Context, id string, from int, emit func
 // Wait blocks until the job reaches a terminal state or the context
 // expires, then returns its snapshot.
 func (m *Manager) Wait(ctx context.Context, id string) (*Snapshot, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.get(id)
+	if j == nil {
 		return nil, ErrUnknownJob
 	}
-	select {
-	case <-j.doneCh:
-		return m.snapshot(j, true), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	for {
+		j.mu.Lock()
+		st, upd := j.state, j.updated
+		j.mu.Unlock()
+		if st.terminal() {
+			return m.snapshot(j, true), nil
+		}
+		select {
+		case <-upd:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 }
 
@@ -1092,18 +1077,9 @@ type Depth struct {
 
 // Depth counts jobs by state.
 func (m *Manager) Depth() Depth {
-	m.mu.Lock()
-	js := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		js = append(js, j)
-	}
-	m.mu.Unlock()
 	var d Depth
-	for _, j := range js {
-		j.mu.Lock()
-		st := j.state
-		j.mu.Unlock()
-		switch st {
+	for _, j := range m.all() {
+		switch j.stateNow() {
 		case StateRunning:
 			d.Running++
 		case StateQueued:
@@ -1174,7 +1150,7 @@ func (m *Manager) snapshot(j *job, full bool) *Snapshot {
 		Request: j.req,
 	}
 	for i := range j.rows {
-		done := j.rows[i] != nil || j.rowErrs[i] != nil
+		done := j.settled(i)
 		if done {
 			s.RowsDone++
 		}

@@ -201,3 +201,24 @@ func TestJournalDegradedStillServesKnownJobResubmit(t *testing.T) {
 		t.Fatalf("new Submit while degraded = %v, want ErrJournalDegraded", err)
 	}
 }
+
+// A row whose checkpoint fails to fsync is never published: the job
+// interrupts with only the rows before it visible to Get and counted.
+func TestRowFsyncFaultPublishesNoRow(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	// Fsync hit 0 is the submit record; fail hit 4, row 3's checkpoint.
+	plan := mustPlan(t, "seed=1;site=jobs.journal.fsync kind=fsyncfail count=1 after=4")
+	m, _ := newManager(t, dir, Options{Chaos: plan})
+	snap, _, err := m.Submit(context.Background(), sweepReq(6))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	got := waitState(t, m, snap.ID, StateInterrupted)
+	if got.RowsDone != 3 || len(got.Partial) != 3 {
+		t.Errorf("interrupted job shows RowsDone %d and %d partial rows, want 3 and 3", got.RowsDone, len(got.Partial))
+	}
+	if n := m.rowsDone.Value(); n != 3 {
+		t.Errorf("rows_done = %d, want 3", n)
+	}
+}

@@ -11,7 +11,9 @@ package jobs
 // tolerates duplicate row records ("first write wins"), so the worst
 // case of a lost race is wasted recompute, never a corrupted result.
 //
-// Lifecycle: Submit and resume claim; every row checkpoint renews;
+// Lifecycle: Submit and resume claim; every row checkpoint first renews,
+// and a runner that finds another live owner there stops without
+// appending;
 // drain (markInterrupted) and terminal states release with a tombstone
 // (Released=true) so survivors can adopt the journal immediately
 // instead of waiting out the TTL; a crash leaves the lease to expire.
@@ -79,7 +81,7 @@ func (m *Manager) heldByOther(journalPath string) bool {
 	return lf.Expires > m.clock.Now().UnixNano()
 }
 
-// writeLease durably replaces the journal's lease with this manager's
+// writeLease atomically replaces the journal's lease with this manager's
 // claim (or release tombstone) via temp file + rename.
 func (m *Manager) writeLease(journalPath string, released bool) error {
 	lf := leaseFile{
@@ -130,15 +132,22 @@ func (m *Manager) claimLease(journalPath string) bool {
 	return ok && lf.Owner == m.owner && !lf.Released
 }
 
-// renewLease extends this manager's claim. Called on every row
-// checkpoint, so a live runner's lease never expires between rows.
-func (m *Manager) renewLease(journalPath string) {
+// renewLease fences and extends this manager's claim before each row
+// append, so a live runner's lease never expires between rows. It writes
+// nothing and reports false when another live replica holds the lease:
+// that replica adopted the journal, and this runner must stop. Always
+// true with leases disabled.
+func (m *Manager) renewLease(journalPath string) bool {
 	if !m.leasesEnabled() {
-		return
+		return true
+	}
+	if m.heldByOther(journalPath) {
+		return false
 	}
 	if err := m.writeLease(journalPath, false); err != nil {
 		m.log.Warn("lease renew failed", "path", journalPath, "error", err)
 	}
+	return true
 }
 
 // releaseLease writes the handoff tombstone: the journal is immediately
@@ -152,36 +161,40 @@ func (m *Manager) releaseLease(journalPath string) {
 	}
 }
 
-// adoptJournal is the lease-gated replay used by Open's recovery sweep
-// and by ClaimStale: skip journals another live replica holds, claim
-// before replaying, and release again right away when the replayed job
-// turned out to be terminal (terminal journals need ownership only for
-// the replay itself).
-func (m *Manager) adoptJournal(path string) (loaded bool, err error) {
-	if m.leasesEnabled() {
-		if m.heldByOther(path) {
-			return false, nil
-		}
-		if !m.claimLease(path) {
-			return false, nil
-		}
+// adopt is the lease-gated replay used by Open's recovery sweep, Submit
+// and ClaimStale: claim before replaying (a journal another live replica
+// holds yields a nil job), and release again right away when the
+// replayed job turned out to be terminal (terminal journals need
+// ownership only for the replay itself).
+func (m *Manager) adopt(path string) (*job, error) {
+	if !m.claimLease(path) {
+		return nil, nil
 	}
-	id, err := m.recoverFile(path)
+	j, err := m.recoverFile(path)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j != nil {
-		j.mu.Lock()
-		terminal := j.state.terminal()
-		j.mu.Unlock()
-		if terminal {
-			m.releaseLease(path)
-		}
+	if j.stateNow().terminal() {
+		m.releaseLease(path)
 	}
-	return true, nil
+	return j, nil
+}
+
+// takeOver adopts a journal this manager did not hold, counts and logs
+// the adoption, and resumes the job if it was interrupted. It returns a
+// nil job when another live replica holds the journal's lease.
+func (m *Manager) takeOver(path string) (*job, error) {
+	j, err := m.adopt(path)
+	if j == nil || err != nil {
+		return nil, err
+	}
+	m.adopted.Inc()
+	st := j.stateNow()
+	m.log.Info("job adopted", "job", j.id, "state", string(st), "owner", m.owner, "trace", j.trace)
+	if st == StateInterrupted {
+		m.resume(j)
+	}
+	return j, nil
 }
 
 // ClaimStale is the adoption sweep: scan the shared journal directory
@@ -208,39 +221,16 @@ func (m *Manager) ClaimStale() int {
 	}
 	adopted := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
-			continue
-		}
-		id := strings.TrimSuffix(e.Name(), ".jsonl")
-		m.mu.Lock()
-		_, have := m.jobs[id]
-		m.mu.Unlock()
-		if have {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") ||
+			m.get(strings.TrimSuffix(e.Name(), ".jsonl")) != nil {
 			continue
 		}
 		path := filepath.Join(m.dir, e.Name())
-		loaded, err := m.adoptJournal(path)
+		j, err := m.takeOver(path)
 		if err != nil {
 			m.log.Warn("journal adoption failed", "path", path, "error", err)
-			continue
-		}
-		if !loaded {
-			continue
-		}
-		adopted++
-		m.adopted.Inc()
-		m.mu.Lock()
-		j := m.jobs[id]
-		m.mu.Unlock()
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		st := j.state
-		j.mu.Unlock()
-		m.log.Info("journal adopted", "job", id, "state", string(st), "owner", m.owner)
-		if st == StateInterrupted {
-			m.resume(j)
+		} else if j != nil {
+			adopted++
 		}
 	}
 	return adopted

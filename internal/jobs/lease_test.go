@@ -348,3 +348,42 @@ func TestDrainHandoffReleasesLease(t *testing.T) {
 		t.Errorf("row 2 attempts = %d, want 1", n)
 	}
 }
+
+// A runner whose journal another live replica adopted mid-row stops at
+// the lease fence: it appends nothing more and leaves the adopter's lease
+// in place.
+func TestLostLeaseStopsRunner(t *testing.T) {
+	dir := t.TempDir()
+	gate1 := make(chan struct{})
+	exec := &gatedExec{
+		scriptExec: newScriptExec(3, nil),
+		gates:      map[int]chan struct{}{1: gate1},
+		entered:    make(chan int, 1),
+	}
+	a, err := Open(Options{Dir: dir, Exec: exec, Owner: "a"})
+	if err != nil {
+		t.Fatalf("Open A: %v", err)
+	}
+	defer a.Close(context.Background())
+	snap, _, err := a.Submit(context.Background(), leaseTestReq())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	select {
+	case row := <-exec.entered:
+		if row != 1 {
+			t.Fatalf("runner entered gate of row %d, want 1", row)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runner never reached row 1")
+	}
+	writeLeaseFile(t, dir, snap.ID, leaseFile{Owner: "b", Expires: time.Now().Add(time.Hour).UnixNano()})
+	close(gate1)
+	waitState(t, a, snap.ID, StateInterrupted)
+	if records, _ := journalRowRecords(t, dir, snap.ID); records != 1 {
+		t.Errorf("journal has %d row records, want 1 (row 0 only)", records)
+	}
+	if lf := readLeaseFile(t, dir, snap.ID); lf.Owner != "b" || lf.Released {
+		t.Errorf("lease = %+v, want b's live claim untouched", lf)
+	}
+}

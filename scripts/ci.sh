@@ -60,11 +60,13 @@ step_chaos_smoke() {
 	go test -race -run 'Fault|Panic|Deadline|^TestJournal|^TestHedge|OneWayPartition' ./...
 }
 
-# Jobs race: the durable-job subsystem exercised twice under -race — its
-# drain/resume/cancel paths are the most concurrency-sensitive code in the
-# repo.
+# Jobs race: the durable-job subsystem exercised five times under -race —
+# its drain/resume/cancel paths are the most concurrency-sensitive code in
+# the repo — and the server's job and stream handlers, which drive that
+# lifecycle over HTTP, three times.
 step_jobs_race() {
-	go test -race -count=2 ./internal/jobs/
+	go test -race -count=5 ./internal/jobs/
+	go test -race -count=3 -run 'Job|Stream' ./cmd/serve/
 }
 
 # Fault determinism: the same seed must print the same failure-rate table,
