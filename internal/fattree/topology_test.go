@@ -2,6 +2,7 @@ package fattree
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"netpowerprop/internal/units"
@@ -363,12 +364,13 @@ func TestGraphBuilder(t *testing.T) {
 	}
 	// ...and a custom enumerator takes over when installed.
 	called := false
-	top.SetPathFn(func(src, dst int) ([][]int, error) {
+	top.SetPathFn(func(links, ends []int, src, dst int) ([]int, []int, error) {
 		called = true
-		return [][]int{{0, 1}}, nil
+		links = append(links, 0, 1)
+		return links, append(ends, len(links)), nil
 	})
-	if _, err := top.Paths(h1, h2); err != nil || !called {
-		t.Errorf("custom enumerator not used (err %v)", err)
+	if got, err := top.Paths(h1, h2); err != nil || !called || len(got) != 1 || !slices.Equal(got[0], []int{0, 1}) {
+		t.Errorf("custom enumerator not used (paths %v, err %v)", got, err)
 	}
 	// Degenerate queries are rejected before the enumerator runs.
 	called = false

@@ -441,6 +441,7 @@ func (m *Manager) recoverFile(path string) (*job, error) {
 	switch terminal {
 	case StateDone, StateDegraded:
 		if j.result, err = plan.Assemble(j.rows, j.markers()); err != nil {
+			j.cancel() // the job is dropped, so release its context from hardCtx
 			return nil, fmt.Errorf("reassemble: %w", err)
 		}
 		fallthrough

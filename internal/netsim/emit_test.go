@@ -71,7 +71,7 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 			}
 		}
 		var demands []float64
-		var paths [][]int
+		var paths [][]int32
 		var active []int
 		for _, fi := range sc.byStart {
 			f := flows[fi]
@@ -85,7 +85,7 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 				continue
 			}
 			demands = append(demands, float64(f.Demand))
-			paths = append(paths, st.ps.paths[rt.path])
+			paths = append(paths, s.warm.paths.path(st.ps, int(rt.path)))
 			active = append(active, fi)
 		}
 		if len(demands) > 0 {
@@ -98,10 +98,10 @@ func referenceTraces(t *testing.T, s *Sim, res *Result, flows []traffic.Flow) (l
 				rt := st.routes[epoch-st.e0]
 				rate := rates[r]
 				delivered[fi] += rate * float64(t1-t0)
-				for _, l := range st.ps.paths[rt.path] {
+				for _, l := range s.warm.paths.path(st.ps, int(rt.path)) {
 					linkRate[l] += rate
 				}
-				for _, sw := range st.ps.switches[rt.path] {
+				for _, sw := range s.warm.paths.switchesOf(st.ps, int(rt.path)) {
 					switchRate[sw] += rate
 				}
 			}
@@ -287,13 +287,13 @@ func TestSolveReuseKeys(t *testing.T) {
 	// second.
 	arena := []float64{100, 100, 100, 100, 0, 100}
 	clean, dead := arena[0:3:3], arena[3:6:6]
-	shared := [][]int{{0, 1}, {1, 2}} // both rows cross link 1
-	apart := [][]int{{0}, {2}}
+	shared := [][]int32{{0, 1}, {1, 2}} // both rows cross link 1
+	apart := [][]int32{{0}, {2}}
 	var ss solveScratch
 	for i, step := range []struct {
 		caps    []float64
 		demands []float64
-		paths   [][]int
+		paths   [][]int32
 		want    []float64
 	}{
 		{clean, []float64{80, 80}, shared, []float64{50, 50}},

@@ -97,7 +97,7 @@ func FuzzMaxMinDense(f *testing.F) {
 			t.Fatalf("reference rejected valid instance: %v", err)
 		}
 		var s Solver
-		got, err := s.Solve(demands, paths, dense)
+		got, err := s.Solve(demands, links32(paths), dense)
 		if err != nil {
 			t.Fatalf("dense solver rejected valid instance: %v", err)
 		}

@@ -23,7 +23,7 @@ func MaxMin(demands []float64, paths [][]int, capacity map[int]float64) ([]float
 	}
 	idx := make(map[int]int, len(capacity))
 	var caps []float64
-	dense := make([][]int, len(paths))
+	dense := make([][]int32, len(paths))
 	for i, path := range paths {
 		for _, l := range path {
 			d, ok := idx[l]
@@ -36,7 +36,7 @@ func MaxMin(demands []float64, paths [][]int, capacity map[int]float64) ([]float
 				idx[l] = d
 				caps = append(caps, c)
 			}
-			dense[i] = append(dense[i], d)
+			dense[i] = append(dense[i], int32(d))
 		}
 	}
 	var s Solver

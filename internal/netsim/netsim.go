@@ -70,30 +70,34 @@ type Sim struct {
 }
 
 // WarmCap is the most warm-state bytes Trim lets a Sim keep between rows.
-// It holds a k=4 faults row over 32 iterations (about 1.3 MiB) and any
-// topologies row up to 32 hosts (at most about 4 MiB).
+// It holds a k=4 faults row over 32 iterations (about 1.3 MiB) and every
+// topologies row up to 32 hosts (at most about 2.0 MiB, path table
+// included, on railopt and the tori), so a worker slot's path table and
+// arenas survive from one zoo row to the next.
 const WarmCap = 4 << 20
 
 // warmState is a Sim's unexported state, reused across runs. Nothing in a
 // Result aliases it.
 type warmState struct {
-	// top is the topology pathCache was enumerated on. A run on any other
-	// topology drops the cache first, and with it every scratch pointer into
-	// the old path sets.
+	// top is the topology the path table was enumerated on. A run on any
+	// other topology empties the table first, keeping its capacity.
 	top *fattree.Topology
 
-	// pathCache memoizes the ECMP path enumeration (and the switches each
-	// path visits) per (src,dst) pair of top, keyed src<<32|dst: the
-	// enumeration depends only on the topology, never on seed or routing
-	// mode, so it survives across Run calls. Fault-filtered views of each
-	// entry are cached on the pathSet itself and invalidated per (run,
-	// epoch). pathBytes estimates the cache's heap bytes.
-	pathCache map[uint64]*pathSet
-	pathBytes int
+	// paths memoizes the ECMP path enumeration (and the switches each path
+	// visits) per (src,dst) pair of top: the enumeration depends only on
+	// the topology, never on seed or routing mode, so it survives across
+	// Run calls.
+	paths pathTable
 
 	// indices[:n] is [0, n): the alive set of an n-path set in any epoch
 	// with no dead links, shared by every cached path set.
 	indices []int
+
+	// alive holds the current fault epoch's filtered alive sets, each
+	// pathSet's cut at its aliveOff. Routing runs epoch by epoch, so the
+	// arena is emptied at each epoch and a set filters at most once per
+	// epoch.
+	alive []int
 
 	// usedSwitches marks, by node ID, the switches already chosen by
 	// ConcentrateRouting within one Run.
@@ -121,13 +125,14 @@ func (s *Sim) Trim() {
 	}
 }
 
-// WarmBytes estimates the heap bytes s keeps between runs: the path cache
-// plus the capacity of every scratch arena.
+// WarmBytes estimates the heap bytes s keeps between runs: the capacity of
+// every arena, the path table's included, exactly, plus an estimate of the
+// path table's index map.
 func (s *Sim) WarmBytes() int {
 	w := &s.warm
 	sc := &w.scratch
 	ss := &sc.solve
-	return w.pathBytes + capBytes(w.indices) + capBytes(w.usedSwitches) +
+	return w.paths.bytes() + capBytes(w.indices) + capBytes(w.alive) + capBytes(w.usedSwitches) +
 		capBytes(sc.states) + capBytes(sc.routes) + capBytes(sc.epochOff) + capBytes(sc.buckets) +
 		capBytes(sc.times) + capBytes(sc.byStart) + capBytes(sc.cur) + capBytes(sc.caps) +
 		capBytes(sc.devRate) + capBytes(sc.marked) + capBytes(sc.open) + capBytes(sc.touched) +
@@ -142,38 +147,117 @@ func capBytes[T any](s []T) int {
 	return cap(s) * int(unsafe.Sizeof(z))
 }
 
-// usePaths points the path cache at top, dropping it (and every scratch
+// usePaths points the path table at top, emptying it (and every scratch
 // reference into its path sets) when it was built on another topology, so
-// a run neither routes on stale paths nor keeps the old ones reachable.
+// a run never routes on stale paths. The table keeps its capacity for the
+// new topology's paths. The solve memo's rows are cleared too: a reused
+// arena can give a new path the address and length of an old one.
 func (w *warmState) usePaths(top *fattree.Topology) {
 	if w.top == top {
 		return
 	}
-	w.top, w.pathCache, w.pathBytes = top, nil, 0
+	w.top = top
+	w.paths.reset()
 	sc := &w.scratch
 	clear(sc.states[:cap(sc.states)])
 	clear(sc.solve.paths[:cap(sc.solve.paths)])
 	clear(sc.solve.lastPaths[:cap(sc.solve.lastPaths)])
 }
 
-// pathSet is one (src,dst) pair's cached ECMP choices.
+// pathTable is the path cache in compact form, in int32 so that the table
+// a worker slot keeps between rows stays small. Path k is
+// links[ends[k]:ends[k+1]], and a path of n links visits n-1 switches
+// (every node after the source host but the destination host), so path k's
+// switches are switches[ends[k]-k : ends[k+1]-k-1]. A pair's paths are
+// consecutive; its pathSet records the first and the count. Path sets
+// come from a chunked slab, so a *pathSet stays valid while the slab
+// grows. The arenas and chunks hold no pointers, so the garbage collector
+// never scans them, and reset keeps every backing array for the next
+// topology. usePaths resets the table before a run uses it.
+type pathTable struct {
+	links    []int32
+	ends     []int32 // ends[0] == 0
+	switches []int32
+	chunks   []*[setChunk]pathSet
+	used     int // path sets handed out from chunks
+	index    map[uint64]int32
+	// indexPeak is the most entries index has held; a cleared map keeps
+	// its buckets, so it sizes the map's estimate in bytes.
+	indexPeak int
+
+	// pairLinks and pairEnds receive one pair's AppendPaths output before
+	// it is narrowed into the arenas.
+	pairLinks, pairEnds []int
+}
+
+// setChunk is the slab's chunk size in path sets.
+const setChunk = 256
+
+// reset empties the table, keeping its capacity.
+func (t *pathTable) reset() {
+	t.links, t.switches = t.links[:0], t.switches[:0]
+	t.ends = append(t.ends[:0], 0)
+	t.used = 0
+	clear(t.index)
+}
+
+// bytes is the table's heap footprint: the arenas' and slab's capacity
+// exactly, the index map estimated from its peak size.
+func (t *pathTable) bytes() int {
+	return capBytes(t.links) + capBytes(t.ends) + capBytes(t.switches) +
+		capBytes(t.pairLinks) + capBytes(t.pairEnds) + capBytes(t.chunks) +
+		len(t.chunks)*int(unsafe.Sizeof([setChunk]pathSet{})) + t.indexPeak*indexEntryBytes
+}
+
+// indexEntryBytes estimates one index map entry's share of the map: a
+// 12-byte key and value slot padded to 16, a control byte, at 7/8 load.
+const indexEntryBytes = 20
+
+// newSet hands out a zeroed path set from the slab.
+func (t *pathTable) newSet() (*pathSet, int32) {
+	if t.used == len(t.chunks)*setChunk {
+		t.chunks = append(t.chunks, new([setChunk]pathSet))
+	}
+	i := t.used
+	t.used++
+	ps := &t.chunks[i/setChunk][i%setChunk]
+	*ps = pathSet{}
+	return ps, int32(i)
+}
+
+// set returns path set i of the slab.
+func (t *pathTable) set(i int32) *pathSet { return &t.chunks[i/setChunk][i%setChunk] }
+
+// path returns ps's path i as link IDs.
+func (t *pathTable) path(ps *pathSet, i int) []int32 {
+	k := int(ps.first) + i
+	lo, hi := t.ends[k], t.ends[k+1]
+	return t.links[lo:hi:hi]
+}
+
+// switchesOf returns the switches ps's path i visits, in path order.
+func (t *pathTable) switchesOf(ps *pathSet, i int) []int32 {
+	k := int(ps.first) + i
+	lo, hi := int(t.ends[k])-k, int(t.ends[k+1])-k-1
+	return t.switches[lo:hi:hi]
+}
+
+// pathSet is one (src,dst) pair's cached ECMP choices: paths first to
+// first+n-1 of the table.
 type pathSet struct {
-	paths [][]int
-	// switches[i] lists the switches paths[i] visits, in path order. All
-	// lists share one arena, each cut with cap == len.
-	switches [][]int
+	first, n int32
 
 	// hash is the FNV-1a state after folding in (src, dst); HashECMP
 	// folds in only the seed per route.
 	hash uint64
 
 	// alive caches the indices of paths surviving the current fault
-	// epoch's dead-link set. Stamped with (run generation, epoch): a link
-	// failing or recovering starts a new epoch, which invalidates the
-	// entry on first use.
-	alive      []int
-	aliveRun   uint64
-	aliveEpoch int
+	// epoch's dead-link set, as warmState.alive[aliveOff:aliveOff+aliveN].
+	// Stamped with (run generation, epoch): a link failing or recovering
+	// starts a new epoch, which invalidates the entry on first use.
+	aliveOff, aliveN int32
+	aliveRun         uint64
+	aliveEpoch       int
 }
 
 // runScratch is one Sim's per-run arenas, reused across Run calls.
@@ -221,7 +305,7 @@ type deviceSegment struct {
 type solveScratch struct {
 	solver  Solver
 	demands []float64
-	paths   [][]int
+	paths   [][]int32
 
 	// The last solve's inputs and rates. An interval whose capacity slice
 	// (by identity) and ordered (path identity, demand) rows equal them
@@ -231,7 +315,7 @@ type solveScratch struct {
 	memo        bool
 	lastCaps    []float64
 	lastDemands []float64
-	lastPaths   [][]int
+	lastPaths   [][]int32
 	lastRates   []float64
 }
 
@@ -240,7 +324,7 @@ type solveScratch struct {
 // repeat.
 func (ss *solveScratch) rates(capacity []float64) ([]float64, error) {
 	if ss.memo && sameSlice(capacity, ss.lastCaps) && slices.Equal(ss.demands, ss.lastDemands) &&
-		slices.EqualFunc(ss.paths, ss.lastPaths, sameSlice[int]) {
+		slices.EqualFunc(ss.paths, ss.lastPaths, sameSlice[int32]) {
 		return ss.lastRates, nil
 	}
 	ss.memo = false // Solve overwrites lastRates, the solver's own slice
@@ -317,78 +401,79 @@ type Result struct {
 	Faults *FaultReport
 }
 
-// pathsFor returns the cached path set for a pair, enumerating on first use.
+// pathsFor returns the cached path set for a pair, enumerating it into the
+// path table on first use.
 func (s *Sim) pathsFor(src, dst int) (*pathSet, error) {
-	w := &s.warm
+	t := &s.warm.paths
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
-	if ps, ok := w.pathCache[key]; ok {
-		return ps, nil
+	if i, ok := t.index[key]; ok {
+		return t.set(i), nil
 	}
-	paths, err := s.Top.Paths(src, dst)
+	links, ends, err := s.Top.AppendPaths(t.pairLinks[:0], t.pairEnds[:0], src, dst)
 	if err != nil {
 		return nil, err
 	}
-	// A path of n links visits n-1 switches: every node after the source
-	// host is a switch except the destination host. The arena is sized to
-	// that total, so it is exact and never grows.
-	total := 0
-	for _, p := range paths {
-		total += len(p) - 1
+	t.pairLinks, t.pairEnds = links, ends
+	first, base := len(t.ends)-1, len(t.links)
+	t.links = slices.Grow(t.links, len(links))[:base+len(links)]
+	for j, lid := range links {
+		t.links[base+j] = int32(lid)
 	}
-	arena := make([]int, 0, total)
-	ps := &pathSet{paths: paths, switches: make([][]int, len(paths)), hash: fnvFold(fnvOffset, uint64(src))}
-	ps.hash = fnvFold(ps.hash, uint64(dst))
-	for i, p := range paths {
-		start := len(arena)
+	start := 0
+	for _, end := range ends {
+		t.ends = append(t.ends, int32(base+end))
+		// Walk the path from the source host, recording every node but the
+		// last (the destination host): those are its switches.
 		at := src
-		for _, lid := range p {
+		for _, lid := range links[start : end-1] {
 			at = s.Top.Peer(lid, at)
-			if s.Top.Nodes[at].IsSwitch() {
-				arena = append(arena, at)
-			}
+			t.switches = append(t.switches, int32(at))
 		}
-		ps.switches[i] = arena[start:len(arena):len(arena)]
+		start = end
 	}
-	for len(w.indices) < len(paths) {
-		w.indices = append(w.indices, len(w.indices))
+	ps, i := t.newSet()
+	ps.first, ps.n = int32(first), int32(len(ends))
+	ps.hash = fnvFold(fnvFold(fnvOffset, uint64(src)), uint64(dst))
+	for len(s.warm.indices) < int(ps.n) {
+		s.warm.indices = append(s.warm.indices, len(s.warm.indices))
 	}
-	if w.pathCache == nil {
-		w.pathCache = make(map[uint64]*pathSet)
+	if t.index == nil {
+		t.index = make(map[uint64]int32)
 	}
-	w.pathCache[key] = ps
-	// The pathSet and its map entry; per path, two slice headers, an alive
-	// index and a path of one link more than its switches; the switch arena.
-	w.pathBytes += int(unsafe.Sizeof(*ps)) + 16 + len(paths)*(2*24+8+8) + 2*8*total
+	t.index[key] = i
+	t.indexPeak = max(t.indexPeak, len(t.index))
 	return ps, nil
 }
 
-// aliveFor returns the indices of ps.paths that avoid every dead link. An
-// epoch with no dead links (nil dead) keeps every path; otherwise the
+// aliveFor returns the indices of ps's paths that avoid every dead link.
+// An epoch with no dead links (nil dead) keeps every path; otherwise the
 // pathSet's cached filter is refreshed when it is stale for this
 // (run, epoch) — the invalidation step after a link fails or recovers.
 func (s *Sim) aliveFor(ps *pathSet, epoch int, dead []bool) []int {
+	w := &s.warm
 	if dead == nil {
-		n := len(ps.paths)
-		return s.warm.indices[:n:n]
+		n := int(ps.n)
+		return w.indices[:n:n]
 	}
-	if ps.aliveRun == s.warm.runGen && ps.aliveEpoch == epoch {
-		return ps.alive
-	}
-	ps.alive = slices.Grow(ps.alive[:0], len(ps.paths))
-	for i, p := range ps.paths {
-		ok := true
-		for _, l := range p {
-			if dead[l] {
-				ok = false
-				break
+	if ps.aliveRun != w.runGen || ps.aliveEpoch != epoch {
+		off := len(w.alive)
+		for i := 0; i < int(ps.n); i++ {
+			ok := true
+			for _, l := range w.paths.path(ps, i) {
+				if dead[l] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				w.alive = append(w.alive, i)
 			}
 		}
-		if ok {
-			ps.alive = append(ps.alive, i)
-		}
+		ps.aliveOff, ps.aliveN = int32(off), int32(len(w.alive)-off)
+		ps.aliveRun, ps.aliveEpoch = w.runGen, epoch
 	}
-	ps.aliveRun, ps.aliveEpoch = s.warm.runGen, epoch
-	return ps.alive
+	lo, hi := int(ps.aliveOff), int(ps.aliveOff+ps.aliveN)
+	return w.alive[lo:hi:hi]
 }
 
 // cleanTimeline is the single fault-free epoch a run without faults uses.
@@ -398,7 +483,7 @@ var cleanTimeline = &fault.Timeline{Starts: []units.Seconds{0}, Dead: [][]bool{n
 // into the flow's pathSet. It holds no pointers, so the route arena costs
 // the garbage collector nothing to scan.
 type route struct {
-	path int32 // index into pathSet.paths and pathSet.switches
+	path int32 // index of the path within its pathSet
 	// stalled marks an epoch where every ECMP path crossed a dead link.
 	stalled bool
 	// rerouted marks an epoch where the flow routed while at least one of
@@ -414,7 +499,7 @@ func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 	if len(alive) == 0 {
 		return route{stalled: true}
 	}
-	rerouted := len(alive) < len(ps.paths)
+	rerouted := len(alive) < int(ps.n)
 	if s.Routing == ConcentrateRouting {
 		// The first path with the fewest new switches wins, so scoring a
 		// path stops once it cannot beat the best so far, and the scan
@@ -423,7 +508,7 @@ func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 		best, bestNew := alive[0], len(s.Top.Nodes)+1
 		for _, i := range alive {
 			newSwitches := 0
-			for _, sw := range ps.switches[i] {
+			for _, sw := range s.warm.paths.switchesOf(ps, i) {
 				if !used[sw] {
 					if newSwitches++; newSwitches >= bestNew {
 						break
@@ -437,7 +522,7 @@ func (s *Sim) routeFor(ps *pathSet, epoch int, dead []bool) route {
 				}
 			}
 		}
-		for _, sw := range ps.switches[best] {
+		for _, sw := range s.warm.paths.switchesOf(ps, best) {
 			used[sw] = true
 		}
 		return route{path: int32(best), rerouted: rerouted}
@@ -583,6 +668,7 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 		if tl.DeadCount[e] > 0 {
 			dead = tl.Dead[e]
 		}
+		w.alive = w.alive[:0] // the last epoch's alive sets are stale
 		for _, i := range buckets[lo:epochOff[e]] {
 			st := &states[i]
 			if st.ps == nil {
@@ -717,7 +803,7 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 			st := &states[fi]
 			if rt := st.routes[epoch-st.e0]; !rt.stalled {
 				ss.demands = append(ss.demands, float64(flows[fi].Demand))
-				ss.paths = append(ss.paths, st.ps.paths[rt.path])
+				ss.paths = append(ss.paths, w.paths.path(st.ps, int(rt.path)))
 			}
 		}
 		var rates []float64
@@ -741,11 +827,11 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 			rate := rates[r]
 			r++
 			st.delivered += rate * dt
-			for _, l := range st.ps.paths[rt.path] {
-				add(l, rate)
+			for _, l := range w.paths.path(st.ps, int(rt.path)) {
+				add(int(l), rate)
 			}
-			for _, sw := range st.ps.switches[rt.path] {
-				add(nl+sw, rate)
+			for _, sw := range w.paths.switchesOf(st.ps, int(rt.path)) {
+				add(nl+int(sw), rate)
 			}
 		}
 		for _, d := range prev {
@@ -806,9 +892,9 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	for i := range states {
 		st, f := &states[i], &flows[i]
 		// routes[0] is the start epoch's decision.
-		var path []int
+		var path []int32
 		if rt := st.routes[0]; !rt.stalled {
-			path = st.ps.paths[rt.path]
+			path = w.paths.path(st.ps, int(rt.path))
 		}
 		// Bottleneck over the start-epoch path's link capacities.
 		var bottleneck float64

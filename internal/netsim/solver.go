@@ -30,8 +30,10 @@ type Solver struct {
 // Solve computes the max-min fair rates for the flows. demands[i] is flow
 // i's offered rate, paths[i] the link IDs it traverses, and capacity[l]
 // the capacity of link ID l; every path entry must index into capacity.
-// The returned slice is owned by the solver and valid until the next call.
-func (s *Solver) Solve(demands []float64, paths [][]int, capacity []float64) ([]float64, error) {
+// Link IDs are int32 so that rows can be cut straight from the simulator's
+// compact path table. The returned slice is owned by the solver and valid
+// until the next call.
+func (s *Solver) Solve(demands []float64, paths [][]int32, capacity []float64) ([]float64, error) {
 	n, nl := len(demands), len(capacity)
 	if len(paths) != n {
 		return nil, fmt.Errorf("netsim: %d demands but %d paths", n, len(paths))
@@ -50,7 +52,7 @@ func (s *Solver) Solve(demands []float64, paths [][]int, capacity []float64) ([]
 			return nil, fmt.Errorf("netsim: flow %d has empty path", i)
 		}
 		for _, l := range paths[i] {
-			if l < 0 || l >= nl {
+			if l < 0 || int(l) >= nl {
 				return nil, fmt.Errorf("netsim: flow %d crosses unknown link %d", i, l)
 			}
 			if capacity[l] < 0 {
@@ -162,7 +164,7 @@ func (s *Solver) Solve(demands []float64, paths [][]int, capacity []float64) ([]
 	return s.rates, nil
 }
 
-func (s *Solver) freeze(i int, rate float64, paths [][]int) {
+func (s *Solver) freeze(i int, rate float64, paths [][]int32) {
 	s.rates[i] = rate
 	s.frozen[i] = true
 	for _, l := range paths[i] {

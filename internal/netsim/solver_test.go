@@ -25,6 +25,18 @@ func denseOf(t *testing.T, capacity map[int]float64) []float64 {
 	return out
 }
 
+// links32 narrows link-ID rows to the Solver's int32 form.
+func links32(paths [][]int) [][]int32 {
+	out := make([][]int32, len(paths))
+	for i, p := range paths {
+		out[i] = make([]int32, len(p))
+		for j, l := range p {
+			out[i][j] = int32(l)
+		}
+	}
+	return out
+}
+
 // solverCases are shared dense-vs-reference instances covering the solver
 // phases: demand-limited freezes, bottleneck freezes, dead links, and
 // multi-round progressive filling.
@@ -54,7 +66,7 @@ func TestSolverMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			var s Solver
-			dense, err := s.Solve(tc.demands, tc.paths, denseOf(t, tc.capacity))
+			dense, err := s.Solve(tc.demands, links32(tc.paths), denseOf(t, tc.capacity))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +97,7 @@ func TestSolverReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Solve(tc.demands, tc.paths, denseOf(t, tc.capacity))
+			got, err := s.Solve(tc.demands, links32(tc.paths), denseOf(t, tc.capacity))
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -104,16 +116,16 @@ func TestSolverErrors(t *testing.T) {
 	if _, err := s.Solve([]float64{1}, nil, nil); err == nil {
 		t.Error("mismatched lengths should fail")
 	}
-	if _, err := s.Solve([]float64{-1}, [][]int{{0}}, []float64{10}); err == nil {
+	if _, err := s.Solve([]float64{-1}, [][]int32{{0}}, []float64{10}); err == nil {
 		t.Error("negative demand should fail")
 	}
-	if _, err := s.Solve([]float64{1}, [][]int{{}}, []float64{10}); err == nil {
+	if _, err := s.Solve([]float64{1}, [][]int32{{}}, []float64{10}); err == nil {
 		t.Error("empty path should fail")
 	}
-	if _, err := s.Solve([]float64{1}, [][]int{{3}}, []float64{10}); err == nil {
+	if _, err := s.Solve([]float64{1}, [][]int32{{3}}, []float64{10}); err == nil {
 		t.Error("out-of-range link should fail")
 	}
-	if _, err := s.Solve([]float64{1}, [][]int{{0}}, []float64{-5}); err == nil {
+	if _, err := s.Solve([]float64{1}, [][]int32{{0}}, []float64{-5}); err == nil {
 		t.Error("negative capacity should fail")
 	}
 	if _, err := MaxMin([]float64{1}, [][]int{{7}}, map[int]float64{1: 10}); err == nil {
@@ -126,12 +138,12 @@ func TestSolverErrors(t *testing.T) {
 func TestSolverAllocFree(t *testing.T) {
 	var s Solver
 	tc := solverCases[5] // chain: multi-round, all phases
-	caps := denseOf(t, tc.capacity)
-	if _, err := s.Solve(tc.demands, tc.paths, caps); err != nil {
+	caps, paths := denseOf(t, tc.capacity), links32(tc.paths)
+	if _, err := s.Solve(tc.demands, paths, caps); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := s.Solve(tc.demands, tc.paths, caps); err != nil {
+		if _, err := s.Solve(tc.demands, paths, caps); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -174,7 +186,7 @@ func TestPathCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.warm.pathCache) == 0 {
+	if len(s.warm.paths.index) == 0 {
 		t.Fatal("path cache not populated")
 	}
 	second, err := s.Run(flows)

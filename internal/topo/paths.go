@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"netpowerprop/internal/fattree"
@@ -19,133 +18,170 @@ const maxPaths = 32
 // shortest path plus `slack` links, capped at maxPaths, explored in link-ID
 // order. slack 0 yields exactly the shortest-path ECMP set; torus- and
 // dragonfly-style topologies pass slack 2 so one-detour routes join the
-// set and fault-epoch rerouting has somewhere to steer.
+// set and fault-epoch rerouting has somewhere to steer. Call it once the
+// graph is complete: the enumerator keeps its own copy of the adjacency.
 func InstallPaths(t *fattree.Topology, slack int) {
-	t.SetPathFn(func(src, dst int) ([][]int, error) {
-		return enumerate(t, src, dst, slack)
-	})
+	t.SetPathFn(newGraph(t, slack).appendPaths)
 }
 
-// scratch holds the per-enumeration working buffers — the BFS distance
-// field and queue, the DFS on-path marker, the current-path stack, and the
-// collected paths (back to back in arena, each ending at its ends entry).
-// They are reused across host pairs through scratchPool: path enumeration
-// runs for every ordered pair of a topology, so per-call allocation of
-// these slices dominated the profile. Only the exact-size copy of the
-// result is allocated per call, because it escapes to the caller.
-type scratch struct {
-	dist   []int
-	queue  []int
+// graph is the enumerator's view of one topology, built once by
+// InstallPaths: node v's (link, peer) hops in link-ID order are
+// hops[off[v]:off[v+1]], and host[v] marks the hosts. Each destination's
+// BFS distance field is filled on its first query and shared by every
+// source after it; the sync.Once per destination makes that safe for
+// concurrent Paths callers.
+type graph struct {
+	off    []int32
+	hops   []hop
+	host   []bool
+	slack  int
+	fields []distField // by node ID; only host entries are ever filled
+}
+
+// hop is one step out of a node: the link taken and the node it reaches.
+type hop struct{ link, peer int32 }
+
+// distField is one destination's BFS distances: dist[v] is v's hop count
+// to the destination, -1 when unreachable.
+type distField struct {
+	once sync.Once
+	dist []int32
+}
+
+// newGraph builds t's enumerator graph, every distance field still empty.
+func newGraph(t *fattree.Topology, slack int) *graph {
+	n := len(t.Nodes)
+	g := &graph{
+		off:    make([]int32, n+1),
+		hops:   make([]hop, 0, 2*len(t.Links)),
+		host:   make([]bool, n),
+		slack:  slack,
+		fields: make([]distField, n),
+	}
+	for v := range t.Nodes {
+		g.host[v] = t.Nodes[v].Kind == fattree.KindHost
+		for _, lid := range t.LinksOf(v) {
+			g.hops = append(g.hops, hop{int32(lid), int32(t.Peer(lid, v))})
+		}
+		g.off[v+1] = int32(len(g.hops))
+	}
+	return g
+}
+
+// out returns v's hops in link-ID order.
+func (g *graph) out(v int32) []hop { return g.hops[g.off[v]:g.off[v+1]] }
+
+// distTo returns dst's distance field, running its BFS on first use with
+// w's queue. Host nodes are degree-1 leaves, so distances through other
+// hosts never shortcut.
+func (g *graph) distTo(dst int, w *walk) []int32 {
+	f := &g.fields[dst]
+	f.once.Do(func() {
+		dist := make([]int32, len(g.host))
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[dst] = 0
+		queue := append(w.queue[:0], int32(dst))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, h := range g.out(v) {
+				if dist[h.peer] < 0 {
+					dist[h.peer] = dist[v] + 1
+					queue = append(queue, h.peer)
+				}
+			}
+		}
+		w.queue = queue
+		f.dist = dist
+	})
+	return f.dist
+}
+
+// walk holds one enumeration's working buffers — the BFS queue, the DFS
+// on-path marker, the current-path stack, and the collected paths (back to
+// back in arena, each ending at its ends entry) — reused across calls
+// through walkPool.
+type walk struct {
+	queue  []int32
 	onPath []bool
 	cur    []int
 	arena  []int
 	ends   []int
 
 	// The current pair's walk parameters, read by dfs.
-	t      *fattree.Topology
-	dst    int
-	budget int
+	g      *graph
+	dist   []int32
+	dst    int32
+	budget int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
 
-// reset sizes the buffers for an n-node graph and restores their
-// invariants: dist all -1, onPath all false, every stack empty.
-func (s *scratch) reset(n int) {
-	if cap(s.dist) < n {
-		s.dist = make([]int, n)
-		s.onPath = make([]bool, n)
+// appendPaths is the installed enumerator, with fattree.AppendPaths's
+// contract: the bounded DFS over dst's distance field, then the collected
+// paths appended shortest first (stable on discovery order), so ECMP
+// hashing favors minimal routes and detours serve as fault spares.
+func (g *graph) appendPaths(links, ends []int, src, dst int) ([]int, []int, error) {
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	dist := g.distTo(dst, w)
+	if dist[src] < 0 {
+		return links, ends, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
 	}
-	s.dist = s.dist[:n]
-	s.onPath = s.onPath[:n]
-	for i := range s.dist {
-		s.dist[i] = -1
+	if cap(w.onPath) < len(g.host) {
+		w.onPath = make([]bool, len(g.host))
 	}
-	clear(s.onPath)
-	s.queue = s.queue[:0]
-	s.cur = s.cur[:0]
-	s.arena = s.arena[:0]
-	s.ends = s.ends[:0]
-}
-
-// enumerate runs the bounded DFS over the distance field from dst.
-func enumerate(t *fattree.Topology, src, dst, slack int) ([][]int, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.reset(len(t.Nodes))
-
-	// BFS from dst: dist[v] = hops to dst, -1 unreachable. Host nodes are
-	// degree-1 leaves, so distances through other hosts never shortcut.
-	dist := s.dist
-	dist[dst] = 0
-	queue := append(s.queue, dst)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, lid := range t.LinksOf(v) {
-			p := t.Peer(lid, v)
-			if dist[p] < 0 {
-				dist[p] = dist[v] + 1
-				queue = append(queue, p)
+	w.onPath = w.onPath[:len(g.host)]
+	w.cur, w.arena, w.ends = w.cur[:0], w.arena[:0], w.ends[:0]
+	w.g, w.dist, w.dst, w.budget = g, dist, int32(dst), dist[src]+int32(g.slack)
+	w.onPath[src] = true
+	w.dfs(int32(src), 0)
+	w.onPath[src] = false
+	w.g, w.dist = nil, nil // the pool must not pin the topology
+	if len(w.ends) == 0 {
+		return links, ends, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
+	}
+	// Every path is between dist[src] and the budget long: one pass per
+	// length appends them in a stable shortest-first order.
+	for n := int(dist[src]); n <= int(w.budget); n++ {
+		start := 0
+		for _, end := range w.ends {
+			if end-start == n {
+				links = append(links, w.arena[start:end]...)
+				ends = append(ends, len(links))
 			}
+			start = end
 		}
 	}
-	s.queue = queue[:0] // keep the grown buffer for the next pair
-	if dist[src] < 0 {
-		return nil, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
-	}
-
-	s.t, s.dst, s.budget = t, dst, dist[src]+slack
-	s.onPath[src] = true
-	s.dfs(src, 0)
-	s.onPath[src] = false
-	s.t = nil // the pool must not pin the topology
-	if len(s.ends) == 0 {
-		return nil, fmt.Errorf("topo: no path between hosts %d and %d", src, dst)
-	}
-
-	// Copy the collected paths out of the scratch into one exact-size
-	// arena, each path cut with cap == len so an append by the caller
-	// reallocates instead of overwriting its neighbour.
-	arena := make([]int, len(s.arena))
-	copy(arena, s.arena)
-	paths := make([][]int, len(s.ends))
-	start := 0
-	for i, end := range s.ends {
-		paths[i] = arena[start:end:end]
-		start = end
-	}
-	// Shortest first (stable on discovery order), so ECMP hashing favors
-	// minimal routes and detours serve as fault spares.
-	slices.SortStableFunc(paths, func(a, b []int) int { return len(a) - len(b) })
-	return paths, nil
+	return links, ends, nil
 }
 
 // dfs extends the current path from v in link-ID order, pruned by the
 // distance field: a step onto p is viable only if the spent length plus
 // p's remaining distance fits the budget. onPath keeps paths simple. Each
-// path reaching dst is appended to the scratch arena, up to maxPaths.
-func (s *scratch) dfs(v, spent int) {
-	t := s.t
-	for _, lid := range t.LinksOf(v) {
-		p := t.Peer(lid, v)
-		if s.onPath[p] || s.dist[p] < 0 || spent+1+s.dist[p] > s.budget {
+// path reaching dst is appended to the arena, up to maxPaths.
+func (w *walk) dfs(v, spent int32) {
+	for _, h := range w.g.out(v) {
+		p := h.peer
+		if w.onPath[p] || w.dist[p] < 0 || spent+1+w.dist[p] > w.budget {
 			continue
 		}
 		// Other hosts are dead ends; only dst terminates a path.
-		if t.Nodes[p].Kind == fattree.KindHost && p != s.dst {
+		if w.g.host[p] && p != w.dst {
 			continue
 		}
-		s.cur = append(s.cur, lid)
-		if p == s.dst {
-			s.arena = append(s.arena, s.cur...)
-			s.ends = append(s.ends, len(s.arena))
+		w.cur = append(w.cur, int(h.link))
+		if p == w.dst {
+			w.arena = append(w.arena, w.cur...)
+			w.ends = append(w.ends, len(w.arena))
 		} else {
-			s.onPath[p] = true
-			s.dfs(p, spent+1)
-			s.onPath[p] = false
+			w.onPath[p] = true
+			w.dfs(p, spent+1)
+			w.onPath[p] = false
 		}
-		s.cur = s.cur[:len(s.cur)-1]
-		if len(s.ends) >= maxPaths {
+		w.cur = w.cur[:len(w.cur)-1]
+		if len(w.ends) >= maxPaths {
 			return
 		}
 	}

@@ -219,9 +219,15 @@ func TestZooDeterministic(t *testing.T) {
 
 // TestZooPathsConcurrent enumerates concurrently against a shared topology
 // and checks results match the serial enumeration — the property
-// concurrent simulations over one shared topology lean on.
+// concurrent simulations over one shared topology lean on. The concurrent
+// pass runs on a second, cold build, so its callers race to fill the
+// per-destination distance fields.
 func TestZooPathsConcurrent(t *testing.T) {
 	for name, topo := range buildAll(t, 24) {
+		cold, _, err := Build(name, Spec{Hosts: 24, LinkSpeed: 100 * units.Gbps})
+		if err != nil {
+			t.Fatalf("Build(%s): %v", name, err)
+		}
 		hs := topo.Hosts()
 		type pair struct{ src, dst int }
 		var pairs []pair
@@ -246,7 +252,7 @@ func TestZooPathsConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(idx int, p pair) {
 				defer wg.Done()
-				paths, err := topo.Paths(p.src, p.dst)
+				paths, err := cold.Paths(p.src, p.dst)
 				if err != nil {
 					errs[idx] = err
 					return

@@ -25,7 +25,7 @@ trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
 echo "running root benchmarks..." >&2
 go test -run=NONE -benchmem -count 5 \
-	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$|BenchmarkEngineCacheHit$|BenchmarkEngineCacheMiss$|BenchmarkEngineBatchMiss$' \
+	-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim|BenchmarkFaultSim$|BenchmarkFaultRow$|BenchmarkZooRow$|BenchmarkZooRequest$|BenchmarkEngineCacheHit$|BenchmarkEngineCacheMiss$|BenchmarkEngineBatchMiss$' \
 	. >>"$tmp"
 echo "running event-queue benchmark..." >&2
 go test -run=NONE -benchmem -count 5 -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
@@ -112,7 +112,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set + change-only trace emission into one ID-indexed segment arena and reuse of a repeated interval solve + one fused interval pass (active set, solve and accumulate per interval; no per-interval arenas or per-epoch capacity copies) + warm Sims owned by the engine worker slots and pointer-free flow stats. BenchmarkFaultRow is BenchmarkFaultSim'"'"'s row through a worker slot whose Sim stays warm; BenchmarkFaultSim stays the cold case. BenchmarkEngineCacheHit and BenchmarkEngineCacheMiss are one engine Do answered from the cache and one cold whatif; BenchmarkEngineBatchMiss is one 64-row DoBatch of 32 fresh whatif keys each sent twice, so every key misses and fans out to its duplicate. BenchmarkServeHit is one buffered GET cache hit through the HTTP handler, in the whatif-hot 70/15/15 whatif/cost/table3 mix, written from the result bytes memoized on its cache entry. current = the median of 5 samples by ns/op. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths, dense flows x fault-epochs route arena allocated per run, per-path switch lists and a map switch set in cold ConcentrateRouting rows); current = dense Solver + path cache + event free list + pooled path-enumeration scratch + per-flow fault-epoch windows in Sim scratch arenas + exact-size path arenas, one switch arena per path set and a dense switch set + change-only trace emission into one ID-indexed segment arena and reuse of a repeated interval solve + one fused interval pass (active set, solve and accumulate per interval; no per-interval arenas or per-epoch capacity copies) + warm Sims owned by the engine worker slots and pointer-free flow stats + per-destination BFS fields and a compact path table (link, end and switch arenas, path sets from a slab) kept across topologies. BenchmarkFaultRow is BenchmarkFaultSim'"'"'s row through a worker slot whose Sim stays warm; BenchmarkFaultSim stays the cold case. BenchmarkZooRequest is one 32-host topologies request, all eight zoo rows, through one worker slot whose Sim and path table stay warm across topologies; BenchmarkZooRow stays the cold row. BenchmarkTopoPaths* enumerate through AppendPaths into reused buffers, as the path table calls it. BenchmarkEngineCacheHit and BenchmarkEngineCacheMiss are one engine Do answered from the cache and one cold whatif; BenchmarkEngineBatchMiss is one 64-row DoBatch of 32 fresh whatif keys each sent twice, so every key misses and fans out to its duplicate. BenchmarkServeHit is one buffered GET cache hit through the HTTP handler, in the whatif-hot 70/15/15 whatif/cost/table3 mix, written from the result bytes memoized on its cache entry. current = the median of 5 samples by ns/op. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"
